@@ -1,26 +1,18 @@
-"""Hot kernels: truncated convolution and budgeted partition histograms.
+"""Hot kernels: truncated convolution and the partition histogram.
 
-Both kernels ship in two interchangeable implementations: a numba-jitted
-version and a pure numpy/Python fallback. Set PARTBIJ_NO_NUMBA=1 to force
-the fallbacks; results are bit-identical either way.
+`convolve` multiplies two dense coefficient arrays by shift-and-add over
+the nonzeros of the sparser one.
+
+`partition_histogram` counts partitions row by row instead of visiting
+them. Its state after row `pos` is an int64 array indexed by (last part,
+each non-length axis statistic) holding the number of partitions of
+length `pos` that end there. The next row takes a reverse cumulative sum
+over the last-part axis (parts never grow), shifted by one when parts must
+be distinct, and moves each new part value v up the axes that row adds v
+to. Counts never wrap: a sum that leaves int64 raises HistogramOverflow.
 """
 
-import os
-
 import numpy as np
-
-_FORCED_OFF = os.environ.get("PARTBIJ_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if _FORCED_OFF:
-        raise ImportError("numba disabled by PARTBIJ_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _FORCED_OFF
 
 AXIS_FIRST = 0
 AXIS_SIZE = 1
@@ -37,12 +29,21 @@ _AXIS_CODES = {
 }
 
 
+class HistogramOverflow(OverflowError):
+    """A partition count does not fit in int64."""
+
+
 # ---------------------------------------------------------------------------
 # kernel 1: truncated multivariate convolution
 # ---------------------------------------------------------------------------
 
-def _convolve_numpy(a, b):
-    """Shift-and-add over the nonzeros of the sparser operand."""
+def convolve(a, b):
+    """Truncated product of two identically shaped int64 coefficient arrays.
+
+    Exponent vectors add; results falling outside the array are dropped.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
     out = np.zeros(a.shape, dtype=np.int64)
@@ -53,164 +54,29 @@ def _convolve_numpy(a, b):
     return out
 
 
-def _conv_pairs_py(aexp, aval, bexp, bval, bounds, strides, out_flat):
-    nvars = bounds.shape[0]
-    for i in range(aexp.shape[0]):
-        for j in range(bexp.shape[0]):
-            flat = 0
-            ok = True
-            for v in range(nvars):
-                e = aexp[i, v] + bexp[j, v]
-                if e > bounds[v]:
-                    ok = False
-                    break
-                flat += e * strides[v]
-            if ok:
-                out_flat[flat] += aval[i] * bval[j]
+# ---------------------------------------------------------------------------
+# kernel 2: partition histogram by row transfer
+# ---------------------------------------------------------------------------
+
+def _shifted_axes(kinds, pos, counted):
+    """State axes (after the part axis) that row `pos` adds its part to."""
+    return [j for j, kind in enumerate(kinds)
+            if kind == AXIS_SIZE
+            or (kind == AXIS_FIRST and pos == 1)
+            or (kind == AXIS_WEIGHT and counted)
+            or (kind == AXIS_ANTI and not counted)]
 
 
-if USE_NUMBA:
-    _conv_pairs = njit(cache=True)(_conv_pairs_py)
-else:
-    _conv_pairs = _conv_pairs_py
+def _unwrapped(counts):
+    """Return counts, or raise if an int64 sum of counts has wrapped.
 
-
-def _convolve_pairs(a, b):
-    """Nonzero-pair loop suited to jit compilation."""
-    aidx = np.argwhere(a)
-    bidx = np.argwhere(b)
-    aval = a[tuple(aidx.T)] if aidx.size else np.zeros(0, np.int64)
-    bval = b[tuple(bidx.T)] if bidx.size else np.zeros(0, np.int64)
-    bounds = np.array(a.shape, dtype=np.int64) - 1
-    out = np.zeros(a.shape, dtype=np.int64)
-    strides = np.array(out.strides, dtype=np.int64) // out.itemsize
-    _conv_pairs(
-        np.ascontiguousarray(aidx, dtype=np.int64),
-        np.ascontiguousarray(aval, dtype=np.int64),
-        np.ascontiguousarray(bidx, dtype=np.int64),
-        np.ascontiguousarray(bval, dtype=np.int64),
-        bounds,
-        strides,
-        out.reshape(-1),
-    )
-    return out
-
-
-def convolve(a, b):
-    """Truncated product of two identically shaped int64 coefficient arrays.
-
-    Exponent vectors add; results falling outside the array are dropped.
+    Counts are nonnegative, so a sum of two that leaves the int64 range
+    wraps to a negative value, as does the first partial sum of a cumsum
+    to leave it.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if USE_NUMBA:
-        return _convolve_pairs(a, b)
-    return _convolve_numpy(a, b)
-
-
-# ---------------------------------------------------------------------------
-# kernel 2: budgeted partition histogram
-# ---------------------------------------------------------------------------
-
-def _hist_py(t, r, max_part, max_len, distinct, mod, mask,
-             kinds, bounds, strides, out_flat):
-    nax = kinds.shape[0]
-    vals = np.zeros(max_len + 2, dtype=np.int64)
-    cands = np.zeros(max_len + 2, dtype=np.int64)
-
-    size = 0
-    weight = 0
-    first = 0
-
-    # emit the empty partition
-    if mod == 0 or (mask >> (0 % mod)) & 1:
-        out_flat[0] += 1
-
-    if max_len < 1 or max_part < 1:
-        return
-
-    pos = 1
-    cands[1] = max_part
-    while pos >= 1:
-        v = cands[pos]
-        if v < 1:
-            pos -= 1
-            if pos >= 1:
-                u = vals[pos]
-                size -= u
-                if pos >= r and (pos - r) % t == 0:
-                    weight -= u
-                if pos == 1:
-                    first = 0
-                cands[pos] = u - 1
-            continue
-        counted = pos >= r and (pos - r) % t == 0
-        # largest part value the axis bounds still admit at this position;
-        # every axis statistic grows with the value, so smaller values stay
-        # admissible and larger ones never recover
-        vcap = v
-        for k in range(nax):
-            kind = kinds[k]
-            if kind == AXIS_FIRST:
-                if pos == 1 and bounds[k] < vcap:
-                    vcap = bounds[k]
-            elif kind == AXIS_SIZE:
-                room = bounds[k] - size
-                if room < vcap:
-                    vcap = room
-            elif kind == AXIS_WEIGHT:
-                if counted:
-                    room = bounds[k] - weight
-                    if room < vcap:
-                        vcap = room
-            elif kind == AXIS_ANTI:
-                if not counted:
-                    room = bounds[k] - (size - weight)
-                    if room < vcap:
-                        vcap = room
-            # length never varies with the value; it is folded into max_len
-        if vcap < v:
-            cands[pos] = vcap
-            continue
-        nsize = size + v
-        nweight = weight + (v if counted else 0)
-        nfirst = v if pos == 1 else first
-        vals[pos] = v
-        size = nsize
-        weight = nweight
-        first = nfirst
-        if mod == 0 or (mask >> (pos % mod)) & 1:
-            flat = 0
-            for k in range(nax):
-                kind = kinds[k]
-                if kind == AXIS_FIRST:
-                    stat = first
-                elif kind == AXIS_SIZE:
-                    stat = size
-                elif kind == AXIS_LENGTH:
-                    stat = pos
-                elif kind == AXIS_WEIGHT:
-                    stat = weight
-                else:
-                    stat = size - weight
-                flat += stat * strides[k]
-            out_flat[flat] += 1
-        if pos < max_len:
-            pos += 1
-            cands[pos] = v - 1 if distinct else v
-        else:
-            size -= v
-            if counted:
-                weight -= v
-            if pos == 1:
-                first = 0
-            cands[pos] = v - 1
-
-
-if USE_NUMBA:
-    _hist = njit(cache=True)(_hist_py)
-else:
-    _hist = _hist_py
+    if np.any(counts < 0):
+        raise HistogramOverflow("partition count exceeds the int64 range")
+    return counts
 
 
 def partition_histogram(axes, bounds, *, t=1, r=1, max_part, max_len,
@@ -223,36 +89,73 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part, max_len,
     from {"first", "size", "length", "weight", "anti"}; "weight" is the sum
     of parts at indices r, t+r, 2t+r, ... and "anti" the rest of the size.
     length_mod=(m, residues) keeps only partitions whose length is congruent
-    to one of the residues mod m (pruning is unaffected).
+    to one of the residues mod m.
 
-    Every statistic is nondecreasing as parts are appended, so a prefix that
-    exceeds any axis bound has no qualifying extensions; the search prunes
-    on that, which makes the enumeration complete for the returned box.
+    Every statistic is nondecreasing as parts are appended, so a partition
+    whose prefix leaves the box has no extension inside it; the row
+    transfer drops such states, which keeps the count complete for the
+    returned box. Raises HistogramOverflow if a count exceeds int64.
     """
     if not axes:
         raise ValueError("at least one axis is required")
     if len(axes) != len(bounds):
         raise ValueError("axes and bounds must pair up")
-    kinds = np.array([_AXIS_CODES[a] for a in axes], dtype=np.int64)
-    bnd = np.array(bounds, dtype=np.int64)
-    if np.any(bnd < 0):
+    codes = [_AXIS_CODES[a] for a in axes]
+    if any(int(b) < 0 for b in bounds):
         raise ValueError("axis bounds must be nonnegative")
-    max_len = int(max_len)
-    for a, b in zip(axes, bounds):
-        if a == "length":
+    t, r, max_part, max_len = int(t), int(r), int(max_part), int(max_len)
+    for code, b in zip(codes, bounds):
+        if code == AXIS_LENGTH:
             max_len = min(max_len, int(b))
-    shape = tuple(int(b) + 1 for b in bounds)
-    out = np.zeros(shape, dtype=np.int64)
-    strides = np.array(out.strides, dtype=np.int64) // out.itemsize
-    mod, mask = 0, 0
+    out = np.zeros(tuple(int(b) + 1 for b in bounds), dtype=np.int64)
+    admitted = None
     if length_mod is not None:
         mod, residues = length_mod
         mod = int(mod)
         if mod < 1:
             raise ValueError("length modulus must be positive")
-        for res in residues:
-            mask |= 1 << (res % mod)
-    _hist(int(t), int(r), int(max_part), max_len,
-          1 if distinct else 0, mod, mask,
-          kinds, bnd, strides, out.reshape(-1))
+        admitted = {res % mod for res in residues}
+
+    def admits(length):
+        return admitted is None or length % mod in admitted
+
+    if admits(0):
+        out[(0,) * out.ndim] += 1
+    if max_len < 1 or max_part < 1:
+        return out
+
+    kinds = [code for code in codes if code != AXIS_LENGTH]
+    kbounds = [int(b) for code, b in zip(codes, bounds) if code != AXIS_LENGTH]
+    stat_shape = tuple(b + 1 for b in kbounds)
+    # the first part is the largest, so every axis row 1 adds to caps it
+    top = min([max_part] + [kbounds[j] for j in _shifted_axes(kinds, 1, r == 1)])
+    # avail[v] counts the prefixes the next row may extend with part v
+    avail = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
+    avail[(slice(1, None),) + (0,) * len(kinds)] = 1
+    for pos in range(1, max_len + 1):
+        shifted = _shifted_axes(kinds, pos, pos >= r and (pos - r) % t == 0)
+        vmax = min([top] + [kbounds[j] for j in shifted])
+        state = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
+        for v in range(1, vmax + 1):
+            src = [v] + [slice(None)] * len(kinds)
+            dst = list(src)
+            for j in shifted:
+                src[j + 1] = slice(0, kbounds[j] + 1 - v)
+                dst[j + 1] = slice(v, None)
+            state[tuple(dst)] = avail[tuple(src)]
+        # sums[v] counts the states with last part >= v; sums[0] all of them
+        sums = _unwrapped(np.cumsum(state[::-1], axis=0)[::-1])
+        if not sums[0].any():
+            break
+        if admits(pos):
+            cell = tuple(pos if code == AXIS_LENGTH else slice(None)
+                         for code in codes)
+            out[cell] += sums[0]
+            _unwrapped(out[cell])
+        # sums[v] is nonzero up to the largest last part present
+        top = int(np.count_nonzero(sums.reshape(top + 1, -1).any(axis=1))) - 1
+        if distinct:
+            avail, top = sums[1:], top - 1
+        else:
+            avail = sums
     return out

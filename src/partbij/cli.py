@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import verify as ver
+from ._accel import HistogramOverflow
 from .bijections import (
     bessenrodt,
     bessenrodt_inverse,
@@ -24,7 +25,13 @@ from .bijections import (
     mork_inverse,
 )
 from .colored import ColoredPartition, ColoredPartitionError
-from .partitions import ModularDiagram, Partition, PartitionError, to_modular
+from .partitions import (
+    ModularDiagram,
+    Partition,
+    PartitionError,
+    from_modular,
+    to_modular,
+)
 from .series import SeriesError
 from .verify import IDENTITY_IDS, THEOREM_IDS, VerifyError
 
@@ -49,29 +56,40 @@ def _load_input(raw):
         raise UsageError(f"input is not valid JSON: {exc}") from exc
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_pairs(data):
+    return isinstance(data, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+        for e in data
+    )
+
+
 def _as_partition(data):
-    if not isinstance(data, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in data
-    ):
+    if not isinstance(data, list) or not all(map(_is_int, data)):
         raise UsageError("expected a JSON array of integers")
     return Partition(data)
 
 
 def _as_colored(data, t):
-    if not isinstance(data, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in data
-    ):
+    if not _is_int_pairs(data):
         raise UsageError("expected a JSON array of [part, color] pairs")
-    return ColoredPartition(((int(p), int(c)) for p, c in data), t)
+    return ColoredPartition(map(tuple, data), t)
 
 
 def _as_diagram(data, m):
     if isinstance(data, dict):
-        if set(data) != {"m", "rows"}:
+        if (set(data) != {"m", "rows"} or not _is_int(data["m"])
+                or not _is_int_pairs(data["rows"])):
             raise UsageError('expected {"m": ..., "rows": [[cells, remainder], ...]}')
-        rows = tuple((int(c), int(rm)) for c, rm in data["rows"])
-        return ModularDiagram(int(data["m"]), rows)
+        diagram = ModularDiagram(data["m"], tuple(map(tuple, data["rows"])))
+        from_modular(diagram)  # raises InvalidDiagram on a malformed diagram
+        return diagram
     base = 2 if m is None else m
+    if base < 2:
+        raise UsageError(f"--m must be >= 2, got {base}")
     return to_modular(_as_partition(data), base)
 
 
@@ -117,6 +135,8 @@ def _cmd_bijection(args):
     if name == "color-conjugate":
         t = 2 if args.t is None else args.t
         r = 1 if args.r is None else args.r
+        if t < 1 or r < 1:
+            raise UsageError(f"color-conjugate needs t >= 1 and r >= 1, got t={t} r={r}")
         if args.inverse:
             if not isinstance(data, dict) or set(data) != {"nu", "mu"}:
                 raise UsageError('expected {"nu": [...], "mu": [[part, color], ...]}')
@@ -187,6 +207,8 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     rows = ver.table_bessenrodt(args.n)
     if args.json:
         print(json.dumps([[w, list(d), list(o)] for w, d, o in rows]))
@@ -301,7 +323,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, PartitionError, ColoredPartitionError, SeriesError,
-            VerifyError) as exc:
+            VerifyError, HistogramOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,19 +1,16 @@
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partbij import _accel
-from partbij._accel import (
-    HAVE_NUMBA,
-    USE_NUMBA,
-    _convolve_numpy,
-    convolve,
-    partition_histogram,
+from partbij._accel import HistogramOverflow, convolve, partition_histogram
+from partbij.partitions import (
+    count_partitions,
+    enumerate_partitions,
+    schmidt_weight,
 )
-from partbij.partitions import enumerate_partitions, schmidt_weight
 
 
 def brute_histogram(axes, bounds, t=1, r=1, max_part=None, max_len=None,
@@ -46,13 +43,23 @@ def brute_histogram(axes, bounds, t=1, r=1, max_part=None, max_len=None,
     return out
 
 
+def brute_convolve(a, b):
+    out = np.zeros(a.shape, dtype=np.int64)
+    for i in itertools.product(*map(range, a.shape)):
+        for j in itertools.product(*map(range, b.shape)):
+            k = tuple(x + y for x, y in zip(i, j))
+            if all(e < dim for e, dim in zip(k, a.shape)):
+                out[k] += a[i] * b[j]
+    return out
+
+
 def test_convolve_matches_numpy_reference():
     rng = np.random.default_rng(7)
     for shape in [(5,), (4, 3), (3, 3, 2), (1,), (2, 1, 1, 2)]:
         a = rng.integers(-9, 9, size=shape).astype(np.int64)
         b = rng.integers(-9, 9, size=shape).astype(np.int64)
         got = convolve(a, b)
-        want = _convolve_numpy(a, b)
+        want = brute_convolve(a, b)
         assert got.shape == a.shape
         assert np.array_equal(got, want)
 
@@ -121,20 +128,32 @@ def test_histogram_rejects_bad_arguments():
         partition_histogram(("bogus",), (3,), max_part=3, max_len=3)
 
 
-def test_numba_flag_consistency():
-    assert USE_NUMBA == (HAVE_NUMBA and not _accel._FORCED_OFF)
+@settings(max_examples=300, deadline=None)
+@given(
+    axes=st.lists(st.sampled_from(["first", "size", "length", "weight", "anti"]),
+                  min_size=1, max_size=3),
+    data=st.data(),
+    t=st.integers(1, 4),
+    r=st.integers(1, 4),
+    distinct=st.booleans(),
+    max_part=st.integers(0, 6),
+    max_len=st.integers(0, 6),
+    length_mod=st.none() | st.tuples(
+        st.integers(1, 4), st.lists(st.integers(-3, 5), max_size=3)),
+)
+def test_histogram_matches_enumeration_sweep(axes, data, t, r, distinct,
+                                             max_part, max_len, length_mod):
+    bounds = data.draw(st.lists(st.integers(0, 7), min_size=len(axes),
+                                max_size=len(axes)))
+    kw = dict(t=t, r=r, max_part=max_part, max_len=max_len,
+              distinct=distinct, length_mod=length_mod)
+    got = partition_histogram(tuple(axes), tuple(bounds), **kw)
+    want = brute_histogram(tuple(axes), tuple(bounds), **kw)
+    assert np.array_equal(got, want)
 
 
-def test_env_flag_forces_fallback():
-    env = dict(os.environ, PARTBIJ_NO_NUMBA="1")
-    code = (
-        "from partbij import _accel\n"
-        "import numpy as np\n"
-        "assert _accel.USE_NUMBA is False\n"
-        "out = _accel.partition_histogram(('size',), (6,), max_part=6, max_len=6)\n"
-        "print(','.join(map(str, out)))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1,1,2,3,5,7,11"
+def test_histogram_counts_up_to_int64_then_raises():
+    out = partition_histogram(("size",), (405,), max_part=405, max_len=405)
+    assert [int(c) for c in out] == [count_partitions(n) for n in range(406)]
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("size",), (406,), max_part=406, max_len=406)

@@ -95,6 +95,25 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bijection", "hook-map", "--input", '{"m":3,"rows":[[1]]}'],
+    ["bijection", "hook-map", "--input", '{"m":"x","rows":[]}'],
+    ["bijection", "hook-map", "--input", '{"m":3,"rows":[[1,5]]}'],
+    ["bijection", "hook-map", "--m", "1", "--input", "[3,2]"],
+    ["bijection", "color-conjugate", "--r", "0", "--input", "[3,2]"],
+    ["bijection", "color-conjugate", "--t", "0", "--input", "[3,2]"],
+    ["bijection", "color-conjugate", "--inverse",
+     "--input", '{"nu":[],"mu":[["a",1]]}'],
+    ["table", "bessenrodt", "--n", "-1"],
+    ["verify", "schmidt", "--n", "406"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_text_and_exit_zero(capsys):
     code, out, err = run(capsys, "verify", "thm3.1",
                          "--max-q", "6", "--max-z", "12")
