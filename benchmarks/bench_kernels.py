@@ -1,16 +1,29 @@
-"""Time the two hot kernels on fixed inputs.
+"""Time the hot kernels on fixed inputs.
 
 Run: python benchmarks/bench_kernels.py
 
 Each row is the best of several runs. The thm8.1 row (t=4, r=4,
-q,z <= 15) is checked against the total of its closed form.
+q,z <= 15) is checked against the total of its closed form, and the
+Pochhammer division at q,z <= 60 against its largest coefficient. The
+first lines give the machine: cores, Python, numpy, and whether numba
+was loaded.
 """
 
+import os
+import platform
+import sys
 import time
 
 import numpy as np
 
 from partbij._accel import convolve, partition_histogram
+from partbij.series import (
+    INFINITY,
+    TruncatedSeries,
+    divide_pochhammer,
+    invert,
+    pochhammer,
+)
 
 
 def timeit(fn, repeat=5):
@@ -49,8 +62,36 @@ def bench_histogram():
     ]
 
 
+def bench_pochhammer():
+    zq = ({"q": 1, "z": 1}, {"q": 1}, INFINITY)
+
+    def shifts(bound):
+        box = {"q": bound, "z": bound}
+        f = TruncatedSeries.constant(box, 1)
+        return divide_pochhammer(divide_pochhammer(f, *zq), *zq)
+
+    def products(bound):
+        p = pochhammer(*zq, {"q": bound, "z": bound})
+        return invert(p * p)
+
+    top = int(shifts(60).coeffs.max())
+    if top != 71_699_042:
+        raise SystemExit(f"1/(zq;q)_inf^2 on q,z<=60 has largest coefficient "
+                         f"{top}, expected 71699042")
+    return [
+        ("pochhammer multiply (zq;q)_inf q,z<=20",
+         timeit(lambda: pochhammer(*zq, {"q": 20, "z": 20}))),
+        ("pochhammer divide 1/(zq;q)_inf^2 q,z<=20", timeit(lambda: shifts(20))),
+        ("pochhammer divide 1/(zq;q)_inf^2 q,z<=60", timeit(lambda: shifts(60))),
+        ("invert((zq;q)_inf^2) q,z<=20, general product",
+         timeit(lambda: products(20))),
+    ]
+
+
 def main():
-    rows = bench_convolve() + bench_histogram()
+    print(f"cores {os.cpu_count()}, Python {platform.python_version()}, "
+          f"numpy {np.__version__}, numba loaded: {'numba' in sys.modules}")
+    rows = bench_convolve() + bench_histogram() + bench_pochhammer()
     width = max(len(name) for name, _ in rows)
     for name, best in rows:
         print(f"{name:<{width}}  {best * 1000:9.2f} ms")

@@ -48,6 +48,14 @@ class UsageError(ValueError):
     """Bad input or flags for an otherwise well-formed command line."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one `error:` line, like any
+    other usage error, instead of printing the usage text."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _load_input(raw):
     text = sys.stdin.read() if raw == "-" else raw
     try:
@@ -257,7 +265,7 @@ def _cmd_suite(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partbij",
         description="Partition bijections, truncated q-series, and "
                     "identity verification.",
@@ -318,10 +326,9 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
         return args.func(args)
+    except SystemExit:  # --help; every other parse error is a UsageError
+        return 0
     except (UsageError, PartitionError, ColoredPartitionError, SeriesError,
             VerifyError, HistogramOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)

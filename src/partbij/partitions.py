@@ -7,7 +7,7 @@ profiles) are total functions.
 """
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 
 class PartitionError(ValueError):
@@ -249,30 +249,41 @@ def enumerate_partitions(
         yield Partition(parts)
 
 
+def partition_numbers(
+    n_max: int,
+    distinct: bool = False,
+    odd_parts: bool = False,
+    max_part: Optional[int] = None,
+) -> List[int]:
+    """Counts of the partitions of 0, 1, ..., n_max with the given part
+    restrictions, by one dynamic program over allowed part sizes.
+
+    Independent of enumerate_partitions; used to cross-check the stream.
+    """
+    if n_max < 0:
+        raise ValueError(f"target size must be nonnegative, got {n_max}")
+    cap = n_max if max_part is None else min(max_part, n_max)
+    sizes = [s for s in range(1, cap + 1) if not (odd_parts and s % 2 == 0)]
+    ways = [0] * (n_max + 1)
+    ways[0] = 1
+    for s in sizes:
+        if distinct:
+            for v in range(n_max, s - 1, -1):
+                ways[v] += ways[v - s]
+        else:
+            for v in range(s, n_max + 1):
+                ways[v] += ways[v - s]
+    return ways
+
+
 def count_partitions(
     n: int,
     distinct: bool = False,
     odd_parts: bool = False,
     max_part: Optional[int] = None,
 ) -> int:
-    """Count partitions of n by dynamic programming over allowed part sizes.
-
-    Independent of enumerate_partitions; used to cross-check the stream.
-    """
-    if n < 0:
-        raise ValueError(f"target size must be nonnegative, got {n}")
-    cap = n if max_part is None else min(max_part, n)
-    sizes = [s for s in range(1, cap + 1) if not (odd_parts and s % 2 == 0)]
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for s in sizes:
-        if distinct:
-            for v in range(n, s - 1, -1):
-                ways[v] += ways[v - s]
-        else:
-            for v in range(s, n + 1):
-                ways[v] += ways[v - s]
-    return ways[n]
+    """Count partitions of n; the last entry of partition_numbers(n)."""
+    return partition_numbers(n, distinct, odd_parts, max_part)[n]
 
 
 def count_in_box(width: int, height: int) -> int:

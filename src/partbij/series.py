@@ -6,6 +6,12 @@ array indexed by exponent vectors. All arithmetic is exact. A series is
 "box-exact" when every stored coefficient equals the coefficient of the
 formal series it stands for; sums and products of box-exact series are
 box-exact because exponents only ever add.
+
+Pochhammer products need no general product: multiplying by (1 - x^e) is
+one shift and subtract, and dividing by it is the doubling product
+(1 + x^e)(1 + x^2e)(1 + x^4e)..., one shift-add per factor until the shift
+leaves the box. Every operation checks its result exactly and raises
+CoefficientOverflow only when a coefficient would leave int64.
 """
 
 import math
@@ -45,7 +51,7 @@ class OutOfBox(SeriesError):
 
 
 class CoefficientOverflow(SeriesError):
-    """A product could exceed the int64 coefficient range."""
+    """A coefficient would leave the int64 range."""
 
 
 def _var_key(name):
@@ -73,11 +79,83 @@ def _canon_box(box):
     return variables, tuple(bounds)
 
 
-_GUARD = 2**62
+_INT64_MAX = 2**63 - 1
+
+
+def _overflow():
+    return CoefficientOverflow("coefficient exceeds the int64 range")
+
+
+def _sum(a, b):
+    """a + b, raising if a coefficient wrapped: an int64 sum wraps exactly
+    when it lands on the wrong side of a for the sign of b."""
+    out = a + b
+    if np.not_equal(out < a, b < 0).any():
+        raise _overflow()
+    return out
+
+
+def _difference(a, b):
+    """a - b, raising if a coefficient wrapped (see _sum)."""
+    out = a - b
+    if np.not_equal(out > a, b < 0).any():
+        raise _overflow()
+    return out
+
+
+def _max_abs(coeffs):
+    return max(int(coeffs.max()), -int(coeffs.min()))
 
 
 def _l1(coeffs):
     return int(np.abs(coeffs).astype(object).sum())
+
+
+def _product_fits(a, b):
+    """Whether no coefficient of the truncated product a*b can leave int64.
+
+    A product coefficient, and every partial sum of it, is a sum of terms
+    a_i b_j with distinct i and distinct j, so its magnitude is at most
+    min(l1(a) max|b|, max|a| l1(b)). The exact l1 norms are only taken
+    when the cheaper max|a| max|b| min(nnz(a), nnz(b)) does not settle it.
+    """
+    ma, mb = _max_abs(a), _max_abs(b)
+    nnz = int(min(np.count_nonzero(a), np.count_nonzero(b)))
+    if ma * mb * nnz <= _INT64_MAX:
+        return True
+    return min(_l1(a) * mb, ma * _l1(b)) <= _INT64_MAX
+
+
+def _shift(shape, e):
+    """Source and destination slices of a shift by exponent vector e."""
+    src = tuple(slice(0, dim - k) for k, dim in zip(e, shape))
+    dst = tuple(slice(k, dim) for k, dim in zip(e, shape))
+    return src, dst
+
+
+def _times_one_minus(coeffs, e):
+    """coeffs * (1 - x^e): one shift and subtract."""
+    src, dst = _shift(coeffs.shape, e)
+    out = coeffs.copy()
+    out[dst] = _difference(coeffs[dst], coeffs[src])
+    return out
+
+
+def _over_one_minus(coeffs, e):
+    """coeffs / (1 - x^e) as coeffs * (1 + x^e)(1 + x^2e)(1 + x^4e)...
+
+    The product of the first k factors is 1 + x^e + ... + x^((2^k - 1)e),
+    so it equals 1/(1 - x^e) in the box once the next shift leaves it.
+    """
+    if not any(e):
+        raise NonUnitConstantTerm("constant term is 0")
+    out = coeffs.copy()
+    step = list(e)
+    while all(k < dim for k, dim in zip(step, out.shape)):
+        src, dst = _shift(out.shape, step)
+        out[dst] = _sum(out[dst], out[src])
+        step = [2 * k for k in step]
+    return out
 
 
 class TruncatedSeries:
@@ -150,7 +228,7 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(self.box_dict(), other)
         self._check_aligned(other)
         return TruncatedSeries(self.variables, self.box,
-                               self.coeffs + other.coeffs)
+                               _sum(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -159,21 +237,27 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(self.box_dict(), other)
         self._check_aligned(other)
         return TruncatedSeries(self.variables, self.box,
-                               self.coeffs - other.coeffs)
+                               _difference(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return TruncatedSeries(self.variables, self.box, -self.coeffs)
+        return TruncatedSeries(self.variables, self.box,
+                               _difference(np.zeros_like(self.coeffs),
+                                           self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
+            ends = (int(self.coeffs.min()) * other,
+                    int(self.coeffs.max()) * other)
+            if min(ends) < -_INT64_MAX - 1 or max(ends) > _INT64_MAX:
+                raise _overflow()
             return TruncatedSeries(self.variables, self.box,
                                    self.coeffs * np.int64(other))
         self._check_aligned(other)
-        if _l1(self.coeffs) * _l1(other.coeffs) > _GUARD:
-            raise CoefficientOverflow("product may exceed int64 range")
+        if not _product_fits(self.coeffs, other.coeffs):
+            raise _overflow()
         return TruncatedSeries(self.variables, self.box,
                                _accel.convolve(self.coeffs, other.coeffs))
 
@@ -292,15 +376,12 @@ def _monomial_exponents(variables, m):
     return exps
 
 
-def pochhammer(base, ratio, n, box):
-    """Product of (1 - base*ratio^k) for k = 0..n-1, truncated to the box.
+def _factor_exponents(variables, bounds, base, ratio, n):
+    """Exponent vectors of the factors of (base; ratio)_n inside the box.
 
-    base and ratio are exponent maps. n may be INFINITY when ratio is not
-    the constant monomial; factors whose monomial leaves the box are
-    identically 1 there, and exponents only grow with k, so the loop stops
-    at the first such factor.
+    Exponents only grow with k, so the first factor whose monomial leaves
+    the box ends the list: it and every later factor are 1 there.
     """
-    variables, bounds = _canon_box(box)
     b = _monomial_exponents(variables, base)
     r = _monomial_exponents(variables, ratio)
     if n is INFINITY:
@@ -311,18 +392,43 @@ def pochhammer(base, ratio, n, box):
         n = int(n)
         if n < 0:
             raise SeriesError(f"negative factor count {n}")
-    acc = TruncatedSeries.constant(box, 1)
-    cur = list(b)
-    k = 0
-    while n is None or k < n:
-        if any(e > bound for e, bound in zip(cur, bounds)):
+    out = []
+    while n is None or len(out) < n:
+        if any(e > bound for e, bound in zip(b, bounds)):
             break
-        factor = TruncatedSeries.constant(box, 1)
-        factor.coeffs[tuple(cur)] -= 1
-        acc = acc * factor
-        cur = [e + d for e, d in zip(cur, r)]
-        k += 1
-    return acc
+        out.append(b)
+        b = [e + d for e, d in zip(b, r)]
+    return out
+
+
+def _apply_factors(f, base, ratio, n, step):
+    """A new series: f with step(coeffs, e) applied for each factor e."""
+    coeffs = f.coeffs
+    for e in _factor_exponents(f.variables, f.box, base, ratio, n):
+        coeffs = step(coeffs, e)
+    return TruncatedSeries(f.variables, f.box,
+                           coeffs.copy() if coeffs is f.coeffs else coeffs)
+
+
+def pochhammer(base, ratio, n, box):
+    """Product of (1 - base*ratio^k) for k = 0..n-1, truncated to the box.
+
+    base and ratio are exponent maps. n may be INFINITY when ratio is not
+    the constant monomial; factors whose monomial leaves the box are
+    identically 1 there. Each factor is one shift and subtract.
+    """
+    return _apply_factors(TruncatedSeries.constant(box, 1),
+                          base, ratio, n, _times_one_minus)
+
+
+def divide_pochhammer(f, base, ratio, n):
+    """f / (base; ratio)_n in f's box, one doubling shift-add per factor.
+
+    Same factors as pochhammer(base, ratio, n, box), so it equals
+    f * invert(pochhammer(...)) without any general product.
+    NonUnitConstantTerm if a factor is 1 - 1.
+    """
+    return _apply_factors(f, base, ratio, n, _over_one_minus)
 
 
 def q_binomial(n, k, variable, box):
@@ -344,9 +450,9 @@ def q_binomial(n, k, variable, box):
             f"degree {deg} exceeds box bound {bounds[axis]} for {variable}")
     work_box = {variable: deg}
     num = pochhammer({variable: n - k + 1}, {variable: 1}, k, work_box)
-    den = pochhammer({variable: 1}, {variable: 1}, k, work_box)
-    quot = num * invert(den)
-    if quot * den != num:
+    den = ({variable: 1}, {variable: 1}, k)
+    quot = divide_pochhammer(num, *den)
+    if _apply_factors(quot, *den, _times_one_minus) != num:
         raise SeriesError("q-binomial division left a residue")
     if int(quot.coeffs[deg]) != 1:
         raise SeriesError("q-binomial top coefficient is not 1")

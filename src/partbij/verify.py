@@ -32,8 +32,8 @@ from .partitions import (
     ModularDiagram,
     Partition,
     color_profile,
-    count_partitions,
     enumerate_partitions,
+    partition_numbers,
     schmidt_weight,
     to_modular,
 )
@@ -353,20 +353,30 @@ def lhs_series(ident, params, box):
     raise VerifyError(f"unknown identity id: {ident}")
 
 
+def _zq(n=INFINITY):
+    """(zq; q)_n, the factor shared by most closed forms."""
+    return {"q": 1, "z": 1}, {"q": 1}, n
+
+
+def _quotient(box, factors, head=None):
+    """The monomial head (1 if None) divided by each (base, ratio, n)
+    Pochhammer product in factors."""
+    f = TruncatedSeries.monomial(box, head or {})
+    for base, ratio, n in factors:
+        f = qs.divide_pochhammer(f, base, ratio, n)
+    return f
+
+
 def rhs_series(ident, params, box):
     """Closed-form side of a series identity, built from series
     primitives only."""
     if ident in ("thm3.1", "eq3"):
         _need(ident, box, "q", "z")
-        return qs.invert(
-            qs.pochhammer({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY, box)
-        )
+        return _quotient(box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])
 
     if ident == "thm3.2":
         _need(ident, box, "q", "z")
-        return qs.invert(
-            qs.pochhammer({"z": 1}, {"q": 1, "z": 2}, INFINITY, box)
-        )
+        return _quotient(box, [({"z": 1}, {"q": 1, "z": 2}, INFINITY)])
 
     if ident == "thm4.1":
         q, z = _need(ident, box, "q", "z")
@@ -376,10 +386,7 @@ def rhs_series(ident, params, box):
             qe, ze = n * (2 * n + 1), 4 * n - 1
             if qe > q or ze > z:
                 break
-            p = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, n, box)
-            sq = p * p
-            head = TruncatedSeries.monomial(box, {"q": qe, "z": ze})
-            acc = acc + head * qs.invert(sq * sq)
+            acc = acc + _quotient(box, [_zq(n)] * 4, {"q": qe, "z": ze})
             n += 1
         return acc
 
@@ -391,53 +398,40 @@ def rhs_series(ident, params, box):
             qe, ze = n * (2 * n - 1), 4 * n - 3
             if qe > q or ze > z:
                 break
-            pn = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, n, box)
-            pm = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, n - 1, box)
-            head = TruncatedSeries.monomial(box, {"q": qe, "z": ze})
-            acc = acc + head * qs.invert((pn * pn) * (pm * pm))
+            acc = acc + _quotient(box, [_zq(n)] * 2 + [_zq(n - 1)] * 2,
+                                  {"q": qe, "z": ze})
             n += 1
         return acc
 
     if ident == "thm5.1":
         _need(ident, box, "q", "z")
-        p = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, INFINITY, box)
-        return qs.invert(p * p)
+        return _quotient(box, [_zq(), _zq()])
 
     if ident == "thm5.2":
         _need(ident, box, "q", "z")
-        p = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, INFINITY, box)
-        lead = qs.pochhammer({"z": 1}, {}, 1, box)
-        return qs.invert(lead * p * p)
+        return _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])
 
     if ident == "thm8.1":
         t, r = _tr(ident, params)
         _need(ident, box, "q", "z")
-        p = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, INFINITY, box)
-        acc = qs.pochhammer({"z": 1}, {}, r - 1, box)
-        for _ in range(t):
-            acc = acc * p
-        return qs.invert(acc)
+        return _quotient(box, [({"z": 1}, {}, r - 1)] + [_zq()] * t)
 
     if ident == "thm8.2":
         t, _ = _tr(ident, params)
         names = ["q"] + [f"z{i}" for i in range(1, t + 1)]
         _need(ident, box, *names)
-        acc = TruncatedSeries.constant(box, 1)
-        for i in range(1, t + 1):
-            p = qs.pochhammer({"q": 1, f"z{i}": 1}, {"q": 1}, INFINITY, box)
-            acc = acc * qs.invert(p)
-        return acc
+        return _quotient(box, [({"q": 1, f"z{i}": 1}, {"q": 1}, INFINITY)
+                               for i in range(1, t + 1)])
 
     if ident == "thm9":
         t, r = _tr(ident, params)
         q, z, s = _need(ident, box, "q", "z", "s")
-        acc = qs.invert(qs.pochhammer({"s": 1, "z": 1}, {"s": 1}, r - 1, box))
+        factors = [({"s": 1, "z": 1}, {"s": 1}, r - 1)]
         n = 0
         while n * t + r <= s and n + 1 <= q and z >= 1:
-            base = {"s": n * t + r, "q": n + 1, "z": 1}
-            acc = acc * qs.invert(qs.pochhammer(base, {"s": 1}, t, box))
+            factors.append(({"s": n * t + r, "q": n + 1, "z": 1}, {"s": 1}, t))
             n += 1
-        return acc
+        return _quotient(box, factors)
 
     if ident == "cor10":
         t, r = _tr(ident, params)
@@ -446,15 +440,13 @@ def rhs_series(ident, params, box):
                 "cor10 with t == 1 has a constant-ratio infinite product"
             )
         _need(ident, box, "q", "z")
-        a = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, INFINITY, box)
-        b = qs.pochhammer({"q": r - 1, "z": 1}, {"q": t - 1}, INFINITY, box)
-        return qs.invert(a * b)
+        return _quotient(box, [
+            _zq(), ({"q": r - 1, "z": 1}, {"q": t - 1}, INFINITY)])
 
     if ident == "eq14":
         n = int(params["n"])
         _need(ident, box, "q", "z")
-        p = qs.pochhammer({"q": 1, "z": 1}, {"q": 1}, n, box)
-        return qs.invert(p * p)
+        return _quotient(box, [_zq(n)] * 2)
 
     if ident in THEOREM_IDS:
         raise VerifyError(f"{ident} is not a series identity; "
@@ -541,8 +533,8 @@ def verify_schmidt(n_max=15):
         distinct=True, max_part=n_max, max_len=n_max,
     )
     mismatch = None
-    for n in range(n_max + 1):
-        got, want = int(hist[n]), count_partitions(n)
+    for n, want in enumerate(partition_numbers(n_max)):
+        got = int(hist[n])
         if got != want:
             mismatch = {"monomial": {"n": n}, "lhs": got, "rhs": want}
             break
@@ -921,13 +913,12 @@ def f_recurrence(n, t, box):
     for m in range(1, n + 1):
         acc = TruncatedSeries.zero(box)
         for k in range(m):
+            head = {"q": m, "s": m + k * (t - 1)}
+            if any(head[v] > box[v] for v in head):
+                continue  # every term of this product lies outside the box
             gb = qs.q_binomial(m - k + t - 1, t - 1, "s", box)
-            head = TruncatedSeries.monomial(
-                box, {"q": m, "s": m + k * (t - 1)}
-            )
-            acc = acc + gb * f[k] * head
-        lead = qs.pochhammer({"q": m, "s": m * t}, {}, 1, box)
-        f.append(qs.invert(lead) * acc)
+            acc = acc + gb * f[k] * TruncatedSeries.monomial(box, head)
+        f.append(qs.divide_pochhammer(acc, {"q": m, "s": m * t}, {}, 1))
     return f[n]
 
 
@@ -989,10 +980,10 @@ def verify_functional_equation(t, box=None, perturb=None):
                 1,
             ))
     big_f = TruncatedSeries.from_terms(box, terms)
-    lead = qs.invert(
-        qs.pochhammer({"s": 1, "q": 1, "z": 1}, {"s": 1}, t, box)
+    rhs = qs.divide_pochhammer(
+        qs.substitute(big_f, "z", {"s": t, "q": 1, "z": 1}),
+        {"s": 1, "q": 1, "z": 1}, {"s": 1}, t,
     )
-    rhs = lead * qs.substitute(big_f, "z", {"s": t, "q": 1, "z": 1})
     if perturb:
         rhs = rhs + TruncatedSeries.monomial(box, perturb)
     return _finish(

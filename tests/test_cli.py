@@ -2,8 +2,10 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from partbij.cli import main
+from partbij.cli import BIJECTION_NAMES, main
+from partbij.verify import IDENTITY_IDS
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -106,6 +108,8 @@ def test_usage_errors_exit_two(capsys):
      "--input", '{"nu":[],"mu":[["a",1]]}'],
     ["table", "bessenrodt", "--n", "-1"],
     ["verify", "schmidt", "--n", "406"],
+    ["bijection", "mork", "--input", "-1e5"],  # taken for an option
+    ["verify", "thm99"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -114,12 +118,70 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(-3, 12) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from(["m", "rows", "nu", "mu", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+SMALL_INT = st.integers(-2, 6)
+
+
+def int_flags(draw, names):
+    argv = []
+    for name in names:
+        value = draw(st.none() | SMALL_INT)
+        if value is not None:
+            argv += [f"--{name}", str(value)]
+    return argv
+
+
+@st.composite
+def command_lines(draw):
+    """bijection, table or series command lines with arbitrary JSON input
+    and small int flags."""
+    command = draw(st.sampled_from(["bijection", "table", "series"]))
+    if command == "bijection":
+        argv = ["bijection", draw(st.sampled_from(BIJECTION_NAMES)),
+                "--input", json.dumps(draw(JSON))]
+        if draw(st.booleans()):
+            argv.append("--inverse")
+        return argv + int_flags(draw, ("t", "r", "m"))
+    if command == "table":
+        argv = ["table", "bessenrodt"] + int_flags(draw, ("n",))
+    else:
+        argv = ["series", draw(st.sampled_from(IDENTITY_IDS))]
+        argv += int_flags(draw, ("t", "r", "n", "max-q", "max-z", "max-s"))
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_exit_code_contract(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_verify_text_and_exit_zero(capsys):
     code, out, err = run(capsys, "verify", "thm3.1",
                          "--max-q", "6", "--max-z", "12")
     assert code == 0
     assert "thm3.1" in out and ": pass" in out
     assert "checked" in out
+
+
+def test_verify_large_box_exits_zero(capsys):
+    code, out, err = run(capsys, "verify", "thm5.1",
+                         "--max-q", "30", "--max-z", "30")
+    assert code == 0
+    assert ": pass" in out and err == ""
 
 
 def test_verify_json_is_deterministic(capsys):

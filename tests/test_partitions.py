@@ -20,6 +20,7 @@ from partbij.partitions import (
     from_modular,
     hook_length,
     make_partition,
+    partition_numbers,
     schmidt_weight,
     to_frobenius,
     to_modular,
@@ -173,6 +174,18 @@ def test_enumerate_matches_count():
             count_partitions(n, distinct=True)
         assert len(list(enumerate_partitions(n, odd_parts=True))) == \
             count_partitions(n, odd_parts=True)
+
+
+@pytest.mark.parametrize("opts", [
+    {}, {"distinct": True}, {"odd_parts": True}, {"max_part": 3},
+])
+def test_partition_numbers_table(opts):
+    table = partition_numbers(12, **opts)
+    assert table == [len(list(enumerate_partitions(n, **opts)))
+                     for n in range(13)]
+    assert table[:6] == partition_numbers(5, **opts)
+    with pytest.raises(ValueError):
+        partition_numbers(-1)
 
 
 def test_euler_distinct_equals_odd():

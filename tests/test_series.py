@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from partbij import series
+from partbij._accel import convolve
 from partbij.partitions import count_in_box
 from partbij.series import (
     INFINITY,
@@ -14,6 +17,7 @@ from partbij.series import (
     OutOfBox,
     SeriesError,
     TruncatedSeries,
+    divide_pochhammer,
     equal_in_box,
     first_mismatch,
     invert,
@@ -201,6 +205,26 @@ def test_overflow_guard():
         f * f
 
 
+@st.composite
+def pochhammer_cases(draw):
+    """A box of 1-3 variables with bounds <= 8, a series f in it, and a
+    Pochhammer product (base; ratio)_n, n finite or INFINITY."""
+    names = ("q", "z", "s")[:draw(st.integers(1, 3))]
+    box = {v: draw(st.integers(0, 8)) for v in names}
+    base = {v: draw(st.integers(0, 3)) for v in names}
+    ratio = {v: draw(st.integers(0, 3)) for v in names}
+    if any(ratio.values()) and draw(st.booleans()):
+        n = INFINITY
+    else:
+        n = draw(st.integers(0, 5))
+    shape = tuple(b + 1 for b in box.values())
+    values = draw(st.lists(st.integers(-9, 9), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    f = TruncatedSeries.zero(box)
+    f.coeffs[...] = np.array(values, dtype=np.int64).reshape(shape)
+    return box, f, base, ratio, n
+
+
 def test_first_mismatch_graded_lex():
     f = TruncatedSeries.zero(BOX)
     g = TruncatedSeries.from_terms(
@@ -220,3 +244,90 @@ def test_first_mismatch_graded_lex():
 def test_negative_exponent_rejected():
     with pytest.raises(SeriesError):
         TruncatedSeries.monomial(BOX, {"q": -1})
+
+
+def explicit_pochhammer(box, base, ratio, n):
+    """(base; ratio)_n as one full convolution per factor (1 - x^e)."""
+    one = TruncatedSeries.constant(box, 1)
+    acc = one.coeffs
+    k = 0
+    while n is INFINITY or k < n:
+        e = {v: base[v] + k * ratio[v] for v in box}
+        if any(e[v] > box[v] for v in box):
+            break
+        acc = convolve(acc, (one - TruncatedSeries.monomial(box, e)).coeffs)
+        k += 1
+    return TruncatedSeries(one.variables, one.box, acc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pochhammer_cases())
+def test_shift_pochhammer_matches_convolution(case):
+    box, f, base, ratio, n = case
+    want = explicit_pochhammer(box, base, ratio, n)
+    assert pochhammer(base, ratio, n, box) == want
+    if int(want.coeffs.flat[0]) == 0:  # a factor 1 - 1
+        with pytest.raises(NonUnitConstantTerm):
+            divide_pochhammer(f, base, ratio, n)
+        with pytest.raises(NonUnitConstantTerm):
+            invert(want)
+    else:
+        assert divide_pochhammer(f, base, ratio, n) == f * invert(want)
+
+
+def test_divide_pochhammer_leaves_its_input():
+    f = TruncatedSeries.constant({"q": 3}, 1)
+    g = divide_pochhammer(f, {"q": 1}, {"q": 1}, INFINITY)
+    assert g.text() == "1 + q + 2*q^2 + 3*q^3"
+    assert f.text() == "1"
+    h = divide_pochhammer(f, {"q": 4}, {"q": 1}, INFINITY)  # no factor in box
+    assert h == f and h.coeffs is not f.coeffs
+
+
+def test_divide_overflow_is_exact():
+    box = {"q": 1}
+    with pytest.raises(CoefficientOverflow):
+        divide_pochhammer(TruncatedSeries.constant(box, 2 ** 62),
+                          {"q": 1}, {}, 2)
+    # 2^61 / (1 - q)^2 = 2^61 + 2^62 q on q <= 1
+    g = divide_pochhammer(TruncatedSeries.constant(box, 2 ** 61),
+                          {"q": 1}, {}, 2)
+    assert g.coefficient({"q": 1}) == 2 ** 62
+    # a result coefficient of exactly 2^63 - 1 still fits
+    f = TruncatedSeries.from_terms(box, [({}, 2 ** 62), ({"q": 1}, 2 ** 62 - 1)])
+    g = divide_pochhammer(f, {"q": 1}, {}, 1)
+    assert g.coefficient({"q": 1}) == 2 ** 63 - 1
+
+
+def test_add_and_subtract_overflow_is_exact():
+    box = {"q": 1}
+    big = TruncatedSeries.constant(box, 2 ** 62)
+    assert (big + (big - 1)).coefficient({}) == 2 ** 63 - 1
+    assert (-big - big).coefficient({}) == -(2 ** 63)
+    with pytest.raises(CoefficientOverflow):
+        big + big
+    with pytest.raises(CoefficientOverflow):
+        -big - big - 1
+    with pytest.raises(CoefficientOverflow):
+        -(-big - big)
+    with pytest.raises(CoefficientOverflow):
+        big * 2
+
+
+def test_shift_subtract_overflow_is_exact():
+    # (-2^62 + c q)(1 - q) has q coefficient c + 2^62 on q <= 1
+    fits = np.array([-(2 ** 62), 2 ** 62 - 1], dtype=np.int64)
+    assert series._times_one_minus(fits, (1,))[1] == 2 ** 63 - 1
+    with pytest.raises(CoefficientOverflow):
+        series._times_one_minus(np.array([-(2 ** 62), 2 ** 62]), (1,))
+
+
+def test_product_bound_uses_max_norm():
+    # l1 * l1 is 2^64, but each product coefficient is at most
+    # l1(f) * max|g| = 2^62
+    box = {"q": 3}
+    f = TruncatedSeries.constant(box, 2 ** 31)
+    g = TruncatedSeries.from_terms(box, [({"q": e}, 2 ** 31) for e in range(4)])
+    assert (f * g).coefficient({"q": 3}) == 2 ** 62
+    with pytest.raises(CoefficientOverflow):
+        (f + f) * g  # 2^63 in every coefficient

@@ -73,6 +73,26 @@ def test_fault_injection_is_caught(ident):
     assert all(isinstance(v, int) for v in mono.values())
 
 
+# boxes whose closed forms a product-norm overflow bound used to reject,
+# although every coefficient fits int64 easily
+@pytest.mark.parametrize("ident, params, box", [
+    ("thm8.1", {"t": t, "r": r}, {"q": 15, "z": 15})
+    for t, r in ((2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4))
+] + [
+    ("thm4.1", {}, {"q": 22, "z": 22}),
+    ("thm4.2", {}, {"q": 24, "z": 24}),
+    ("thm5.1", {}, {"q": 30, "z": 30}),
+])
+def test_identity_passes_in_large_box(ident, params, box):
+    report = verify_identity(ident, params=params, box=box)
+    assert report.passed, report.first_mismatch
+
+
+def test_thm8_1_largest_coefficient():
+    f = rhs_series("thm8.1", {"t": 4, "r": 4}, {"q": 15, "z": 15})
+    assert int(f.coeffs.max()) == 7_146_952
+
+
 def test_fault_injection_names_the_exact_monomial():
     report = verify_identity("thm5.1", box={"q": 6, "z": 6},
                              perturb={"q": 3, "z": 2})
@@ -162,6 +182,8 @@ def test_recurrence_matches_enumeration_columns():
         assert isinstance(f, TruncatedSeries)
     report = verify_recurrence(2, n_max=3, box=box)
     assert report.passed
+    # heads q^m s^(m + k(t-1)) beyond the default box contribute nothing
+    assert verify_recurrence(3).passed
 
 
 def test_table_rows_are_sorted_by_weight():
