@@ -12,6 +12,8 @@ be distinct, and moves each new part value v up the axes that row adds v
 to. Counts never wrap: a sum that leaves int64 raises HistogramOverflow.
 """
 
+import itertools
+
 import numpy as np
 
 AXIS_FIRST = 0
@@ -31,6 +33,10 @@ _AXIS_CODES = {
 
 class HistogramOverflow(OverflowError):
     """A partition count does not fit in int64."""
+
+
+class UnboundedBox(ValueError):
+    """No finite enumeration covers the requested box."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +85,8 @@ def _unwrapped(counts):
     return counts
 
 
-def partition_histogram(axes, bounds, *, t=1, r=1, max_part, max_len,
-                        distinct=False, length_mod=None):
+def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
+                        max_len=None, distinct=False, length_mod=None):
     """Histogram of all partitions within the given caps and axis bounds.
 
     Counts every partition (the empty one included) with parts <= max_part,
@@ -94,7 +100,11 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part, max_len,
     Every statistic is nondecreasing as parts are appended, so a partition
     whose prefix leaves the box has no extension inside it; the row
     transfer drops such states, which keeps the count complete for the
-    returned box. Raises HistogramOverflow if a count exceeds int64.
+    returned box. The caps are optional. Row 1 holds the largest part, so
+    the bounds of the axes it adds to cap the parts; once every prefix has
+    left the box the rows stop, which happens when every t consecutive
+    rows add to some bounded axis. UnboundedBox if a left-out cap does not
+    follow from the axes. Raises HistogramOverflow if a count exceeds int64.
     """
     if not axes:
         raise ValueError("at least one axis is required")
@@ -103,10 +113,11 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part, max_len,
     codes = [_AXIS_CODES[a] for a in axes]
     if any(int(b) < 0 for b in bounds):
         raise ValueError("axis bounds must be nonnegative")
-    t, r, max_part, max_len = int(t), int(r), int(max_part), int(max_len)
-    for code, b in zip(codes, bounds):
-        if code == AXIS_LENGTH:
-            max_len = min(max_len, int(b))
+    t, r = int(t), int(r)
+    lengths = [int(b) for code, b in zip(codes, bounds) if code == AXIS_LENGTH]
+    if max_len is not None:
+        lengths.append(int(max_len))
+    max_len = min(lengths, default=None)
     out = np.zeros(tuple(int(b) + 1 for b in bounds), dtype=np.int64)
     admitted = None
     if length_mod is not None:
@@ -119,21 +130,38 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part, max_len,
     def admits(length):
         return admitted is None or length % mod in admitted
 
+    def counted(pos):
+        return pos >= r and (pos - r) % t == 0
+
     if admits(0):
         out[(0,) * out.ndim] += 1
-    if max_len < 1 or max_part < 1:
-        return out
 
     kinds = [code for code in codes if code != AXIS_LENGTH]
     kbounds = [int(b) for code, b in zip(codes, bounds) if code != AXIS_LENGTH]
     stat_shape = tuple(b + 1 for b in kbounds)
     # the first part is the largest, so every axis row 1 adds to caps it
-    top = min([max_part] + [kbounds[j] for j in _shifted_axes(kinds, 1, r == 1)])
+    caps = [kbounds[j] for j in _shifted_axes(kinds, 1, counted(1))]
+    if max_part is not None:
+        caps.append(int(max_part))
+    if not caps:
+        raise UnboundedBox("row 1 adds to no bounded axis, so the parts "
+                           "are unbounded")
+    top = min(caps)
+    if top < 1 or (max_len is not None and max_len < 1):
+        return out
+    # rows past r repeat with period t; if none of them adds to a bounded
+    # axis, prefixes stay in the box however long they grow
+    if max_len is None and not any(_shifted_axes(kinds, pos, counted(pos))
+                                   for pos in range(r + 1, r + t + 1)):
+        raise UnboundedBox(f"rows {r + 1} to {r + t}, which repeat with period "
+                           f"{t}, add to no bounded axis, so the length is "
+                           "unbounded")
     # avail[v] counts the prefixes the next row may extend with part v
     avail = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
     avail[(slice(1, None),) + (0,) * len(kinds)] = 1
-    for pos in range(1, max_len + 1):
-        shifted = _shifted_axes(kinds, pos, pos >= r and (pos - r) % t == 0)
+    rows = itertools.count(1) if max_len is None else range(1, max_len + 1)
+    for pos in rows:
+        shifted = _shifted_axes(kinds, pos, counted(pos))
         vmax = min([top] + [kbounds[j] for j in shifted])
         state = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
         for v in range(1, vmax + 1):

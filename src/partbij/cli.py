@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import verify as ver
-from ._accel import HistogramOverflow
+from ._accel import HistogramOverflow, UnboundedBox
 from .bijections import (
     bessenrodt,
     bessenrodt_inverse,
@@ -110,14 +110,6 @@ def _box_from_flags(args, names=("q", "z", "s")):
     return box or None
 
 
-def _multivar_box(args, t):
-    """Box for the per-color identity: --max-z applies to every color."""
-    box = {"q": 8 if args.max_q is None else args.max_q}
-    for i in range(1, t + 1):
-        box[f"z{i}"] = 4 if args.max_z is None else args.max_z
-    return box
-
-
 def _cmd_bijection(args):
     data = _load_input(args.input)
     name = args.name
@@ -199,13 +191,9 @@ def _report_line(report):
 
 
 def _cmd_verify(args):
-    if args.id == "thm8.2":
-        box = _multivar_box(args, 2 if args.t is None else args.t) \
-            if (args.max_q is not None or args.max_z is not None) else None
-    else:
-        box = _box_from_flags(args)
     report = ver.run_verifier(
-        args.id, t=args.t, r=args.r, n=args.n, k=args.k, box=box, m=args.m
+        args.id, t=args.t, r=args.r, n=args.n, k=args.k,
+        box=_box_from_flags(args), m=args.m,
     )
     if args.json:
         print(json.dumps(_json_report(report)))
@@ -227,19 +215,10 @@ def _cmd_table(args):
 
 
 def _cmd_series(args):
-    ident = args.id
-    params = ver.identity_defaults(ident)
-    if args.t is not None:
-        params["t"] = args.t
-    if args.r is not None:
-        params["r"] = args.r
-    if ident == "eq14" and args.n is not None:
-        params["n"] = args.n
-    if ident == "thm8.2":
-        box = _multivar_box(args, params.get("t", 2))
-    else:
-        box = _box_from_flags(args) or ver.default_box(ident, params)
-    f = ver.rhs_series(ident, params, box)
+    params, box = ver.resolve_arguments(
+        args.id, _box_from_flags(args), t=args.t, r=args.r, n=args.n
+    )
+    f = ver.rhs_series(args.id, params, box)
     if args.json:
         print(json.dumps(f.to_json()))
     else:
@@ -330,7 +309,7 @@ def main(argv=None):
     except SystemExit:  # --help; every other parse error is a UsageError
         return 0
     except (UsageError, PartitionError, ColoredPartitionError, SeriesError,
-            VerifyError, HistogramOverflow) as exc:
+            VerifyError, HistogramOverflow, UnboundedBox) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,24 +1,27 @@
 """Mechanical verification of the package's partition identities.
 
 Every check compares two independently computed objects: an enumeration
-oracle (direct iteration over partitions, or the budgeted histogram
-kernel) and a closed form (truncated products, inverses, q-binomials) or
-a frozen reference. The two sides share no identity-specific logic, so
-agreement across a whole coefficient box is strong evidence, and any
-disagreement is pinned to its graded-lex-first monomial.
+oracle (direct iteration over partitions, or the histogram kernel) and a
+closed form (truncated products, inverses, q-binomials) or a frozen
+reference. The two sides share no identity-specific logic, so agreement
+across a whole coefficient box is strong evidence, and any disagreement
+is pinned to its graded-lex-first monomial.
 
-Identity ids form a fixed catalog (THEOREM_IDS); the series-vs-series
-subset is IDENTITY_IDS and runs through verify_identity. Each dedicated
-verifier documents why its enumeration caps lose nothing inside the box.
+The catalog is data: CATALOG holds one Entry per identity id, in the
+paper's order, with its defaults, CLI flags, suite grid and either a
+dedicated verifier or the two sides of a series identity. THEOREM_IDS
+lists every id; the series-vs-series subset is IDENTITY_IDS and runs
+through verify_identity.
 """
 
+import itertools
 import time
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Optional
 
 from . import series as qs
-from ._accel import partition_histogram
+from ._accel import UnboundedBox, partition_histogram  # noqa: F401 (re-exported)
 from .bijections import (
     bessenrodt,
     bessenrodt_inverse,
@@ -39,53 +42,9 @@ from .partitions import (
 )
 from .series import INFINITY, TruncatedSeries
 
-THEOREM_IDS = (
-    "schmidt",
-    "prop1",
-    "cor2",
-    "thm3.1",
-    "thm3.2",
-    "eq3",
-    "thm4.1",
-    "thm4.2",
-    "thm5.1",
-    "thm5.2",
-    "thm6",
-    "thm7",
-    "thm8.1",
-    "thm8.2",
-    "thm9",
-    "cor10",
-    "cor11",
-    "eq14",
-    "eq20",
-    "eq24",
-    "table1",
-    "furtherwork",
-)
-
-IDENTITY_IDS = (
-    "thm3.1",
-    "thm3.2",
-    "eq3",
-    "thm4.1",
-    "thm4.2",
-    "thm5.1",
-    "thm5.2",
-    "thm8.1",
-    "thm8.2",
-    "thm9",
-    "cor10",
-    "eq14",
-)
-
 
 class VerifyError(ValueError):
     """A verification request that cannot be set up."""
-
-
-class UnboundedBox(VerifyError):
-    """No finite enumeration covers the requested box."""
 
 
 class DegenerateParams(VerifyError):
@@ -159,12 +118,16 @@ def _finish(ident, params, box, checked, mismatch, start):
     )
 
 
+def _mismatch(monomial, lhs, rhs):
+    return {"monomial": monomial, "lhs": lhs, "rhs": rhs}
+
+
 def _series_mismatch(lhs, rhs):
     found = qs.first_mismatch(lhs, rhs)
     if found is None:
         return None
     exps, a, b = found
-    return {"monomial": dict(exps), "lhs": int(a), "rhs": int(b)}
+    return _mismatch(dict(exps), int(a), int(b))
 
 
 def _need(ident, box, *names):
@@ -182,175 +145,72 @@ def _series_from_hist(box, arr):
     return f
 
 
-def _tr(ident, params):
-    t = int(params.get("t", 1))
-    r = int(params.get("r", 1))
-    if t < 1 or r < 1:
-        raise VerifyError(f"{ident} needs t >= 1 and r >= 1")
-    return t, r
-
-
 # ---------------------------------------------------------------------------
-# series identities: enumeration side and closed-form side
+# series identities: the specs of the two sides
 # ---------------------------------------------------------------------------
 
-def lhs_series(ident, params, box):
-    """Enumeration side of a series identity.
+@dataclass(frozen=True)
+class Histogram:
+    """Enumeration side counted by the histogram kernel.
 
-    Built from partition iteration or the histogram kernel only. Each
-    branch notes why its caps make the enumeration complete inside the
-    box.
+    axes names the partition statistic of each box variable, in the
+    canonical variable order q, z, s. t and r are numbers or the names of
+    the parameters that hold them; max_len, if given, maps the parameters
+    to a restriction on the length.
     """
-    if ident == "thm3.1":
-        q, z = _need(ident, box, "q", "z")
-        # distinct parts, q = odd-index sum, z = size; the size cap z
-        # bounds both largest part and length, and the odd-index sum
-        # includes the largest part, so min(q, z) caps the parts.
+
+    axes: tuple
+    t: object = 1
+    r: object = 1
+    distinct: bool = False
+    length_mod: Optional[tuple] = None
+    max_len: object = None
+
+    def __call__(self, params, box):
+        def value(x):
+            return params[x] if isinstance(x, str) else x
+
         arr = partition_histogram(
-            ("weight", "size"), (q, z), t=2, r=1,
-            distinct=True, max_part=min(q, z), max_len=z,
+            self.axes, TruncatedSeries.zero(box).box,
+            t=value(self.t), r=value(self.r), distinct=self.distinct,
+            length_mod=self.length_mod,
+            max_len=self.max_len and self.max_len(params),
         )
         return _series_from_hist(box, arr)
 
-    if ident == "thm3.2":
-        q, z = _need(ident, box, "q", "z")
-        # distinct parts, q = even-index sum, z = size; the size cap
-        # alone bounds largest part and length.
-        arr = partition_histogram(
-            ("weight", "size"), (q, z), t=2, r=2,
-            distinct=True, max_part=z, max_len=z,
-        )
-        return _series_from_hist(box, arr)
 
-    if ident == "eq3":
-        q, z = _need(ident, box, "q", "z")
-        # q = size n, z = 2n - length; everything of size <= q is
-        # enumerated and oversized z exponents are dropped.
+@dataclass(frozen=True)
+class Enumeration:
+    """Enumeration side from iterating partitions of every size up to
+    size(params, box). Each partition adds 1 at the exponents that
+    stats(partition, params) yields as (variable, exponent) pairs, unless
+    one of them leaves the box."""
+
+    size: object
+    stats: object
+
+    def __call__(self, params, box):
         terms = []
-        for n in range(q + 1):
+        for n in range(self.size(params, box) + 1):
             for lam in enumerate_partitions(n):
-                terms.append(({"q": n, "z": 2 * n - len(lam)}, 1))
+                exps = {}
+                for var, e in self.stats(lam, params):
+                    if e > box[var]:
+                        break
+                    exps[var] = e
+                else:
+                    terms.append((exps, 1))
         return TruncatedSeries.from_terms(box, terms)
 
-    if ident in ("thm4.1", "thm4.2"):
-        q, z = _need(ident, box, "q", "z")
-        residues = (0, 3) if ident == "thm4.1" else (1, 2)
-        # distinct parts filtered by length mod 4; q = sum over rows
-        # 1, 5, 9, ..., z = largest part. Distinctness gives
-        # length <= largest part, and row 1 is counted by q, so
-        # min(q, z) caps parts and length both.
-        cap = min(q, z)
-        arr = partition_histogram(
-            ("weight", "first"), (q, z), t=4, r=1,
-            distinct=True, max_part=cap, max_len=cap,
-            length_mod=(4, residues),
-        )
-        return _series_from_hist(box, arr)
 
-    if ident == "thm5.1":
-        q, z = _need(ident, box, "q", "z")
-        # q = sum over rows 1, 3, 5, ...; a partition with 2q+1 rows has
-        # q+1 counted rows, each >= 1, so length <= 2q; row 1 is counted.
-        arr = partition_histogram(
-            ("weight", "first"), (q, z), t=2, r=1,
-            max_part=min(q, z), max_len=2 * q,
-        )
-        return _series_from_hist(box, arr)
+def _colors(t):
+    return [f"z{i}" for i in range(1, int(t) + 1)]
 
-    if ident == "thm5.2":
-        q, z = _need(ident, box, "q", "z")
-        # q = sum over rows 2, 4, ...; 2q+2 rows would force q+1 counted
-        # rows, so length <= 2q+1; z caps the largest part.
-        arr = partition_histogram(
-            ("weight", "first"), (q, z), t=2, r=2,
-            max_part=z, max_len=2 * q + 1,
-        )
-        return _series_from_hist(box, arr)
 
-    if ident == "thm8.1":
-        t, r = _tr(ident, params)
-        q, z = _need(ident, box, "q", "z")
-        # q = sum over rows r, t+r, ...; t*q + r rows would force q+1
-        # counted rows, so length <= t*q + r - 1. When r == 1 the largest
-        # part is itself counted by q.
-        cap = min(q, z) if r == 1 else z
-        arr = partition_histogram(
-            ("weight", "first"), (q, z), t=t, r=r,
-            max_part=cap, max_len=t * q + r - 1,
-        )
-        return _series_from_hist(box, arr)
-
-    if ident == "thm8.2":
-        t, _ = _tr(ident, params)
-        names = ["q"] + [f"z{i}" for i in range(1, t + 1)]
-        bounds = _need(ident, box, *names)
-        q = bounds[0]
-        # every block of t consecutive rows is dominated by its first
-        # row, which q counts, so size <= t*q for any in-box term;
-        # oversized color exponents are dropped.
-        terms = []
-        for n in range(t * q + 1):
-            for lam in enumerate_partitions(n):
-                w = schmidt_weight(lam, t, 1)
-                if w > q:
-                    continue
-                exps = {"q": w}
-                for i, c in enumerate(color_profile(lam, t, 1), start=1):
-                    exps[f"z{i}"] = c
-                terms.append((exps, 1))
-        return TruncatedSeries.from_terms(box, terms)
-
-    if ident == "thm9":
-        t, r = _tr(ident, params)
-        q, z, s = _need(ident, box, "q", "z", "s")
-        # s tracks the size exactly, so enumerating sizes <= s is
-        # complete; oversized q and z exponents are dropped.
-        terms = []
-        for n in range(s + 1):
-            for lam in enumerate_partitions(n):
-                terms.append((
-                    {"q": schmidt_weight(lam, t, r), "z": lam.part(1), "s": n},
-                    1,
-                ))
-        return TruncatedSeries.from_terms(box, terms)
-
-    if ident == "cor10":
-        t, r = _tr(ident, params)
-        if t < 2:
-            raise UnboundedBox(
-                "cor10 with t == 1 counts every row, the complement "
-                "statistic is 0 on all partitions, and no finite length "
-                "cap covers the box"
-            )
-        q, z = _need(ident, box, "q", "z")
-        # q = size minus the sum over rows r, t+r, ...; uncounted rows
-        # number at most q, and each counted row after the first forces
-        # t-1 uncounted rows below the previous one, so counted rows
-        # number at most ceil(q/(t-1)) + 1 <= ceil(q/(t-1)) + r.
-        max_len = q + -(-q // (t - 1)) + r
-        arr = partition_histogram(
-            ("anti", "first"), (q, z), t=t, r=r,
-            max_part=z, max_len=max_len,
-        )
-        return _series_from_hist(box, arr)
-
-    if ident == "eq14":
-        n = int(params["n"])
-        if n < 0:
-            raise VerifyError("eq14 needs n >= 0")
-        q, z = _need(ident, box, "q", "z")
-        # partitions with at most 2n rows; q counts the odd-index sum,
-        # which includes the largest part.
-        arr = partition_histogram(
-            ("weight", "first"), (q, z), t=2, r=1,
-            max_part=min(q, z), max_len=2 * n,
-        )
-        return _series_from_hist(box, arr)
-
-    if ident in THEOREM_IDS:
-        raise VerifyError(f"{ident} is not a series identity; "
-                          "use its dedicated verifier")
-    raise VerifyError(f"unknown identity id: {ident}")
+def _weight_and_colors(lam, params):
+    t = params["t"]
+    yield "q", schmidt_weight(lam, t, 1)
+    yield from zip(_colors(t), color_profile(lam, t, 1))
 
 
 def _zq(n=INFINITY):
@@ -367,133 +227,66 @@ def _quotient(box, factors, head=None):
     return f
 
 
+def _head_sum(box, constant, term):
+    """constant plus the sum over n = 1, 2, ... of head / factors, where
+    term(n) = (head, factors), until the head leaves the box."""
+    acc = TruncatedSeries.constant(box, constant)
+    for n in itertools.count(1):
+        head, factors = term(n)
+        if any(e > box[v] for v, e in head.items()):
+            return acc
+        acc = acc + _quotient(box, factors, head)
+
+
+# lowest admissible value of each series parameter
+_LOWEST = {"t": 1, "r": 1, "n": 0}
+
+
+def _series_setup(ident, params, box):
+    """A series identity's entry and its parameters over the defaults,
+    both checked, and the box checked against the entry's variables."""
+    entry = _entry(ident)
+    if entry.lhs is None:
+        raise VerifyError(f"{ident} is not a series identity; "
+                          "use its dedicated verifier")
+    params = {**entry.params, **params}
+    for name, low in _LOWEST.items():
+        if name in params and int(params[name]) < low:
+            raise VerifyError(f"{ident} needs {name} >= {low}")
+    _need(ident, box, *_expand(entry, params, entry.box))
+    return entry, params
+
+
+def lhs_series(ident, params, box):
+    """Enumeration side of a series identity, from its entry's histogram
+    or enumeration spec; the spec names partition statistics only."""
+    entry, params = _series_setup(ident, params, box)
+    return entry.lhs(params, box)
+
+
 def rhs_series(ident, params, box):
     """Closed-form side of a series identity, built from series
     primitives only."""
-    if ident in ("thm3.1", "eq3"):
-        _need(ident, box, "q", "z")
-        return _quotient(box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])
-
-    if ident == "thm3.2":
-        _need(ident, box, "q", "z")
-        return _quotient(box, [({"z": 1}, {"q": 1, "z": 2}, INFINITY)])
-
-    if ident == "thm4.1":
-        q, z = _need(ident, box, "q", "z")
-        acc = TruncatedSeries.constant(box, 1)
-        n = 1
-        while True:
-            qe, ze = n * (2 * n + 1), 4 * n - 1
-            if qe > q or ze > z:
-                break
-            acc = acc + _quotient(box, [_zq(n)] * 4, {"q": qe, "z": ze})
-            n += 1
-        return acc
-
-    if ident == "thm4.2":
-        q, z = _need(ident, box, "q", "z")
-        acc = TruncatedSeries.zero(box)
-        n = 1
-        while True:
-            qe, ze = n * (2 * n - 1), 4 * n - 3
-            if qe > q or ze > z:
-                break
-            acc = acc + _quotient(box, [_zq(n)] * 2 + [_zq(n - 1)] * 2,
-                                  {"q": qe, "z": ze})
-            n += 1
-        return acc
-
-    if ident == "thm5.1":
-        _need(ident, box, "q", "z")
-        return _quotient(box, [_zq(), _zq()])
-
-    if ident == "thm5.2":
-        _need(ident, box, "q", "z")
-        return _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])
-
-    if ident == "thm8.1":
-        t, r = _tr(ident, params)
-        _need(ident, box, "q", "z")
-        return _quotient(box, [({"z": 1}, {}, r - 1)] + [_zq()] * t)
-
-    if ident == "thm8.2":
-        t, _ = _tr(ident, params)
-        names = ["q"] + [f"z{i}" for i in range(1, t + 1)]
-        _need(ident, box, *names)
-        return _quotient(box, [({"q": 1, f"z{i}": 1}, {"q": 1}, INFINITY)
-                               for i in range(1, t + 1)])
-
-    if ident == "thm9":
-        t, r = _tr(ident, params)
-        q, z, s = _need(ident, box, "q", "z", "s")
-        factors = [({"s": 1, "z": 1}, {"s": 1}, r - 1)]
-        n = 0
-        while n * t + r <= s and n + 1 <= q and z >= 1:
-            factors.append(({"s": n * t + r, "q": n + 1, "z": 1}, {"s": 1}, t))
-            n += 1
-        return _quotient(box, factors)
-
-    if ident == "cor10":
-        t, r = _tr(ident, params)
-        if t < 2:
-            raise DegenerateParams(
-                "cor10 with t == 1 has a constant-ratio infinite product"
-            )
-        _need(ident, box, "q", "z")
-        return _quotient(box, [
-            _zq(), ({"q": r - 1, "z": 1}, {"q": t - 1}, INFINITY)])
-
-    if ident == "eq14":
-        n = int(params["n"])
-        _need(ident, box, "q", "z")
-        return _quotient(box, [_zq(n)] * 2)
-
-    if ident in THEOREM_IDS:
-        raise VerifyError(f"{ident} is not a series identity; "
-                          "use its dedicated verifier")
-    raise VerifyError(f"unknown identity id: {ident}")
-
-
-_ACCEPTANCE_BOXES = {
-    "thm3.1": {"q": 12, "z": 24},
-    "thm3.2": {"q": 12, "z": 12},
-    "eq3": {"q": 8, "z": 16},
-    "thm4.1": {"q": 12, "z": 12},
-    "thm4.2": {"q": 12, "z": 12},
-    "thm5.1": {"q": 12, "z": 12},
-    "thm5.2": {"q": 12, "z": 12},
-    "thm8.1": {"q": 10, "z": 10},
-    "thm9": {"q": 10, "z": 10, "s": 10},
-    "cor10": {"q": 8, "z": 8},
-    "eq14": {"q": 10, "z": 10},
-}
-
-_DEFAULT_PARAMS = {
-    "thm8.1": {"t": 2, "r": 1},
-    "thm8.2": {"t": 2},
-    "thm9": {"t": 2, "r": 1},
-    "cor10": {"t": 2, "r": 1},
-    "eq14": {"n": 4},
-}
+    entry, params = _series_setup(ident, params, box)
+    try:
+        return entry.rhs(params, box)
+    except qs.DivergentInfiniteProduct as exc:
+        raise DegenerateParams(
+            f"{ident} with {params} has a constant-ratio infinite product"
+        ) from exc
 
 
 def identity_defaults(ident):
-    """Default parameters for a series identity (may be empty)."""
-    return dict(_DEFAULT_PARAMS.get(ident, {}))
+    """Default parameters of a catalog entry (may be empty)."""
+    return dict(_entry(ident).params)
 
 
 def default_box(ident, params=None):
-    """Default coefficient box for a series identity."""
-    params = params or {}
-    if ident == "thm8.2":
-        t = int(params.get("t", 2))
-        box = {"q": 8}
-        for i in range(1, t + 1):
-            box[f"z{i}"] = 4
-        return box
-    if ident in _ACCEPTANCE_BOXES:
-        return dict(_ACCEPTANCE_BOXES[ident])
-    raise VerifyError(f"{ident} has no default box")
+    """Default coefficient box of a catalog entry."""
+    entry = _entry(ident)
+    if entry.box is None:
+        raise VerifyError(f"{ident} has no default box")
+    return _expand(entry, {**entry.params, **(params or {})}, entry.box)
 
 
 def verify_identity(ident, params=None, box=None, perturb=None):
@@ -502,7 +295,7 @@ def verify_identity(ident, params=None, box=None, perturb=None):
     perturb, an exponent dict, adds 1 to that coefficient of the closed
     form before comparison; it exists to prove the machinery can fail.
     """
-    params = {**_DEFAULT_PARAMS.get(ident, {}), **(params or {})}
+    params = {**_entry(ident).params, **(params or {})}
     if box is None:
         box = default_box(ident, params)
     start = time.perf_counter()
@@ -524,19 +317,15 @@ def verify_schmidt(n_max=15):
     partition numbers.
 
     One side is the histogram kernel, the other a dynamic program that
-    never enumerates. Distinct parts make length <= largest part, and
-    the odd-index sum includes the largest part, so n_max caps both.
+    never enumerates.
     """
     start = time.perf_counter()
-    hist = partition_histogram(
-        ("weight",), (n_max,), t=2, r=1,
-        distinct=True, max_part=n_max, max_len=n_max,
-    )
+    hist = partition_histogram(("weight",), (n_max,), t=2, r=1, distinct=True)
     mismatch = None
     for n, want in enumerate(partition_numbers(n_max)):
         got = int(hist[n])
         if got != want:
-            mismatch = {"monomial": {"n": n}, "lhs": got, "rhs": want}
+            mismatch = _mismatch({"n": n}, got, want)
             break
     return _finish("schmidt", {"n_max": n_max}, {}, n_max + 1, mismatch, start)
 
@@ -545,14 +334,9 @@ def verify_schmidt_refinement(n_max=15):
     """Partitions of n with given length match distinct partitions with
     odd-index sum n and complementary size 2n - length."""
     start = time.perf_counter()
-    plain = partition_histogram(
-        ("size", "length"), (n_max, n_max), max_part=n_max, max_len=n_max
-    )
-    # any distinct partition with odd-index sum n <= n_max has size
-    # at most 2n, largest part at most n, length at most largest part
+    plain = partition_histogram(("size", "length"), (n_max, n_max))
     dist = partition_histogram(
-        ("weight", "size"), (n_max, 2 * n_max), t=2, r=1,
-        distinct=True, max_part=n_max, max_len=n_max,
+        ("weight", "size"), (n_max, 2 * n_max), t=2, r=1, distinct=True
     )
     checked = 0
     mismatch = None
@@ -562,11 +346,7 @@ def verify_schmidt_refinement(n_max=15):
             want = int(dist[n][2 * n - ell])
             checked += 1
             if got != want:
-                mismatch = {
-                    "monomial": {"n": n, "length": ell},
-                    "lhs": got,
-                    "rhs": want,
-                }
+                mismatch = _mismatch({"n": n, "length": ell}, got, want)
                 break
         if mismatch:
             break
@@ -592,11 +372,7 @@ def verify_euler_refinement(n_max=25):
             got = [mu.length(), mu.part(1)]
             want = [2 * m - n, 1 + 2 * lam.part(1) + 2 * n - 4 * m if lam else 0]
             if got != want:
-                mismatch = {
-                    "monomial": {"partition": list(lam)},
-                    "lhs": got,
-                    "rhs": want,
-                }
+                mismatch = _mismatch({"partition": list(lam)}, got, want)
                 break
         if mismatch:
             break
@@ -636,21 +412,17 @@ def verify_table(n=7):
         got = [list(bessenrodt(omega)), omega.size(), schmidt_weight(delta, 2, 1)]
         want = [list(delta), n, w]
         if got != want:
-            mismatch = {
-                "monomial": {"partition": list(delta)},
-                "lhs": got,
-                "rhs": want,
-            }
+            mismatch = _mismatch({"partition": list(delta)}, got, want)
             break
     if mismatch is None and n == 7:
         checked += 1
         got = tuple((w, tuple(d), tuple(o)) for w, d, o in rows)
         if got != _TABLE_SEVEN:
-            mismatch = {
-                "monomial": {"table": n},
-                "lhs": [[w, list(d), list(o)] for w, d, o in got],
-                "rhs": [[w, list(d), list(o)] for w, d, o in _TABLE_SEVEN],
-            }
+            mismatch = _mismatch(
+                {"table": n},
+                [[w, list(d), list(o)] for w, d, o in got],
+                [[w, list(d), list(o)] for w, d, o in _TABLE_SEVEN],
+            )
     return _finish("table1", {"n": n}, {}, checked, mismatch, start)
 
 
@@ -660,16 +432,12 @@ def verify_li_yee(t, n_max=8):
 
     Partitions with weight n classed by length (s-1)t + j correspond to
     t-colored partitions of n where some color appears s times and j is
-    the largest such color. Weight n bounds the largest part by n and
-    the length by t*n, since every t-th row is counted.
+    the largest such color.
     """
     if t < 1:
         raise VerifyError("palette size t must be >= 1")
     start = time.perf_counter()
-    arr = partition_histogram(
-        ("weight", "length"), (n_max, t * n_max), t=t, r=1,
-        max_part=n_max, max_len=t * n_max,
-    )
+    arr = partition_histogram(("weight", "length"), (n_max, t * n_max), t=t, r=1)
     lhsc = {}
     for n in range(n_max + 1):
         for ell in range(1, t * n_max + 1):
@@ -694,11 +462,7 @@ def verify_li_yee(t, n_max=8):
     checked = 1
     mismatch = None
     if int(arr[0][0]) != empties:
-        mismatch = {
-            "monomial": {"n": 0, "s": 0, "j": 0},
-            "lhs": int(arr[0][0]),
-            "rhs": empties,
-        }
+        mismatch = _mismatch({"n": 0, "s": 0, "j": 0}, int(arr[0][0]), empties)
     for key in sorted(set(lhsc) | set(rhsc)):
         if mismatch:
             break
@@ -706,11 +470,7 @@ def verify_li_yee(t, n_max=8):
         a, b = lhsc.get(key, 0), rhsc.get(key, 0)
         if a != b:
             n, s, j = key
-            mismatch = {
-                "monomial": {"n": n, "s": s, "j": j},
-                "lhs": a,
-                "rhs": b,
-            }
+            mismatch = _mismatch({"n": n, "s": s, "j": j}, a, b)
     return _finish(
         "thm6", {"t": t, "n_max": n_max}, {}, checked, mismatch, start
     )
@@ -800,11 +560,9 @@ def verify_color_conjugate(t, r, size_max=18):
                 list(prof),
             ]
             if got != want:
-                mismatch = {
-                    "monomial": {"partition": list(lam), "t": t, "r": r},
-                    "lhs": got,
-                    "rhs": want,
-                }
+                mismatch = _mismatch(
+                    {"partition": list(lam), "t": t, "r": r}, got, want
+                )
                 break
             key = (n, lam.part(1), lam.part(r), w, prof)
             lamc[key] = lamc.get(key, 0) + 1
@@ -831,17 +589,8 @@ def verify_color_conjugate(t, r, size_max=18):
             a, b = lamc.get(key, 0), pairc.get(key, 0)
             if a != b:
                 size, k1, kr, w, prof = key
-                mismatch = {
-                    "monomial": {
-                        "size": size,
-                        "first": k1,
-                        "row_r": kr,
-                        "weight": w,
-                        "profile": list(prof),
-                    },
-                    "lhs": a,
-                    "rhs": b,
-                }
+                mismatch = _mismatch({"size": size, "first": k1, "row_r": kr,
+                                      "weight": w, "profile": list(prof)}, a, b)
                 break
     return _finish(
         "thm7", {"t": t, "r": r, "size_max": size_max}, {},
@@ -856,18 +605,13 @@ def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
     Partitions with largest part k whose size minus the sum over rows
     r, t+r, ... equals n correspond to 2-colored partitions of n with
     k parts where color 2 appears only on sizes r-1, r-1 + (t-1), ....
-    The length cap mirrors the cor10 argument.
     """
     if t < 2:
         raise DegenerateParams("the complement weight needs t >= 2")
     if r < 2:
         raise DegenerateParams("the restricted color sizes need r >= 2")
     start = time.perf_counter()
-    max_len = n_max + -(-n_max // (t - 1)) + r
-    arr = partition_histogram(
-        ("anti", "first"), (n_max, k_max), t=t, r=r,
-        max_part=k_max, max_len=max_len,
-    )
+    arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
     allowed = set(range(r - 1, n_max + 1, t - 1))
     rhs = [[0] * (k_max + 1) for _ in range(n_max + 1)]
     for n in range(n_max + 1):
@@ -884,11 +628,7 @@ def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
             checked += 1
             a, b = int(arr[n][k]), rhs[n][k]
             if a != b:
-                mismatch = {
-                    "monomial": {"n": n, "first": k},
-                    "lhs": a,
-                    "rhs": b,
-                }
+                mismatch = _mismatch({"n": n, "first": k}, a, b)
                 break
         if mismatch:
             break
@@ -916,21 +656,21 @@ def f_recurrence(n, t, box):
             head = {"q": m, "s": m + k * (t - 1)}
             if any(head[v] > box[v] for v in head):
                 continue  # every term of this product lies outside the box
-            gb = qs.q_binomial(m - k + t - 1, t - 1, "s", box)
+            # the Gaussian binomial in a box of its own degree, cut down
+            # to the part inside the target box (axes q, s)
+            gb = TruncatedSeries.zero(box)
+            coeffs = qs.q_binomial(m - k + t - 1, t - 1, "s",
+                                   {"s": (t - 1) * (m - k)}).coeffs
+            gb.coeffs[0, :len(coeffs)] = coeffs[:box["s"] + 1]
             acc = acc + gb * f[k] * TruncatedSeries.monomial(box, head)
         f.append(qs.divide_pochhammer(acc, {"q": m, "s": m * t}, {}, 1))
     return f[n]
 
 
 def _f_enumeration(n, t, box):
-    # s tracks the size exactly, so sizes <= the s bound are complete
-    s_cap = int(box["s"])
-    terms = []
-    for m in range(n, s_cap + 1):
-        for lam in enumerate_partitions(m, max_part=n):
-            if lam.part(1) == n:
-                terms.append(({"q": schmidt_weight(lam, t, 1), "s": m}, 1))
-    return TruncatedSeries.from_terms(box, terms)
+    q, s = _need("eq20", box, "q", "s")
+    arr = partition_histogram(("weight", "first", "size"), (q, n, s), t=t, r=1)
+    return _series_from_hist(box, arr[:, n, :])
 
 
 def verify_recurrence(t, n_max=6, box=None):
@@ -1071,111 +811,216 @@ def verify_furtherwork(m_max=4, size_max=20):
 
 
 # ---------------------------------------------------------------------------
-# dispatch and suites
+# the catalog
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Entry:
+    """One catalog entry, with every default it has in one place.
+
+    params holds the parameter defaults and box the default box (None if
+    the entry takes none); together they are the quick suite level, and
+    full holds what differs at the full level: parameters, "box" and
+    "grid". grid maps parameters to the values the suite runs, all
+    combinations in order. flags maps a CLI flag to the parameter it sets;
+    the box flags follow from the box. A colored entry's box variable z
+    stands for z1..zt.
+
+    A series identity has an enumeration side lhs and a closed-form side
+    rhs, each called with (params, box). Any other entry names its
+    dedicated verifier, a module global looked up at call time and called
+    with the parameters (and the box) as keywords.
+    """
+
+    id: str
+    params: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=dict)
+    box: Optional[dict] = None
+    full: dict = field(default_factory=dict)
+    grid: dict = field(default_factory=dict)
+    colored: bool = False
+    verifier: Optional[str] = None
+    lhs: object = None
+    rhs: object = None
+
+
+_T = {"t": "t"}
+_TR = {"t": "t", "r": "r"}
+_QZ12 = {"q": 12, "z": 12}
+_FULL18 = {"box": {"q": 18, "z": 18}}
+_UP_TO_3 = (1, 2, 3)
+
+CATALOG = (
+    Entry("schmidt", {"n_max": 15}, {"n": "n_max"}, full={"n_max": 22},
+          verifier="verify_schmidt"),
+    Entry("prop1", {"n_max": 25}, {"n": "n_max"}, full={"n_max": 30},
+          verifier="verify_euler_refinement"),
+    Entry("cor2", {"n_max": 15}, {"n": "n_max"}, full={"n_max": 22},
+          verifier="verify_schmidt_refinement"),
+    Entry("thm3.1", box={"q": 12, "z": 24}, full={"box": {"q": 18, "z": 36}},
+          lhs=Histogram(("weight", "size"), t=2, distinct=True),
+          rhs=lambda p, box: _quotient(
+              box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])),
+    Entry("thm3.2", box=_QZ12, full=_FULL18,
+          lhs=Histogram(("weight", "size"), t=2, r=2, distinct=True),
+          rhs=lambda p, box: _quotient(
+              box, [({"z": 1}, {"q": 1, "z": 2}, INFINITY)])),
+    Entry("eq3", box={"q": 8, "z": 16}, full={"box": {"q": 12, "z": 24}},
+          lhs=Enumeration(
+              lambda p, box: box["q"],
+              lambda lam, p: (("q", lam.size()),
+                              ("z", 2 * lam.size() - lam.length()))),
+          rhs=lambda p, box: _quotient(
+              box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])),
+    Entry("thm4.1", box=_QZ12, full=_FULL18,
+          lhs=Histogram(("weight", "first"), t=4, distinct=True,
+                        length_mod=(4, (0, 3))),
+          rhs=lambda p, box: _head_sum(box, 1, lambda n: (
+              {"q": n * (2 * n + 1), "z": 4 * n - 1}, [_zq(n)] * 4))),
+    Entry("thm4.2", box=_QZ12, full=_FULL18,
+          lhs=Histogram(("weight", "first"), t=4, distinct=True,
+                        length_mod=(4, (1, 2))),
+          rhs=lambda p, box: _head_sum(box, 0, lambda n: (
+              {"q": n * (2 * n - 1), "z": 4 * n - 3},
+              [_zq(n)] * 2 + [_zq(n - 1)] * 2))),
+    Entry("thm5.1", box=_QZ12, full=_FULL18,
+          lhs=Histogram(("weight", "first"), t=2),
+          rhs=lambda p, box: _quotient(box, [_zq(), _zq()])),
+    Entry("thm5.2", box=_QZ12, full=_FULL18,
+          lhs=Histogram(("weight", "first"), t=2, r=2),
+          rhs=lambda p, box: _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])),
+    Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"},
+          full={"n_max": 12}, grid={"t": _UP_TO_3}, verifier="verify_li_yee"),
+    Entry("thm7", {"t": 2, "r": 1, "size_max": 18},
+          {"t": "t", "r": "r", "n": "size_max"}, full={"size_max": 24},
+          grid={"t": _UP_TO_3, "r": _UP_TO_3},
+          verifier="verify_color_conjugate"),
+    Entry("thm8.1", {"t": 2, "r": 1}, _TR, box={"q": 10, "z": 10},
+          full={"box": {"q": 15, "z": 15}},
+          grid={"t": (1, 2, 3, 4), "r": (1, 2, 3, 4)},
+          lhs=Histogram(("weight", "first"), t="t", r="r"),
+          rhs=lambda p, box: _quotient(
+              box, [({"z": 1}, {}, p["r"] - 1)] + [_zq()] * p["t"])),
+    # each block of t rows is at most its first row, which q counts, so
+    # sizes up to t*q cover the box
+    Entry("thm8.2", {"t": 2}, _T, box={"q": 8, "z": 4}, colored=True,
+          full={"box": {"q": 12, "z": 6}}, grid={"t": _UP_TO_3},
+          lhs=Enumeration(lambda p, box: p["t"] * box["q"], _weight_and_colors),
+          rhs=lambda p, box: _quotient(
+              box, [({"q": 1, z: 1}, {"q": 1}, INFINITY)
+                    for z in _colors(p["t"])])),
+    # the product over n >= 0 of 1 / (s^(nt+r) q^(n+1) z; s)_t; the
+    # factors whose base leaves the q or s bound are 1 in the box
+    Entry("thm9", {"t": 2, "r": 1}, _TR, box={"q": 10, "z": 10, "s": 10},
+          full={"box": {"q": 12, "z": 12, "s": 12}},
+          grid={"t": _UP_TO_3, "r": _UP_TO_3},
+          lhs=Histogram(("weight", "first", "size"), t="t", r="r"),
+          rhs=lambda p, box: _quotient(
+              box, [({"s": 1, "z": 1}, {"s": 1}, p["r"] - 1)]
+              + [({"s": n * p["t"] + p["r"], "q": n + 1, "z": 1}, {"s": 1},
+                  p["t"]) for n in range(box["q"])
+                 if n * p["t"] + p["r"] <= box["s"]])),
+    Entry("cor10", {"t": 2, "r": 1}, _TR, box={"q": 8, "z": 8},
+          full={"box": {"q": 12, "z": 12}}, grid={"t": (2, 3), "r": _UP_TO_3},
+          lhs=Histogram(("anti", "first"), t="t", r="r"),
+          rhs=lambda p, box: _quotient(box, [
+              _zq(), ({"q": p["r"] - 1, "z": 1}, {"q": p["t"] - 1}, INFINITY)])),
+    Entry("cor11", {"t": 2, "r": 2, "k_max": 6, "n_max": 10},
+          {"t": "t", "r": "r", "k": "k_max", "n": "n_max"},
+          full={"k_max": 9, "n_max": 15}, grid={"t": (2, 3), "r": (2, 3)},
+          verifier="verify_opposite_schmidt"),
+    Entry("eq14", {"n": 4}, {"n": "n"}, box={"q": 10, "z": 10},
+          full={"box": {"q": 15, "z": 15}, "grid": {"n": range(7)}},
+          grid={"n": range(5)},
+          lhs=Histogram(("weight", "first"), t=2, max_len=lambda p: 2 * p["n"]),
+          rhs=lambda p, box: _quotient(box, [_zq(p["n"])] * 2)),
+    Entry("eq20", {"t": 2, "n_max": 6}, {"t": "t", "n": "n_max"},
+          box={"q": 8, "s": 12}, full={"n_max": 9, "box": {"q": 12, "s": 18}},
+          verifier="verify_recurrence"),
+    Entry("eq24", {"t": 2}, _T, box={"q": 6, "s": 10, "z": 4},
+          full={"box": {"q": 9, "s": 15, "z": 6}},
+          verifier="verify_functional_equation"),
+    Entry("table1", {"n": 7}, {"n": "n"}, verifier="verify_table"),
+    Entry("furtherwork", {"m_max": 4, "size_max": 20},
+          {"m": "m_max", "n": "size_max"}, full={"size_max": 24},
+          verifier="verify_furtherwork"),
+)
+
+_BY_ID = {entry.id: entry for entry in CATALOG}
+THEOREM_IDS = tuple(_BY_ID)
+IDENTITY_IDS = tuple(entry.id for entry in CATALOG if entry.lhs is not None)
+
+
+def _entry(ident):
+    try:
+        return _BY_ID[ident]
+    except KeyError:
+        raise VerifyError(f"unknown identity id: {ident}") from None
+
+
+def _expand(entry, params, box):
+    """A copy of box, with a colored entry's z spelled out as z1..zt."""
+    if box is None:
+        return None
+    out = dict(box)
+    if entry.colored:
+        out.update(dict.fromkeys(_colors(params["t"]), out.pop("z")))
+    return out
+
+
+def resolve_arguments(ident, box=None, **flags):
+    """Parameters and box of one check: the entry's defaults, with each
+    given flag value (t, r, n, k or m; None means not given) and each
+    given box bound laid over them. A bound for z sets every z_i of a
+    colored entry. VerifyError for a flag or a box variable the entry
+    does not take."""
+    entry = _entry(ident)
+    params = dict(entry.params)
+    for flag, value in flags.items():
+        if value is not None:
+            if flag not in entry.flags:
+                raise VerifyError(f"{ident} takes no --{flag}")
+            params[entry.flags[flag]] = value
+    out = _expand(entry, params, entry.box)
+    for var, bound in (box or {}).items():
+        hit = [v for v in out or () if var in (v, v.rstrip("0123456789"))]
+        if not hit:
+            raise VerifyError(f"{ident} has no box variable {var}")
+        out.update(dict.fromkeys(hit, bound))
+    return params, out
+
+
+def _run(entry, params, box=None, perturb=None):
+    if entry.lhs is not None:
+        return verify_identity(entry.id, params, box, perturb)
+    kwargs = dict(params)
+    if box is not None:
+        kwargs["box"] = box
+    if perturb is not None:
+        kwargs["perturb"] = perturb
+    return globals()[entry.verifier](**kwargs)
+
 
 def run_verifier(ident, t=None, r=None, n=None, k=None, box=None,
                  perturb=None, m=None):
-    """Run one catalog check by id, filling in default parameters."""
-    if ident in IDENTITY_IDS:
-        params = {}
-        if t is not None:
-            params["t"] = t
-        if r is not None:
-            params["r"] = r
-        if ident == "eq14" and n is not None:
-            params["n"] = n
-        return verify_identity(ident, params, box, perturb)
-    if ident == "schmidt":
-        return verify_schmidt(15 if n is None else n)
-    if ident == "prop1":
-        return verify_euler_refinement(25 if n is None else n)
-    if ident == "cor2":
-        return verify_schmidt_refinement(15 if n is None else n)
-    if ident == "thm6":
-        return verify_li_yee(2 if t is None else t, 8 if n is None else n)
-    if ident == "thm7":
-        return verify_color_conjugate(
-            2 if t is None else t, 1 if r is None else r,
-            18 if n is None else n,
-        )
-    if ident == "cor11":
-        return verify_opposite_schmidt(
-            2 if t is None else t, 2 if r is None else r,
-            6 if k is None else k, 10 if n is None else n,
-        )
-    if ident == "eq20":
-        return verify_recurrence(
-            2 if t is None else t, 6 if n is None else n, box
-        )
-    if ident == "eq24":
-        return verify_functional_equation(2 if t is None else t, box, perturb)
-    if ident == "table1":
-        return verify_table(7 if n is None else n)
-    if ident == "furtherwork":
-        return verify_furtherwork(4 if m is None else m, 20 if n is None else n)
-    raise VerifyError(f"unknown id: {ident}")
+    """Run one catalog check by id, its defaults filled in; a partial box
+    replaces only the bounds it names."""
+    params, box = resolve_arguments(ident, box, t=t, r=r, n=n, k=k, m=m)
+    return _run(_entry(ident), params, box, perturb)
 
 
 def _suite_tasks(level):
     if level not in ("quick", "full"):
         raise VerifyError("suite level must be 'quick' or 'full'")
-    q = level == "quick"
     tasks = []
-
-    def add(fn, *args, **kw):
-        tasks.append(lambda: fn(*args, **kw))
-
-    def pick(quick_value, full_value):
-        return quick_value if q else full_value
-
-    add(verify_schmidt, pick(15, 22))
-    add(verify_euler_refinement, pick(25, 30))
-    add(verify_schmidt_refinement, pick(15, 22))
-    add(verify_identity, "thm3.1", {},
-        pick({"q": 12, "z": 24}, {"q": 18, "z": 36}))
-    add(verify_identity, "thm3.2", {},
-        pick({"q": 12, "z": 12}, {"q": 18, "z": 18}))
-    add(verify_identity, "eq3", {},
-        pick({"q": 8, "z": 16}, {"q": 12, "z": 24}))
-    for ident in ("thm4.1", "thm4.2", "thm5.1", "thm5.2"):
-        add(verify_identity, ident, {},
-            pick({"q": 12, "z": 12}, {"q": 18, "z": 18}))
-    for t in (1, 2, 3):
-        add(verify_li_yee, t, pick(8, 12))
-    for t in (1, 2, 3):
-        for r in (1, 2, 3):
-            add(verify_color_conjugate, t, r, pick(18, 24))
-    for t in (1, 2, 3, 4):
-        for r in (1, 2, 3, 4):
-            add(verify_identity, "thm8.1", {"t": t, "r": r},
-                pick({"q": 10, "z": 10}, {"q": 15, "z": 15}))
-    for t in (1, 2, 3):
-        box = {"q": pick(8, 12)}
-        for i in range(1, t + 1):
-            box[f"z{i}"] = pick(4, 6)
-        add(verify_identity, "thm8.2", {"t": t}, box)
-    for t in (1, 2, 3):
-        for r in (1, 2, 3):
-            add(verify_identity, "thm9", {"t": t, "r": r},
-                pick({"q": 10, "z": 10, "s": 10},
-                     {"q": 12, "z": 12, "s": 12}))
-    for t in (2, 3):
-        for r in (1, 2, 3):
-            add(verify_identity, "cor10", {"t": t, "r": r},
-                pick({"q": 8, "z": 8}, {"q": 12, "z": 12}))
-    for t in (2, 3):
-        for r in (2, 3):
-            add(verify_opposite_schmidt, t, r, pick(6, 9), pick(10, 15))
-    for n in range(pick(4, 6) + 1):
-        add(verify_identity, "eq14", {"n": n},
-            pick({"q": 10, "z": 10}, {"q": 15, "z": 15}))
-    add(verify_recurrence, 2, pick(6, 9),
-        pick({"q": 8, "s": 12}, {"q": 12, "s": 18}))
-    add(verify_functional_equation, 2,
-        pick({"q": 6, "s": 10, "z": 4}, {"q": 9, "s": 15, "z": 6}))
-    add(verify_table, 7)
-    add(verify_furtherwork, 4, pick(20, 24))
+    for entry in CATALOG:
+        full = entry.full if level == "full" else {}
+        params = {k: full.get(k, v) for k, v in entry.params.items()}
+        box = full.get("box", entry.box)
+        grid = full.get("grid", entry.grid)
+        for values in itertools.product(*grid.values()):
+            point = {**params, **dict(zip(grid, values))}
+            tasks.append(partial(_run, entry, point, _expand(entry, point, box)))
     return tasks
 
 

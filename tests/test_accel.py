@@ -2,10 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from partbij._accel import HistogramOverflow, convolve, partition_histogram
+from partbij._accel import (
+    HistogramOverflow,
+    UnboundedBox,
+    convolve,
+    partition_histogram,
+)
 from partbij.partitions import (
     count_partitions,
     enumerate_partitions,
@@ -157,3 +162,43 @@ def test_histogram_counts_up_to_int64_then_raises():
     assert [int(c) for c in out] == [count_partitions(n) for n in range(406)]
     with pytest.raises(HistogramOverflow):
         partition_histogram(("size",), (406,), max_part=406, max_len=406)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    axes=st.lists(st.sampled_from(["first", "size", "length", "weight", "anti"]),
+                  min_size=1, max_size=3),
+    data=st.data(),
+    t=st.integers(1, 3),
+    r=st.integers(1, 3),
+    distinct=st.booleans(),
+    length_mod=st.none() | st.tuples(
+        st.integers(1, 4), st.lists(st.integers(-3, 5), max_size=3)),
+)
+def test_histogram_derives_its_caps(axes, data, t, r, distinct, length_mod):
+    bounds = data.draw(st.lists(st.integers(0, 4), min_size=len(axes),
+                                max_size=len(axes)))
+    kw = dict(t=t, r=r, distinct=distinct, length_mod=length_mod)
+    try:
+        got = partition_histogram(tuple(axes), tuple(bounds), **kw)
+    except UnboundedBox:
+        assume(False)
+    # parts never exceed the largest bound, and past row r every t rows
+    # add at least 1 to the bounded axis that ends the rows
+    big = max(bounds)
+    want = brute_histogram(tuple(axes), tuple(bounds), max_part=big,
+                           max_len=r + t * (big + 1), **kw)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("axes, t, r", [
+    (("first",), 1, 1),       # a column of 1s never leaves the box
+    (("weight",), 1, 2),      # row 1 is not weighed, so it is unbounded
+    (("anti", "first"), 1, 1),  # with t = 1 every row is weighed
+    (("anti", "first"), 1, 3),
+    (("length",), 2, 1),      # nothing bounds the parts
+])
+def test_histogram_unbounded_box_raises(axes, t, r):
+    bounds = (3,) * len(axes)
+    with pytest.raises(UnboundedBox):
+        partition_histogram(axes, bounds, t=t, r=r)

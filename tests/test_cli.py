@@ -110,6 +110,13 @@ def test_usage_errors_exit_two(capsys):
     ["verify", "schmidt", "--n", "406"],
     ["bijection", "mork", "--input", "-1e5"],  # taken for an option
     ["verify", "thm99"],
+    # flags and box variables the entry does not take
+    ["verify", "thm3.1", "--t", "5", "--json"],
+    ["verify", "eq14", "--n", "2", "--t", "7"],
+    ["verify", "schmidt", "--max-q", "5"],
+    ["verify", "thm8.2", "--max-s", "3"],
+    ["series", "thm5.1", "--r", "2"],
+    ["verify", "cor10", "--t", "1"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -175,6 +182,19 @@ def test_verify_text_and_exit_zero(capsys):
     assert code == 0
     assert "thm3.1" in out and ": pass" in out
     assert "checked" in out
+
+
+def test_verify_partial_box_overrides_default(capsys):
+    code, out, err = run(capsys, "verify", "thm3.1", "--max-q", "5")
+    assert code == 0 and err == ""
+    assert "thm3.1 q<=5 z<=24: pass" in out
+    code, out, _ = run(capsys, "verify", "thm9", "--max-s", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["box"] == {"q": 10, "z": 10, "s": 5}
+    code, out, _ = run(capsys, "verify", "thm8.2", "--t", "3", "--max-z", "3",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["box"] == {"q": 8, "z1": 3, "z2": 3, "z3": 3}
 
 
 def test_verify_large_box_exits_zero(capsys):

@@ -182,8 +182,10 @@ def test_recurrence_matches_enumeration_columns():
         assert isinstance(f, TruncatedSeries)
     report = verify_recurrence(2, n_max=3, box=box)
     assert report.passed
-    # heads q^m s^(m + k(t-1)) beyond the default box contribute nothing
-    assert verify_recurrence(3).passed
+    # heads q^m s^(m + k(t-1)) beyond the default box contribute nothing,
+    # and Gaussian binomials of degree past the s bound are cut to the box
+    for t in (3, 4, 5):
+        assert verify_recurrence(t).passed
 
 
 def test_table_rows_are_sorted_by_weight():
