@@ -3,7 +3,8 @@
 Run: python benchmarks/bench_kernels.py
 
 Each row is the best of several runs. The thm8.1 row (t=4, r=4,
-q,z <= 15) is checked against the total of its closed form, and the
+q,z <= 15) is checked against the total of its closed form, the thm7
+pair-side count against the number of partitions it stands for, and the
 Pochhammer division at q,z <= 60 against its largest coefficient. The
 first lines give the machine: cores, Python, numpy, and whether numba
 was loaded.
@@ -17,6 +18,7 @@ import time
 import numpy as np
 
 from partbij._accel import convolve, partition_histogram
+from partbij.partitions import partition_numbers
 from partbij.series import (
     INFINITY,
     TruncatedSeries,
@@ -24,6 +26,7 @@ from partbij.series import (
     invert,
     pochhammer,
 )
+from partbij.verify import _colored_class_counts
 
 
 def timeit(fn, repeat=5):
@@ -62,6 +65,20 @@ def bench_histogram():
     ]
 
 
+def bench_colored_classes():
+    # thm7 at the full level; with r=1 the head is empty, so the classes
+    # count every partition of size <= 24 once
+    def count():
+        return _colored_class_counts(3, 1, 24)
+
+    total = sum(count().values())
+    want = sum(partition_numbers(24))
+    if total != want:
+        raise SystemExit(f"thm7 t=3 r=1 size<=24 pair side counted {total}, "
+                         f"expected {want}")
+    return [("thm7 pair-side classes t=3 r=1 size<=24", timeit(count))]
+
+
 def bench_pochhammer():
     zq = ({"q": 1, "z": 1}, {"q": 1}, INFINITY)
 
@@ -91,7 +108,8 @@ def bench_pochhammer():
 def main():
     print(f"cores {os.cpu_count()}, Python {platform.python_version()}, "
           f"numpy {np.__version__}, numba loaded: {'numba' in sys.modules}")
-    rows = bench_convolve() + bench_histogram() + bench_pochhammer()
+    rows = (bench_convolve() + bench_histogram() + bench_colored_classes()
+            + bench_pochhammer())
     width = max(len(name) for name, _ in rows)
     for name, best in rows:
         print(f"{name:<{width}}  {best * 1000:9.2f} ms")

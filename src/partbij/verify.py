@@ -17,7 +17,7 @@ through verify_identity.
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional
 
 from . import series as qs
@@ -238,7 +238,8 @@ def _head_sum(box, constant, term):
         acc = acc + _quotient(box, factors, head)
 
 
-# lowest admissible value of each series parameter
+# lowest admissible value of a parameter, or of the CLI flag of that
+# name; every other count and every box bound starts at 0
 _LOWEST = {"t": 1, "r": 1, "n": 0}
 
 
@@ -476,46 +477,24 @@ def verify_li_yee(t, n_max=8):
     )
 
 
-def _compositions(total, bins):
-    if bins == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, bins - 1):
-            yield (head,) + rest
+def _colored_class_counts(t, r, size_max):
+    """Counts of t-colored partitions keyed (reassembled size, size, color
+    counts), for every reassembled size up to size_max.
 
-
-@lru_cache(maxsize=None)
-def _colored_class_counts(t, n_max):
-    """Counts of t-colored partitions keyed (length, size, color counts).
-
-    Computed from plain shapes: each run of equal parts picks a color
-    multiset independently, so the per-shape color-count distribution is
-    a convolution of compositions, never an enumeration of colorings.
+    The reassembled size is linear in the parts: part p of color i adds
+    (r-1) + t*(p-1) + i. So a bounded knapsack over the kinds (p, i), each
+    taken any number of times, counts every class without visiting a
+    colored partition or a shape.
     """
-    out = {}
-    for n in range(n_max + 1):
-        for shape in enumerate_partitions(n):
-            runs = []
-            prev, mult = 0, 0
-            for p in list(shape) + [0]:
-                if p == prev:
-                    mult += 1
-                else:
-                    if mult:
-                        runs.append(mult)
-                    prev, mult = p, 1
-            dist = {(0,) * t: 1}
-            for mult in runs:
-                nxt = {}
-                for prof, cnt in dist.items():
-                    for comp in _compositions(mult, t):
-                        key = tuple(a + b for a, b in zip(prof, comp))
-                        nxt[key] = nxt.get(key, 0) + cnt
-                dist = nxt
-            for prof, cnt in dist.items():
-                key = (len(shape), n, prof)
-                out[key] = out.get(key, 0) + cnt
+    out = {(0, 0, (0,) * t): 1}
+    for p in range(1, (size_max - r) // t + 2):
+        for i in range(1, t + 1):
+            w = r - 1 + t * (p - 1) + i
+            for (base, n, prof), cnt in list(out.items()):
+                for m in range(1, (size_max - base) // w + 1):
+                    key = (base + m * w, n + m * p,
+                           prof[:i - 1] + (prof[i - 1] + m,) + prof[i:])
+                    out[key] = out.get(key, 0) + cnt
     return out
 
 
@@ -575,11 +554,8 @@ def verify_color_conjugate(t, r, size_max=18):
             for nu in enumerate_partitions(s_nu, max_length=r - 1):
                 nu_by_size.setdefault(s_nu, []).append(nu.part(1))
         pairc = {}
-        for (k, n, prof), cnt in _colored_class_counts(t, size_max).items():
-            wsum = sum(i * c for i, c in enumerate(prof, start=1))
-            base = (r - 1) * k + t * (n - k) + wsum
-            if base > size_max:
-                continue
+        for (base, n, prof), cnt in _colored_class_counts(t, r, size_max).items():
+            k = sum(prof)
             for s_nu in range(size_max - base + 1):
                 for f in nu_by_size.get(s_nu, ()):
                     key = (base + s_nu, f + k, k, n, prof)
@@ -973,19 +949,25 @@ def resolve_arguments(ident, box=None, **flags):
     given flag value (t, r, n, k or m; None means not given) and each
     given box bound laid over them. A bound for z sets every z_i of a
     colored entry. VerifyError for a flag or a box variable the entry
-    does not take."""
+    does not take, for t or r below 1, and for a negative count or box
+    bound."""
     entry = _entry(ident)
     params = dict(entry.params)
     for flag, value in flags.items():
         if value is not None:
             if flag not in entry.flags:
                 raise VerifyError(f"{ident} takes no --{flag}")
+            low = _LOWEST.get(flag, 0)
+            if value < low:
+                raise VerifyError(f"{ident} needs --{flag} >= {low}")
             params[entry.flags[flag]] = value
     out = _expand(entry, params, entry.box)
     for var, bound in (box or {}).items():
         hit = [v for v in out or () if var in (v, v.rstrip("0123456789"))]
         if not hit:
             raise VerifyError(f"{ident} has no box variable {var}")
+        if bound < 0:
+            raise VerifyError(f"{ident} needs --max-{var} >= 0")
         out.update(dict.fromkeys(hit, bound))
     return params, out
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from partbij.cli import BIJECTION_NAMES, main
-from partbij.verify import IDENTITY_IDS
+from partbij.verify import CATALOG, IDENTITY_IDS
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -146,9 +146,9 @@ def int_flags(draw, names):
 
 @st.composite
 def command_lines(draw):
-    """bijection, table or series command lines with arbitrary JSON input
-    and small int flags."""
-    command = draw(st.sampled_from(["bijection", "table", "series"]))
+    """bijection, table, series or verify command lines with arbitrary
+    JSON input and small int flags."""
+    command = draw(st.sampled_from(["bijection", "table", "series", "verify"]))
     if command == "bijection":
         argv = ["bijection", draw(st.sampled_from(BIJECTION_NAMES)),
                 "--input", json.dumps(draw(JSON))]
@@ -157,6 +157,15 @@ def command_lines(draw):
         return argv + int_flags(draw, ("t", "r", "m"))
     if command == "table":
         argv = ["table", "bessenrodt"] + int_flags(draw, ("n",))
+    elif command == "verify":
+        # the entry's own flags, now and then one it may not take, and
+        # every box bound, so that each check runs on a small box
+        entry = draw(st.sampled_from(CATALOG))
+        names = list(entry.flags) + draw(st.lists(
+            st.sampled_from(["t", "r", "n", "k", "m", "max-s"]), max_size=1))
+        argv = ["verify", entry.id] + int_flags(draw, names)
+        for var in entry.box or ():
+            argv += [f"--max-{var}", str(draw(SMALL_INT))]
     else:
         argv = ["series", draw(st.sampled_from(IDENTITY_IDS))]
         argv += int_flags(draw, ("t", "r", "n", "max-q", "max-z", "max-s"))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from partbij.colored import enumerate_colored
 from partbij.series import TruncatedSeries, equal_in_box
 from partbij.verify import (
     IDENTITY_IDS,
@@ -11,6 +12,7 @@ from partbij.verify import (
     UnboundedBox,
     VerificationReport,
     VerifyError,
+    _colored_class_counts,
     default_box,
     f_recurrence,
     identity_defaults,
@@ -167,6 +169,42 @@ def test_counting_verifiers_pass_small():
     assert verify_functional_equation(2).passed
     assert verify_table(7).passed
     assert verify_furtherwork(m_max=3, size_max=12).passed
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_colored_class_counts_match_enumeration(t):
+    size_max = 10
+    colored = [mu for n in range(size_max + 1)
+               for mu in enumerate_colored(n, t)]
+    for r in (1, 2, 3, 4):
+        tally = {}
+        for mu in colored:
+            k, n, prof = mu.length(), mu.size(), mu.color_counts()
+            base = ((r - 1) * k + t * (n - k)
+                    + sum(i * c for i, c in enumerate(prof, start=1)))
+            if base <= size_max:
+                tally[base, n, prof] = tally.get((base, n, prof), 0) + 1
+        assert _colored_class_counts(t, r, size_max) == tally, r
+
+
+def test_color_conjugate_catches_a_miscounted_class(monkeypatch):
+    import partbij.verify as ver
+
+    t, r, size_max = 2, 2, 10
+    counts = _colored_class_counts(t, r, size_max)
+    key = base, n, prof = max(counts)
+    planted = {**counts, key: counts[key] + 1}
+    monkeypatch.setattr(ver, "_colored_class_counts", lambda *args: planted)
+    report = verify_color_conjugate(t, r, size_max)
+    assert report.status == "fail"
+    # the class's first pair has an empty head, so first and row_r are
+    # both the length of the colored partition
+    k = sum(prof)
+    assert report.first_mismatch == {
+        "monomial": {"size": base, "first": k, "row_r": k, "weight": n,
+                     "profile": list(prof)},
+        "lhs": counts[key], "rhs": counts[key] + 1,
+    }
 
 
 def test_functional_equation_fault_injection():
