@@ -3,9 +3,11 @@
 Run: python benchmarks/bench_kernels.py
 
 Each row is the best of several runs. The thm8.1 row (t=4, r=4,
-q,z <= 15) is checked against the total of its closed form, the thm7
-pair-side count against the number of partitions it stands for, and the
-Pochhammer division at q,z <= 60 against its largest coefficient. The
+q,z <= 15) is checked against the total of its closed form, the thm8.2
+colour-profile row (t=3, q <= 12, z_i <= 6) against its closed form
+coefficient by coefficient, the thm7 pair-side count against the number
+of partitions it stands for, and the Pochhammer division at q,z <= 60
+against its largest coefficient. The
 first lines give the machine: cores, Python, numpy, and whether numba
 was loaded.
 """
@@ -26,7 +28,7 @@ from partbij.series import (
     invert,
     pochhammer,
 )
-from partbij.verify import _colored_class_counts
+from partbij.verify import _colored_class_counts, rhs_series
 
 
 def timeit(fn, repeat=5):
@@ -55,13 +57,23 @@ def bench_histogram():
     def thm81():
         return partition_histogram(("weight", "first"), (15, 15), t=4, r=4)
 
+    # thm8.2 at the full level: weight and the three colour classes
+    def thm82():
+        return partition_histogram(("weight",) + ("profile",) * 3,
+                                   (12, 6, 6, 6), t=3)
+
     total = int(thm81().sum())
     if total != 67_379_212:
         raise SystemExit(f"thm8.1 t=4 r=4 q,z<=15 counted {total}, "
                          "expected 67379212")
+    box = {"q": 12, "z1": 6, "z2": 6, "z3": 6}
+    if not np.array_equal(thm82(), rhs_series("thm8.2", {"t": 3}, box).coeffs):
+        raise SystemExit("thm8.2 t=3 q<=12 z_i<=6 histogram differs from "
+                         "its closed form")
     return [
         ("histogram q<=30 z<=90 distinct", timeit(schmidt)),
         ("histogram thm8.1 t=4 r=4 q,z<=15", timeit(thm81)),
+        ("histogram thm8.2 t=3 q<=12 z_i<=6", timeit(thm82)),
     ]
 
 
@@ -69,7 +81,7 @@ def bench_colored_classes():
     # thm7 at the full level; with r=1 the head is empty, so the classes
     # count every partition of size <= 24 once
     def count():
-        return _colored_class_counts(3, 1, 24)
+        return _colored_class_counts(3, lambda p, i: 3 * (p - 1) + i, 24)
 
     total = sum(count().values())
     want = sum(partition_numbers(24))

@@ -9,7 +9,10 @@ each non-length axis statistic) holding the number of partitions of
 length `pos` that end there. The next row takes a reverse cumulative sum
 over the last-part axis (parts never grow), shifted by one when parts must
 be distinct, and moves each new part value v up the axes that row adds v
-to. Counts never wrap: a sum that leaves int64 raises HistogramOverflow.
+to. A colour-profile class is settled one row late, by the drop from the
+last part to the next one, so in the row it belongs to each step down
+the sum over last parts also moves that class up by one. Counts never
+wrap: a sum that leaves int64 raises HistogramOverflow.
 """
 
 import itertools
@@ -21,6 +24,7 @@ AXIS_SIZE = 1
 AXIS_LENGTH = 2
 AXIS_WEIGHT = 3
 AXIS_ANTI = 4
+AXIS_PROFILE = 5
 
 _AXIS_CODES = {
     "first": AXIS_FIRST,
@@ -28,6 +32,7 @@ _AXIS_CODES = {
     "length": AXIS_LENGTH,
     "weight": AXIS_WEIGHT,
     "anti": AXIS_ANTI,
+    "profile": AXIS_PROFILE,
 }
 
 
@@ -92,19 +97,24 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
     Counts every partition (the empty one included) with parts <= max_part,
     length <= max_len, and every axis statistic within its bound; each lands
     in the output cell indexed by its axis values. Axes are statistic names
-    from {"first", "size", "length", "weight", "anti"}; "weight" is the sum
-    of parts at indices r, t+r, 2t+r, ... and "anti" the rest of the size.
-    length_mod=(m, residues) keeps only partitions whose length is congruent
-    to one of the residues mod m.
+    from {"first", "size", "length", "weight", "anti", "profile"};
+    "weight" is the sum of parts at indices r, t+r, 2t+r, ... and "anti"
+    the rest of the size. "profile" occurs exactly t times or not at all,
+    its k-th occurrence being class k of color_profile(partition, t, r):
+    each row pos >= r adds the drop p_pos - p_(pos+1) to class
+    ((pos - r) mod t) + 1. length_mod=(m, residues) keeps only partitions
+    whose length is congruent to one of the residues mod m.
 
-    Every statistic is nondecreasing as parts are appended, so a partition
-    whose prefix leaves the box has no extension inside it; the row
-    transfer drops such states, which keeps the count complete for the
-    returned box. The caps are optional. Row 1 holds the largest part, so
-    the bounds of the axes it adds to cap the parts; once every prefix has
-    left the box the rows stop, which happens when every t consecutive
-    rows add to some bounded axis. UnboundedBox if a left-out cap does not
-    follow from the axes. Raises HistogramOverflow if a count exceeds int64.
+    Every statistic is nondecreasing as parts are appended, counting a
+    profile class only once the row after its own is known, so a
+    partition whose prefix leaves the box has no extension inside it; the
+    row transfer drops such states, which keeps the count complete for
+    the returned box. The caps are optional. Row 1 holds the largest part,
+    so the bounds of the axes it adds to cap the parts; once every prefix
+    has left the box the rows stop, which happens when every t consecutive
+    rows add to some bounded axis. Profile axes cap neither. UnboundedBox
+    if a left-out cap does not follow from the axes. Raises
+    HistogramOverflow if a count exceeds int64.
     """
     if not axes:
         raise ValueError("at least one axis is required")
@@ -114,6 +124,9 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
     if any(int(b) < 0 for b in bounds):
         raise ValueError("axis bounds must be nonnegative")
     t, r = int(t), int(r)
+    if codes.count(AXIS_PROFILE) not in (0, t):
+        raise ValueError(f"the profile axis must occur t = {t} times or not "
+                         f"at all, not {codes.count(AXIS_PROFILE)}")
     lengths = [int(b) for code, b in zip(codes, bounds) if code == AXIS_LENGTH]
     if max_len is not None:
         lengths.append(int(max_len))
@@ -139,6 +152,7 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
     kinds = [code for code in codes if code != AXIS_LENGTH]
     kbounds = [int(b) for code, b in zip(codes, bounds) if code != AXIS_LENGTH]
     stat_shape = tuple(b + 1 for b in kbounds)
+    classes = [j for j, kind in enumerate(kinds) if kind == AXIS_PROFILE]
     # the first part is the largest, so every axis row 1 adds to caps it
     caps = [kbounds[j] for j in _shifted_axes(kinds, 1, counted(1))]
     if max_part is not None:
@@ -171,19 +185,35 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
                 src[j + 1] = slice(0, kbounds[j] + 1 - v)
                 dst[j + 1] = slice(v, None)
             state[tuple(dst)] = avail[tuple(src)]
-        # sums[v] counts the states with last part >= v; sums[0] all of them
-        sums = _unwrapped(np.cumsum(state[::-1], axis=0)[::-1])
-        if not sums[0].any():
+        # sums[v] counts the states with last part >= v, sums[0] all of
+        # them. Row pos's profile class, if any, gains the drop from the
+        # last part to the next part v (all of the last part for sums[0]),
+        # so each step down in v moves that class up by one
+        src = [slice(None)] * len(kinds)
+        dst = list(src)
+        if classes and pos >= r:
+            cls = classes[(pos - r) % t]
+            src[cls], dst[cls] = slice(0, -1), slice(1, None)
+        for v in range(top - 1, -1, -1):
+            state[(v, *dst)] += state[(v + 1, *src)]
+        sums = _unwrapped(state)
+        # the moves drop classes past their bound, so sums[0] may be empty
+        # while longer prefixes live on
+        alive = np.flatnonzero(sums.reshape(top + 1, -1).any(axis=1))
+        if not alive.size:
             break
         if admits(pos):
             cell = tuple(pos if code == AXIS_LENGTH else slice(None)
                          for code in codes)
             out[cell] += sums[0]
             _unwrapped(out[cell])
-        # sums[v] is nonzero up to the largest last part present
-        top = int(np.count_nonzero(sums.reshape(top + 1, -1).any(axis=1))) - 1
+        top = int(alive[-1])
         if distinct:
-            avail, top = sums[1:], top - 1
+            # a distinct next part v is below the last part, so the count
+            # with last part > v also steps the class up once more
+            avail = np.zeros_like(sums[1:])
+            avail[(slice(None), *dst)] = sums[(slice(1, None), *src)]
+            top -= 1
         else:
             avail = sums
     return out

@@ -166,8 +166,8 @@ def _cmd_bijection(args):
 
 
 def _json_report(report):
-    # stdout JSON must be byte-identical across runs and thread counts,
-    # so the timing field stays library-only
+    # stdout JSON must be byte-identical across runs, so the timing field
+    # stays library-only
     data = report.to_json()
     data.pop("elapsed_ms", None)
     return data
@@ -227,7 +227,7 @@ def _cmd_series(args):
 
 
 def _cmd_suite(args):
-    suite = ver.run_suite(args.level, args.threads)
+    suite = ver.run_suite(args.level)
     if args.json:
         print(json.dumps({
             "level": suite.level,
@@ -294,7 +294,8 @@ def _build_parser():
 
     u = sub.add_parser("suite", help="run every catalog check")
     u.add_argument("--level", choices=("quick", "full"), default="quick")
-    u.add_argument("--threads", type=int, default=1)
+    # accepted for old command lines and ignored: the checks run in turn
+    u.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     u.add_argument("--json", action="store_true")
     u.set_defaults(func=_cmd_suite)
 

@@ -330,14 +330,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(<{nnz} terms>, box={self.box_dict()})"
 
 
-def add(f, g):
-    return f + g
-
-
-def mul(f, g):
-    return f * g
-
-
 def invert(f):
     """Multiplicative inverse in the box, by geometric expansion.
 
@@ -492,10 +484,6 @@ def substitute(f, variable, m, box=None):
         if all(v <= b for v, b in zip(idx, out.box)):
             out.coeffs[tuple(idx)] += coeff
     return out
-
-
-def coefficient(f, exponents):
-    return f.coefficient(exponents)
 
 
 def first_mismatch(f, g):

@@ -1,11 +1,15 @@
 """Mechanical verification of the package's partition identities.
 
-Every check compares two independently computed objects: an enumeration
-oracle (direct iteration over partitions, or the histogram kernel) and a
-closed form (truncated products, inverses, q-binomials) or a frozen
-reference. The two sides share no identity-specific logic, so agreement
-across a whole coefficient box is strong evidence, and any disagreement
-is pinned to its graded-lex-first monomial.
+Every check compares two independently computed objects: a count and a
+closed form (truncated products, inverses, q-binomials), a second count
+or a frozen reference. Two kernels do the counting without visiting the
+objects counted: the row-transfer partition histogram, for partitions by
+any of their statistics, colour profile included, and a bounded
+knapsack over coloured part kinds, for coloured partitions. The sides
+share no identity-specific logic, so agreement across a whole
+coefficient box is strong evidence, and any disagreement is pinned to
+its graded-lex-first monomial. The bijection checks (prop1, table1, thm7,
+furtherwork) still walk partitions, since the maps are what they test.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
@@ -30,7 +34,6 @@ from .bijections import (
     color_conjugate_inverse,
     generalized_hook_map,
 )
-from .colored import enumerate_colored
 from .partitions import (
     ModularDiagram,
     Partition,
@@ -154,9 +157,10 @@ class Histogram:
     """Enumeration side counted by the histogram kernel.
 
     axes names the partition statistic of each box variable, in the
-    canonical variable order q, z, s. t and r are numbers or the names of
-    the parameters that hold them; max_len, if given, maps the parameters
-    to a restriction on the length.
+    canonical variable order q, z, s; "profile" stands for the t colour
+    classes z1..zt. t and r are numbers or the names of the parameters
+    that hold them; max_len, if given, maps the parameters to a
+    restriction on the length.
     """
 
     axes: tuple
@@ -170,47 +174,31 @@ class Histogram:
         def value(x):
             return params[x] if isinstance(x, str) else x
 
+        t = value(self.t)
+        axes = [a for axis in self.axes
+                for a in [axis] * (t if axis == "profile" else 1)]
         arr = partition_histogram(
-            self.axes, TruncatedSeries.zero(box).box,
-            t=value(self.t), r=value(self.r), distinct=self.distinct,
+            axes, TruncatedSeries.zero(box).box,
+            t=t, r=value(self.r), distinct=self.distinct,
             length_mod=self.length_mod,
             max_len=self.max_len and self.max_len(params),
         )
         return _series_from_hist(box, arr)
 
 
-@dataclass(frozen=True)
-class Enumeration:
-    """Enumeration side from iterating partitions of every size up to
-    size(params, box). Each partition adds 1 at the exponents that
-    stats(partition, params) yields as (variable, exponent) pairs, unless
-    one of them leaves the box."""
-
-    size: object
-    stats: object
-
-    def __call__(self, params, box):
-        terms = []
-        for n in range(self.size(params, box) + 1):
-            for lam in enumerate_partitions(n):
-                exps = {}
-                for var, e in self.stats(lam, params):
-                    if e > box[var]:
-                        break
-                    exps[var] = e
-                else:
-                    terms.append((exps, 1))
-        return TruncatedSeries.from_terms(box, terms)
+def _size_and_excess(params, box):
+    """eq3's enumeration side: partitions by size (q) and by twice the
+    size less the length (z), read off the (size, length) histogram."""
+    f = TruncatedSeries.zero(box)
+    arr = partition_histogram(("size", "length"), (box["q"], box["q"]))
+    for n in range(box["q"] + 1):
+        for ell in range(max(0, 2 * n - box["z"]), n + 1):
+            f.coeffs[n, 2 * n - ell] = arr[n, ell]
+    return f
 
 
 def _colors(t):
     return [f"z{i}" for i in range(1, int(t) + 1)]
-
-
-def _weight_and_colors(lam, params):
-    t = params["t"]
-    yield "q", schmidt_weight(lam, t, 1)
-    yield from zip(_colors(t), color_profile(lam, t, 1))
 
 
 def _zq(n=INFINITY):
@@ -259,8 +247,8 @@ def _series_setup(ident, params, box):
 
 
 def lhs_series(ident, params, box):
-    """Enumeration side of a series identity, from its entry's histogram
-    or enumeration spec; the spec names partition statistics only."""
+    """Enumeration side of a series identity, counted by the histogram
+    kernel from partition statistics only."""
     entry, params = _series_setup(ident, params, box)
     return entry.lhs(params, box)
 
@@ -450,16 +438,14 @@ def verify_li_yee(t, n_max=8):
                 lhsc[key] = lhsc.get(key, 0) + c
     rhsc = {}
     empties = 0
-    for n in range(n_max + 1):
-        for cp in enumerate_colored(n, t):
-            counts = cp.color_counts()
-            if not cp.entries:
-                empties += 1
-                continue
-            s = max(counts)
-            j = max(i for i, c in enumerate(counts, start=1) if c == s)
-            key = (n, s, j)
-            rhsc[key] = rhsc.get(key, 0) + 1
+    for (n, _, counts), cnt in _colored_class_counts(t, _part, n_max).items():
+        if not n:
+            empties += cnt
+            continue
+        s = max(counts)
+        j = max(i for i, c in enumerate(counts, start=1) if c == s)
+        key = (n, s, j)
+        rhsc[key] = rhsc.get(key, 0) + cnt
     checked = 1
     mismatch = None
     if int(arr[0][0]) != empties:
@@ -477,21 +463,28 @@ def verify_li_yee(t, n_max=8):
     )
 
 
-def _colored_class_counts(t, r, size_max):
-    """Counts of t-colored partitions keyed (reassembled size, size, color
-    counts), for every reassembled size up to size_max.
+def _part(p, i):
+    return p
 
-    The reassembled size is linear in the parts: part p of color i adds
-    (r-1) + t*(p-1) + i. So a bounded knapsack over the kinds (p, i), each
-    taken any number of times, counts every class without visiting a
-    colored partition or a shape.
+
+def _colored_class_counts(t, weight, bound, admits=lambda p, i: True):
+    """Counts of t-colored partitions keyed (weight, size, color counts),
+    for every weight up to bound.
+
+    The weight is linear in the parts: part p of color i weighs
+    weight(p, i) >= p, and only the kinds (p, i) that admits allows may
+    occur. So a bounded knapsack over the admissible kinds, each taken any
+    number of times, counts every class without visiting a colored
+    partition or a shape.
     """
     out = {(0, 0, (0,) * t): 1}
-    for p in range(1, (size_max - r) // t + 2):
+    for p in range(1, bound + 1):
         for i in range(1, t + 1):
-            w = r - 1 + t * (p - 1) + i
+            w = weight(p, i)
+            if w > bound or not admits(p, i):
+                continue
             for (base, n, prof), cnt in list(out.items()):
-                for m in range(1, (size_max - base) // w + 1):
+                for m in range(1, (bound - base) // w + 1):
                     key = (base + m * w, n + m * p,
                            prof[:i - 1] + (prof[i - 1] + m,) + prof[i:])
                     out[key] = out.get(key, 0) + cnt
@@ -554,7 +547,9 @@ def verify_color_conjugate(t, r, size_max=18):
             for nu in enumerate_partitions(s_nu, max_length=r - 1):
                 nu_by_size.setdefault(s_nu, []).append(nu.part(1))
         pairc = {}
-        for (base, n, prof), cnt in _colored_class_counts(t, r, size_max).items():
+        classes = _colored_class_counts(
+            t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
+        for (base, n, prof), cnt in classes.items():
             k = sum(prof)
             for s_nu in range(size_max - base + 1):
                 for f in nu_by_size.get(s_nu, ()):
@@ -590,13 +585,11 @@ def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
     arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
     allowed = set(range(r - 1, n_max + 1, t - 1))
     rhs = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-    for n in range(n_max + 1):
-        for cp in enumerate_colored(n, 2):
-            if cp.length() > k_max:
-                continue
-            if any(c == 2 and p not in allowed for p, c in cp.entries):
-                continue
-            rhs[n][cp.length()] += 1
+    classes = _colored_class_counts(
+        2, _part, n_max, admits=lambda p, i: i == 1 or p in allowed)
+    for (n, _, counts), cnt in classes.items():
+        if sum(counts) <= k_max:
+            rhs[n][sum(counts)] += cnt
     checked = 0
     mismatch = None
     for n in range(n_max + 1):
@@ -687,15 +680,7 @@ def verify_functional_equation(t, box=None, perturb=None):
         box = {"q": 6, "s": 10, "z": 4}
     _need("eq24", box, "q", "z", "s")
     start = time.perf_counter()
-    s_cap = int(box["s"])
-    terms = []
-    for m in range(s_cap + 1):
-        for lam in enumerate_partitions(m):
-            terms.append((
-                {"s": m, "q": schmidt_weight(lam, t, 1), "z": lam.part(1)},
-                1,
-            ))
-    big_f = TruncatedSeries.from_terms(box, terms)
+    big_f = Histogram(("weight", "first", "size"), t=t)({}, box)
     rhs = qs.divide_pochhammer(
         qs.substitute(big_f, "z", {"s": t, "q": 1, "z": 1}),
         {"s": 1, "q": 1, "z": 1}, {"s": 1}, t,
@@ -842,10 +827,7 @@ CATALOG = (
           rhs=lambda p, box: _quotient(
               box, [({"z": 1}, {"q": 1, "z": 2}, INFINITY)])),
     Entry("eq3", box={"q": 8, "z": 16}, full={"box": {"q": 12, "z": 24}},
-          lhs=Enumeration(
-              lambda p, box: box["q"],
-              lambda lam, p: (("q", lam.size()),
-                              ("z", 2 * lam.size() - lam.length()))),
+          lhs=_size_and_excess,
           rhs=lambda p, box: _quotient(
               box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])),
     Entry("thm4.1", box=_QZ12, full=_FULL18,
@@ -877,11 +859,9 @@ CATALOG = (
           lhs=Histogram(("weight", "first"), t="t", r="r"),
           rhs=lambda p, box: _quotient(
               box, [({"z": 1}, {}, p["r"] - 1)] + [_zq()] * p["t"])),
-    # each block of t rows is at most its first row, which q counts, so
-    # sizes up to t*q cover the box
     Entry("thm8.2", {"t": 2}, _T, box={"q": 8, "z": 4}, colored=True,
           full={"box": {"q": 12, "z": 6}}, grid={"t": _UP_TO_3},
-          lhs=Enumeration(lambda p, box: p["t"] * box["q"], _weight_and_colors),
+          lhs=Histogram(("weight", "profile"), t="t"),
           rhs=lambda p, box: _quotient(
               box, [({"q": 1, z: 1}, {"q": 1}, INFINITY)
                     for z in _colors(p["t"])])),
@@ -1006,14 +986,6 @@ def _suite_tasks(level):
     return tasks
 
 
-def run_suite(level="quick", threads=1):
+def run_suite(level="quick"):
     """Run every catalog check at the given level and collect reports."""
-    tasks = _suite_tasks(level)
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda task: task(), tasks))
-    else:
-        reports = [task() for task in tasks]
-    return SuiteReport(level, reports)
+    return SuiteReport(level, [task() for task in _suite_tasks(level)])

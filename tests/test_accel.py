@@ -12,6 +12,7 @@ from partbij._accel import (
     partition_histogram,
 )
 from partbij.partitions import (
+    color_profile,
     count_partitions,
     enumerate_partitions,
     schmidt_weight,
@@ -32,8 +33,11 @@ def brute_histogram(axes, bounds, t=1, r=1, max_part=None, max_len=None,
                 if p.length() % mod not in {x % mod for x in residues}:
                     continue
             stats = []
+            profile = iter(color_profile(p, t, r))
             for a in axes:
-                if a == "first":
+                if a == "profile":
+                    stats.append(next(profile))
+                elif a == "first":
                     stats.append(p.part(1))
                 elif a == "size":
                     stats.append(p.size())
@@ -131,6 +135,12 @@ def test_histogram_rejects_bad_arguments():
         partition_histogram(("size",), (-1,), max_part=3, max_len=3)
     with pytest.raises(KeyError):
         partition_histogram(("bogus",), (3,), max_part=3, max_len=3)
+    # the profile axis is all t colour classes or none of them
+    for axes, t in ((("weight", "profile"), 2), (("profile",) * 2, 1),
+                    (("profile",) * 4, 3)):
+        with pytest.raises(ValueError):
+            partition_histogram(axes, (3,) * len(axes), t=t,
+                                max_part=3, max_len=3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,11 +155,19 @@ def test_histogram_rejects_bad_arguments():
     max_len=st.integers(0, 6),
     length_mod=st.none() | st.tuples(
         st.integers(1, 4), st.lists(st.integers(-3, 5), max_size=3)),
+    profile=st.booleans(),
 )
 def test_histogram_matches_enumeration_sweep(axes, data, t, r, distinct,
-                                             max_part, max_len, length_mod):
-    bounds = data.draw(st.lists(st.integers(0, 7), min_size=len(axes),
-                                max_size=len(axes)))
+                                             max_part, max_len, length_mod,
+                                             profile):
+    # with the profile, one other axis fewer and its t colour classes
+    # anywhere among the rest, bounded by 3, which keeps the arrays small
+    if profile:
+        axes = axes[:len(axes) - 1]
+        for _ in range(t):
+            axes.insert(data.draw(st.integers(0, len(axes))), "profile")
+    bounds = [data.draw(st.integers(0, 3 if a == "profile" else 7))
+              for a in axes]
     kw = dict(t=t, r=r, max_part=max_part, max_len=max_len,
               distinct=distinct, length_mod=length_mod)
     got = partition_histogram(tuple(axes), tuple(bounds), **kw)

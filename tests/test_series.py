@@ -21,7 +21,6 @@ from partbij.series import (
     equal_in_box,
     first_mismatch,
     invert,
-    mul,
     pochhammer,
     q_binomial,
     substitute,
@@ -101,7 +100,7 @@ def test_box_mismatch_rejected():
     with pytest.raises(BoxMismatch):
         f + g
     with pytest.raises(BoxMismatch):
-        mul(f, g)
+        f * g
 
 
 def test_invert_is_inverse():

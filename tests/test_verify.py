@@ -171,27 +171,50 @@ def test_counting_verifiers_pass_small():
     assert verify_furtherwork(m_max=3, size_max=12).passed
 
 
+def _tally(colored, bound, weight, admits=lambda p, i: True):
+    """Colored partitions keyed (weight, size, color counts), one by one."""
+    tally = {}
+    for mu in colored:
+        if all(admits(p, i) for p, i in mu.entries):
+            key = (sum(weight(p, i) for p, i in mu.entries), mu.size(),
+                   mu.color_counts())
+            if key[0] <= bound:
+                tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_colored_class_counts_match_enumeration(t):
     size_max = 10
     colored = [mu for n in range(size_max + 1)
                for mu in enumerate_colored(n, t)]
+    # thm7: part p of color i reassembles to (r-1) + t(p-1) + i
     for r in (1, 2, 3, 4):
-        tally = {}
-        for mu in colored:
-            k, n, prof = mu.length(), mu.size(), mu.color_counts()
-            base = ((r - 1) * k + t * (n - k)
-                    + sum(i * c for i, c in enumerate(prof, start=1)))
-            if base <= size_max:
-                tally[base, n, prof] = tally.get((base, n, prof), 0) + 1
-        assert _colored_class_counts(t, r, size_max) == tally, r
+        def weight(p, i):
+            return r - 1 + t * (p - 1) + i
+
+        assert _colored_class_counts(t, weight, size_max) == \
+            _tally(colored, size_max, weight), r
+    # thm6: every part weighs itself
+    part = lambda p, i: p
+    assert _colored_class_counts(t, part, size_max) == \
+        _tally(colored, size_max, part)
+    # cor11: color 2 only on the sizes r-1, r-1 + (t-1), ...
+    if t == 2:
+        for step, r in ((1, 2), (2, 2), (2, 3), (3, 4)):
+            def admits(p, i):
+                return i == 1 or (p >= r - 1 and (p - r + 1) % step == 0)
+
+            assert _colored_class_counts(2, part, size_max, admits) == \
+                _tally(colored, size_max, part, admits), (step, r)
 
 
 def test_color_conjugate_catches_a_miscounted_class(monkeypatch):
     import partbij.verify as ver
 
     t, r, size_max = 2, 2, 10
-    counts = _colored_class_counts(t, r, size_max)
+    counts = _colored_class_counts(
+        t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
     key = base, n, prof = max(counts)
     planted = {**counts, key: counts[key] + 1}
     monkeypatch.setattr(ver, "_colored_class_counts", lambda *args: planted)
@@ -273,16 +296,6 @@ def test_suite_quick_is_green():
     data = suite.to_json()
     assert data["passed"] is True
     assert len(data["reports"]) == 69
-
-
-def test_suite_threads_agree():
-    one = run_suite(level="quick", threads=1)
-    two = run_suite(level="quick", threads=4)
-    strip = lambda s: [
-        {k: v for k, v in r.to_json().items() if k != "elapsed_ms"}
-        for r in s.reports
-    ]
-    assert strip(one) == strip(two)
 
 
 def test_suite_report_failure_accounting():
