@@ -6,10 +6,11 @@ Each row is the best of several runs. The thm8.1 row (t=4, r=4,
 q,z <= 15) is checked against the total of its closed form, the thm8.2
 colour-profile row (t=3, q <= 12, z_i <= 6) against its closed form
 coefficient by coefficient, the thm7 pair-side count against the number
-of partitions it stands for, and the Pochhammer division at q,z <= 60
-against its largest coefficient. The
-first lines give the machine: cores, Python, numpy, and whether numba
-was loaded.
+of partitions it stands for, thm7's array round trip (t=3, r=1,
+size <= 24) against the number of partitions that come back unchanged,
+and the Pochhammer division at q,z <= 60 against its largest
+coefficient. The first lines give the machine: cores, Python, numpy,
+and whether numba was loaded.
 """
 
 import os
@@ -20,7 +21,8 @@ import time
 import numpy as np
 
 from partbij._accel import convolve, partition_histogram
-from partbij.partitions import partition_numbers
+from partbij.bijections import color_conjugate_inverse_rows, color_conjugate_rows
+from partbij.partitions import partition_blocks, partition_numbers
 from partbij.series import (
     INFINITY,
     TruncatedSeries,
@@ -28,7 +30,7 @@ from partbij.series import (
     invert,
     pochhammer,
 )
-from partbij.verify import _colored_class_counts, rhs_series
+from partbij.verify import _colored_class_counts, _rows_equal, rhs_series
 
 
 def timeit(fn, repeat=5):
@@ -91,6 +93,24 @@ def bench_colored_classes():
     return [("thm7 pair-side classes t=3 r=1 size<=24", timeit(count))]
 
 
+def bench_color_conjugate_rows():
+    # thm7's partition side at the full level: every partition of size
+    # <= 24, one block per size, through the array map and back
+    def round_trip():
+        back = 0
+        for rows in partition_blocks(24):
+            nu, mu, colors = color_conjugate_rows(rows, 3, 1)
+            rebuilt, valid = color_conjugate_inverse_rows(nu, mu, colors, 3, 1)
+            back += int((valid & _rows_equal(rebuilt, rows)).sum())
+        return back
+
+    back, want = round_trip(), sum(partition_numbers(24))
+    if back != want:
+        raise SystemExit(f"thm7 t=3 r=1 size<=24 array round trip gave back "
+                         f"{back} partitions, expected {want}")
+    return [("thm7 array round trip t=3 r=1 size<=24", timeit(round_trip))]
+
+
 def bench_pochhammer():
     zq = ({"q": 1, "z": 1}, {"q": 1}, INFINITY)
 
@@ -121,7 +141,7 @@ def main():
     print(f"cores {os.cpu_count()}, Python {platform.python_version()}, "
           f"numpy {np.__version__}, numba loaded: {'numba' in sys.modules}")
     rows = (bench_convolve() + bench_histogram() + bench_colored_classes()
-            + bench_pochhammer())
+            + bench_color_conjugate_rows() + bench_pochhammer())
     width = max(len(name) for name, _ in rows)
     for name, best in rows:
         print(f"{name:<{width}}  {best * 1000:9.2f} ms")

@@ -5,6 +5,8 @@ with its collision search.
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .partitions import (
     FrobeniusCoords,
     InvalidFrobenius,
@@ -199,6 +201,47 @@ def color_conjugate_inverse(nu, mu, t, r):
     back = conjugate(Partition(heights))
     front = [mu.length() + nu.part(i) for i in range(1, r)]
     return Partition(front + list(back))
+
+
+def _conjugate_rows(rows):
+    """Conjugates of the rows of a nonnegative int64 array, each row the
+    parts of a partition in any order, zero-padded to the largest part."""
+    top = int(rows.max(initial=0))
+    counts = np.bincount(
+        (np.arange(len(rows))[:, None] * (top + 1) + rows).ravel(),
+        minlength=len(rows) * (top + 1))
+    return np.cumsum(counts.reshape(-1, top + 1)[:, :0:-1], axis=1)[:, ::-1]
+
+
+def color_conjugate_rows(rows, t, r):
+    """color_conjugate on every row of an int64 array of partitions
+    zero-padded to at least r columns, as whole-array operations.
+
+    Returns nu (r - 1 columns), mu's parts and their colors, the last two
+    zero-padded alike and nonzero on the first lambda_r columns.
+    """
+    mu = _conjugate_rows(rows[:, r - 1::t])
+    # the column heights h below row r - 1 take colour (h - 1) mod t + 1
+    colors = _conjugate_rows(rows)[:, :mu.shape[1]] - r
+    colors %= t
+    colors += 1
+    colors[mu == 0] = 0
+    return rows[:, :r - 1] - rows[:, r - 1:r], mu, colors
+
+
+def color_conjugate_inverse_rows(nu, mu, colors, t, r):
+    """color_conjugate_inverse on every row of the arrays that
+    color_conjugate_rows returns (nu may have extra columns).
+
+    Returns the rebuilt partitions, zero-padded, and a mask of the rows
+    whose pair is valid: nu has at most r - 1 parts and the column
+    heights do not increase. Other rows hold no meaningful partition.
+    """
+    heights = np.where(mu > 0, (mu - 1) * t + colors, 0)
+    valid = ((nu[:, r - 1:] == 0).all(axis=1)
+             & (heights[:, :-1] >= heights[:, 1:]).all(axis=1))
+    front = np.count_nonzero(mu, axis=1)[:, None] + nu[:, :r - 1]
+    return np.hstack([front, _conjugate_rows(heights)]), valid
 
 
 def generalized_hook_map(diagram):

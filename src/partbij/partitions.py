@@ -9,6 +9,8 @@ profiles) are total functions.
 import math
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
+import numpy as np
+
 
 class PartitionError(ValueError):
     """Base class for invalid partition data."""
@@ -247,6 +249,37 @@ def enumerate_partitions(
 
     for parts in rec(n, cap, slots):
         yield Partition(parts)
+
+
+def partition_blocks(n_max: int, width: Optional[int] = None) -> Iterator[np.ndarray]:
+    """Yield, for n = 0, 1, ..., n_max, every partition of n as the rows of
+    an int64 array zero-padded to width columns (default n_max + 2), in
+    enumerate_partitions(n) order.
+
+    A partition of n is a first part f followed by a partition of n - f
+    with parts <= f, and block n - f lists those last, since each block
+    runs by first part descending. So a block is one gather from the
+    earlier blocks, of which only the rows a later block can extend are
+    kept.
+    """
+    if n_max < 0:
+        raise ValueError(f"target size must be nonnegative, got {n_max}")
+    width = n_max + 2 if width is None else width
+    kept = []  # kept[m]: the partitions of m with parts <= n_max - m
+    fits = []  # fits[m][f]: how many partitions of m have parts <= f
+    for n in range(n_max + 1):
+        if n == 0:
+            rows = np.zeros((1, width), dtype=np.int64)
+        else:
+            firsts = range(n, 0, -1)
+            tails = [kept[n - f][len(kept[n - f]) - fits[n - f][f]:]
+                     for f in firsts]
+            rows = np.empty((sum(map(len, tails)), width), dtype=np.int64)
+            rows[:, 0] = np.repeat(firsts, [len(tail) for tail in tails])
+            np.concatenate([tail[:, :-1] for tail in tails], out=rows[:, 1:])
+        fits.append(np.cumsum(np.bincount(rows[:, 0], minlength=n_max + 1)))
+        kept.append(rows[len(rows) - fits[n][n_max - n]:].copy())
+        yield rows
 
 
 def partition_numbers(

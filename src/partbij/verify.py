@@ -8,8 +8,10 @@ any of their statistics, colour profile included, and a bounded
 knapsack over coloured part kinds, for coloured partitions. The sides
 share no identity-specific logic, so agreement across a whole
 coefficient box is strong evidence, and any disagreement is pinned to
-its graded-lex-first monomial. The bijection checks (prop1, table1, thm7,
-furtherwork) still walk partitions, since the maps are what they test.
+its graded-lex-first monomial. The bijection checks test the maps
+themselves: thm7 runs its map's array form over a block of partitions
+of each size at a time, and prop1, table1 and furtherwork still walk
+partitions one at a time.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
@@ -24,21 +26,23 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
+import numpy as np
+
 from . import series as qs
 from ._accel import UnboundedBox, partition_histogram  # noqa: F401 (re-exported)
 from .bijections import (
     bessenrodt,
     bessenrodt_inverse,
     collision_search,
-    color_conjugate,
-    color_conjugate_inverse,
+    color_conjugate_inverse_rows,
+    color_conjugate_rows,
     generalized_hook_map,
 )
 from .partitions import (
     ModularDiagram,
     Partition,
-    color_profile,
     enumerate_partitions,
+    partition_blocks,
     partition_numbers,
     schmidt_weight,
     to_modular,
@@ -491,6 +495,97 @@ def _colored_class_counts(t, weight, bound, admits=lambda p, i: True):
     return out
 
 
+def _rows_equal(a, b):
+    """Row-wise equality of two zero-padded int arrays of any widths."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    width = b.shape[1]
+    return (a[:, :width] == b).all(axis=1) & (a[:, width:] == 0).all(axis=1)
+
+
+def _pair_classes(t, r, size_max):
+    """The pair side of thm7: for each size n, an int64 array of rows
+    (first, row_r, weight, *profile, count), one per head and colored
+    class; rows of one key count one class."""
+    nu_by_size = {}
+    for s_nu in range(size_max + 1):
+        for nu in enumerate_partitions(s_nu, max_length=r - 1):
+            nu_by_size.setdefault(s_nu, []).append(nu.part(1))
+    by_size = [[] for _ in range(size_max + 1)]
+    classes = _colored_class_counts(
+        t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
+    for (base, n, prof), cnt in classes.items():
+        k = sum(prof)
+        for s_nu in range(size_max - base + 1):
+            for f in nu_by_size.get(s_nu, ()):
+                by_size[base + s_nu].append((f + k, k, n) + prof + (cnt,))
+    return [np.array(rows, dtype=np.int64).reshape(-1, 4 + t)
+            for rows in by_size]
+
+
+# rows per round trip bounded to about this many cells, so that the
+# arrays of the largest blocks stay small
+_CHUNK_CELLS = 1 << 15
+
+
+def _round_trip_rows(lam, t, r):
+    """Run the array form of the color-conjugate map on one block of
+    partitions, and check every row against values read off the rows
+    themselves: the weight is a strided sum, and the profile a strided sum
+    of part differences, as color_profile defines it.
+
+    Returns the rows' class keys (first, row_r, weight, *profile) and
+    None, or None and the first failing row's index and got/want lists.
+    """
+    nu, mu, colors = color_conjugate_rows(lam, t, r)
+    back, valid = color_conjugate_inverse_rows(nu, mu, colors, t, r)
+    first, lam_r = lam[:, 0], lam[:, r - 1]
+    weight = lam[:, r - 1::t].sum(axis=1)
+    steps = lam[:, r - 1:-1] - lam[:, r:]
+    profile = np.stack([steps[:, i::t].sum(axis=1) for i in range(t)], 1)
+    counts = np.stack([(colors == i).sum(axis=1) for i in range(1, t + 1)], 1)
+    ok = (_rows_equal(back, lam)
+          & (np.count_nonzero(mu, axis=1) == lam_r)
+          & (nu[:, :1].sum(axis=1) == first - lam_r)  # nu_1, 0 if r = 1
+          & valid
+          & (mu.sum(axis=1) == weight)
+          & (counts == profile).all(axis=1))
+    if ok.all():
+        return np.column_stack([first, lam_r, weight, profile]), None
+    i = int(np.argmin(ok))
+    got = [np.trim_zeros(back[i], "b").tolist(), int(np.count_nonzero(mu[i])),
+           int(nu[i, :1].sum()), int(valid[i]), int(mu[i].sum()),
+           counts[i].tolist()]
+    want = [np.trim_zeros(lam[i], "b").tolist(), int(lam_r[i]),
+            int(first[i] - lam_r[i]), 1, int(weight[i]), profile[i].tolist()]
+    return None, (i, got, want)
+
+
+def _class_mismatch(n, keys, pair):
+    """Compare the classes of the partitions of n (their keys) with the
+    pair side's (rows of key and count) in sorted key order, as one
+    lexsort and one reduceat. Returns how many classes were checked and
+    the first mismatch, or None."""
+    m = len(keys)
+    keys = np.concatenate([keys, pair[:, :-1]])
+    tally = np.zeros((len(keys), 2), dtype=np.int64)  # partitions, pairs
+    tally[:m, 0] = 1
+    tally[m:, 1] = pair[:, -1]
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (keys[1:] != keys[:-1]).any(axis=1)]))
+    sums = np.add.reduceat(tally[order], starts)
+    differ = np.flatnonzero(sums[:, 0] != sums[:, 1])
+    if not differ.size:
+        return len(starts), None
+    j = int(differ[0])
+    k1, kr, w, *prof = keys[starts[j]].tolist()
+    return j + 1, _mismatch({"size": n, "first": k1, "row_r": kr,
+                             "weight": w, "profile": prof},
+                            int(sums[j, 0]), int(sums[j, 1]))
+
+
 def verify_color_conjugate(t, r, size_max=18):
     """The color-conjugate map round-trips, carries the advertised
     statistics, and matches an independent count of its image classes.
@@ -502,71 +597,37 @@ def verify_color_conjugate(t, r, size_max=18):
     reassembled size is head size + (r-1)*length + t*(size - length) +
     sum(i * count_i). Keying classes by size windows both sides
     identically at size_max.
+
+    The partition side runs the partitions of each size, a block at a
+    time and in chunks of rows, through the array form of the map. Size
+    leads the key, so each block's classes are compared with the pair
+    side's on their own; the report is the one a partition-by-partition
+    walk would give, round trips first.
     """
     if t < 1 or r < 1:
         raise VerifyError("thm7 needs t >= 1 and r >= 1")
     start = time.perf_counter()
-    checked = 0
+    params = {"t": t, "r": r, "size_max": size_max}
+    pair = _pair_classes(t, r, size_max)
+    visited = classes = 0
     mismatch = None
-    lamc = {}
-    for n in range(size_max + 1):
-        for lam in enumerate_partitions(n):
-            nu, mu = color_conjugate(lam, t, r)
-            w = schmidt_weight(lam, t, r)
-            prof = color_profile(lam, t, r)
-            checked += 1
-            got = [
-                list(color_conjugate_inverse(nu, mu, t, r)),
-                mu.length(),
-                nu.part(1),
-                int(nu.length() <= r - 1),
-                mu.size(),
-                list(mu.color_counts()),
-            ]
-            want = [
-                list(lam),
-                lam.part(r),
-                lam.part(1) - lam.part(r),
-                1,
-                w,
-                list(prof),
-            ]
-            if got != want:
-                mismatch = _mismatch(
-                    {"partition": list(lam), "t": t, "r": r}, got, want
-                )
-                break
-            key = (n, lam.part(1), lam.part(r), w, prof)
-            lamc[key] = lamc.get(key, 0) + 1
-        if mismatch:
-            break
-
-    if mismatch is None:
-        nu_by_size = {}
-        for s_nu in range(size_max + 1):
-            for nu in enumerate_partitions(s_nu, max_length=r - 1):
-                nu_by_size.setdefault(s_nu, []).append(nu.part(1))
-        pairc = {}
-        classes = _colored_class_counts(
-            t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
-        for (base, n, prof), cnt in classes.items():
-            k = sum(prof)
-            for s_nu in range(size_max - base + 1):
-                for f in nu_by_size.get(s_nu, ()):
-                    key = (base + s_nu, f + k, k, n, prof)
-                    pairc[key] = pairc.get(key, 0) + cnt
-        for key in sorted(set(lamc) | set(pairc)):
-            checked += 1
-            a, b = lamc.get(key, 0), pairc.get(key, 0)
-            if a != b:
-                size, k1, kr, w, prof = key
-                mismatch = _mismatch({"size": size, "first": k1, "row_r": kr,
-                                      "weight": w, "profile": list(prof)}, a, b)
-                break
-    return _finish(
-        "thm7", {"t": t, "r": r, "size_max": size_max}, {},
-        checked, mismatch, start,
-    )
+    width = max(size_max, r) + 2
+    chunk = max(1, _CHUNK_CELLS // width)
+    for n, lam in enumerate(partition_blocks(size_max, width)):
+        keys = []
+        for lo in range(0, len(lam), chunk):
+            chunk_keys, failure = _round_trip_rows(lam[lo:lo + chunk], t, r)
+            if failure is not None:
+                i, got, want = failure
+                return _finish("thm7", params, {}, visited + lo + i + 1,
+                               _mismatch({"partition": want[0], "t": t,
+                                          "r": r}, got, want), start)
+            keys.append(chunk_keys)
+        visited += len(lam)
+        if mismatch is None:
+            seen, mismatch = _class_mismatch(n, np.concatenate(keys), pair[n])
+            classes += seen
+    return _finish("thm7", params, {}, visited + classes, mismatch, start)
 
 
 def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
@@ -749,19 +810,18 @@ def verify_furtherwork(m_max=4, size_max=20):
                 break
 
     if mismatch is None:
+        domain = [(n, lam) for n in range(size_max + 1)
+                  for lam in enumerate_partitions(n)]
         for m in range(2, m_max + 1):
-            for n in range(size_max + 1):
-                for lam in enumerate_partitions(n):
-                    checked += 1
-                    image = generalized_hook_map(to_modular(lam, m))
-                    if sum(image.parts) != n:
-                        mismatch = fail(
-                            f"part_sum_{m}",
-                            [list(lam), sum(image.parts)],
-                            [list(lam), n],
-                        )
-                        break
-                if mismatch:
+            for n, lam in domain:
+                checked += 1
+                image = generalized_hook_map(to_modular(lam, m))
+                if sum(image.parts) != n:
+                    mismatch = fail(
+                        f"part_sum_{m}",
+                        [list(lam), sum(image.parts)],
+                        [list(lam), n],
+                    )
                     break
             if mismatch:
                 break

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,8 @@ from partbij.bijections import (
     collision_search,
     color_conjugate,
     color_conjugate_inverse,
+    color_conjugate_inverse_rows,
+    color_conjugate_rows,
     generalized_hook_map,
     modular_fill,
     modular_fill_inverse,
@@ -21,7 +24,12 @@ from partbij.bijections import (
     mork_inverse,
 )
 from partbij.colored import ColoredPartition
-from partbij.partitions import Partition, enumerate_partitions, to_modular
+from partbij.partitions import (
+    Partition,
+    enumerate_partitions,
+    partition_blocks,
+    to_modular,
+)
 
 
 @st.composite
@@ -124,6 +132,40 @@ def test_color_conjugate_statistics(lam, t, r):
     assert mu.size() == schmidt_weight(lam, t, r)
     assert mu.length() == lam.part(r)
     assert mu.color_counts() == color_profile(lam, t, r)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_color_conjugate_rows_agree_with_scalar_map(t, r):
+    size_max = 18
+    lams = [lam for n in range(size_max + 1)
+            for lam in enumerate_partitions(n)]
+    rows = np.concatenate(list(partition_blocks(size_max)))
+    nu, mu, colors = color_conjugate_rows(rows, t, r)
+    back, valid = color_conjugate_inverse_rows(nu, mu, colors, t, r)
+    # pairs outside the image: nu with an r-th part, and colours moved
+    # c -> c mod t + 1, which makes the column heights rise on some rows
+    extra = np.ones((len(rows), 1), dtype=np.int64)
+    _, long_valid = color_conjugate_inverse_rows(
+        np.hstack([nu, extra]), mu, colors, t, r)
+    assert not long_valid.any()
+    moved = np.where(mu > 0, colors % t + 1, 0)
+    moved_back, moved_valid = color_conjugate_inverse_rows(
+        nu, mu, moved, t, r)
+    for i, lam in enumerate(lams):
+        want_nu, want_mu = color_conjugate(lam, t, r)
+        cols = mu[i] > 0
+        assert Partition(nu[i]) == want_nu, lam
+        assert ColoredPartition(zip(mu[i][cols], colors[i][cols]), t) \
+            == want_mu, lam
+        assert valid[i] and Partition(back[i]) == lam
+        heights = [(p - 1) * t + c for p, c in zip(mu[i][cols], moved[i][cols])]
+        rises = any(a < b for a, b in zip(heights, heights[1:]))
+        assert moved_valid[i] == (not rises), lam
+        if not rises:
+            recolored = ColoredPartition(zip(mu[i][cols], moved[i][cols]), t)
+            assert Partition(moved_back[i]) == \
+                color_conjugate_inverse(want_nu, recolored, t, r), lam
 
 
 def test_color_conjugate_inverse_rejects_long_first_component():

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +21,7 @@ from partbij.partitions import (
     from_modular,
     hook_length,
     make_partition,
+    partition_blocks,
     partition_numbers,
     schmidt_weight,
     to_frobenius,
@@ -217,3 +219,20 @@ def test_count_in_box_matches_enumeration():
 def test_partition_values_known():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert [count_partitions(n) for n in range(11)] == known
+
+
+def test_partition_blocks_match_enumeration():
+    packed = [[list(lam) for lam in enumerate_partitions(n)]
+              for n in range(21)]
+    for n_max in range(21):
+        blocks = list(partition_blocks(n_max))
+        assert len(blocks) == n_max + 1
+        for n, block in enumerate(blocks):
+            assert block.dtype == np.int64
+            assert block.shape == (len(packed[n]), n_max + 2)
+            assert block.tolist() == [lam + [0] * (n_max + 2 - len(lam))
+                                      for lam in packed[n]]
+    assert [b.shape for b in partition_blocks(3, width=6)] == \
+        [(1, 6), (1, 6), (2, 6), (3, 6)]
+    with pytest.raises(ValueError):
+        list(partition_blocks(-1))

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from partbij.colored import enumerate_colored
+from partbij.partitions import partition_blocks
 from partbij.series import TruncatedSeries, equal_in_box
 from partbij.verify import (
     IDENTITY_IDS,
@@ -228,6 +230,49 @@ def test_color_conjugate_catches_a_miscounted_class(monkeypatch):
                      "profile": list(prof)},
         "lhs": counts[key], "rhs": counts[key] + 1,
     }
+
+
+def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
+    import partbij.verify as ver
+
+    t, r, size_max = 3, 1, 9
+    counts = _colored_class_counts(
+        t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
+    key = sorted(counts)[len(counts) // 2]
+    planted = {**counts, key: counts[key] - 1}
+    monkeypatch.setattr(ver, "_colored_class_counts", lambda *args: planted)
+    report = verify_color_conjugate(t, r, size_max)
+    assert report.status == "fail"
+    assert json.loads(json.dumps(report.to_json()))["coefficients_checked"] \
+        == report.coefficients_checked
+
+
+@pytest.mark.parametrize("t, r", [(2, 1), (3, 2), (2, 3)])
+def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r):
+    import partbij.verify as ver
+    from partbij.bijections import color_conjugate_rows
+
+    def recoloured(rows, t, r):
+        # colour h mod t + 1 instead of (h - 1) mod t + 1
+        nu, mu, colors = color_conjugate_rows(rows, t, r)
+        return nu, mu, np.where(mu > 0, colors % t + 1, 0)
+
+    # the first partition, in enumeration order, that the two maps colour
+    # differently: the column of r ones
+    rows = np.concatenate(list(partition_blocks(8)))
+    differs = (recoloured(rows, t, r)[2]
+               != color_conjugate_rows(rows, t, r)[2]).any(axis=1)
+    i = int(np.argmax(differs))
+    first = np.trim_zeros(rows[i], "b").tolist()
+    assert first == [1] * r
+    monkeypatch.setattr(ver, "color_conjugate_rows", recoloured)
+    report = verify_color_conjugate(t, r, size_max=8)
+    assert report.status == "fail"
+    assert report.coefficients_checked == i + 1
+    assert report.first_mismatch["monomial"] == {
+        "partition": first, "t": t, "r": r}
+    assert report.first_mismatch["rhs"] == [first, 1, 0, 1, 1,
+                                            [1] + [0] * (t - 1)]
 
 
 def test_functional_equation_fault_injection():
