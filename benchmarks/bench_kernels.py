@@ -8,9 +8,10 @@ colour-profile row (t=3, q <= 12, z_i <= 6) against its closed form
 coefficient by coefficient, the thm7 pair-side count against the number
 of partitions it stands for, thm7's array round trip (t=3, r=1,
 size <= 24) against the number of partitions that come back unchanged,
-and the Pochhammer division at q,z <= 60 against its largest
-coefficient. The first lines give the machine: cores, Python, numpy,
-and whether numba was loaded.
+the array hook map at m = 2..4 over furtherwork's quick domain (size
+<= 20) against each partition's size, and the Pochhammer division at
+q,z <= 60 against its largest coefficient. The first lines give the
+machine: cores, Python, numpy, and whether numba was loaded.
 """
 
 import os
@@ -21,7 +22,11 @@ import time
 import numpy as np
 
 from partbij._accel import convolve, partition_histogram
-from partbij.bijections import color_conjugate_inverse_rows, color_conjugate_rows
+from partbij.bijections import (
+    color_conjugate_inverse_rows,
+    color_conjugate_rows,
+    generalized_hook_map_rows,
+)
 from partbij.partitions import partition_blocks, partition_numbers
 from partbij.series import (
     INFINITY,
@@ -111,6 +116,24 @@ def bench_color_conjugate_rows():
     return [("thm7 array round trip t=3 r=1 size<=24", timeit(round_trip))]
 
 
+def bench_hook_map_rows():
+    # furtherwork's part sums at the quick level: every partition of size
+    # <= 20, one block per size, at m = 2, 3, 4
+    blocks = list(partition_blocks(20))
+
+    def hook_maps():
+        return [generalized_hook_map_rows(rows, m)[0]
+                for rows in blocks for m in (2, 3, 4)]
+
+    images = hook_maps()
+    for n, rows in enumerate(blocks):
+        for image in images[3 * n:3 * n + 3]:
+            if not (image.sum(axis=1) == rows.sum(axis=1)).all():
+                raise SystemExit(f"hook map images of size {n} do not sum "
+                                 "to their rows' sizes")
+    return [("hook map rows m=2..4 size<=20", timeit(hook_maps))]
+
+
 def bench_pochhammer():
     zq = ({"q": 1, "z": 1}, {"q": 1}, INFINITY)
 
@@ -141,7 +164,8 @@ def main():
     print(f"cores {os.cpu_count()}, Python {platform.python_version()}, "
           f"numpy {np.__version__}, numba loaded: {'numba' in sys.modules}")
     rows = (bench_convolve() + bench_histogram() + bench_colored_classes()
-            + bench_color_conjugate_rows() + bench_pochhammer())
+            + bench_color_conjugate_rows() + bench_hook_map_rows()
+            + bench_pochhammer())
     width = max(len(name) for name, _ in rows)
     for name, best in rows:
         print(f"{name:<{width}}  {best * 1000:9.2f} ms")

@@ -262,6 +262,45 @@ def generalized_hook_map(diagram):
     return HookMapImage(parts, is_partition)
 
 
+def generalized_hook_map_rows(rows, m):
+    """generalized_hook_map(to_modular(lam, m)) on every row of an int64
+    array of partitions, zero-padded, as whole-array operations.
+
+    Part i takes cells_i = ceil(lam_i / m) cells, each holding m but the
+    last, which holds the remainder and lies in diagonal hook
+    min(i, cells_i - 1). Hook k has cells_k + cells'_k - 2k - 1 cells, so
+    its count of values >= j is its cells holding m plus its remainders
+    >= j: one bincount over (row, hook, remainder) and a reverse cumsum.
+
+    Returns the images' parts, zero-padded and left-aligned, and a mask
+    of the rows whose image is a partition.
+    """
+    n_rows, width = rows.shape
+    cells = -(-rows // m)
+    column = np.arange(width)
+    # the most diagonal hooks of any row: the largest Durfee size of cells
+    hooks = int((cells > column).sum(axis=1).max(initial=0))
+    span = min(m, int(rows.max(initial=0)))  # the remainders lie in 1..span
+    row_hook = (np.arange(n_rows)[:, None] * hooks
+                + np.minimum(column, cells - 1))
+    tally = np.bincount(
+        (row_hook * (span + 1) + rows - m * (cells - 1))[rows > 0],
+        minlength=n_rows * hooks * (span + 1))
+    at_least = np.cumsum(
+        tally.reshape(n_rows, hooks, span + 1)[:, :, ::-1], axis=2)[:, :, ::-1]
+    # negative past a row's own Durfee size, where the row has no hook
+    length = (cells[:, :hooks] + _conjugate_rows(cells)[:, :hooks]
+              - 2 * np.arange(hooks) - 1).clip(min=0)
+    parts = ((length - at_least[:, :, 0])[:, :, None]
+             + at_least[:, :, 1:]).reshape(n_rows, -1)
+    keep = parts > 0
+    image = np.zeros((n_rows, int(keep.sum(axis=1).max(initial=0))),
+                     dtype=np.int64)
+    slot = np.cumsum(keep, axis=1) - 1
+    image[np.nonzero(keep)[0], slot[keep]] = parts[keep]
+    return image, (image[:, :-1] >= image[:, 1:]).all(axis=1)
+
+
 def collision_search(m, n):
     """Group partitions sharing a generalized hook-map image.
 

@@ -9,9 +9,9 @@ knapsack over coloured part kinds, for coloured partitions. The sides
 share no identity-specific logic, so agreement across a whole
 coefficient box is strong evidence, and any disagreement is pinned to
 its graded-lex-first monomial. The bijection checks test the maps
-themselves: thm7 runs its map's array form over a block of partitions
-of each size at a time, and prop1, table1 and furtherwork still walk
-partitions one at a time.
+themselves: thm7 and furtherwork run their maps' array forms over a
+block of partitions of each size at a time, and prop1 and table1 still
+walk partitions one at a time.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
@@ -37,6 +37,7 @@ from .bijections import (
     color_conjugate_inverse_rows,
     color_conjugate_rows,
     generalized_hook_map,
+    generalized_hook_map_rows,
 )
 from .partitions import (
     ModularDiagram,
@@ -45,7 +46,6 @@ from .partitions import (
     partition_blocks,
     partition_numbers,
     schmidt_weight,
-    to_modular,
 )
 from .series import INFINITY, TruncatedSeries
 
@@ -232,7 +232,7 @@ def _head_sum(box, constant, term):
 
 # lowest admissible value of a parameter, or of the CLI flag of that
 # name; every other count and every box bound starts at 0
-_LOWEST = {"t": 1, "r": 1, "n": 0}
+_LOWEST = {"t": 1, "r": 1, "n": 0, "m": 2}
 
 
 def _series_setup(ident, params, box):
@@ -758,6 +758,52 @@ def verify_functional_equation(t, box=None, perturb=None):
 # hook-count readouts
 # ---------------------------------------------------------------------------
 
+def _hook_map_readouts(m_max, size_max):
+    """Run every partition of size <= size_max, a block per size and in
+    chunks of rows, through the array hook map at m = 2..m_max, and check
+    that no two odd-part partitions of one size share a base-2 image that
+    is a partition, and that every image sums to its size.
+
+    Returns how many checks a partition-by-partition walk would make and
+    its first failure: the collision test of each size in turn, then the
+    part sums, m by m. A collision is reported from collision_search.
+    """
+    width = size_max + 2
+    chunk = max(1, _CHUNK_CELLS // width)
+    visited = 0
+    wrong = None  # the first bad part sum: (m, index in the walk, row, sum)
+    for n, block in enumerate(partition_blocks(size_max, width)):
+        odd_images = []
+        for lo in range(0, len(block), chunk):
+            lam = block[lo:lo + chunk]
+            for m in range(2, m_max + 1):
+                image, is_partition = generalized_hook_map_rows(lam, m)
+                sums = image.sum(axis=1)
+                off = np.flatnonzero(sums != n)
+                if off.size and (wrong is None or m < wrong[0]):
+                    i = int(off[0])
+                    wrong = (m, visited + lo + i, lam[i], int(sums[i]))
+                if m == 2:
+                    odd = ~((lam % 2 == 0) & (lam > 0)).any(axis=1)
+                    odd_images.append(image[odd & is_partition])
+        top = max(image.shape[1] for image in odd_images)
+        images = np.concatenate(
+            [np.pad(image, ((0, 0), (0, top - image.shape[1])))
+             for image in odd_images])
+        if len(np.unique(images, axis=0)) < len(images):
+            return n + 1, _mismatch(
+                {"check": f"collision_2_{n}"},
+                [list(g.image) for g in collision_search(2, n)], [])
+        visited += len(block)
+    if wrong is None:
+        return size_max + 1 + (m_max - 1) * visited, None
+    m, index, lam, got = wrong
+    lam = np.trim_zeros(lam, "b").tolist()
+    return (size_max + 1 + (m - 2) * visited + index + 1,
+            _mismatch({"check": f"part_sum_{m}"}, [lam, got],
+                      [lam, sum(lam)]))
+
+
 def verify_furtherwork(m_max=4, size_max=20):
     """Known behavior of the diagonal hook counts on modular diagrams.
 
@@ -765,20 +811,19 @@ def verify_furtherwork(m_max=4, size_max=20):
     collision search finds them at size 13 and finds nothing at base 2;
     and the emitted parts always sum to the decoded size.
     """
+    if m_max < 2 or size_max < 0:
+        raise VerifyError("furtherwork needs m_max >= 2 and size_max >= 0")
     start = time.perf_counter()
     checked = 0
     mismatch = None
-
-    def fail(label, got, want):
-        return {"monomial": {"check": label}, "lhs": got, "rhs": want}
-
     twin_a = ModularDiagram(3, ((3, 2), (2, 1), (1, 1)))
     twin_b = ModularDiagram(3, ((3, 1), (2, 1), (1, 2)))
     for name, diagram in (("twin_a", twin_a), ("twin_b", twin_b)):
         image = generalized_hook_map(diagram)
         checked += 1
         if tuple(image.parts) != (5, 4, 3, 1) or not image.is_partition:
-            mismatch = fail(name, list(image.parts), [5, 4, 3, 1])
+            mismatch = _mismatch({"check": name}, list(image.parts),
+                                 [5, 4, 3, 1])
             break
 
     if mismatch is None:
@@ -790,41 +835,16 @@ def verify_furtherwork(m_max=4, size_max=20):
         ]
         checked += 1
         if not hit:
-            mismatch = fail(
-                "collision_3_13",
+            mismatch = _mismatch(
+                {"check": "collision_3_13"},
                 [[list(g.image), [list(p) for p in g.preimages]]
                  for g in groups],
                 [[[5, 4, 3, 1], [[8, 4, 1], [7, 4, 2]]]],
             )
 
     if mismatch is None:
-        for n in range(size_max + 1):
-            checked += 1
-            groups = collision_search(2, n)
-            if groups:
-                mismatch = fail(
-                    f"collision_2_{n}",
-                    [list(g.image) for g in groups],
-                    [],
-                )
-                break
-
-    if mismatch is None:
-        domain = [(n, lam) for n in range(size_max + 1)
-                  for lam in enumerate_partitions(n)]
-        for m in range(2, m_max + 1):
-            for n, lam in domain:
-                checked += 1
-                image = generalized_hook_map(to_modular(lam, m))
-                if sum(image.parts) != n:
-                    mismatch = fail(
-                        f"part_sum_{m}",
-                        [list(lam), sum(image.parts)],
-                        [list(lam), n],
-                    )
-                    break
-            if mismatch:
-                break
+        seen, mismatch = _hook_map_readouts(m_max, size_max)
+        checked += seen
     return _finish(
         "furtherwork", {"m_max": m_max, "size_max": size_max}, {},
         checked, mismatch, start,

@@ -18,6 +18,7 @@ from partbij.bijections import (
     color_conjugate_inverse_rows,
     color_conjugate_rows,
     generalized_hook_map,
+    generalized_hook_map_rows,
     modular_fill,
     modular_fill_inverse,
     mork,
@@ -192,6 +193,30 @@ def test_hook_map_preserves_size(p, m):
     d = to_modular(p, m)
     image = generalized_hook_map(d)
     assert sum(image.parts) == p.size()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 25])
+def test_hook_map_rows_agree_with_scalar_map(m):
+    # the whole domain as one array, and each size's block on its own,
+    # whose largest part bounds the remainders differently; 25 is larger
+    # than every part
+    size_max = 18
+    lams = [lam for n in range(size_max + 1)
+            for lam in enumerate_partitions(n)]
+    blocks = list(partition_blocks(size_max))
+    assert lams[0] == () and not blocks[0].any()  # the empty partition
+    per_block = [generalized_hook_map_rows(rows, m) for rows in blocks]
+    for image, is_partition in [
+            generalized_hook_map_rows(np.concatenate(blocks), m),
+            (np.concatenate([np.pad(a, ((0, 0), (0, size_max - a.shape[1])))
+                             for a, _ in per_block]),
+             np.concatenate([b for _, b in per_block]))]:
+        assert image.shape == (len(lams), image.shape[1])
+        for i, lam in enumerate(lams):
+            want = generalized_hook_map(to_modular(lam, m))
+            got, parts = image[i].tolist(), list(want.parts)
+            assert got == parts + [0] * (len(got) - len(parts)), lam
+            assert is_partition[i] == want.is_partition, lam
 
 
 def test_collision_search_two_modular_is_injective():

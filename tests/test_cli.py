@@ -117,6 +117,9 @@ def test_usage_errors_exit_two(capsys):
     ["verify", "thm8.2", "--max-s", "3"],
     ["series", "thm5.1", "--r", "2"],
     ["verify", "cor10", "--t", "1"],
+    # no base below 2
+    ["verify", "furtherwork", "--m", "0"],
+    ["verify", "furtherwork", "--m", "1"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import partbij.bijections as bij
+import partbij.verify as ver
 from partbij.colored import enumerate_colored
-from partbij.partitions import partition_blocks
+from partbij.partitions import (
+    enumerate_partitions,
+    from_modular,
+    partition_blocks,
+    to_modular,
+)
 from partbij.series import TruncatedSeries, equal_in_box
 from partbij.verify import (
     IDENTITY_IDS,
@@ -273,6 +280,114 @@ def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r):
         "partition": first, "t": t, "r": r}
     assert report.first_mismatch["rhs"] == [first, 1, 0, 1, 1,
                                             [1] + [0] * (t - 1)]
+
+
+def _plant_hook_images(monkeypatch, planted):
+    """Make the scalar hook map and its array form, as furtherwork calls
+    them, give the image parts planted[(m, partition)] to that partition
+    at base m."""
+    scalar, rows_map = bij.generalized_hook_map, bij.generalized_hook_map_rows
+
+    def is_partition(parts):
+        return list(parts) == sorted(parts, reverse=True)
+
+    def faulty(diagram):
+        parts = planted.get((diagram.m, from_modular(diagram)))
+        if parts is None:
+            return scalar(diagram)
+        return bij.HookMapImage(parts, is_partition(parts))
+
+    def faulty_rows(rows, m):
+        image, flags = rows_map(rows, m)
+        for (base, lam), parts in planted.items():
+            hit = (rows[:, :len(lam)] == lam).all(axis=1) \
+                & (rows[:, len(lam):] == 0).all(axis=1)
+            if base == m and hit.any():
+                image = np.pad(image, ((0, 0), (0, len(parts))))
+                image[hit] = 0
+                image[hit, :len(parts)] = parts
+                flags[hit] = is_partition(parts)
+        return image, flags
+
+    monkeypatch.setattr(bij, "generalized_hook_map", faulty)
+    monkeypatch.setattr(ver, "generalized_hook_map_rows", faulty_rows)
+
+
+def _walked_readouts(m_max, size_max):
+    """furtherwork's checks after the twins and collision_search(3, 13)
+    as a partition-by-partition walk through the scalar map: the collision
+    test of each size, then every part sum, m by m. Returns the count of
+    all checks and the first failure."""
+    checked = 3
+    for n in range(size_max + 1):
+        checked += 1
+        groups = bij.collision_search(2, n)
+        if groups:
+            return checked, {"monomial": {"check": f"collision_2_{n}"},
+                             "lhs": [list(g.image) for g in groups],
+                             "rhs": []}
+    for m in range(2, m_max + 1):
+        for n in range(size_max + 1):
+            for lam in enumerate_partitions(n):
+                checked += 1
+                got = sum(bij.generalized_hook_map(to_modular(lam, m)).parts)
+                if got != n:
+                    return checked, {"monomial": {"check": f"part_sum_{m}"},
+                                     "lhs": [list(lam), got],
+                                     "rhs": [list(lam), n]}
+    return checked, None
+
+
+def _one_more(m, lam):
+    """The image of lam at base m with its first part one too large."""
+    parts = bij.generalized_hook_map(to_modular(lam, m)).parts
+    return (parts[0] + 1,) + parts[1:]
+
+
+@pytest.mark.parametrize("faults, first", [
+    # a later m loses to an earlier one, whatever the sizes
+    ([(4, (2, 1)), (3, (7, 5, 3, 2, 1))], (3, [7, 5, 3, 2, 1])),
+    ([(2, (1,) * 20)], (2, [1] * 20)),
+    ([(4, (20,)), (4, (1,))], (4, [1])),
+])
+@pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
+def test_furtherwork_reports_a_wrong_part_as_the_walk_does(
+        monkeypatch, faults, first, cells):
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 2 rows a chunk
+    planted = {(m, lam): _one_more(m, lam) for m, lam in faults}
+    _plant_hook_images(monkeypatch, planted)
+    report = verify_furtherwork(m_max=4, size_max=20)
+    m, lam = first
+    assert report.first_mismatch["monomial"] == {"check": f"part_sum_{m}"}
+    assert report.first_mismatch["lhs"] == [lam, sum(lam) + 1]
+    assert (report.coefficients_checked, report.first_mismatch) \
+        == _walked_readouts(4, 20)
+
+
+@pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
+def test_furtherwork_reports_a_base_2_collision_as_the_walk_does(
+        monkeypatch, cells):
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)
+    # (5, 1, 1) takes the image of (3, 3, 1); the part-sum fault at a
+    # smaller size comes later in the walk
+    twin = bij.generalized_hook_map(to_modular((3, 3, 1), 2)).parts
+    _plant_hook_images(monkeypatch, {(2, (5, 1, 1)): twin,
+                                     (3, (2, 1)): _one_more(3, (2, 1))})
+    report = verify_furtherwork(m_max=4, size_max=20)
+    assert report.first_mismatch == {
+        "monomial": {"check": "collision_2_7"}, "lhs": [list(twin)],
+        "rhs": []}
+    assert report.coefficients_checked == 3 + 8
+    assert (report.coefficients_checked, report.first_mismatch) \
+        == _walked_readouts(4, 20)
+
+
+def test_furtherwork_needs_base_two_or_more():
+    for m_max in (-1, 0, 1):
+        with pytest.raises(VerifyError):
+            verify_furtherwork(m_max=m_max, size_max=5)
+    with pytest.raises(VerifyError):
+        verify_furtherwork(size_max=-1)
 
 
 def test_functional_equation_fault_injection():
