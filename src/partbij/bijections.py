@@ -252,10 +252,10 @@ def generalized_hook_map(diagram):
     always sum to the size of the decoded partition, because summing
     the threshold counts of a cell of value v contributes exactly v.
     """
-    m = diagram.m
     parts = []
     for values in _diagonal_hook_values(diagram):
-        for j in range(1, m + 1):
+        # no value exceeds the hook's largest, so later counts are 0
+        for j in range(1, max(values, default=0) + 1):
             parts.append(sum(1 for v in values if v >= j))
     parts = tuple(p for p in parts if p)
     is_partition = all(a >= b for a, b in zip(parts, parts[1:]))

@@ -11,18 +11,13 @@ import argparse
 import json
 import sys
 
+from . import bijections as bij
 from . import verify as ver
 from ._accel import HistogramOverflow, UnboundedBox
 from .bijections import (
-    bessenrodt,
-    bessenrodt_inverse,
     color_conjugate,
     color_conjugate_inverse,
     generalized_hook_map,
-    modular_fill,
-    modular_fill_inverse,
-    mork,
-    mork_inverse,
 )
 from .colored import ColoredPartition, ColoredPartitionError
 from .partitions import (
@@ -110,25 +105,24 @@ def _box_from_flags(args, names=("q", "z", "s")):
     return box or None
 
 
+# the bijections from partitions to partitions: the names of the forward
+# and inverse maps in bijections, looked up at call time so that a map
+# rebound there (as perfbench's tracer does) is the one called
+_PARTITION_MAPS = {
+    "mork": ("mork", "mork_inverse"),
+    "modular-fill": ("modular_fill", "modular_fill_inverse"),
+    "bessenrodt": ("bessenrodt", "bessenrodt_inverse"),
+}
+
+
 def _cmd_bijection(args):
     data = _load_input(args.input)
     name = args.name
 
-    if name == "mork":
-        out = mork_inverse(_as_partition(data)) if args.inverse \
-            else mork(_as_partition(data))
-        print(json.dumps(list(out)))
-        return 0
-
-    if name == "modular-fill":
-        out = modular_fill_inverse(_as_partition(data)) if args.inverse \
-            else modular_fill(_as_partition(data))
-        print(json.dumps(list(out)))
-        return 0
-
-    if name == "bessenrodt":
-        out = bessenrodt_inverse(_as_partition(data)) if args.inverse \
-            else bessenrodt(_as_partition(data))
+    if name in _PARTITION_MAPS:
+        forward, inverse = _PARTITION_MAPS[name]
+        out = getattr(bij, inverse if args.inverse else forward)(
+            _as_partition(data))
         print(json.dumps(list(out)))
         return 0
 

@@ -72,11 +72,6 @@ class Partition(tuple):
         return f"Partition{tuple(self)!r}" if self else "Partition()"
 
 
-def make_partition(values: Iterable[int]) -> Partition:
-    """Validate and normalize a sequence of parts."""
-    return Partition(values)
-
-
 class FrobeniusCoords(NamedTuple):
     """Arm and leg lengths at the diagonal cells, both strictly decreasing."""
 

@@ -13,6 +13,11 @@ themselves: thm7 and furtherwork run their maps' array forms over a
 block of partitions of each size at a time, and prop1 and table1 still
 walk partitions one at a time.
 
+The dedicated checks schmidt, cor2, prop1, table1, thm6 and cor11
+report through one first-failure scan, _first_failure: each lays out
+its cells or its walk as (where, got, want) cases in order, and the
+report counts the cases up to the first mismatch.
+
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
 dedicated verifier or the two sides of a series identity. THEOREM_IDS
@@ -127,6 +132,28 @@ def _finish(ident, params, box, checked, mismatch, start):
 
 def _mismatch(monomial, lhs, rhs):
     return {"monomial": monomial, "lhs": lhs, "rhs": rhs}
+
+
+def _first_failure(cases):
+    """Walk (where, got, want) cases in order. Returns how many were
+    checked and the mismatch at the first case whose got is not its want,
+    or None."""
+    checked = 0
+    for where, got, want in cases:
+        checked += 1
+        if got != want:
+            return checked, _mismatch(where, got, want)
+    return checked, None
+
+
+def _cells(got, want, labels, mask=True):
+    """The cells of two arrays of one shape as cases, in index order and
+    keyed by labels, with their values as ints; only the cells where mask
+    holds."""
+    mask = np.broadcast_to(mask, got.shape)
+    for index, a, b in zip(np.argwhere(mask).tolist(), got[mask].tolist(),
+                           want[mask].tolist()):
+        yield dict(zip(labels, index)), a, b
 
 
 def _series_mismatch(lhs, rhs):
@@ -269,11 +296,6 @@ def rhs_series(ident, params, box):
         ) from exc
 
 
-def identity_defaults(ident):
-    """Default parameters of a catalog entry (may be empty)."""
-    return dict(_entry(ident).params)
-
-
 def default_box(ident, params=None):
     """Default coefficient box of a catalog entry."""
     entry = _entry(ident)
@@ -314,12 +336,9 @@ def verify_schmidt(n_max=15):
     """
     start = time.perf_counter()
     hist = partition_histogram(("weight",), (n_max,), t=2, r=1, distinct=True)
-    mismatch = None
-    for n, want in enumerate(partition_numbers(n_max)):
-        got = int(hist[n])
-        if got != want:
-            mismatch = _mismatch({"n": n}, got, want)
-            break
+    _, mismatch = _first_failure(
+        _cells(hist, np.array(partition_numbers(n_max)), ("n",)))
+    # the report counts the whole table, even when it fails
     return _finish("schmidt", {"n_max": n_max}, {}, n_max + 1, mismatch, start)
 
 
@@ -331,18 +350,10 @@ def verify_schmidt_refinement(n_max=15):
     dist = partition_histogram(
         ("weight", "size"), (n_max, 2 * n_max), t=2, r=1, distinct=True
     )
-    checked = 0
-    mismatch = None
-    for n in range(n_max + 1):
-        for ell in range(n + 1):
-            got = int(plain[n][ell])
-            want = int(dist[n][2 * n - ell])
-            checked += 1
-            if got != want:
-                mismatch = _mismatch({"n": n, "length": ell}, got, want)
-                break
-        if mismatch:
-            break
+    n, ell = np.indices(plain.shape)
+    # 2n - ell is a valid index even where ell > n, and the mask drops it
+    checked, mismatch = _first_failure(_cells(
+        plain, dist[n, 2 * n - ell], ("n", "length"), ell <= n))
     return _finish("cor2", {"n_max": n_max}, {}, checked, mismatch, start)
 
 
@@ -354,21 +365,17 @@ def verify_euler_refinement(n_max=25):
     odd-parts preimage mu has length 2m - n, and when lam is nonempty
     its largest part is 1 + 2k + 2n - 4m.
     """
+    def cases():
+        for n in range(n_max + 1):
+            for lam in enumerate_partitions(n, distinct=True):
+                mu = bessenrodt_inverse(lam)
+                m = schmidt_weight(lam, 2, 1)
+                yield ({"partition": list(lam)}, [mu.length(), mu.part(1)],
+                       [2 * m - n,
+                        1 + 2 * lam.part(1) + 2 * n - 4 * m if lam else 0])
+
     start = time.perf_counter()
-    checked = 0
-    mismatch = None
-    for n in range(n_max + 1):
-        for lam in enumerate_partitions(n, distinct=True):
-            mu = bessenrodt_inverse(lam)
-            m = schmidt_weight(lam, 2, 1)
-            checked += 1
-            got = [mu.length(), mu.part(1)]
-            want = [2 * m - n, 1 + 2 * lam.part(1) + 2 * n - 4 * m if lam else 0]
-            if got != want:
-                mismatch = _mismatch({"partition": list(lam)}, got, want)
-                break
-        if mismatch:
-            break
+    checked, mismatch = _first_failure(cases())
     return _finish("prop1", {"n_max": n_max}, {}, checked, mismatch, start)
 
 
@@ -396,26 +403,19 @@ def table_bessenrodt(n):
 def verify_table(n=7):
     """Every table row round-trips, and the n = 7 table matches its
     frozen reference."""
+    def listed(table):
+        return [[w, list(d), list(o)] for w, d, o in table]
+
     start = time.perf_counter()
-    checked = 0
-    mismatch = None
     rows = table_bessenrodt(n)
-    for w, delta, omega in rows:
-        checked += 1
-        got = [list(bessenrodt(omega)), omega.size(), schmidt_weight(delta, 2, 1)]
-        want = [list(delta), n, w]
-        if got != want:
-            mismatch = _mismatch({"partition": list(delta)}, got, want)
-            break
-    if mismatch is None and n == 7:
-        checked += 1
-        got = tuple((w, tuple(d), tuple(o)) for w, d, o in rows)
-        if got != _TABLE_SEVEN:
-            mismatch = _mismatch(
-                {"table": n},
-                [[w, list(d), list(o)] for w, d, o in got],
-                [[w, list(d), list(o)] for w, d, o in _TABLE_SEVEN],
-            )
+    round_trips = (
+        ({"partition": list(delta)},
+         [list(bessenrodt(omega)), omega.size(), schmidt_weight(delta, 2, 1)],
+         [list(delta), n, w])
+        for w, delta, omega in rows)
+    frozen = [({"table": n}, listed(rows), listed(_TABLE_SEVEN))] \
+        if n == 7 else []
+    checked, mismatch = _first_failure(itertools.chain(round_trips, frozen))
     return _finish("table1", {"n": n}, {}, checked, mismatch, start)
 
 
@@ -431,37 +431,20 @@ def verify_li_yee(t, n_max=8):
         raise VerifyError("palette size t must be >= 1")
     start = time.perf_counter()
     arr = partition_histogram(("weight", "length"), (n_max, t * n_max), t=t, r=1)
-    lhsc = {}
-    for n in range(n_max + 1):
-        for ell in range(1, t * n_max + 1):
-            c = int(arr[n][ell])
-            if c:
-                s = (ell - 1) // t + 1
-                j = ell - (s - 1) * t
-                key = (n, s, j)
-                lhsc[key] = lhsc.get(key, 0) + c
-    rhsc = {}
-    empties = 0
+    # classes indexed (n, s, j): length (s-1)t + j has s >= 1 and j in
+    # 1..t, and the empty partition is the class (0, 0, 0)
+    lhs = np.zeros((n_max + 1, n_max + 1, t + 1), dtype=np.int64)
+    lhs[:, 1:, 1:] = arr[:, 1:].reshape(n_max + 1, n_max, t)
+    lhs[0, 0, 0] = arr[0, 0]
+    rhs = np.zeros_like(lhs)
     for (n, _, counts), cnt in _colored_class_counts(t, _part, n_max).items():
-        if not n:
-            empties += cnt
-            continue
         s = max(counts)
-        j = max(i for i, c in enumerate(counts, start=1) if c == s)
-        key = (n, s, j)
-        rhsc[key] = rhsc.get(key, 0) + cnt
-    checked = 1
-    mismatch = None
-    if int(arr[0][0]) != empties:
-        mismatch = _mismatch({"n": 0, "s": 0, "j": 0}, int(arr[0][0]), empties)
-    for key in sorted(set(lhsc) | set(rhsc)):
-        if mismatch:
-            break
-        checked += 1
-        a, b = lhsc.get(key, 0), rhsc.get(key, 0)
-        if a != b:
-            n, s, j = key
-            mismatch = _mismatch({"n": n, "s": s, "j": j}, a, b)
+        j = max(i for i, c in enumerate(counts, start=1) if c == s) if n else 0
+        rhs[n, s, j] += cnt
+    present = (lhs != 0) | (rhs != 0)
+    present[0, 0, 0] = True
+    checked, mismatch = _first_failure(
+        _cells(lhs, rhs, ("n", "s", "j"), present))
     return _finish(
         "thm6", {"t": t, "n_max": n_max}, {}, checked, mismatch, start
     )
@@ -645,23 +628,13 @@ def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
     start = time.perf_counter()
     arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
     allowed = set(range(r - 1, n_max + 1, t - 1))
-    rhs = [[0] * (k_max + 1) for _ in range(n_max + 1)]
+    rhs = np.zeros_like(arr)
     classes = _colored_class_counts(
         2, _part, n_max, admits=lambda p, i: i == 1 or p in allowed)
     for (n, _, counts), cnt in classes.items():
         if sum(counts) <= k_max:
-            rhs[n][sum(counts)] += cnt
-    checked = 0
-    mismatch = None
-    for n in range(n_max + 1):
-        for k in range(k_max + 1):
-            checked += 1
-            a, b = int(arr[n][k]), rhs[n][k]
-            if a != b:
-                mismatch = _mismatch({"n": n, "first": k}, a, b)
-                break
-        if mismatch:
-            break
+            rhs[n, sum(counts)] += cnt
+    checked, mismatch = _first_failure(_cells(arr, rhs, ("n", "first")))
     return _finish(
         "cor11", {"t": t, "r": r, "k_max": k_max, "n_max": n_max}, {},
         checked, mismatch, start,

@@ -1,11 +1,15 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from partbij.cli import BIJECTION_NAMES, main
 from partbij.verify import CATALOG, IDENTITY_IDS
+
+# stdout of `partbij suite --level quick|full --json`, byte for byte
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -71,6 +75,12 @@ def test_hook_map_partition_input_uses_m_flag(capsys):
                        "--input", "[8, 4, 1]")
     assert code == 0
     assert json.loads(out)["parts"] == [5, 4, 3, 1]
+    # a base far above every part: the map counts only up to the values
+    # the hooks hold, not up to m
+    code, out, _ = run(capsys, "bijection", "hook-map", "--m", str(10 ** 12),
+                       "--input", "[3, 2]")
+    assert code == 0
+    assert out == '{"parts": [2, 2, 1], "is_partition": true}\n'
 
 
 def test_bad_json_input(capsys):
@@ -290,6 +300,10 @@ def test_suite_quick(capsys):
     assert lines[-1] == "quick suite: 69 checks, all passed"
 
 
+def _golden(level):
+    return (DATA / f"suite_{level}.json").read_text()
+
+
 def test_suite_json_identical_across_thread_counts(capsys):
     # --threads is accepted and ignored: the checks run in turn
     code, one, _ = run(capsys, "suite", "--json")
@@ -297,10 +311,17 @@ def test_suite_json_identical_across_thread_counts(capsys):
     code, two, _ = run(capsys, "suite", "--json", "--threads", "4")
     assert code == 0
     assert one == two
+    assert one == _golden("quick")
     data = json.loads(one)
     assert data["passed"] is True
     assert len(data["reports"]) == 69
     assert all("elapsed_ms" not in r for r in data["reports"])
+
+
+def test_full_suite_json_matches_golden_output(capsys):
+    code, out, _ = run(capsys, "suite", "--level", "full", "--json")
+    assert code == 0
+    assert out == _golden("full")
 
 
 def test_module_entry_point():

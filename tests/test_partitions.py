@@ -20,7 +20,6 @@ from partbij.partitions import (
     from_frobenius,
     from_modular,
     hook_length,
-    make_partition,
     partition_blocks,
     partition_numbers,
     schmidt_weight,
@@ -43,7 +42,6 @@ def partitions(draw, max_n=30):
 def test_construction_normalizes():
     assert Partition([3, 2, 0, 0]) == (3, 2)
     assert Partition() == ()
-    assert make_partition([5, 5, 1]) == (5, 5, 1)
 
 
 def test_construction_rejects_bad_input():

@@ -7,6 +7,7 @@ import partbij.bijections as bij
 import partbij.verify as ver
 from partbij.colored import enumerate_colored
 from partbij.partitions import (
+    Partition,
     enumerate_partitions,
     from_modular,
     partition_blocks,
@@ -24,7 +25,6 @@ from partbij.verify import (
     _colored_class_counts,
     default_box,
     f_recurrence,
-    identity_defaults,
     lhs_series,
     rhs_series,
     run_suite,
@@ -155,9 +155,7 @@ def test_special_case_collapse():
 
 def test_defaults_cover_every_identity():
     for ident in IDENTITY_IDS:
-        params = identity_defaults(ident)
-        box = default_box(ident, params)
-        assert box
+        assert default_box(ident)
         report = verify_identity(ident)
         assert report.passed
         break  # full default boxes run in the suite; one here keeps this fast
@@ -388,6 +386,223 @@ def test_furtherwork_needs_base_two_or_more():
             verify_furtherwork(m_max=m_max, size_max=5)
     with pytest.raises(VerifyError):
         verify_furtherwork(size_max=-1)
+
+
+_AT = {"first": lambda n: 0, "middle": lambda n: n // 2,
+       "last": lambda n: n - 1}
+
+
+def _plant(monkeypatch, fault):
+    """Plant one fault where the dedicated checks read it:
+    ("cell", axes, where, delta) adds delta to the first, middle or last
+    cell of every histogram over axes; ("class", where, delta) to the
+    first, middle or last knapsack class in key order; ("image", name,
+    parts) makes that bijection append a part 1 to the image of parts."""
+    kind, *spec = fault
+    if kind == "cell":
+        axes, where, delta = spec
+        real = ver.partition_histogram
+
+        def histogram(*args, **kwargs):
+            arr = real(*args, **kwargs)
+            if tuple(args[0]) == axes:
+                arr[np.unravel_index(_AT[where](arr.size), arr.shape)] += delta
+            return arr
+        monkeypatch.setattr(ver, "partition_histogram", histogram)
+    elif kind == "class":
+        where, delta = spec
+        real = ver._colored_class_counts
+
+        def classes(*args, **kwargs):
+            counts = real(*args, **kwargs)
+            key = sorted(counts)[_AT[where](len(counts))]
+            return {**counts, key: counts[key] + delta}
+        monkeypatch.setattr(ver, "_colored_class_counts", classes)
+    else:
+        name, parts = spec
+        real = getattr(ver, name)
+
+        def image(p):
+            out = real(p)
+            return Partition(tuple(out) + (1,)) if tuple(p) == parts else out
+        monkeypatch.setattr(ver, name, image)
+
+
+_DEDICATED = {
+    "schmidt": verify_schmidt,
+    "cor2": verify_schmidt_refinement,
+    "prop1": verify_euler_refinement,
+    "table1": verify_table,
+    "thm6": verify_li_yee,
+    "cor11": verify_opposite_schmidt,
+}
+
+# (check, its arguments, planted fault, coefficients checked, first
+# mismatch or None), recorded from the cell-by-cell and
+# partition-by-partition loops these checks once ran
+PINNED_FAULTS = [
+    ("schmidt", (), ("cell", ("weight",), "first", 1), 16,
+     {"monomial": {"n": 0}, "lhs": 2, "rhs": 1}),
+    ("schmidt", (), ("cell", ("weight",), "first", -1), 16,
+     {"monomial": {"n": 0}, "lhs": 0, "rhs": 1}),
+    ("schmidt", (), ("cell", ("weight",), "middle", 1), 16,
+     {"monomial": {"n": 8}, "lhs": 23, "rhs": 22}),
+    ("schmidt", (), ("cell", ("weight",), "middle", -1), 16,
+     {"monomial": {"n": 8}, "lhs": 21, "rhs": 22}),
+    ("schmidt", (), ("cell", ("weight",), "last", 1), 16,
+     {"monomial": {"n": 15}, "lhs": 177, "rhs": 176}),
+    ("schmidt", (), ("cell", ("weight",), "last", -1), 16,
+     {"monomial": {"n": 15}, "lhs": 175, "rhs": 176}),
+    ("cor2", (), ("cell", ("size", "length"), "first", 1), 1,
+     {"monomial": {"n": 0, "length": 0}, "lhs": 2, "rhs": 1}),
+    ("cor2", (), ("cell", ("size", "length"), "first", -1), 1,
+     {"monomial": {"n": 0, "length": 0}, "lhs": 0, "rhs": 1}),
+    ("cor2", (), ("cell", ("size", "length"), "middle", 1), 37,
+     {"monomial": {"n": 8, "length": 0}, "lhs": 1, "rhs": 0}),
+    ("cor2", (), ("cell", ("size", "length"), "middle", -1), 37,
+     {"monomial": {"n": 8, "length": 0}, "lhs": -1, "rhs": 0}),
+    ("cor2", (), ("cell", ("size", "length"), "last", 1), 136,
+     {"monomial": {"n": 15, "length": 15}, "lhs": 2, "rhs": 1}),
+    ("cor2", (), ("cell", ("size", "length"), "last", -1), 136,
+     {"monomial": {"n": 15, "length": 15}, "lhs": 0, "rhs": 1}),
+    ("cor2", (), ("cell", ("weight", "size"), "first", 1), 1,
+     {"monomial": {"n": 0, "length": 0}, "lhs": 1, "rhs": 2}),
+    ("cor2", (), ("cell", ("weight", "size"), "first", -1), 1,
+     {"monomial": {"n": 0, "length": 0}, "lhs": 1, "rhs": 0}),
+    ("cor2", (), ("cell", ("weight", "size"), "middle", 1), 136,
+     None),
+    ("cor2", (), ("cell", ("weight", "size"), "middle", -1), 136,
+     None),
+    ("cor2", (), ("cell", ("weight", "size"), "last", 1), 121,
+     {"monomial": {"n": 15, "length": 0}, "lhs": 0, "rhs": 1}),
+    ("cor2", (), ("cell", ("weight", "size"), "last", -1), 121,
+     {"monomial": {"n": 15, "length": 0}, "lhs": 0, "rhs": -1}),
+    ("thm6", (2,), ("cell", ("weight", "length"), "first", 1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 2, "rhs": 1}),
+    ("thm6", (2,), ("cell", ("weight", "length"), "first", -1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 0, "rhs": 1}),
+    ("thm6", (2,), ("cell", ("weight", "length"), "middle", 1), 21,
+     {"monomial": {"n": 4, "s": 4, "j": 2}, "lhs": 2, "rhs": 1}),
+    ("thm6", (2,), ("cell", ("weight", "length"), "middle", -1), 21,
+     {"monomial": {"n": 4, "s": 4, "j": 2}, "lhs": 0, "rhs": 1}),
+    ("thm6", (2,), ("cell", ("weight", "length"), "last", 1), 73,
+     {"monomial": {"n": 8, "s": 8, "j": 2}, "lhs": 2, "rhs": 1}),
+    ("thm6", (2,), ("cell", ("weight", "length"), "last", -1), 73,
+     {"monomial": {"n": 8, "s": 8, "j": 2}, "lhs": 0, "rhs": 1}),
+    ("thm6", (2,), ("class", "first", 1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 2}),
+    ("thm6", (2,), ("class", "first", -1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 0}),
+    ("thm6", (2,), ("class", "middle", 1), 45,
+     {"monomial": {"n": 7, "s": 1, "j": 2}, "lhs": 7, "rhs": 8}),
+    ("thm6", (2,), ("class", "middle", -1), 45,
+     {"monomial": {"n": 7, "s": 1, "j": 2}, "lhs": 7, "rhs": 6}),
+    ("thm6", (2,), ("class", "last", 1), 72,
+     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 2}),
+    ("thm6", (2,), ("class", "last", -1), 72,
+     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 0}),
+    ("thm6", (3,), ("cell", ("weight", "length"), "first", 1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 2, "rhs": 1}),
+    ("thm6", (3,), ("cell", ("weight", "length"), "first", -1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 0, "rhs": 1}),
+    ("thm6", (3,), ("cell", ("weight", "length"), "middle", 1), 31,
+     {"monomial": {"n": 4, "s": 4, "j": 3}, "lhs": 2, "rhs": 1}),
+    ("thm6", (3,), ("cell", ("weight", "length"), "middle", -1), 31,
+     {"monomial": {"n": 4, "s": 4, "j": 3}, "lhs": 0, "rhs": 1}),
+    ("thm6", (3,), ("cell", ("weight", "length"), "last", 1), 109,
+     {"monomial": {"n": 8, "s": 8, "j": 3}, "lhs": 2, "rhs": 1}),
+    ("thm6", (3,), ("cell", ("weight", "length"), "last", -1), 109,
+     {"monomial": {"n": 8, "s": 8, "j": 3}, "lhs": 0, "rhs": 1}),
+    ("thm6", (3,), ("class", "first", 1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 2}),
+    ("thm6", (3,), ("class", "first", -1), 1,
+     {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 0}),
+    ("thm6", (3,), ("class", "middle", 1), 76,
+     {"monomial": {"n": 7, "s": 4, "j": 3}, "lhs": 22, "rhs": 23}),
+    ("thm6", (3,), ("class", "middle", -1), 76,
+     {"monomial": {"n": 7, "s": 4, "j": 3}, "lhs": 22, "rhs": 21}),
+    ("thm6", (3,), ("class", "last", 1), 107,
+     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 2}),
+    ("thm6", (3,), ("class", "last", -1), 107,
+     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 0}),
+    ("cor11", (2, 2), ("cell", ("anti", "first"), "first", 1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 2, "rhs": 1}),
+    ("cor11", (2, 2), ("cell", ("anti", "first"), "first", -1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 0, "rhs": 1}),
+    ("cor11", (2, 2), ("cell", ("anti", "first"), "middle", 1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 13, "rhs": 12}),
+    ("cor11", (2, 2), ("cell", ("anti", "first"), "middle", -1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 11, "rhs": 12}),
+    ("cor11", (2, 2), ("cell", ("anti", "first"), "last", 1), 77,
+     {"monomial": {"n": 10, "first": 6}, "lhs": 87, "rhs": 86}),
+    ("cor11", (2, 2), ("cell", ("anti", "first"), "last", -1), 77,
+     {"monomial": {"n": 10, "first": 6}, "lhs": 85, "rhs": 86}),
+    ("cor11", (2, 2), ("class", "first", 1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 2}),
+    ("cor11", (2, 2), ("class", "first", -1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 0}),
+    ("cor11", (2, 2), ("class", "middle", 1), 62,
+     {"monomial": {"n": 8, "first": 5}, "lhs": 38, "rhs": 39}),
+    ("cor11", (2, 2), ("class", "middle", -1), 62,
+     {"monomial": {"n": 8, "first": 5}, "lhs": 38, "rhs": 37}),
+    ("cor11", (2, 2), ("class", "last", 1), 77,
+     None),
+    ("cor11", (2, 2), ("class", "last", -1), 77,
+     None),
+    ("cor11", (3, 3), ("cell", ("anti", "first"), "first", 1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 2, "rhs": 1}),
+    ("cor11", (3, 3), ("cell", ("anti", "first"), "first", -1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 0, "rhs": 1}),
+    ("cor11", (3, 3), ("cell", ("anti", "first"), "middle", 1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 5, "rhs": 4}),
+    ("cor11", (3, 3), ("cell", ("anti", "first"), "middle", -1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 3, "rhs": 4}),
+    ("cor11", (3, 3), ("cell", ("anti", "first"), "last", 1), 77,
+     {"monomial": {"n": 10, "first": 6}, "lhs": 15, "rhs": 14}),
+    ("cor11", (3, 3), ("cell", ("anti", "first"), "last", -1), 77,
+     {"monomial": {"n": 10, "first": 6}, "lhs": 13, "rhs": 14}),
+    ("cor11", (3, 3), ("class", "first", 1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 2}),
+    ("cor11", (3, 3), ("class", "first", -1), 1,
+     {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 0}),
+    ("cor11", (3, 3), ("class", "middle", 1), 61,
+     {"monomial": {"n": 8, "first": 4}, "lhs": 14, "rhs": 15}),
+    ("cor11", (3, 3), ("class", "middle", -1), 61,
+     {"monomial": {"n": 8, "first": 4}, "lhs": 14, "rhs": 13}),
+    ("cor11", (3, 3), ("class", "last", 1), 77,
+     None),
+    ("cor11", (3, 3), ("class", "last", -1), 77,
+     None),
+    ("prop1", (), ("image", "bessenrodt_inverse", ()), 1,
+     {"monomial": {"partition": []}, "lhs": [1, 1], "rhs": [0, 0]}),
+    ("prop1", (), ("image", "bessenrodt_inverse", (6, 4, 2, 1)), 87,
+     {"monomial": {"partition": [6, 4, 2, 1]}, "lhs": [4, 7], "rhs": [3, 7]}),
+    ("prop1", (), ("image", "bessenrodt_inverse", (25,)), 763,
+     {"monomial": {"partition": [25]}, "lhs": [26, 1], "rhs": [25, 1]}),
+    ("table1", (), ("image", "bessenrodt", (1, 1, 1, 1, 1, 1, 1)), 1,
+     {"monomial": {"partition": [7]},
+      "lhs": [[7, 1], 7, 7], "rhs": [[7], 7, 7]}),
+    ("table1", (), ("image", "bessenrodt", (5, 1, 1)), 3,
+     {"monomial": {"partition": [5, 2]},
+      "lhs": [[5, 2, 1], 7, 5], "rhs": [[5, 2], 7, 5]}),
+    ("table1", (), ("image", "bessenrodt", (7,)), 5,
+     {"monomial": {"partition": [4, 3]},
+      "lhs": [[4, 3, 1], 7, 4], "rhs": [[4, 3], 7, 4]}),
+]
+
+
+@pytest.mark.parametrize(
+    "ident, args, fault, checked, mismatch", PINNED_FAULTS,
+    ids=["-".join(map(str, (ident, *args, *fault))).replace(" ", "")
+         for ident, args, fault, *_ in PINNED_FAULTS])
+def test_planted_fault_gives_the_pinned_report(
+        monkeypatch, ident, args, fault, checked, mismatch):
+    _plant(monkeypatch, fault)
+    report = _DEDICATED[ident](*args)
+    assert report.status == ("pass" if mismatch is None else "fail")
+    assert (report.coefficients_checked, report.first_mismatch) \
+        == (checked, mismatch)
+    json.dumps(report.to_json())  # plain ints, no numpy scalars
 
 
 def test_functional_equation_fault_injection():
