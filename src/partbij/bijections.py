@@ -160,6 +160,46 @@ def bessenrodt_inverse(delta):
     return modular_fill(mork_inverse(delta))
 
 
+def bessenrodt_inverse_rows(rows):
+    """bessenrodt_inverse on every row of an int64 array of partitions,
+    zero-padded, as whole-array operations.
+
+    mork_inverse's recursion runs over the diagonals of all rows at once,
+    from the innermost out: with leg_d = -1 past a row's last diagonal d,
+    arm_i = delta_{2i+1} - leg_{i+1} - 1 and leg_i = delta_{2i} - arm_i - 1
+    (0-based), which also covers both parities of the last diagonal and
+    leaves leg_i = -1 for i >= d. The preimage's parts below the Durfee
+    square are the conjugate of the column heights leg_j + j + 1, and its
+    first d parts are arm_i + i + 1; then every part p becomes 2p - 1.
+
+    Returns the images, zero-padded, and a mask of the rows that have a
+    preimage: distinct parts, and arms and legs nonnegative and strictly
+    decreasing. Other rows hold no meaningful partition.
+    """
+    d = (np.count_nonzero(rows, axis=1) + 1) // 2
+    top = int(d.max(initial=0))
+    delta = np.pad(rows, ((0, 0), (0, max(0, 2 * top - rows.shape[1]))))
+    arms = np.zeros((len(rows), top), dtype=np.int64)
+    legs = np.full((len(rows), top + 1), -1, dtype=np.int64)
+    for i in range(top - 1, -1, -1):
+        arms[:, i] = delta[:, 2 * i + 1] - legs[:, i + 1] - 1
+        legs[:, i] = delta[:, 2 * i] - arms[:, i] - 1
+    legs = legs[:, :top]
+    diagonal = np.arange(top)
+    inside = diagonal < d[:, None]
+    valid = (((rows[:, :-1] > rows[:, 1:]) | (rows[:, 1:] == 0)).all(axis=1)
+             & ((arms >= 0) & (legs >= 0) | ~inside).all(axis=1)
+             & ((arms[:, :-1] > arms[:, 1:]) & (legs[:, :-1] > legs[:, 1:])
+                | ~inside[:, 1:]).all(axis=1))
+    below = _conjugate_rows(
+        np.where(inside & valid[:, None], legs + diagonal + 1, 0))
+    # below holds d in each of a valid row's first d columns
+    mu = np.zeros((len(rows), max(below.shape[1], top)), dtype=np.int64)
+    mu[:, :below.shape[1]] = below
+    mu[:, :top] += np.where(inside, arms + diagonal + 1 - d[:, None], 0)
+    return np.where(mu > 0, 2 * mu - 1, 0), valid
+
+
 def color_conjugate(lam, t, r):
     """Split a partition into a short top and a colored conjugate.
 

@@ -82,18 +82,30 @@ def _as_colored(data, t):
     return ColoredPartition(map(tuple, data), t)
 
 
+# the largest decoded size hook-map accepts: the map's time grows with the
+# product of a hook's largest value and its cell count, up to a quarter of
+# the size squared, which at this size takes about 0.5 s (2 cores, Python
+# 3.11)
+HOOK_MAP_MAX_SIZE = 10_000
+
+
 def _as_diagram(data, m):
     if isinstance(data, dict):
         if (set(data) != {"m", "rows"} or not _is_int(data["m"])
                 or not _is_int_pairs(data["rows"])):
             raise UsageError('expected {"m": ..., "rows": [[cells, remainder], ...]}')
         diagram = ModularDiagram(data["m"], tuple(map(tuple, data["rows"])))
-        from_modular(diagram)  # raises InvalidDiagram on a malformed diagram
-        return diagram
-    base = 2 if m is None else m
-    if base < 2:
-        raise UsageError(f"--m must be >= 2, got {base}")
-    return to_modular(_as_partition(data), base)
+        lam = from_modular(diagram)  # raises InvalidDiagram if malformed
+    else:
+        base = 2 if m is None else m
+        if base < 2:
+            raise UsageError(f"--m must be >= 2, got {base}")
+        lam = _as_partition(data)
+        diagram = to_modular(lam, base)
+    if lam.size() > HOOK_MAP_MAX_SIZE:
+        raise UsageError(f"hook-map takes diagrams of size at most "
+                         f"{HOOK_MAP_MAX_SIZE}, got {lam.size()}")
+    return diagram
 
 
 def _box_from_flags(args, names=("q", "z", "s")):

@@ -246,20 +246,25 @@ def enumerate_partitions(
         yield Partition(parts)
 
 
-def partition_blocks(n_max: int, width: Optional[int] = None) -> Iterator[np.ndarray]:
-    """Yield, for n = 0, 1, ..., n_max, every partition of n as the rows of
-    an int64 array zero-padded to width columns (default n_max + 2), in
-    enumerate_partitions(n) order.
+def partition_blocks(
+    n_max: int, width: Optional[int] = None, distinct: bool = False
+) -> Iterator[np.ndarray]:
+    """Yield, for n = 0, 1, ..., n_max, every partition of n (with distinct
+    parts, if distinct) as the rows of an int64 array zero-padded to width
+    columns (default n_max + 2), in enumerate_partitions(n, distinct)
+    order. Every row needs a zero last column, so width must exceed the
+    longest partition's length.
 
     A partition of n is a first part f followed by a partition of n - f
-    with parts <= f, and block n - f lists those last, since each block
-    runs by first part descending. So a block is one gather from the
-    earlier blocks, of which only the rows a later block can extend are
-    kept.
+    with parts <= f (<= f - 1 if distinct), and block n - f lists those
+    last, since each block runs by first part descending. So a block is
+    one gather from the earlier blocks, of which only the rows a later
+    block can extend are kept.
     """
     if n_max < 0:
         raise ValueError(f"target size must be nonnegative, got {n_max}")
     width = n_max + 2 if width is None else width
+    gap = 1 if distinct else 0
     kept = []  # kept[m]: the partitions of m with parts <= n_max - m
     fits = []  # fits[m][f]: how many partitions of m have parts <= f
     for n in range(n_max + 1):
@@ -267,7 +272,7 @@ def partition_blocks(n_max: int, width: Optional[int] = None) -> Iterator[np.nda
             rows = np.zeros((1, width), dtype=np.int64)
         else:
             firsts = range(n, 0, -1)
-            tails = [kept[n - f][len(kept[n - f]) - fits[n - f][f]:]
+            tails = [kept[n - f][len(kept[n - f]) - fits[n - f][f - gap]:]
                      for f in firsts]
             rows = np.empty((sum(map(len, tails)), width), dtype=np.int64)
             rows[:, 0] = np.repeat(firsts, [len(tail) for tail in tails])

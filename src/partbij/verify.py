@@ -9,14 +9,16 @@ knapsack over coloured part kinds, for coloured partitions. The sides
 share no identity-specific logic, so agreement across a whole
 coefficient box is strong evidence, and any disagreement is pinned to
 its graded-lex-first monomial. The bijection checks test the maps
-themselves: thm7 and furtherwork run their maps' array forms over a
-block of partitions of each size at a time, and prop1 and table1 still
-walk partitions one at a time.
+themselves: thm7 and prop1 run their maps' array forms over their whole
+domain in chunks of rows that may span sizes, furtherwork over a block
+of partitions of each size at a time, and table1 still walks partitions
+one at a time.
 
 The dedicated checks schmidt, cor2, prop1, table1, thm6 and cor11
 report through one first-failure scan, _first_failure: each lays out
 its cells or its walk as (where, got, want) cases in order, and the
-report counts the cases up to the first mismatch.
+report counts the cases up to the first mismatch. prop1 checks its rows
+as arrays and lays out only its first bad row, after the rows before it.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
@@ -26,6 +28,7 @@ through verify_identity.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,6 +41,7 @@ from ._accel import UnboundedBox, partition_histogram  # noqa: F401 (re-exported
 from .bijections import (
     bessenrodt,
     bessenrodt_inverse,
+    bessenrodt_inverse_rows,
     collision_search,
     color_conjugate_inverse_rows,
     color_conjugate_rows,
@@ -177,6 +181,36 @@ def _series_from_hist(box, arr):
         raise VerifyError("histogram shape does not match the box")
     f.coeffs[...] = arr
     return f
+
+
+# rows per array pass bounded to about this many cells, so that the
+# arrays of the largest domains stay small
+_CHUNK_CELLS = 1 << 15
+
+
+def _row_chunks(blocks, row_cells):
+    """The rows of partition_blocks' blocks in chunks of at most
+    _CHUNK_CELLS // row_cells rows (at least one), where row_cells bounds
+    the cells per row of the widest array a pass over a chunk builds; a
+    chunk may span sizes. Yields each chunk's sizes and rows."""
+    chunk = max(1, _CHUNK_CELLS // row_cells)
+    held, count = [], 0  # (size, rows) pieces of the next chunk
+    for n, block in enumerate(blocks):
+        lo = 0
+        while lo < len(block):
+            take = min(len(block) - lo, chunk - count)
+            held.append((n, block[lo:lo + take]))
+            count, lo = count + take, lo + take
+            if count == chunk:
+                yield _joined(held)
+                held, count = [], 0
+    if held:
+        yield _joined(held)
+
+
+def _joined(held):
+    return (np.repeat([n for n, _ in held], [len(rows) for _, rows in held]),
+            np.concatenate([rows for _, rows in held]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +398,37 @@ def verify_euler_refinement(n_max=25):
     For distinct lam of n with largest part k and odd-index sum m, the
     odd-parts preimage mu has length 2m - n, and when lam is nonempty
     its largest part is 1 + 2k + 2n - 4m.
-    """
-    def cases():
-        for n in range(n_max + 1):
-            for lam in enumerate_partitions(n, distinct=True):
-                mu = bessenrodt_inverse(lam)
-                m = schmidt_weight(lam, 2, 1)
-                yield ({"partition": list(lam)}, [mu.length(), mu.part(1)],
-                       [2 * m - n,
-                        1 + 2 * lam.part(1) + 2 * n - 4 * m if lam else 0])
 
+    Every distinct partition of size <= n_max, in chunks of rows, goes
+    through the array form of the inverse map; the report is the one a
+    partition-by-partition walk would give. A partition the map finds no
+    preimage for reports lhs None.
+    """
+    if n_max < 0:
+        raise VerifyError("prop1 needs n_max >= 0")
     start = time.perf_counter()
-    checked, mismatch = _first_failure(cases())
+    # the longest distinct partition of n_max has (isqrt(8 n_max + 1) - 1) / 2
+    # parts, and each row needs one zero column more; the preimages have up
+    # to n_max parts
+    width = (math.isqrt(8 * n_max + 1) + 1) // 2
+    blocks = partition_blocks(n_max, width, distinct=True)
+    checked, mismatch = 0, None
+    for n, lam in _row_chunks(blocks, n_max + 1):
+        mu, valid = bessenrodt_inverse_rows(lam)
+        m = lam[:, ::2].sum(axis=1)
+        got = np.column_stack([np.count_nonzero(mu, axis=1),
+                               mu[:, :1].sum(axis=1)])
+        want = np.column_stack([2 * m - n, np.where(
+            lam[:, 0] > 0, 1 + 2 * lam[:, 0] + 2 * n - 4 * m, 0)])
+        bad = np.flatnonzero(~valid | (got != want).any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            seen, mismatch = _first_failure([(
+                {"partition": np.trim_zeros(lam[i], "b").tolist()},
+                got[i].tolist() if valid[i] else None, want[i].tolist())])
+            checked += i + seen
+            break
+        checked += len(lam)
     return _finish("prop1", {"n_max": n_max}, {}, checked, mismatch, start)
 
 
@@ -487,32 +540,26 @@ def _rows_equal(a, b):
 
 
 def _pair_classes(t, r, size_max):
-    """The pair side of thm7: for each size n, an int64 array of rows
-    (first, row_r, weight, *profile, count), one per head and colored
-    class; rows of one key count one class."""
+    """The pair side of thm7: an int64 array of rows (size, first, row_r,
+    weight, *profile, count), one per head and colored class; rows of one
+    key count one class."""
     nu_by_size = {}
     for s_nu in range(size_max + 1):
         for nu in enumerate_partitions(s_nu, max_length=r - 1):
             nu_by_size.setdefault(s_nu, []).append(nu.part(1))
-    by_size = [[] for _ in range(size_max + 1)]
+    rows = []
     classes = _colored_class_counts(
         t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
     for (base, n, prof), cnt in classes.items():
         k = sum(prof)
         for s_nu in range(size_max - base + 1):
             for f in nu_by_size.get(s_nu, ()):
-                by_size[base + s_nu].append((f + k, k, n) + prof + (cnt,))
-    return [np.array(rows, dtype=np.int64).reshape(-1, 4 + t)
-            for rows in by_size]
-
-
-# rows per round trip bounded to about this many cells, so that the
-# arrays of the largest blocks stay small
-_CHUNK_CELLS = 1 << 15
+                rows.append((base + s_nu, f + k, k, n) + prof + (cnt,))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5 + t)
 
 
 def _round_trip_rows(lam, t, r):
-    """Run the array form of the color-conjugate map on one block of
+    """Run the array form of the color-conjugate map on rows of
     partitions, and check every row against values read off the rows
     themselves: the weight is a strided sum, and the profile a strided sum
     of part differences, as color_profile defines it.
@@ -544,13 +591,13 @@ def _round_trip_rows(lam, t, r):
     return None, (i, got, want)
 
 
-def _class_mismatch(n, keys, pair):
-    """Compare the classes of the partitions of n (their keys) with the
-    pair side's (rows of key and count) in sorted key order, as one
+def _class_mismatch(keys, pair):
+    """Compare the classes of the partitions (their keys, size first) with
+    the pair side's (rows of key and count) in sorted key order, as one
     lexsort and one reduceat. Returns how many classes were checked and
     the first mismatch, or None."""
     m = len(keys)
-    keys = np.concatenate([keys, pair[:, :-1]])
+    keys = np.concatenate([keys, pair[:, :-1].astype(keys.dtype)])
     tally = np.zeros((len(keys), 2), dtype=np.int64)  # partitions, pairs
     tally[:m, 0] = 1
     tally[m:, 1] = pair[:, -1]
@@ -563,7 +610,7 @@ def _class_mismatch(n, keys, pair):
     if not differ.size:
         return len(starts), None
     j = int(differ[0])
-    k1, kr, w, *prof = keys[starts[j]].tolist()
+    n, k1, kr, w, *prof = keys[starts[j]].tolist()
     return j + 1, _mismatch({"size": n, "first": k1, "row_r": kr,
                              "weight": w, "profile": prof},
                             int(sums[j, 0]), int(sums[j, 1]))
@@ -581,35 +628,35 @@ def verify_color_conjugate(t, r, size_max=18):
     sum(i * count_i). Keying classes by size windows both sides
     identically at size_max.
 
-    The partition side runs the partitions of each size, a block at a
-    time and in chunks of rows, through the array form of the map. Size
-    leads the key, so each block's classes are compared with the pair
-    side's on their own; the report is the one a partition-by-partition
-    walk would give, round trips first.
+    The partition side runs every partition of size <= size_max, in
+    chunks of rows, through the array form of the map, and then the
+    classes of the whole domain are compared with the pair side's at
+    once. The report is the one a partition-by-partition walk would give:
+    a round-trip failure anywhere counts the partitions up to it; else
+    every partition counts, and the classes up to the first mismatch in
+    (size, key) order.
     """
     if t < 1 or r < 1:
         raise VerifyError("thm7 needs t >= 1 and r >= 1")
     start = time.perf_counter()
     params = {"t": t, "r": r, "size_max": size_max}
-    pair = _pair_classes(t, r, size_max)
-    visited = classes = 0
-    mismatch = None
+    # every key field lies in 0..size_max on both sides, and the narrowest
+    # type that holds them keeps the keys small and their sort fast
+    key_type = np.min_scalar_type(size_max)
+    visited = 0
+    keys = []
     width = max(size_max, r) + 2
-    chunk = max(1, _CHUNK_CELLS // width)
-    for n, lam in enumerate(partition_blocks(size_max, width)):
-        keys = []
-        for lo in range(0, len(lam), chunk):
-            chunk_keys, failure = _round_trip_rows(lam[lo:lo + chunk], t, r)
-            if failure is not None:
-                i, got, want = failure
-                return _finish("thm7", params, {}, visited + lo + i + 1,
-                               _mismatch({"partition": want[0], "t": t,
-                                          "r": r}, got, want), start)
-            keys.append(chunk_keys)
+    for sizes, lam in _row_chunks(partition_blocks(size_max, width), width):
+        chunk_keys, failure = _round_trip_rows(lam, t, r)
+        if failure is not None:
+            i, got, want = failure
+            return _finish("thm7", params, {}, visited + i + 1,
+                           _mismatch({"partition": want[0], "t": t, "r": r},
+                                     got, want), start)
+        keys.append(np.column_stack([sizes, chunk_keys]).astype(key_type))
         visited += len(lam)
-        if mismatch is None:
-            seen, mismatch = _class_mismatch(n, np.concatenate(keys), pair[n])
-            classes += seen
+    classes, mismatch = _class_mismatch(np.concatenate(keys),
+                                        _pair_classes(t, r, size_max))
     return _finish("thm7", params, {}, visited + classes, mismatch, start)
 
 
@@ -652,8 +699,14 @@ def f_recurrence(n, t, box):
     if n < 0 or t < 1:
         raise VerifyError("f_recurrence needs n >= 0 and t >= 1")
     _need("eq20", box, "q", "s")
+    return _f_series(n, t, box)[n]
+
+
+def _f_series(n_max, t, box):
+    """f_recurrence(n, t, box) for n = 0, 1, ..., n_max, from one run of
+    the recurrence."""
     f = [TruncatedSeries.constant(box, 1)]
-    for m in range(1, n + 1):
+    for m in range(1, n_max + 1):
         acc = TruncatedSeries.zero(box)
         for k in range(m):
             head = {"q": m, "s": m + k * (t - 1)}
@@ -667,30 +720,28 @@ def f_recurrence(n, t, box):
             gb.coeffs[0, :len(coeffs)] = coeffs[:box["s"] + 1]
             acc = acc + gb * f[k] * TruncatedSeries.monomial(box, head)
         f.append(qs.divide_pochhammer(acc, {"q": m, "s": m * t}, {}, 1))
-    return f[n]
-
-
-def _f_enumeration(n, t, box):
-    q, s = _need("eq20", box, "q", "s")
-    arr = partition_histogram(("weight", "first", "size"), (q, n, s), t=t, r=1)
-    return _series_from_hist(box, arr[:, n, :])
+    return f
 
 
 def verify_recurrence(t, n_max=6, box=None):
     """The largest-part recurrence reproduces direct enumeration for
-    every largest part up to n_max."""
+    every largest part up to n_max: one run of the recurrence against
+    the slices of one (weight, first, size) histogram."""
     if t < 1:
         raise VerifyError("palette size t must be >= 1")
+    if n_max < 0:
+        raise VerifyError("eq20 needs n_max >= 0")
     if box is None:
         box = {"q": 8, "s": 12}
     start = time.perf_counter()
+    q, s = _need("eq20", box, "q", "s")
+    arr = partition_histogram(("weight", "first", "size"), (q, n_max, s),
+                              t=t, r=1)
     checked = 0
     mismatch = None
-    for n in range(n_max + 1):
-        lhs = _f_enumeration(n, t, box)
-        rhs = f_recurrence(n, t, box)
+    for n, rhs in enumerate(_f_series(n_max, t, box)):
         checked += _volume(box)
-        found = _series_mismatch(lhs, rhs)
+        found = _series_mismatch(_series_from_hist(box, arr[:, n, :]), rhs)
         if found:
             found["monomial"]["n"] = n
             mismatch = found

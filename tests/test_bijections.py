@@ -12,6 +12,7 @@ from partbij.bijections import (
     NotOddParts,
     bessenrodt,
     bessenrodt_inverse,
+    bessenrodt_inverse_rows,
     collision_search,
     color_conjugate,
     color_conjugate_inverse,
@@ -103,6 +104,18 @@ def test_bessenrodt_roundtrip_and_weight(omega):
 def test_bessenrodt_inverse_rejects_non_image():
     with pytest.raises((NotDistinct, NotInImage)):
         bessenrodt_inverse(Partition([3, 3]))
+
+
+def test_bessenrodt_inverse_rows_agree_with_scalar_map():
+    rows = np.concatenate(list(partition_blocks(25, distinct=True)))
+    images, valid = bessenrodt_inverse_rows(rows)
+    assert valid.all()
+    for row, image in zip(rows.tolist(), images.tolist()):
+        want = list(bessenrodt_inverse(Partition(row)))
+        assert image == want + [0] * (len(image) - len(want)), row
+    # a repeated part has no preimage, as the scalar map raises
+    _, valid = bessenrodt_inverse_rows(np.array([[3, 3, 0], [3, 0, 0]]))
+    assert valid.tolist() == [False, True]
 
 
 def test_color_conjugate_worked_example():

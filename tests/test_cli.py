@@ -81,6 +81,10 @@ def test_hook_map_partition_input_uses_m_flag(capsys):
                        "--input", "[3, 2]")
     assert code == 0
     assert out == '{"parts": [2, 2, 1], "is_partition": true}\n'
+    # the largest size accepted; one more is a usage error
+    code, out, _ = run(capsys, "bijection", "hook-map", "--input", "[10000]")
+    assert code == 0
+    assert json.loads(out)["parts"] == [5000, 5000]
 
 
 def test_bad_json_input(capsys):
@@ -112,6 +116,9 @@ def test_usage_errors_exit_two(capsys):
     ["bijection", "hook-map", "--input", '{"m":"x","rows":[]}'],
     ["bijection", "hook-map", "--input", '{"m":3,"rows":[[1,5]]}'],
     ["bijection", "hook-map", "--m", "1", "--input", "[3,2]"],
+    # decoded sizes past the cap: a part m + 1 has an image of m parts
+    ["bijection", "hook-map", "--input", '{"m": 1000000000000, "rows": [[2, 1]]}'],
+    ["bijection", "hook-map", "--input", "[10001]"],
     ["bijection", "color-conjugate", "--r", "0", "--input", "[3,2]"],
     ["bijection", "color-conjugate", "--t", "0", "--input", "[3,2]"],
     ["bijection", "color-conjugate", "--inverse",

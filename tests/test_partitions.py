@@ -220,16 +220,17 @@ def test_partition_values_known():
 
 
 def test_partition_blocks_match_enumeration():
-    packed = [[list(lam) for lam in enumerate_partitions(n)]
-              for n in range(21)]
-    for n_max in range(21):
-        blocks = list(partition_blocks(n_max))
-        assert len(blocks) == n_max + 1
-        for n, block in enumerate(blocks):
-            assert block.dtype == np.int64
-            assert block.shape == (len(packed[n]), n_max + 2)
-            assert block.tolist() == [lam + [0] * (n_max + 2 - len(lam))
-                                      for lam in packed[n]]
+    for distinct in (False, True):
+        packed = [[list(lam) for lam in enumerate_partitions(n, distinct)]
+                  for n in range(21)]
+        for n_max in range(21):
+            blocks = list(partition_blocks(n_max, distinct=distinct))
+            assert len(blocks) == n_max + 1
+            for n, block in enumerate(blocks):
+                assert block.dtype == np.int64
+                assert block.shape == (len(packed[n]), n_max + 2)
+                assert block.tolist() == [lam + [0] * (n_max + 2 - len(lam))
+                                          for lam in packed[n]]
     assert [b.shape for b in partition_blocks(3, width=6)] == \
         [(1, 6), (1, 6), (2, 6), (3, 6)]
     with pytest.raises(ValueError):

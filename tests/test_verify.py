@@ -8,9 +8,11 @@ import partbij.verify as ver
 from partbij.colored import enumerate_colored
 from partbij.partitions import (
     Partition,
+    color_profile,
     enumerate_partitions,
     from_modular,
     partition_blocks,
+    schmidt_weight,
     to_modular,
 )
 from partbij.series import TruncatedSeries, equal_in_box
@@ -216,9 +218,9 @@ def test_colored_class_counts_match_enumeration(t):
                 _tally(colored, size_max, part, admits), (step, r)
 
 
-def test_color_conjugate_catches_a_miscounted_class(monkeypatch):
-    import partbij.verify as ver
-
+@pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
+def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 5 rows a chunk
     t, r, size_max = 2, 2, 10
     counts = _colored_class_counts(
         t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
@@ -235,6 +237,15 @@ def test_color_conjugate_catches_a_miscounted_class(monkeypatch):
                      "profile": list(prof)},
         "lhs": counts[key], "rhs": counts[key] + 1,
     }
+    # a walk counts every partition, then the classes in (size, key)
+    # order up to the miscounted one
+    walk = [lam for size in range(size_max + 1)
+            for lam in enumerate_partitions(size)]
+    classes = sorted({(lam.size(), lam.part(1), lam.part(r),
+                       schmidt_weight(lam, t, r), *color_profile(lam, t, r))
+                      for lam in walk})
+    assert report.coefficients_checked == \
+        len(walk) + classes.index((base, k, k, n, *prof)) + 1
 
 
 def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
@@ -252,25 +263,26 @@ def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
         == report.coefficients_checked
 
 
+def _recoloured(rows, t, r):
+    """color_conjugate_rows with colour h mod t + 1 instead of
+    (h - 1) mod t + 1."""
+    nu, mu, colors = bij.color_conjugate_rows(rows, t, r)
+    return nu, mu, np.where(mu > 0, colors % t + 1, 0)
+
+
+@pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
 @pytest.mark.parametrize("t, r", [(2, 1), (3, 2), (2, 3)])
-def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r):
-    import partbij.verify as ver
-    from partbij.bijections import color_conjugate_rows
-
-    def recoloured(rows, t, r):
-        # colour h mod t + 1 instead of (h - 1) mod t + 1
-        nu, mu, colors = color_conjugate_rows(rows, t, r)
-        return nu, mu, np.where(mu > 0, colors % t + 1, 0)
-
+def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r, cells):
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 6 rows a chunk
     # the first partition, in enumeration order, that the two maps colour
     # differently: the column of r ones
     rows = np.concatenate(list(partition_blocks(8)))
-    differs = (recoloured(rows, t, r)[2]
-               != color_conjugate_rows(rows, t, r)[2]).any(axis=1)
+    differs = (_recoloured(rows, t, r)[2]
+               != bij.color_conjugate_rows(rows, t, r)[2]).any(axis=1)
     i = int(np.argmax(differs))
     first = np.trim_zeros(rows[i], "b").tolist()
     assert first == [1] * r
-    monkeypatch.setattr(ver, "color_conjugate_rows", recoloured)
+    monkeypatch.setattr(ver, "color_conjugate_rows", _recoloured)
     report = verify_color_conjugate(t, r, size_max=8)
     assert report.status == "fail"
     assert report.coefficients_checked == i + 1
@@ -278,6 +290,31 @@ def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r):
         "partition": first, "t": t, "r": r}
     assert report.first_mismatch["rhs"] == [first, 1, 0, 1, 1,
                                             [1] + [0] * (t - 1)]
+
+
+@pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
+def test_color_conjugate_round_trip_fault_wins_over_an_earlier_class(
+        monkeypatch, cells):
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)
+    t, r, size_max = 2, 1, 9
+    _plant(monkeypatch, ("class", "first", 1))  # the class of size 0
+    # a round-trip fault at size 7 only: (4, 2, 1) takes the wrong colours
+    target = [4, 2, 1]
+
+    def recoloured_at(rows, t, r):
+        nu, mu, colors = bij.color_conjugate_rows(rows, t, r)
+        hit = (rows[:, :3] == target).all(axis=1) & (rows[:, 3:] == 0).all(1)
+        colors[hit] = _recoloured(rows, t, r)[2][hit]
+        return nu, mu, colors
+
+    monkeypatch.setattr(ver, "color_conjugate_rows", recoloured_at)
+    report = verify_color_conjugate(t, r, size_max)
+    walk = [list(lam) for n in range(size_max + 1)
+            for lam in enumerate_partitions(n)]
+    assert report.status == "fail"
+    assert report.first_mismatch["monomial"] == {
+        "partition": target, "t": t, "r": r}
+    assert report.coefficients_checked == walk.index(target) + 1
 
 
 def _plant_hook_images(monkeypatch, planted):
@@ -395,9 +432,12 @@ _AT = {"first": lambda n: 0, "middle": lambda n: n // 2,
 def _plant(monkeypatch, fault):
     """Plant one fault where the dedicated checks read it:
     ("cell", axes, where, delta) adds delta to the first, middle or last
-    cell of every histogram over axes; ("class", where, delta) to the
-    first, middle or last knapsack class in key order; ("image", name,
-    parts) makes that bijection append a part 1 to the image of parts."""
+    cell of every histogram over axes, or to the cell indexed where, a
+    tuple, of every such histogram that has it; ("class", where, delta)
+    to the first, middle or last knapsack class in key order; ("image",
+    name, parts) makes that bijection append a part 1 to the image of
+    parts, and for bessenrodt_inverse, which prop1 runs as an array
+    program, its array form bessenrodt_inverse_rows."""
     kind, *spec = fault
     if kind == "cell":
         axes, where, delta = spec
@@ -405,8 +445,12 @@ def _plant(monkeypatch, fault):
 
         def histogram(*args, **kwargs):
             arr = real(*args, **kwargs)
-            if tuple(args[0]) == axes:
+            if tuple(args[0]) != axes:
+                return arr
+            if where in _AT:
                 arr[np.unravel_index(_AT[where](arr.size), arr.shape)] += delta
+            elif all(i < n for i, n in zip(where, arr.shape)):
+                arr[where] += delta
             return arr
         monkeypatch.setattr(ver, "partition_histogram", histogram)
     elif kind == "class":
@@ -418,6 +462,19 @@ def _plant(monkeypatch, fault):
             key = sorted(counts)[_AT[where](len(counts))]
             return {**counts, key: counts[key] + delta}
         monkeypatch.setattr(ver, "_colored_class_counts", classes)
+    elif spec[0] == "bessenrodt_inverse":
+        parts = spec[1]
+        real = ver.bessenrodt_inverse_rows
+
+        def images(rows):
+            out, valid = real(rows)
+            out = np.pad(out, ((0, 0), (0, 1)))
+            hit = np.flatnonzero(
+                (rows[:, :len(parts)] == parts).all(axis=1)
+                & (rows[:, len(parts):] == 0).all(axis=1))
+            out[hit, np.count_nonzero(out[hit], axis=1)] = 1
+            return out, valid
+        monkeypatch.setattr(ver, "bessenrodt_inverse_rows", images)
     else:
         name, parts = spec
         real = getattr(ver, name)
@@ -435,6 +492,7 @@ _DEDICATED = {
     "table1": verify_table,
     "thm6": verify_li_yee,
     "cor11": verify_opposite_schmidt,
+    "eq20": verify_recurrence,
 }
 
 # (check, its arguments, planted fault, coefficients checked, first
@@ -579,6 +637,10 @@ PINNED_FAULTS = [
      {"monomial": {"partition": [6, 4, 2, 1]}, "lhs": [4, 7], "rhs": [3, 7]}),
     ("prop1", (), ("image", "bessenrodt_inverse", (25,)), 763,
      {"monomial": {"partition": [25]}, "lhs": [26, 1], "rhs": [25, 1]}),
+    ("eq20", (2,), ("cell", ("weight", "first", "size"), (3, 3, 5), 1), 468,
+     {"monomial": {"q": 3, "s": 5, "n": 3}, "lhs": 2, "rhs": 1}),
+    ("eq20", (2,), ("cell", ("weight", "first", "size"), (3, 3, 5), -1), 468,
+     {"monomial": {"q": 3, "s": 5, "n": 3}, "lhs": 0, "rhs": 1}),
     ("table1", (), ("image", "bessenrodt", (1, 1, 1, 1, 1, 1, 1)), 1,
      {"monomial": {"partition": [7]},
       "lhs": [[7, 1], 7, 7], "rhs": [[7], 7, 7]}),
@@ -603,6 +665,29 @@ def test_planted_fault_gives_the_pinned_report(
     assert (report.coefficients_checked, report.first_mismatch) \
         == (checked, mismatch)
     json.dumps(report.to_json())  # plain ints, no numpy scalars
+
+
+def test_prop1_catches_an_arm_swapped_with_its_leg(monkeypatch):
+    # a mutant of the array inverse map that swaps the outermost arm and
+    # leg of every row, built from its source
+    import inspect
+
+    source = inspect.getsource(bij.bessenrodt_inverse_rows)
+    line = "        legs[:, i] = delta[:, 2 * i] - arms[:, i] - 1\n"
+    swap = ("        if i == 0:\n"
+            "            arms[:, i], legs[:, i] = legs[:, i], arms[:, i].copy()\n")
+    assert source.count(line) == 1
+    namespace = dict(vars(bij))
+    exec(source.replace(line, line + swap), namespace)
+    monkeypatch.setattr(ver, "bessenrodt_inverse_rows",
+                        namespace["bessenrodt_inverse_rows"])
+    report = verify_euler_refinement()
+    assert report.status == "fail"
+    # (2) comes from (1, 1) through the diagram (1, 1) with arm 0 and
+    # leg 1; swapped, they give (2) and so (3)
+    assert report.first_mismatch == {"monomial": {"partition": [2]},
+                                     "lhs": [1, 3], "rhs": [2, 1]}
+    assert report.coefficients_checked == 3
 
 
 def test_functional_equation_fault_injection():
