@@ -1,15 +1,14 @@
 """Time every catalog check in-process at the quick and full suite levels.
 
-Run: python benchmarks/bench_suite.py [--runs 7] [--label NAME]
-     [--out BENCH_suite.json]
+Run: python benchmarks/bench_suite.py [--label NAME]
 
-After one untimed warm-up suite per level, runs each level's suite --runs
+After one untimed warm-up suite per level, runs each level's suite RUNS
 times, alternating quick and full, and records the median of the whole
 suite's wall time and, per catalog id, the median of the summed
 elapsed_ms of its reports (a check with a parameter grid sums its grid
 points). Every suite must pass. The entry, with the machine (cores,
-Python, numpy, whether numba was loaded), is stored in the output file
-under --label; entries under other labels are kept, so one file can hold
+Python, numpy, whether numba was loaded), is stored in OUT under
+--label; entries under other labels are kept, so one file can hold
 a run before and a run after a change.
 """
 
@@ -26,6 +25,8 @@ import numpy as np
 from partbij.verify import run_suite
 
 LEVELS = ("quick", "full")
+RUNS = 7
+OUT = "BENCH_suite.json"
 
 
 def timed_suite(level):
@@ -41,11 +42,11 @@ def timed_suite(level):
     return total_ms, checks
 
 
-def measure(runs):
+def measure():
     samples = {level: [] for level in LEVELS}
     for level in LEVELS:
         timed_suite(level)  # warm-up: imports and first-call set-up
-    for _ in range(runs):
+    for _ in range(RUNS):
         for level in LEVELS:
             samples[level].append(timed_suite(level))
     out = {}
@@ -61,27 +62,23 @@ def measure(runs):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=7)
     parser.add_argument("--label", default="current")
-    parser.add_argument("--out", default="BENCH_suite.json")
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
     entry = {
         "machine": {"cores": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                     "numba_loaded": "numba" in sys.modules},
-        "runs": args.runs,
-        "levels": measure(args.runs),
+        "runs": RUNS,
+        "levels": measure(),
     }
     try:
-        with open(args.out) as fh:
+        with open(OUT) as fh:
             data = json.load(fh)
     except FileNotFoundError:
         data = {}
     data[args.label] = entry
-    with open(args.out, "w") as fh:
+    with open(OUT, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
     for level in LEVELS:

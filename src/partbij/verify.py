@@ -9,16 +9,15 @@ knapsack over coloured part kinds, for coloured partitions. The sides
 share no identity-specific logic, so agreement across a whole
 coefficient box is strong evidence, and any disagreement is pinned to
 its graded-lex-first monomial. The bijection checks test the maps
-themselves: thm7 and prop1 run their maps' array forms over their whole
-domain in chunks of rows that may span sizes, furtherwork over a block
-of partitions of each size at a time, and table1 still walks partitions
-one at a time.
+themselves: thm7, prop1 and furtherwork run their maps' array forms over
+their whole domain in chunks of rows that may span sizes, and table1
+still walks partitions one at a time.
 
-The dedicated checks schmidt, cor2, prop1, table1, thm6 and cor11
-report through one first-failure scan, _first_failure: each lays out
-its cells or its walk as (where, got, want) cases in order, and the
-report counts the cases up to the first mismatch. prop1 checks its rows
-as arrays and lays out only its first bad row, after the rows before it.
+The dedicated checks schmidt, cor2, table1, thm6 and cor11 report
+through one first-failure scan, _first_failure: each lays out its cells
+or its walk as (where, got, want) cases in order, and the report counts
+the cases up to the first mismatch. prop1 checks its rows as arrays and
+counts the rows up to its first bad one.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
@@ -423,10 +422,10 @@ def verify_euler_refinement(n_max=25):
         bad = np.flatnonzero(~valid | (got != want).any(axis=1))
         if bad.size:
             i = int(bad[0])
-            seen, mismatch = _first_failure([(
+            mismatch = _mismatch(
                 {"partition": np.trim_zeros(lam[i], "b").tolist()},
-                got[i].tolist() if valid[i] else None, want[i].tolist())])
-            checked += i + seen
+                got[i].tolist() if valid[i] else None, want[i].tolist())
+            checked += i + 1
             break
         checked += len(lam)
     return _finish("prop1", {"n_max": n_max}, {}, checked, mismatch, start)
@@ -783,8 +782,8 @@ def verify_functional_equation(t, box=None, perturb=None):
 # ---------------------------------------------------------------------------
 
 def _hook_map_readouts(m_max, size_max):
-    """Run every partition of size <= size_max, a block per size and in
-    chunks of rows, through the array hook map at m = 2..m_max, and check
+    """Run every partition of size <= size_max, in chunks of rows that may
+    span sizes, through the array hook map at m = 2..m_max, and check
     that no two odd-part partitions of one size share a base-2 image that
     is a partition, and that every image sums to its size.
 
@@ -793,32 +792,34 @@ def _hook_map_readouts(m_max, size_max):
     part sums, m by m. A collision is reported from collision_search.
     """
     width = size_max + 2
-    chunk = max(1, _CHUNK_CELLS // width)
     visited = 0
     wrong = None  # the first bad part sum: (m, index in the walk, row, sum)
-    for n, block in enumerate(partition_blocks(size_max, width)):
-        odd_images = []
-        for lo in range(0, len(block), chunk):
-            lam = block[lo:lo + chunk]
-            for m in range(2, m_max + 1):
-                image, is_partition = generalized_hook_map_rows(lam, m)
-                sums = image.sum(axis=1)
-                off = np.flatnonzero(sums != n)
-                if off.size and (wrong is None or m < wrong[0]):
-                    i = int(off[0])
-                    wrong = (m, visited + lo + i, lam[i], int(sums[i]))
-                if m == 2:
-                    odd = ~((lam % 2 == 0) & (lam > 0)).any(axis=1)
-                    odd_images.append(image[odd & is_partition])
-        top = max(image.shape[1] for image in odd_images)
-        images = np.concatenate(
-            [np.pad(image, ((0, 0), (0, top - image.shape[1])))
-             for image in odd_images])
-        if len(np.unique(images, axis=0)) < len(images):
-            return n + 1, _mismatch(
-                {"check": f"collision_2_{n}"},
-                [list(g.image) for g in collision_search(2, n)], [])
-        visited += len(block)
+    odd_images = []  # (sizes, images) of the odd-part rows at base 2
+    for sizes, lam in _row_chunks(partition_blocks(size_max, width), width):
+        for m in range(2, m_max + 1):
+            image, is_partition = generalized_hook_map_rows(lam, m)
+            sums = image.sum(axis=1)
+            off = np.flatnonzero(sums != sizes)
+            if off.size and (wrong is None or m < wrong[0]):
+                i = int(off[0])
+                wrong = (m, visited + i, lam[i], int(sums[i]))
+            if m == 2:
+                keep = ~((lam % 2 == 0) & (lam > 0)).any(axis=1) & is_partition
+                odd_images.append((sizes[keep], image[keep]))
+        visited += len(lam)
+    # one row per odd-part image, led by its size: a repeated row is a
+    # collision, and the sorted unique rows put the smallest size first
+    top = max(image.shape[1] for _, image in odd_images)
+    keyed = np.concatenate(
+        [np.column_stack([sizes, np.pad(image, ((0, 0),
+                                                (0, top - image.shape[1])))])
+         for sizes, image in odd_images])
+    rows, counts = np.unique(keyed, axis=0, return_counts=True)
+    if (counts > 1).any():
+        n = int(rows[np.argmax(counts > 1), 0])
+        return n + 1, _mismatch(
+            {"check": f"collision_2_{n}"},
+            [list(g.image) for g in collision_search(2, n)], [])
     if wrong is None:
         return size_max + 1 + (m_max - 1) * visited, None
     m, index, lam, got = wrong
