@@ -35,7 +35,7 @@ from partbij.series import (
     invert,
     pochhammer,
 )
-from partbij.verify import _colored_class_counts, _rows_equal, rhs_series
+from partbij.verify import _colored_classes, _rows_equal, rhs_series
 
 
 def timeit(fn, repeat=5):
@@ -88,14 +88,14 @@ def bench_colored_classes():
     # thm7 at the full level; with r=1 the head is empty, so the classes
     # count every partition of size <= 24 once
     def count():
-        return _colored_class_counts(3, lambda p, i: 3 * (p - 1) + i, 24)
+        return _colored_classes(24, [range(i, 25, 3) for i in (1, 2, 3)])
 
-    total = sum(count().values())
+    total = int(count()[:, -1].sum())
     want = sum(partition_numbers(24))
     if total != want:
         raise SystemExit(f"thm7 t=3 r=1 size<=24 pair side counted {total}, "
                          f"expected {want}")
-    return [("thm7 pair-side classes t=3 r=1 size<=24", timeit(count))]
+    return [("thm7 colored class rows t=3 r=1 size<=24", timeit(count))]
 
 
 def bench_color_conjugate_rows():

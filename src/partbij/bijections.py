@@ -3,6 +3,7 @@ counting, the color-conjugate pair map, and the m-modular hook-count map
 with its collision search.
 """
 
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -121,20 +122,17 @@ def _diagonal_hook_values(diagram):
     A row of c cells holds the base in every cell except the last, which
     holds the row's remainder.
     """
-    m = diagram.m
-    rows = diagram.rows
+    m, rows = diagram
     hooks = []
-    i = 0
-    while i < len(rows) and rows[i][0] >= i + 1:
-        cells, rem = rows[i]
-        values = [rem if j == cells - 1 else m for j in range(i, cells)]
-        for i2 in range(i + 1, len(rows)):
-            cells2, rem2 = rows[i2]
-            if cells2 < i + 1:
+    for i, (cells, rem) in enumerate(rows):
+        if cells <= i:
+            break
+        values = [m] * (cells - i - 1) + [rem]
+        for cells2, rem2 in rows[i + 1:]:
+            if cells2 <= i:
                 break
             values.append(rem2 if cells2 == i + 1 else m)
         hooks.append(values)
-        i += 1
     return hooks
 
 
@@ -294,12 +292,14 @@ def generalized_hook_map(diagram):
     """
     parts = []
     for values in _diagonal_hook_values(diagram):
-        # no value exceeds the hook's largest, so later counts are 0
-        for j in range(1, max(values, default=0) + 1):
-            parts.append(sum(1 for v in values if v >= j))
-    parts = tuple(p for p in parts if p)
+        # the counts of values >= j up to the hook's largest value, none of
+        # them 0, as a reverse running sum of each value's tally
+        tally = [0] * (max(values) + 1)
+        for v in values:
+            tally[v] += 1
+        parts.extend(reversed(list(accumulate(reversed(tally[1:])))))
     is_partition = all(a >= b for a, b in zip(parts, parts[1:]))
-    return HookMapImage(parts, is_partition)
+    return HookMapImage(tuple(parts), is_partition)
 
 
 def generalized_hook_map_rows(rows, m):

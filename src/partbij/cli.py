@@ -82,9 +82,9 @@ def _as_colored(data, t):
     return ColoredPartition(map(tuple, data), t)
 
 
-# the largest decoded size hook-map accepts: the map's time grows with the
-# product of a hook's largest value and its cell count, up to a quarter of
-# the size squared, which at this size takes about 0.5 s (2 cores, Python
+# the largest decoded size hook-map accepts: the map's time and its image's
+# length grow with the size (a part of 10^12 + 1 at base 10^12 has an image
+# of 10^12 parts); at this size the map takes about 2 ms (2 cores, Python
 # 3.11)
 HOOK_MAP_MAX_SIZE = 10_000
 

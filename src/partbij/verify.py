@@ -4,8 +4,9 @@ Every check compares two independently computed objects: a count and a
 closed form (truncated products, inverses, q-binomials), a second count
 or a frozen reference. Two kernels do the counting without visiting the
 objects counted: the row-transfer partition histogram, for partitions by
-any of their statistics, colour profile included, and a bounded
-knapsack over coloured part kinds, for coloured partitions. The sides
+any of their statistics, colour profile included, and int64 rows of
+coloured classes (weight, colour counts, count), built colour by colour
+from each colour's own knapsack table, for coloured partitions. The sides
 share no identity-specific logic, so agreement across a whole
 coefficient box is strong evidence, and any disagreement is pinned to
 its graded-lex-first monomial. The bijection checks test the maps
@@ -210,6 +211,15 @@ def _row_chunks(blocks, row_cells):
 def _joined(held):
     return (np.repeat([n for n, _ in held], [len(rows) for _, rows in held]),
             np.concatenate([rows for _, rows in held]))
+
+
+def _key_sums(keys, values):
+    """The distinct rows of keys, sorted, and the sums of their values."""
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (keys[1:] != keys[:-1]).any(axis=1)]))
+    return keys[starts], np.add.reduceat(values[order], starts)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +498,12 @@ def verify_li_yee(t, n_max=8):
     lhs = np.zeros((n_max + 1, n_max + 1, t + 1), dtype=np.int64)
     lhs[:, 1:, 1:] = arr[:, 1:].reshape(n_max + 1, n_max, t)
     lhs[0, 0, 0] = arr[0, 0]
+    classes = _colored_classes(n_max, [range(1, n_max + 1)] * t)
+    s = classes[:, 1:-1].max(axis=1)
+    # the last color that appears s times; none for the empty partition
+    j = np.where(s > 0, t - np.argmax(classes[:, -2:0:-1] == s[:, None], 1), 0)
     rhs = np.zeros_like(lhs)
-    for (n, _, counts), cnt in _colored_class_counts(t, _part, n_max).items():
-        s = max(counts)
-        j = max(i for i, c in enumerate(counts, start=1) if c == s) if n else 0
-        rhs[n, s, j] += cnt
+    np.add.at(rhs, (classes[:, 0], s, j), classes[:, -1])
     present = (lhs != 0) | (rhs != 0)
     present[0, 0, 0] = True
     checked, mismatch = _first_failure(
@@ -502,32 +513,27 @@ def verify_li_yee(t, n_max=8):
     )
 
 
-def _part(p, i):
-    return p
-
-
-def _colored_class_counts(t, weight, bound, admits=lambda p, i: True):
-    """Counts of t-colored partitions keyed (weight, size, color counts),
-    for every weight up to bound.
-
-    The weight is linear in the parts: part p of color i weighs
-    weight(p, i) >= p, and only the kinds (p, i) that admits allows may
-    occur. So a bounded knapsack over the admissible kinds, each taken any
-    number of times, counts every class without visiting a colored
-    partition or a shape.
-    """
-    out = {(0, 0, (0,) * t): 1}
-    for p in range(1, bound + 1):
-        for i in range(1, t + 1):
-            w = weight(p, i)
-            if w > bound or not admits(p, i):
-                continue
-            for (base, n, prof), cnt in list(out.items()):
-                for m in range(1, (bound - base) // w + 1):
-                    key = (base + m * w, n + m * p,
-                           prof[:i - 1] + (prof[i - 1] + m,) + prof[i:])
-                    out[key] = out.get(key, 0) + cnt
-    return out
+def _colored_classes(bound, weights):
+    """Colored partitions of weight <= bound by class: int64 rows (weight,
+    c_1, ..., c_t, count) in key order; weights holds per color the range
+    of weights (all >= 1) its parts may take. Built color by color: each
+    color's (weight, parts) table is an unbounded knapsack whose nonzero
+    cells join the classes so far where the weight still fits, so memory
+    follows the number of classes. Every product and sum is at most one
+    class's count, so none wraps while the class counts fit in int64."""
+    rows = np.array([[0, 1]], dtype=np.int64)  # the empty partition
+    for allowed in weights:
+        table = np.zeros((bound + 1, bound + 1), dtype=np.int64)
+        table[0, 0] = 1
+        for weight in allowed:
+            for total in range(weight, bound + 1):
+                table[total, 1:] += table[total - weight, :-1]
+        w, c = np.nonzero(table)
+        i, j = np.nonzero(rows[:, :1] + w <= bound)
+        rows = np.column_stack(_key_sums(
+            np.column_stack([rows[i, :1] + w[j, None], rows[i, 1:-1], c[j]]),
+            rows[i, -1] * table[w[j], c[j]]))
+    return rows
 
 
 def _rows_equal(a, b):
@@ -542,19 +548,19 @@ def _pair_classes(t, r, size_max):
     """The pair side of thm7: an int64 array of rows (size, first, row_r,
     weight, *profile, count), one per head and colored class; rows of one
     key count one class."""
-    nu_by_size = {}
-    for s_nu in range(size_max + 1):
-        for nu in enumerate_partitions(s_nu, max_length=r - 1):
-            nu_by_size.setdefault(s_nu, []).append(nu.part(1))
-    rows = []
-    classes = _colored_class_counts(
-        t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
-    for (base, n, prof), cnt in classes.items():
-        k = sum(prof)
-        for s_nu in range(size_max - base + 1):
-            for f in nu_by_size.get(s_nu, ()):
-                rows.append((base + s_nu, f + k, k, n) + prof + (cnt,))
-    return np.array(rows, dtype=np.int64).reshape(-1, 5 + t)
+    heads = np.array([(s_nu, nu.part(1)) for s_nu in range(size_max + 1)
+                      for nu in enumerate_partitions(s_nu, max_length=r - 1)],
+                     dtype=np.int64)
+    # part p of color i reassembles to r - 1 + t(p - 1) + i rows, so a class
+    # (w, c) has sum(c) parts summing to (w - sum_i c_i (r - 1 + i - t)) / t
+    classes = _colored_classes(
+        size_max, [range(r - 1 + i, size_max + 1, t) for i in range(1, t + 1)])
+    base, prof = classes[:, 0], classes[:, 1:-1]
+    k = prof.sum(axis=1)
+    n = (base - prof @ np.arange(r - t, r)) // t
+    i, j = np.nonzero(base[:, None] + heads[:, 0] <= size_max)
+    return np.column_stack([base[i] + heads[j, 0], heads[j, 1] + k[i], k[i],
+                            n[i], prof[i], classes[i, -1]])
 
 
 def _round_trip_rows(lam, t, r):
@@ -592,24 +598,19 @@ def _round_trip_rows(lam, t, r):
 
 def _class_mismatch(keys, pair):
     """Compare the classes of the partitions (their keys, size first) with
-    the pair side's (rows of key and count) in sorted key order, as one
-    lexsort and one reduceat. Returns how many classes were checked and
-    the first mismatch, or None."""
+    the pair side's (rows of key and count) in sorted key order. Returns
+    how many classes were checked and the first mismatch, or None."""
     m = len(keys)
     keys = np.concatenate([keys, pair[:, :-1].astype(keys.dtype)])
     tally = np.zeros((len(keys), 2), dtype=np.int64)  # partitions, pairs
     tally[:m, 0] = 1
     tally[m:, 1] = pair[:, -1]
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(
-        [[True], (keys[1:] != keys[:-1]).any(axis=1)]))
-    sums = np.add.reduceat(tally[order], starts)
+    keys, sums = _key_sums(keys, tally)
     differ = np.flatnonzero(sums[:, 0] != sums[:, 1])
     if not differ.size:
-        return len(starts), None
+        return len(keys), None
     j = int(differ[0])
-    n, k1, kr, w, *prof = keys[starts[j]].tolist()
+    n, k1, kr, w, *prof = keys[j].tolist()
     return j + 1, _mismatch({"size": n, "first": k1, "row_r": kr,
                              "weight": w, "profile": prof},
                             int(sums[j, 0]), int(sums[j, 1]))
@@ -673,13 +674,12 @@ def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
         raise DegenerateParams("the restricted color sizes need r >= 2")
     start = time.perf_counter()
     arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
-    allowed = set(range(r - 1, n_max + 1, t - 1))
+    classes = _colored_classes(
+        n_max, [range(1, n_max + 1), range(r - 1, n_max + 1, t - 1)])
+    k = classes[:, 1:-1].sum(axis=1)
+    keep = k <= k_max
     rhs = np.zeros_like(arr)
-    classes = _colored_class_counts(
-        2, _part, n_max, admits=lambda p, i: i == 1 or p in allowed)
-    for (n, _, counts), cnt in classes.items():
-        if sum(counts) <= k_max:
-            rhs[n, sum(counts)] += cnt
+    np.add.at(rhs, (classes[keep, 0], k[keep]), classes[keep, -1])
     checked, mismatch = _first_failure(_cells(arr, rhs, ("n", "first")))
     return _finish(
         "cor11", {"t": t, "r": r, "k_max": k_max, "n_max": n_max}, {},

@@ -208,11 +208,19 @@ def test_hook_map_preserves_size(p, m):
     assert sum(image.parts) == p.size()
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 25])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 25, 5000])
 def test_hook_map_rows_agree_with_scalar_map(m):
     # the whole domain as one array, and each size's block on its own,
     # whose largest part bounds the remainders differently; 25 is larger
-    # than every part
+    # than every part. One more input, (5001, 1^4999), has at m = 5000 a
+    # single hook of 5001 cells, which the scalar map once rescanned for
+    # each of its 5000 thresholds
+    big = Partition([5001] + [1] * 4999)
+    image, is_partition = generalized_hook_map_rows(np.array([big]), m)
+    want = generalized_hook_map(to_modular(big, m))
+    got = image[0].tolist()
+    assert got == list(want.parts) + [0] * (len(got) - len(want.parts))
+    assert is_partition[0] == want.is_partition
     size_max = 18
     lams = [lam for n in range(size_max + 1)
             for lam in enumerate_partitions(n)]

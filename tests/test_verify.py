@@ -24,7 +24,7 @@ from partbij.verify import (
     UnboundedBox,
     VerificationReport,
     VerifyError,
-    _colored_class_counts,
+    _colored_classes,
     default_box,
     f_recurrence,
     lhs_series,
@@ -181,62 +181,77 @@ def test_counting_verifiers_pass_small():
 
 
 def _tally(colored, bound, weight, admits=lambda p, i: True):
-    """Colored partitions keyed (weight, size, color counts), one by one."""
+    """Colored partitions keyed (weight, color counts), one by one."""
     tally = {}
     for mu in colored:
         if all(admits(p, i) for p, i in mu.entries):
-            key = (sum(weight(p, i) for p, i in mu.entries), mu.size(),
-                   mu.color_counts())
+            key = (sum(weight(p, i) for p, i in mu.entries),
+                   *mu.color_counts())
             if key[0] <= bound:
                 tally[key] = tally.get(key, 0) + 1
     return tally
 
 
+def _keyed(rows):
+    """Class rows as a dict from key to count."""
+    keys = [tuple(row[:-1]) for row in rows.tolist()]
+    assert keys == sorted(set(keys))  # one row per class, in key order
+    return dict(zip(keys, rows[:, -1].tolist()))
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_colored_class_counts_match_enumeration(t):
-    size_max = 10
-    colored = [mu for n in range(size_max + 1)
-               for mu in enumerate_colored(n, t)]
+def test_colored_classes_match_enumeration(t):
+    bound = 10
+    colored = [mu for n in range(bound + 1) for mu in enumerate_colored(n, t)]
     # thm7: part p of color i reassembles to (r-1) + t(p-1) + i
     for r in (1, 2, 3, 4):
         def weight(p, i):
             return r - 1 + t * (p - 1) + i
 
-        assert _colored_class_counts(t, weight, size_max) == \
-            _tally(colored, size_max, weight), r
+        assert _keyed(_thm7_classes(t, r, bound)) == \
+            _tally(colored, bound, weight), r
     # thm6: every part weighs itself
     part = lambda p, i: p
-    assert _colored_class_counts(t, part, size_max) == \
-        _tally(colored, size_max, part)
+    assert _keyed(_colored_classes(bound, [range(1, bound + 1)] * t)) == \
+        _tally(colored, bound, part)
     # cor11: color 2 only on the sizes r-1, r-1 + (t-1), ...
     if t == 2:
         for step, r in ((1, 2), (2, 2), (2, 3), (3, 4)):
             def admits(p, i):
                 return i == 1 or (p >= r - 1 and (p - r + 1) % step == 0)
 
-            assert _colored_class_counts(2, part, size_max, admits) == \
-                _tally(colored, size_max, part, admits), (step, r)
+            rows = _colored_classes(
+                bound, [range(1, bound + 1), range(r - 1, bound + 1, step)])
+            assert _keyed(rows) == _tally(colored, bound, part, admits), \
+                (step, r)
+
+
+def _thm7_classes(t, r, size_max):
+    return _colored_classes(
+        size_max, [range(r - 1 + i, size_max + 1, t) for i in range(1, t + 1)])
+
+
+def _thm7_class(row, t, r):
+    """The report monomial of the pair side's empty-head row for one
+    colored class row of thm7, and that class's count."""
+    base, *prof, count = row.tolist()
+    k = sum(prof)
+    n = (base - sum(c * (r - 1 + i - t) for i, c in enumerate(prof, 1))) // t
+    # with an empty head, first and row_r are both the colored length
+    return {"size": base, "first": k, "row_r": k, "weight": n,
+            "profile": prof}, count
 
 
 @pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
 def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
     monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 5 rows a chunk
     t, r, size_max = 2, 2, 10
-    counts = _colored_class_counts(
-        t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
-    key = base, n, prof = max(counts)
-    planted = {**counts, key: counts[key] + 1}
-    monkeypatch.setattr(ver, "_colored_class_counts", lambda *args: planted)
+    monomial, count = _thm7_class(_thm7_classes(t, r, size_max)[-1], t, r)
+    _plant(monkeypatch, ("class", "last", 1))
     report = verify_color_conjugate(t, r, size_max)
     assert report.status == "fail"
-    # the class's first pair has an empty head, so first and row_r are
-    # both the length of the colored partition
-    k = sum(prof)
     assert report.first_mismatch == {
-        "monomial": {"size": base, "first": k, "row_r": k, "weight": n,
-                     "profile": list(prof)},
-        "lhs": counts[key], "rhs": counts[key] + 1,
-    }
+        "monomial": monomial, "lhs": count, "rhs": count + 1}
     # a walk counts every partition, then the classes in (size, key)
     # order up to the miscounted one
     walk = [lam for size in range(size_max + 1)
@@ -244,21 +259,20 @@ def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
     classes = sorted({(lam.size(), lam.part(1), lam.part(r),
                        schmidt_weight(lam, t, r), *color_profile(lam, t, r))
                       for lam in walk})
+    *key, prof = monomial.values()
     assert report.coefficients_checked == \
-        len(walk) + classes.index((base, k, k, n, *prof)) + 1
+        len(walk) + classes.index((*key, *prof)) + 1
 
 
 def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
-    import partbij.verify as ver
-
     t, r, size_max = 3, 1, 9
-    counts = _colored_class_counts(
-        t, lambda p, i: r - 1 + t * (p - 1) + i, size_max)
-    key = sorted(counts)[len(counts) // 2]
-    planted = {**counts, key: counts[key] - 1}
-    monkeypatch.setattr(ver, "_colored_class_counts", lambda *args: planted)
+    rows = _thm7_classes(t, r, size_max)
+    _plant(monkeypatch, ("class", "middle", -1))
     report = verify_color_conjugate(t, r, size_max)
     assert report.status == "fail"
+    monomial, count = _thm7_class(rows[len(rows) // 2], t, r)
+    assert report.first_mismatch == {
+        "monomial": monomial, "lhs": count, "rhs": count - 1}
     assert json.loads(json.dumps(report.to_json()))["coefficients_checked"] \
         == report.coefficients_checked
 
@@ -434,10 +448,10 @@ def _plant(monkeypatch, fault):
     ("cell", axes, where, delta) adds delta to the first, middle or last
     cell of every histogram over axes, or to the cell indexed where, a
     tuple, of every such histogram that has it; ("class", where, delta)
-    to the first, middle or last knapsack class in key order; ("image",
-    name, parts) makes that bijection append a part 1 to the image of
-    parts, and for bessenrodt_inverse, which prop1 runs as an array
-    program, its array form bessenrodt_inverse_rows."""
+    to the count of the first, middle or last row of colored classes in
+    key order; ("image", name, parts) makes that bijection append a part
+    1 to the image of parts, and for bessenrodt_inverse, which prop1 runs
+    as an array program, its array form bessenrodt_inverse_rows."""
     kind, *spec = fault
     if kind == "cell":
         axes, where, delta = spec
@@ -455,13 +469,13 @@ def _plant(monkeypatch, fault):
         monkeypatch.setattr(ver, "partition_histogram", histogram)
     elif kind == "class":
         where, delta = spec
-        real = ver._colored_class_counts
+        real = ver._colored_classes
 
-        def classes(*args, **kwargs):
-            counts = real(*args, **kwargs)
-            key = sorted(counts)[_AT[where](len(counts))]
-            return {**counts, key: counts[key] + delta}
-        monkeypatch.setattr(ver, "_colored_class_counts", classes)
+        def classes(*args):
+            rows = real(*args)
+            rows[_AT[where](len(rows)), -1] += delta
+            return rows
+        monkeypatch.setattr(ver, "_colored_classes", classes)
     elif spec[0] == "bessenrodt_inverse":
         parts = spec[1]
         real = ver.bessenrodt_inverse_rows
