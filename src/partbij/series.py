@@ -9,9 +9,15 @@ box-exact because exponents only ever add.
 
 Pochhammer products need no general product: multiplying by (1 - x^e) is
 one shift and subtract, and dividing by it is the doubling product
-(1 + x^e)(1 + x^2e)(1 + x^4e)..., one shift-add per factor until the shift
-leaves the box. Every operation checks its result exactly and raises
-CoefficientOverflow only when a coefficient would leave int64.
+(1 + x^e)(1 + x^2e)(1 + x^4e)..., one shift-add per doubling until the
+shift leaves the box. A whole product runs in place on one copy of the
+coefficients under a running bound on their magnitude: a factor at most
+doubles it when multiplying, and at most multiplies it by the number of
+input coefficients a quotient coefficient sums when dividing. While the
+grown bound fits int64 the shifts run unchecked; when it does not, the
+exact maximum is taken again, and a factor that still might overflow
+runs checked shifts. Every operation raises CoefficientOverflow only when
+a coefficient would really leave int64.
 """
 
 import math
@@ -138,23 +144,6 @@ def _times_one_minus(coeffs, e):
     src, dst = _shift(coeffs.shape, e)
     out = coeffs.copy()
     out[dst] = _difference(coeffs[dst], coeffs[src])
-    return out
-
-
-def _over_one_minus(coeffs, e):
-    """coeffs / (1 - x^e) as coeffs * (1 + x^e)(1 + x^2e)(1 + x^4e)...
-
-    The product of the first k factors is 1 + x^e + ... + x^((2^k - 1)e),
-    so it equals 1/(1 - x^e) in the box once the next shift leaves it.
-    """
-    if not any(e):
-        raise NonUnitConstantTerm("constant term is 0")
-    out = coeffs.copy()
-    step = list(e)
-    while all(k < dim for k, dim in zip(step, out.shape)):
-        src, dst = _shift(out.shape, step)
-        out[dst] = _sum(out[dst], out[src])
-        step = [2 * k for k in step]
     return out
 
 
@@ -393,13 +382,45 @@ def _factor_exponents(variables, bounds, base, ratio, n):
     return out
 
 
-def _apply_factors(f, base, ratio, n, step):
-    """A new series: f with step(coeffs, e) applied for each factor e."""
-    coeffs = f.coeffs
+def _apply_factors(f, base, ratio, n, divide):
+    """A new series: f times each factor (1 - x^e) of (base; ratio)_n, or
+    f divided by each, worked in place on one copy of f's coefficients.
+
+    Dividing by 1 - x^e is the shift-add by e, 2e, 4e, ... while the
+    shift stays in the box: after k of them the factor applied is
+    1 + x^e + ... + x^((2^k - 1)e), which equals 1/(1 - x^e) in the box.
+    Each quotient coefficient, and each partial sum on the way to it, is
+    a sum of at most `grow` input coefficients, where grow is one more
+    than the most multiples of e that fit the box; multiplying at most
+    doubles a coefficient. So bound * grow bounds the magnitude after a
+    factor, and the shifts of a factor run unchecked when it fits int64.
+    """
+    coeffs = f.coeffs.copy()
+    shape = coeffs.shape
+    bound = _max_abs(coeffs)
     for e in _factor_exponents(f.variables, f.box, base, ratio, n):
-        coeffs = step(coeffs, e)
-    return TruncatedSeries(f.variables, f.box,
-                           coeffs.copy() if coeffs is f.coeffs else coeffs)
+        if not divide:
+            steps, grow = [e], 2
+        elif not any(e):
+            raise NonUnitConstantTerm("constant term is 0")
+        else:
+            grow = min((dim - 1) // k for k, dim in zip(e, shape) if k) + 1
+            steps = [[k << i for k in e]
+                     for i in range((grow - 1).bit_length())]
+        if bound * grow > _INT64_MAX:
+            bound = _max_abs(coeffs)
+        checked = bound * grow > _INT64_MAX
+        for step in steps:
+            src, dst = _shift(shape, step)
+            if checked:
+                coeffs[dst] = (_sum if divide else _difference)(
+                    coeffs[dst], coeffs[src])
+            elif divide:
+                coeffs[dst] += coeffs[src]
+            else:
+                coeffs[dst] -= coeffs[src]
+        bound = _max_abs(coeffs) if checked else bound * grow
+    return TruncatedSeries(f.variables, f.box, coeffs)
 
 
 def pochhammer(base, ratio, n, box):
@@ -410,7 +431,7 @@ def pochhammer(base, ratio, n, box):
     identically 1 there. Each factor is one shift and subtract.
     """
     return _apply_factors(TruncatedSeries.constant(box, 1),
-                          base, ratio, n, _times_one_minus)
+                          base, ratio, n, divide=False)
 
 
 def divide_pochhammer(f, base, ratio, n):
@@ -420,7 +441,7 @@ def divide_pochhammer(f, base, ratio, n):
     f * invert(pochhammer(...)) without any general product.
     NonUnitConstantTerm if a factor is 1 - 1.
     """
-    return _apply_factors(f, base, ratio, n, _over_one_minus)
+    return _apply_factors(f, base, ratio, n, divide=True)
 
 
 def q_binomial(n, k, variable, box):
@@ -444,7 +465,7 @@ def q_binomial(n, k, variable, box):
     num = pochhammer({variable: n - k + 1}, {variable: 1}, k, work_box)
     den = ({variable: 1}, {variable: 1}, k)
     quot = divide_pochhammer(num, *den)
-    if _apply_factors(quot, *den, _times_one_minus) != num:
+    if _apply_factors(quot, *den, divide=False) != num:
         raise SeriesError("q-binomial division left a residue")
     if int(quot.coeffs[deg]) != 1:
         raise SeriesError("q-binomial top coefficient is not 1")

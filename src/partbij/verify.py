@@ -703,21 +703,34 @@ def f_recurrence(n, t, box):
 
 def _f_series(n_max, t, box):
     """f_recurrence(n, t, box) for n = 0, 1, ..., n_max, from one run of
-    the recurrence."""
+    the recurrence.
+
+    The Gaussian binomial of degree d = m - k is built once, in a box of
+    its own degree, and cut to the target box's s bound; the head
+    q^m s^(m + k(t-1)) is a slice shift. The sums are checked adds, and
+    the division by 1 - q^m s^(mt) is divide_pochhammer's in-place
+    shift-add under its running magnitude bound, with checked shifts
+    only where that bound passes int64.
+    """
+    q, s = box["q"], box["s"]
     f = [TruncatedSeries.constant(box, 1)]
+    binomials = {}
     for m in range(1, n_max + 1):
         acc = TruncatedSeries.zero(box)
         for k in range(m):
-            head = {"q": m, "s": m + k * (t - 1)}
-            if any(head[v] > box[v] for v in head):
-                continue  # every term of this product lies outside the box
-            # the Gaussian binomial in a box of its own degree, cut down
-            # to the part inside the target box (axes q, s)
-            gb = TruncatedSeries.zero(box)
-            coeffs = qs.q_binomial(m - k + t - 1, t - 1, "s",
-                                   {"s": (t - 1) * (m - k)}).coeffs
-            gb.coeffs[0, :len(coeffs)] = coeffs[:box["s"] + 1]
-            acc = acc + gb * f[k] * TruncatedSeries.monomial(box, head)
+            d, ds = m - k, m + k * (t - 1)
+            if m > q or ds > s:
+                break  # ds grows with k: this term and the rest lie outside
+            if d not in binomials:
+                gb = TruncatedSeries.zero(box)
+                coeffs = qs.q_binomial(d + t - 1, t - 1, "s",
+                                       {"s": (t - 1) * d}).coeffs
+                gb.coeffs[0, :len(coeffs)] = coeffs[:s + 1]
+                binomials[d] = gb
+            term = (binomials[d] * f[k]).coeffs
+            head = TruncatedSeries.zero(box)
+            head.coeffs[m:, ds:] = term[:q + 1 - m, :s + 1 - ds]
+            acc = acc + head
         f.append(qs.divide_pochhammer(acc, {"q": m, "s": m * t}, {}, 1))
     return f
 

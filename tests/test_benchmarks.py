@@ -3,13 +3,29 @@ from pathlib import Path
 
 import pytest
 
+from partbij.verify import IDENTITY_IDS, THEOREM_IDS
+
 BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
+
+
+def _load(script):
+    spec = importlib.util.spec_from_file_location(
+        script, BENCHMARKS / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("script", ["bench_kernels", "bench_suite"])
 def test_benchmark_script_imports(script):
     # both scripts guard __main__, so importing one runs nothing; an
     # import of a library name that no longer exists fails here
-    spec = importlib.util.spec_from_file_location(
-        script, BENCHMARKS / f"{script}.py")
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    _load(script)
+
+
+def test_bench_suite_series_rows_run():
+    bench = _load("bench_suite")
+    times = bench.time_series(1)
+    assert list(times) == [i for i in THEOREM_IDS
+                           if i in IDENTITY_IDS or i == "eq20"]
+    assert all(ms > 0 for ms in times.values())

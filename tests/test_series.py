@@ -1,8 +1,10 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from partbij import series
 from partbij._accel import convolve
@@ -205,9 +207,10 @@ def test_overflow_guard():
 
 
 @st.composite
-def pochhammer_cases(draw):
-    """A box of 1-3 variables with bounds <= 8, a series f in it, and a
-    Pochhammer product (base; ratio)_n, n finite or INFINITY."""
+def pochhammer_cases(draw, coefficients=st.integers(-9, 9)):
+    """A box of 1-3 variables with bounds <= 8, a series f in it with
+    coefficients drawn from the given strategy, and a Pochhammer product
+    (base; ratio)_n, n finite or INFINITY."""
     names = ("q", "z", "s")[:draw(st.integers(1, 3))]
     box = {v: draw(st.integers(0, 8)) for v in names}
     base = {v: draw(st.integers(0, 3)) for v in names}
@@ -217,7 +220,7 @@ def pochhammer_cases(draw):
     else:
         n = draw(st.integers(0, 5))
     shape = tuple(b + 1 for b in box.values())
-    values = draw(st.lists(st.integers(-9, 9), min_size=int(np.prod(shape)),
+    values = draw(st.lists(coefficients, min_size=int(np.prod(shape)),
                            max_size=int(np.prod(shape))))
     f = TruncatedSeries.zero(box)
     f.coeffs[...] = np.array(values, dtype=np.int64).reshape(shape)
@@ -245,17 +248,25 @@ def test_negative_exponent_rejected():
         TruncatedSeries.monomial(BOX, {"q": -1})
 
 
+def _factors(box, base, ratio, n):
+    """Exponent tuples of the factors of (base; ratio)_n inside the box."""
+    out, k = [], 0
+    while n is INFINITY or k < n:
+        e = tuple(base[v] + k * ratio[v] for v in box)
+        if any(x > b for x, b in zip(e, box.values())):
+            break
+        out.append(e)
+        k += 1
+    return out
+
+
 def explicit_pochhammer(box, base, ratio, n):
     """(base; ratio)_n as one full convolution per factor (1 - x^e)."""
     one = TruncatedSeries.constant(box, 1)
     acc = one.coeffs
-    k = 0
-    while n is INFINITY or k < n:
-        e = {v: base[v] + k * ratio[v] for v in box}
-        if any(e[v] > box[v] for v in box):
-            break
-        acc = convolve(acc, (one - TruncatedSeries.monomial(box, e)).coeffs)
-        k += 1
+    for e in _factors(box, base, ratio, n):
+        x = TruncatedSeries.monomial(box, dict(zip(box, e)))
+        acc = convolve(acc, (one - x).coeffs)
     return TruncatedSeries(one.variables, one.box, acc)
 
 
@@ -321,6 +332,15 @@ def test_shift_subtract_overflow_is_exact():
         series._times_one_minus(np.array([-(2 ** 62), 2 ** 62]), (1,))
 
 
+def test_pochhammer_overflow_is_exact():
+    # (1 - q)^n has q^k coefficient (-1)^k C(n, k), largest at k = n/2:
+    # C(66, 33) fits int64 and C(67, 33) does not
+    f = pochhammer({"q": 1}, {}, 66, {"q": 33})
+    assert f.coefficient({"q": 33}) == -math.comb(66, 33)
+    with pytest.raises(CoefficientOverflow):
+        pochhammer({"q": 1}, {}, 67, {"q": 33})
+
+
 def test_product_bound_uses_max_norm():
     # l1 * l1 is 2^64, but each product coefficient is at most
     # l1(f) * max|g| = 2^62
@@ -330,3 +350,108 @@ def test_product_bound_uses_max_norm():
     assert (f * g).coefficient({"q": 3}) == 2 ** 62
     with pytest.raises(CoefficientOverflow):
         (f + f) * g  # 2^63 in every coefficient
+
+
+def exact_quotient(f, factors):
+    """f divided by each (1 - x^e) as Python ints: a sequential
+    out[k] += out[k - e], with k in lexicographic order so that k - e is
+    final before k reads it."""
+    out = f.coeffs.astype(object)
+    for e in factors:
+        for k in itertools.product(*(range(d, dim)
+                                     for d, dim in zip(e, out.shape))):
+            out[k] += out[tuple(i - d for i, d in zip(k, e))]
+    return out
+
+
+def _fits(coeffs):
+    return all(-(2 ** 63) <= int(c) < 2 ** 63 for c in coeffs.flat)
+
+
+@st.composite
+def big_quotient_cases(draw, signed):
+    """pochhammer_cases with coefficients up to 2^scale, scale <= 61,
+    and the product's factors, none of them 1 - 1."""
+    top = 2 ** draw(st.integers(0, 61))
+    box, f, base, ratio, n = draw(pochhammer_cases(
+        st.integers(-top if signed else 0, top)))
+    factors = _factors(box, base, ratio, n)
+    assume(all(any(e) for e in factors))
+    return f, base, ratio, n, factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_quotient_cases(signed=False))
+def test_divide_overflows_iff_exact_quotient_leaves_int64(case):
+    # with nonnegative coefficients every partial sum is at most the
+    # final quotient, so an overflow is exactly a quotient beyond int64
+    f, base, ratio, n, factors = case
+    before = f.coeffs.copy()
+    want = exact_quotient(f, factors)
+    if _fits(want):
+        got = divide_pochhammer(f, base, ratio, n)
+        assert got.coeffs.tolist() == want.tolist()
+    else:
+        with pytest.raises(CoefficientOverflow):
+            divide_pochhammer(f, base, ratio, n)
+    assert np.array_equal(f.coeffs, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_quotient_cases(signed=True))
+def test_signed_divide_is_exact_when_it_returns(case):
+    f, base, ratio, n, factors = case
+    try:
+        got = divide_pochhammer(f, base, ratio, n)
+    except CoefficientOverflow:
+        return
+    assert got.coeffs.tolist() == exact_quotient(f, factors).tolist()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(series, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series, name, counted)
+    return calls
+
+
+def test_running_bound_retakes_the_max_and_stays_unchecked(monkeypatch):
+    # 2^59 / (1 - q^7)^6 = 2^59 (1 + 6 q^7) on q <= 7: each factor may
+    # double the bound, which passes int64 at the fourth factor, where the
+    # exact max 3 * 2^59 lets it run unchecked, and again at the sixth,
+    # where the exact max is 5 * 2^59
+    sums = _counting(monkeypatch, "_sum")
+    maxes = _counting(monkeypatch, "_max_abs")
+    g = divide_pochhammer(TruncatedSeries.constant({"q": 7}, 2 ** 59),
+                          {"q": 7}, {}, 6)
+    assert g.coeffs.tolist() == [2 ** 59] + [0] * 6 + [6 * 2 ** 59]
+    assert len(maxes) == 3 and not sums  # the first bound and two re-takes
+
+
+def test_checked_factor_can_succeed(monkeypatch):
+    # 2^62 / (1 - q^2) on q <= 2: the exact bound 2^62 * 2 does not fit,
+    # so the shift-add is checked, and its result 2^62 + 2^62 q^2 fits
+    sums = _counting(monkeypatch, "_sum")
+    g = divide_pochhammer(TruncatedSeries.constant({"q": 2}, 2 ** 62),
+                          {"q": 2}, {}, 1)
+    assert g.coeffs.tolist() == [2 ** 62, 0, 2 ** 62]
+    assert len(sums) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(pochhammer_cases())
+def test_factor_passes_leave_their_input(case):
+    box, f, base, ratio, n = case
+    before = f.coeffs.copy()
+    pochhammer(base, ratio, n, box)
+    series._apply_factors(f, base, ratio, n, divide=False)
+    try:
+        divide_pochhammer(f, base, ratio, n)
+    except NonUnitConstantTerm:
+        pass
+    assert np.array_equal(f.coeffs, before)

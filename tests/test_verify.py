@@ -5,6 +5,7 @@ import pytest
 
 import partbij.bijections as bij
 import partbij.verify as ver
+from partbij._accel import partition_histogram
 from partbij.colored import enumerate_colored
 from partbij.partitions import (
     Partition,
@@ -721,6 +722,16 @@ def test_recurrence_matches_enumeration_columns():
     # and Gaussian binomials of degree past the s bound are cut to the box
     for t in (3, 4, 5):
         assert verify_recurrence(t).passed
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_recurrence_matches_histogram_above_full_box(t):
+    # above the full suite's n_max 9 and box q <= 12, s <= 18
+    box = {"q": 16, "s": 30}
+    arr = partition_histogram(("weight", "first", "size"), (16, 10, 30),
+                              t=t, r=1)
+    for n in range(11):
+        assert np.array_equal(f_recurrence(n, t, box).coeffs, arr[:, n, :])
 
 
 def test_table_rows_are_sorted_by_weight():
