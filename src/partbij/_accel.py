@@ -49,7 +49,8 @@ class UnboundedBox(ValueError):
 # ---------------------------------------------------------------------------
 
 def convolve(a, b):
-    """Truncated product of two identically shaped int64 coefficient arrays.
+    """Truncated product of two identically shaped coefficient arrays, in
+    their dtype (int64, or object for exact Python ints).
 
     Exponent vectors add; results falling outside the array are dropped.
     """
@@ -57,7 +58,7 @@ def convolve(a, b):
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
-    out = np.zeros(a.shape, dtype=np.int64)
+    out = np.zeros_like(a)
     for idx in np.argwhere(a):
         src = tuple(slice(0, dim - e) for e, dim in zip(idx, a.shape))
         dst = tuple(slice(e, dim) for e, dim in zip(idx, a.shape))

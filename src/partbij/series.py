@@ -16,8 +16,12 @@ doubles it when multiplying, and at most multiplies it by the number of
 input coefficients a quotient coefficient sums when dividing. While the
 grown bound fits int64 the shifts run unchecked; when it does not, the
 exact maximum is taken again, and a factor that still might overflow
-runs checked shifts. Every operation raises CoefficientOverflow only when
-a coefficient would really leave int64.
+runs checked shifts.
+
+The general product `*` shift-adds the sparser operand's nonzeros. When
+max|a| max|b| min(nnz) does not fit int64, the same shift-add runs on
+Python-int copies instead. Every operation raises CoefficientOverflow
+only when a coefficient would really leave int64.
 """
 
 import math
@@ -113,23 +117,22 @@ def _max_abs(coeffs):
     return max(int(coeffs.max()), -int(coeffs.min()))
 
 
-def _l1(coeffs):
-    return int(np.abs(coeffs).astype(object).sum())
+def _product(a, b):
+    """The truncated product a*b, raising only if one of its coefficients
+    leaves int64.
 
-
-def _product_fits(a, b):
-    """Whether no coefficient of the truncated product a*b can leave int64.
-
-    A product coefficient, and every partial sum of it, is a sum of terms
-    a_i b_j with distinct i and distinct j, so its magnitude is at most
-    min(l1(a) max|b|, max|a| l1(b)). The exact l1 norms are only taken
-    when the cheaper max|a| max|b| min(nnz(a), nnz(b)) does not settle it.
+    A product coefficient, and every partial sum of it, is a sum of at
+    most min(nnz(a), nnz(b)) terms a_i b_j, so when max|a| max|b| times
+    that count fits, the int64 shift-add cannot wrap. Otherwise the same
+    shift-add runs on Python-int copies and the exact product is checked.
     """
-    ma, mb = _max_abs(a), _max_abs(b)
     nnz = int(min(np.count_nonzero(a), np.count_nonzero(b)))
-    if ma * mb * nnz <= _INT64_MAX:
-        return True
-    return min(_l1(a) * mb, ma * _l1(b)) <= _INT64_MAX
+    if _max_abs(a) * _max_abs(b) * nnz <= _INT64_MAX:
+        return _accel.convolve(a, b)
+    out = _accel.convolve(a.astype(object), b.astype(object))
+    if out.max() > _INT64_MAX or out.min() < -_INT64_MAX - 1:
+        raise _overflow()
+    return out.astype(np.int64)
 
 
 def _shift(shape, e):
@@ -137,14 +140,6 @@ def _shift(shape, e):
     src = tuple(slice(0, dim - k) for k, dim in zip(e, shape))
     dst = tuple(slice(k, dim) for k, dim in zip(e, shape))
     return src, dst
-
-
-def _times_one_minus(coeffs, e):
-    """coeffs * (1 - x^e): one shift and subtract."""
-    src, dst = _shift(coeffs.shape, e)
-    out = coeffs.copy()
-    out[dst] = _difference(coeffs[dst], coeffs[src])
-    return out
 
 
 class TruncatedSeries:
@@ -245,10 +240,8 @@ class TruncatedSeries:
             return TruncatedSeries(self.variables, self.box,
                                    self.coeffs * np.int64(other))
         self._check_aligned(other)
-        if not _product_fits(self.coeffs, other.coeffs):
-            raise _overflow()
         return TruncatedSeries(self.variables, self.box,
-                               _accel.convolve(self.coeffs, other.coeffs))
+                               _product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -1,18 +1,19 @@
 """Mechanical verification of the package's partition identities.
 
 Every check compares two independently computed objects: a count and a
-closed form (truncated products, inverses, q-binomials), a second count
-or a frozen reference. Two kernels do the counting without visiting the
-objects counted: the row-transfer partition histogram, for partitions by
-any of their statistics, colour profile included, and int64 rows of
-coloured classes (weight, colour counts, count), built colour by colour
-from each colour's own knapsack table, for coloured partitions. The sides
-share no identity-specific logic, so agreement across a whole
-coefficient box is strong evidence, and any disagreement is pinned to
-its graded-lex-first monomial. The bijection checks test the maps
-themselves: thm7, prop1 and furtherwork run their maps' array forms over
-their whole domain in chunks of rows that may span sizes, and table1
-still walks partitions one at a time.
+closed form (Pochhammer products and quotients, applied as in-place shift
+passes; eq20's recurrence applies its Gaussian binomials the same way),
+a second count or a frozen reference. Two kernels do the counting
+without visiting the objects counted: the row-transfer partition
+histogram, for partitions by any of their statistics, colour profile
+included, and int64 rows of coloured classes (weight, colour counts,
+count), built colour by colour from each colour's own knapsack table,
+for coloured partitions. The sides share no identity-specific logic, so
+agreement across a whole coefficient box is strong evidence, and any
+disagreement is pinned to its graded-lex-first monomial. The bijection
+checks test the maps themselves: thm7, prop1 and furtherwork run their
+maps' array forms over their whole domain in chunks of rows that may
+span sizes, and table1 still walks partitions one at a time.
 
 The dedicated checks schmidt, cor2, table1, thm6 and cor11 report
 through one first-failure scan, _first_failure: each lays out its cells
@@ -703,34 +704,31 @@ def f_recurrence(n, t, box):
 
 def _f_series(n_max, t, box):
     """f_recurrence(n, t, box) for n = 0, 1, ..., n_max, from one run of
-    the recurrence.
+    the recurrence
 
-    The Gaussian binomial of degree d = m - k is built once, in a box of
-    its own degree, and cut to the target box's s bound; the head
-    q^m s^(m + k(t-1)) is a slice shift. The sums are checked adds, and
-    the division by 1 - q^m s^(mt) is divide_pochhammer's in-place
-    shift-add under its running magnitude bound, with checked shifts
-    only where that bound passes int64.
+        f_m = sum over k < m of q^m s^(m + k(t-1)) [m-k+t-1, t-1]_s f_k,
+              divided by 1 - q^m s^(mt),
+
+    built from Pochhammer shift passes alone. The Gaussian binomial is
+    (s^(m-k+1); s)_(t-1) / (s; s)_(t-1), so each f_k is multiplied in
+    place by the t-1 numerator factors, placed under its head monomial by
+    a slice shift and added with the checked add, and the sum is divided
+    once by (s; s)_(t-1) and once by 1 - q^m s^(mt). Every pass runs
+    under the series layer's running magnitude bound.
     """
     q, s = box["q"], box["s"]
     f = [TruncatedSeries.constant(box, 1)]
-    binomials = {}
     for m in range(1, n_max + 1):
         acc = TruncatedSeries.zero(box)
         for k in range(m):
-            d, ds = m - k, m + k * (t - 1)
+            ds = m + k * (t - 1)
             if m > q or ds > s:
                 break  # ds grows with k: this term and the rest lie outside
-            if d not in binomials:
-                gb = TruncatedSeries.zero(box)
-                coeffs = qs.q_binomial(d + t - 1, t - 1, "s",
-                                       {"s": (t - 1) * d}).coeffs
-                gb.coeffs[0, :len(coeffs)] = coeffs[:s + 1]
-                binomials[d] = gb
-            term = (binomials[d] * f[k]).coeffs
-            head = TruncatedSeries.zero(box)
-            head.coeffs[m:, ds:] = term[:q + 1 - m, :s + 1 - ds]
-            acc = acc + head
+            term = qs._apply_factors(f[k], {"s": m - k + 1}, {"s": 1}, t - 1,
+                                     divide=False).coeffs
+            acc.coeffs[m:, ds:] = qs._sum(acc.coeffs[m:, ds:],
+                                          term[:q + 1 - m, :s + 1 - ds])
+        acc = qs.divide_pochhammer(acc, {"s": 1}, {"s": 1}, t - 1)
         f.append(qs.divide_pochhammer(acc, {"q": m, "s": m * t}, {}, 1))
     return f
 
@@ -744,7 +742,7 @@ def verify_recurrence(t, n_max=6, box=None):
     if n_max < 0:
         raise VerifyError("eq20 needs n_max >= 0")
     if box is None:
-        box = {"q": 8, "s": 12}
+        box = default_box("eq20")
     start = time.perf_counter()
     q, s = _need("eq20", box, "q", "s")
     arr = partition_histogram(("weight", "first", "size"), (q, n_max, s),
@@ -774,7 +772,7 @@ def verify_functional_equation(t, box=None, perturb=None):
     if t < 1:
         raise VerifyError("palette size t must be >= 1")
     if box is None:
-        box = {"q": 6, "s": 10, "z": 4}
+        box = default_box("eq24")
     _need("eq24", box, "q", "z", "s")
     start = time.perf_counter()
     big_f = Histogram(("weight", "first", "size"), t=t)({}, box)

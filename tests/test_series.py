@@ -324,12 +324,21 @@ def test_add_and_subtract_overflow_is_exact():
         big * 2
 
 
-def test_shift_subtract_overflow_is_exact():
-    # (-2^62 + c q)(1 - q) has q coefficient c + 2^62 on q <= 1
+def test_shift_subtract_overflow_is_exact(monkeypatch):
+    # (-2^62 + c q)(1 - q) has q coefficient c + 2^62 on q <= 1; the
+    # bound 2^62 * 2 does not fit, so the multiply pass runs the checked
+    # subtract
+    differences = _counting(monkeypatch, "_difference")
+
+    def times_one_minus_q(coeffs):
+        f = TruncatedSeries(("q",), (1,), coeffs)
+        return series._apply_factors(f, {"q": 1}, {}, 1, divide=False)
+
     fits = np.array([-(2 ** 62), 2 ** 62 - 1], dtype=np.int64)
-    assert series._times_one_minus(fits, (1,))[1] == 2 ** 63 - 1
+    assert times_one_minus_q(fits).coefficient({"q": 1}) == 2 ** 63 - 1
     with pytest.raises(CoefficientOverflow):
-        series._times_one_minus(np.array([-(2 ** 62), 2 ** 62]), (1,))
+        times_one_minus_q(np.array([-(2 ** 62), 2 ** 62]))
+    assert len(differences) == 2
 
 
 def test_pochhammer_overflow_is_exact():
@@ -350,6 +359,24 @@ def test_product_bound_uses_max_norm():
     assert (f * g).coefficient({"q": 3}) == 2 ** 62
     with pytest.raises(CoefficientOverflow):
         (f + f) * g  # 2^63 in every coefficient
+
+
+def test_product_is_exact():
+    # the cheap bound max|a| max|b| min(nnz) is 2^63 for each product
+    # below, so each is taken exactly and raises only when a coefficient
+    # really leaves int64
+    box = {"q": 2}
+    a = TruncatedSeries.from_terms(box, [({}, 2 ** 62), ({"q": 1}, -2 ** 62)])
+    b = TruncatedSeries.from_terms(box, [({}, 1), ({"q": 1}, 1)])
+    assert (a * b).coeffs.tolist() == [2 ** 62, 0, -2 ** 62]
+    assert b * a == a * b
+    box = {"q": 1}
+    c = TruncatedSeries.from_terms(box, [({}, 2 ** 62), ({"q": 1}, 2 ** 62)])
+    d = TruncatedSeries.from_terms(box, [({}, 1), ({"q": 1}, 1)])
+    assert ((-c) * d).coeffs.tolist() == [-2 ** 62, -2 ** 63]
+    assert ((c - 1) * d).coeffs.tolist() == [2 ** 62 - 1, 2 ** 63 - 1]
+    with pytest.raises(CoefficientOverflow):
+        c * d  # 2^63 at q
 
 
 def exact_quotient(f, factors):

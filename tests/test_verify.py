@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import partbij.bijections as bij
+import partbij.cli as cli
 import partbij.verify as ver
 from partbij._accel import partition_histogram
 from partbij.colored import enumerate_colored
@@ -16,7 +18,13 @@ from partbij.partitions import (
     schmidt_weight,
     to_modular,
 )
-from partbij.series import TruncatedSeries, equal_in_box
+from partbij.series import (
+    TruncatedSeries,
+    equal_in_box,
+    invert,
+    pochhammer,
+    q_binomial,
+)
 from partbij.verify import (
     IDENTITY_IDS,
     THEOREM_IDS,
@@ -719,7 +727,7 @@ def test_recurrence_matches_enumeration_columns():
     report = verify_recurrence(2, n_max=3, box=box)
     assert report.passed
     # heads q^m s^(m + k(t-1)) beyond the default box contribute nothing,
-    # and Gaussian binomials of degree past the s bound are cut to the box
+    # and the Gaussian binomials' factors past the s bound are 1 in the box
     for t in (3, 4, 5):
         assert verify_recurrence(t).passed
 
@@ -732,6 +740,68 @@ def test_recurrence_matches_histogram_above_full_box(t):
                               t=t, r=1)
     for n in range(11):
         assert np.array_equal(f_recurrence(n, t, box).coeffs, arr[:, n, :])
+
+
+def reference_f_series(n_max, t, box):
+    """The largest-part recurrence with each Gaussian binomial built by
+    q_binomial and every term and the division taken with the general
+    product."""
+    f = [TruncatedSeries.constant(box, 1)]
+    for m in range(1, n_max + 1):
+        acc = TruncatedSeries.zero(box)
+        for k in range(m):
+            head = {"q": m, "s": m + k * (t - 1)}
+            if head["q"] > box["q"] or head["s"] > box["s"]:
+                continue
+            d = m - k
+            gb = q_binomial(d + t - 1, t - 1, "s", {"s": (t - 1) * d})
+            binomial = TruncatedSeries.zero(box)
+            cut = gb.coeffs[:box["s"] + 1]
+            binomial.coeffs[0, :len(cut)] = cut
+            acc = acc + TruncatedSeries.monomial(box, head) * binomial * f[k]
+        f.append(acc * invert(pochhammer({"q": m, "s": m * t}, {}, 1, box)))
+    return f
+
+
+@pytest.mark.parametrize("box", [{"q": 16, "s": 30}, {"q": 10, "s": 10},
+                                 {"q": 5, "s": 25}])
+def test_recurrence_matches_binomial_reference(box):
+    for t in range(1, 6):
+        want = reference_f_series(12, t, box)
+        assert f_recurrence(12, t, box) == want[12]
+        assert ver._f_series(12, t, box) == want
+
+
+def test_quick_suite_takes_no_series_product(monkeypatch):
+    product = TruncatedSeries.__mul__
+
+    def scalar_only(self, other):
+        if not isinstance(other, int):
+            raise AssertionError("series-by-series product")
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", scalar_only)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", scalar_only)
+    assert 3 * TruncatedSeries.constant({"q": 1}, 2) == \
+        TruncatedSeries.constant({"q": 1}, 6)
+    assert run_suite("quick").passed
+
+
+def test_defaults_match_catalog():
+    for entry in ver.CATALOG:
+        if entry.verifier is None:
+            continue
+        signature = inspect.signature(getattr(ver, entry.verifier))
+        for name, param in signature.parameters.items():
+            if param.default is inspect.Parameter.empty:
+                assert name in entry.params, (entry.id, name)
+            elif name == "box":
+                report = getattr(ver, entry.verifier)(entry.params["t"])
+                assert report.box == default_box(entry.id), entry.id
+            elif name != "perturb":
+                assert param.default == entry.params[name], (entry.id, name)
+    args = cli._build_parser().parse_args(["table", "bessenrodt"])
+    assert args.n == ver._entry("table1").params["n"]
 
 
 def test_table_rows_are_sorted_by_weight():
