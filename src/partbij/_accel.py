@@ -19,21 +19,7 @@ import itertools
 
 import numpy as np
 
-AXIS_FIRST = 0
-AXIS_SIZE = 1
-AXIS_LENGTH = 2
-AXIS_WEIGHT = 3
-AXIS_ANTI = 4
-AXIS_PROFILE = 5
-
-_AXIS_CODES = {
-    "first": AXIS_FIRST,
-    "size": AXIS_SIZE,
-    "length": AXIS_LENGTH,
-    "weight": AXIS_WEIGHT,
-    "anti": AXIS_ANTI,
-    "profile": AXIS_PROFILE,
-}
+_AXES = ("first", "size", "length", "weight", "anti", "profile")
 
 
 class HistogramOverflow(OverflowError):
@@ -73,10 +59,10 @@ def convolve(a, b):
 def _shifted_axes(kinds, pos, counted):
     """State axes (after the part axis) that row `pos` adds its part to."""
     return [j for j, kind in enumerate(kinds)
-            if kind == AXIS_SIZE
-            or (kind == AXIS_FIRST and pos == 1)
-            or (kind == AXIS_WEIGHT and counted)
-            or (kind == AXIS_ANTI and not counted)]
+            if kind == "size"
+            or (kind == "first" and pos == 1)
+            or (kind == "weight" and counted)
+            or (kind == "anti" and not counted)]
 
 
 def _unwrapped(counts):
@@ -121,14 +107,17 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
         raise ValueError("at least one axis is required")
     if len(axes) != len(bounds):
         raise ValueError("axes and bounds must pair up")
-    codes = [_AXIS_CODES[a] for a in axes]
+    unknown = [a for a in axes if a not in _AXES]
+    if unknown:
+        raise ValueError(f"unknown axis {unknown[0]!r}; the axes are "
+                         + ", ".join(_AXES))
     if any(int(b) < 0 for b in bounds):
         raise ValueError("axis bounds must be nonnegative")
     t, r = int(t), int(r)
-    if codes.count(AXIS_PROFILE) not in (0, t):
+    if axes.count("profile") not in (0, t):
         raise ValueError(f"the profile axis must occur t = {t} times or not "
-                         f"at all, not {codes.count(AXIS_PROFILE)}")
-    lengths = [int(b) for code, b in zip(codes, bounds) if code == AXIS_LENGTH]
+                         f"at all, not {axes.count('profile')}")
+    lengths = [int(b) for axis, b in zip(axes, bounds) if axis == "length"]
     if max_len is not None:
         lengths.append(int(max_len))
     max_len = min(lengths, default=None)
@@ -150,10 +139,10 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
     if admits(0):
         out[(0,) * out.ndim] += 1
 
-    kinds = [code for code in codes if code != AXIS_LENGTH]
-    kbounds = [int(b) for code, b in zip(codes, bounds) if code != AXIS_LENGTH]
+    kinds = [axis for axis in axes if axis != "length"]
+    kbounds = [int(b) for axis, b in zip(axes, bounds) if axis != "length"]
     stat_shape = tuple(b + 1 for b in kbounds)
-    classes = [j for j, kind in enumerate(kinds) if kind == AXIS_PROFILE]
+    classes = [j for j, kind in enumerate(kinds) if kind == "profile"]
     # the first part is the largest, so every axis row 1 adds to caps it
     caps = [kbounds[j] for j in _shifted_axes(kinds, 1, counted(1))]
     if max_part is not None:
@@ -204,8 +193,8 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
         if not alive.size:
             break
         if admits(pos):
-            cell = tuple(pos if code == AXIS_LENGTH else slice(None)
-                         for code in codes)
+            cell = tuple(pos if axis == "length" else slice(None)
+                         for axis in axes)
             out[cell] += sums[0]
             _unwrapped(out[cell])
         top = int(alive[-1])

@@ -316,7 +316,7 @@ def main(argv=None):
     except SystemExit:  # --help; every other parse error is a UsageError
         return 0
     except (UsageError, PartitionError, ColoredPartitionError, SeriesError,
-            VerifyError, HistogramOverflow, UnboundedBox) as exc:
+            VerifyError, HistogramOverflow, UnboundedBox, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

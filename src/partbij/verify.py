@@ -13,7 +13,12 @@ agreement across a whole coefficient box is strong evidence, and any
 disagreement is pinned to its graded-lex-first monomial. The bijection
 checks test the maps themselves: thm7, prop1 and furtherwork run their
 maps' array forms over their whole domain in chunks of rows that may
-span sizes, and table1 still walks partitions one at a time.
+span sizes. Two walks visit partitions one at a time: table1's rows and
+furtherwork's collision_search(3, 13).
+
+Every counting side of a series identity is a (params, box) function,
+like its closed form: one histogram call whose own array is the series,
+or for eq3 one gather from the (size, length) histogram.
 
 The dedicated checks schmidt, cor2, table1, thm6 and cor11 report
 through one first-failure scan, _first_failure: each lays out its cells
@@ -177,11 +182,11 @@ def _need(ident, box, *names):
 
 
 def _series_from_hist(box, arr):
-    f = TruncatedSeries.zero(box)
-    if f.coeffs.shape != arr.shape:
+    """The int64 array arr, not copied, as a series over box."""
+    variables, bounds = qs._canon_box(box)
+    if arr.shape != tuple(b + 1 for b in bounds):
         raise VerifyError("histogram shape does not match the box")
-    f.coeffs[...] = arr
-    return f
+    return TruncatedSeries(variables, bounds, arr)
 
 
 # rows per array pass bounded to about this many cells, so that the
@@ -227,49 +232,28 @@ def _key_sums(keys, values):
 # series identities: the specs of the two sides
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Histogram:
-    """Enumeration side counted by the histogram kernel.
-
-    axes names the partition statistic of each box variable, in the
-    canonical variable order q, z, s; "profile" stands for the t colour
-    classes z1..zt. t and r are numbers or the names of the parameters
-    that hold them; max_len, if given, maps the parameters to a
-    restriction on the length.
-    """
-
-    axes: tuple
-    t: object = 1
-    r: object = 1
-    distinct: bool = False
-    length_mod: Optional[tuple] = None
-    max_len: object = None
-
-    def __call__(self, params, box):
-        def value(x):
-            return params[x] if isinstance(x, str) else x
-
-        t = value(self.t)
-        axes = [a for axis in self.axes
-                for a in [axis] * (t if axis == "profile" else 1)]
-        arr = partition_histogram(
-            axes, TruncatedSeries.zero(box).box,
-            t=t, r=value(self.r), distinct=self.distinct,
-            length_mod=self.length_mod,
-            max_len=self.max_len and self.max_len(params),
-        )
-        return _series_from_hist(box, arr)
+def _histogram(box, axes, t=1, **options):
+    """The histogram kernel's count as a series over box: axes names the
+    partition statistic of each box variable, in the canonical variable
+    order q, z, s, and "profile" stands for the t colour classes z1..zt;
+    t and the other options go to the kernel."""
+    axes = [a for axis in axes for a in [axis] * (t if axis == "profile" else 1)]
+    _, bounds = qs._canon_box(box)
+    return _series_from_hist(
+        box, partition_histogram(axes, bounds, t=t, **options))
 
 
 def _size_and_excess(params, box):
     """eq3's enumeration side: partitions by size (q) and by twice the
-    size less the length (z), read off the (size, length) histogram."""
-    f = TruncatedSeries.zero(box)
-    arr = partition_histogram(("size", "length"), (box["q"], box["q"]))
-    for n in range(box["q"] + 1):
-        for ell in range(max(0, 2 * n - box["z"]), n + 1):
-            f.coeffs[n, 2 * n - ell] = arr[n, ell]
-    return f
+    size less the length (z), gathered from the (size, length) histogram
+    at length 2 size - z."""
+    q = box["q"]
+    arr = partition_histogram(("size", "length"), (q, q))
+    n, z = np.ogrid[:q + 1, :box["z"] + 1]
+    ell = 2 * n - z
+    # the clip keeps every index valid, and the mask drops what it moved
+    return _series_from_hist(box, np.where(
+        (ell >= 0) & (ell <= n), arr[n, np.clip(ell, 0, q)], 0))
 
 
 def _colors(t):
@@ -547,11 +531,13 @@ def _rows_equal(a, b):
 
 def _pair_classes(t, r, size_max):
     """The pair side of thm7: an int64 array of rows (size, first, row_r,
-    weight, *profile, count), one per head and colored class; rows of one
-    key count one class."""
-    heads = np.array([(s_nu, nu.part(1)) for s_nu in range(size_max + 1)
-                      for nu in enumerate_partitions(s_nu, max_length=r - 1)],
-                     dtype=np.int64)
+    weight, *profile, count), one per head cell and colored class; rows
+    of one key count one class. The heads, partitions with at most r - 1
+    parts, are counted by the histogram kernel in cells (size, first
+    part), and a row's count is its class's count times its head cell's."""
+    heads = partition_histogram(("size", "first"), (size_max, size_max),
+                                max_len=r - 1)
+    size, first = np.nonzero(heads)
     # part p of color i reassembles to r - 1 + t(p - 1) + i rows, so a class
     # (w, c) has sum(c) parts summing to (w - sum_i c_i (r - 1 + i - t)) / t
     classes = _colored_classes(
@@ -559,9 +545,9 @@ def _pair_classes(t, r, size_max):
     base, prof = classes[:, 0], classes[:, 1:-1]
     k = prof.sum(axis=1)
     n = (base - prof @ np.arange(r - t, r)) // t
-    i, j = np.nonzero(base[:, None] + heads[:, 0] <= size_max)
-    return np.column_stack([base[i] + heads[j, 0], heads[j, 1] + k[i], k[i],
-                            n[i], prof[i], classes[i, -1]])
+    i, j = np.nonzero(base[:, None] + size <= size_max)
+    return np.column_stack([base[i] + size[j], first[j] + k[i], k[i], n[i],
+                            prof[i], classes[i, -1] * heads[size, first][j]])
 
 
 def _round_trip_rows(lam, t, r):
@@ -775,7 +761,7 @@ def verify_functional_equation(t, box=None, perturb=None):
         box = default_box("eq24")
     _need("eq24", box, "q", "z", "s")
     start = time.perf_counter()
-    big_f = Histogram(("weight", "first", "size"), t=t)({}, box)
+    big_f = _histogram(box, ("weight", "first", "size"), t=t)
     rhs = qs.divide_pochhammer(
         qs.substitute(big_f, "z", {"s": t, "q": 1, "z": 1}),
         {"s": 1, "q": 1, "z": 1}, {"s": 1}, t,
@@ -935,11 +921,13 @@ CATALOG = (
     Entry("cor2", {"n_max": 15}, {"n": "n_max"}, full={"n_max": 22},
           verifier="verify_schmidt_refinement"),
     Entry("thm3.1", box={"q": 12, "z": 24}, full={"box": {"q": 18, "z": 36}},
-          lhs=Histogram(("weight", "size"), t=2, distinct=True),
+          lhs=lambda p, box: _histogram(box, ("weight", "size"), t=2,
+                                        distinct=True),
           rhs=lambda p, box: _quotient(
               box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])),
     Entry("thm3.2", box=_QZ12, full=_FULL18,
-          lhs=Histogram(("weight", "size"), t=2, r=2, distinct=True),
+          lhs=lambda p, box: _histogram(box, ("weight", "size"), t=2, r=2,
+                                        distinct=True),
           rhs=lambda p, box: _quotient(
               box, [({"z": 1}, {"q": 1, "z": 2}, INFINITY)])),
     Entry("eq3", box={"q": 8, "z": 16}, full={"box": {"q": 12, "z": 24}},
@@ -947,21 +935,21 @@ CATALOG = (
           rhs=lambda p, box: _quotient(
               box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])),
     Entry("thm4.1", box=_QZ12, full=_FULL18,
-          lhs=Histogram(("weight", "first"), t=4, distinct=True,
-                        length_mod=(4, (0, 3))),
+          lhs=lambda p, box: _histogram(box, ("weight", "first"), t=4,
+                                        distinct=True, length_mod=(4, (0, 3))),
           rhs=lambda p, box: _head_sum(box, 1, lambda n: (
               {"q": n * (2 * n + 1), "z": 4 * n - 1}, [_zq(n)] * 4))),
     Entry("thm4.2", box=_QZ12, full=_FULL18,
-          lhs=Histogram(("weight", "first"), t=4, distinct=True,
-                        length_mod=(4, (1, 2))),
+          lhs=lambda p, box: _histogram(box, ("weight", "first"), t=4,
+                                        distinct=True, length_mod=(4, (1, 2))),
           rhs=lambda p, box: _head_sum(box, 0, lambda n: (
               {"q": n * (2 * n - 1), "z": 4 * n - 3},
               [_zq(n)] * 2 + [_zq(n - 1)] * 2))),
     Entry("thm5.1", box=_QZ12, full=_FULL18,
-          lhs=Histogram(("weight", "first"), t=2),
+          lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2),
           rhs=lambda p, box: _quotient(box, [_zq(), _zq()])),
     Entry("thm5.2", box=_QZ12, full=_FULL18,
-          lhs=Histogram(("weight", "first"), t=2, r=2),
+          lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2, r=2),
           rhs=lambda p, box: _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])),
     Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"},
           full={"n_max": 12}, grid={"t": _UP_TO_3}, verifier="verify_li_yee"),
@@ -972,12 +960,13 @@ CATALOG = (
     Entry("thm8.1", {"t": 2, "r": 1}, _TR, box={"q": 10, "z": 10},
           full={"box": {"q": 15, "z": 15}},
           grid={"t": (1, 2, 3, 4), "r": (1, 2, 3, 4)},
-          lhs=Histogram(("weight", "first"), t="t", r="r"),
+          lhs=lambda p, box: _histogram(box, ("weight", "first"), t=p["t"],
+                                        r=p["r"]),
           rhs=lambda p, box: _quotient(
               box, [({"z": 1}, {}, p["r"] - 1)] + [_zq()] * p["t"])),
     Entry("thm8.2", {"t": 2}, _T, box={"q": 8, "z": 4}, colored=True,
           full={"box": {"q": 12, "z": 6}}, grid={"t": _UP_TO_3},
-          lhs=Histogram(("weight", "profile"), t="t"),
+          lhs=lambda p, box: _histogram(box, ("weight", "profile"), t=p["t"]),
           rhs=lambda p, box: _quotient(
               box, [({"q": 1, z: 1}, {"q": 1}, INFINITY)
                     for z in _colors(p["t"])])),
@@ -986,7 +975,8 @@ CATALOG = (
     Entry("thm9", {"t": 2, "r": 1}, _TR, box={"q": 10, "z": 10, "s": 10},
           full={"box": {"q": 12, "z": 12, "s": 12}},
           grid={"t": _UP_TO_3, "r": _UP_TO_3},
-          lhs=Histogram(("weight", "first", "size"), t="t", r="r"),
+          lhs=lambda p, box: _histogram(box, ("weight", "first", "size"),
+                                        t=p["t"], r=p["r"]),
           rhs=lambda p, box: _quotient(
               box, [({"s": 1, "z": 1}, {"s": 1}, p["r"] - 1)]
               + [({"s": n * p["t"] + p["r"], "q": n + 1, "z": 1}, {"s": 1},
@@ -994,7 +984,8 @@ CATALOG = (
                  if n * p["t"] + p["r"] <= box["s"]])),
     Entry("cor10", {"t": 2, "r": 1}, _TR, box={"q": 8, "z": 8},
           full={"box": {"q": 12, "z": 12}}, grid={"t": (2, 3), "r": _UP_TO_3},
-          lhs=Histogram(("anti", "first"), t="t", r="r"),
+          lhs=lambda p, box: _histogram(box, ("anti", "first"), t=p["t"],
+                                        r=p["r"]),
           rhs=lambda p, box: _quotient(box, [
               _zq(), ({"q": p["r"] - 1, "z": 1}, {"q": p["t"] - 1}, INFINITY)])),
     Entry("cor11", {"t": 2, "r": 2, "k_max": 6, "n_max": 10},
@@ -1004,7 +995,8 @@ CATALOG = (
     Entry("eq14", {"n": 4}, {"n": "n"}, box={"q": 10, "z": 10},
           full={"box": {"q": 15, "z": 15}, "grid": {"n": range(7)}},
           grid={"n": range(5)},
-          lhs=Histogram(("weight", "first"), t=2, max_len=lambda p: 2 * p["n"]),
+          lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2,
+                                        max_len=2 * p["n"]),
           rhs=lambda p, box: _quotient(box, [_zq(p["n"])] * 2)),
     Entry("eq20", {"t": 2, "n_max": 6}, {"t": "t", "n": "n_max"},
           box={"q": 8, "s": 12}, full={"n_max": 9, "box": {"q": 12, "s": 18}},

@@ -133,8 +133,10 @@ def test_histogram_rejects_bad_arguments():
         partition_histogram(("size",), (3, 4), max_part=3, max_len=3)
     with pytest.raises(ValueError):
         partition_histogram(("size",), (-1,), max_part=3, max_len=3)
-    with pytest.raises(KeyError):
-        partition_histogram(("bogus",), (3,), max_part=3, max_len=3)
+    # an unknown axis too, and the message names the axes there are
+    with pytest.raises(ValueError, match="'bogus'; the axes are first, "
+                       "size, length, weight, anti, profile"):
+        partition_histogram(("size", "bogus"), (3, 3), max_part=3, max_len=3)
     # the profile axis is all t colour classes or none of them
     for axes, t in ((("weight", "profile"), 2), (("profile",) * 2, 1),
                     (("profile",) * 4, 3)):

@@ -137,6 +137,9 @@ def test_usage_errors_exit_two(capsys):
     # no base below 2
     ["verify", "furtherwork", "--m", "0"],
     ["verify", "furtherwork", "--m", "1"],
+    # boxes of more than 500 TiB, which numpy refuses at once
+    ["verify", "thm8.2", "--t", "8", "--max-z", "40"],
+    ["series", "thm3.1", "--max-q", "10000000", "--max-z", "10000000"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -115,6 +115,15 @@ def test_thm8_1_largest_coefficient():
     assert int(f.coeffs.max()) == 7_146_952
 
 
+# eq3's z is twice the size less the length, so it lies between q and 2q:
+# boxes with z below q, between q and 2q, and above 2q cut the fold apart
+@pytest.mark.parametrize("box", [{"q": 8, "z": 5}, {"q": 6, "z": 9},
+                                 {"q": 5, "z": 16}])
+def test_eq3_passes_at_the_edges_of_its_fold(box):
+    report = verify_identity("eq3", box=box)
+    assert report.passed, report.first_mismatch
+
+
 def test_fault_injection_names_the_exact_monomial():
     report = verify_identity("thm5.1", box={"q": 6, "z": 6},
                              perturb={"q": 3, "z": 2})
@@ -271,6 +280,35 @@ def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
     *key, prof = monomial.values()
     assert report.coefficients_checked == \
         len(walk) + classes.index((*key, *prof)) + 1
+
+
+# from r = 4 on, one (size, first part) cell holds several heads: at size 6
+# and first part 3, the heads (3, 3) and (3, 2, 1)
+@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_color_conjugate_passes_with_many_heads_a_cell(t, r):
+    report = verify_color_conjugate(t, r, size_max=12)
+    assert report.passed, report.first_mismatch
+
+
+def test_color_conjugate_catches_a_miscounted_head_cell(monkeypatch):
+    t, r, size_max = 2, 4, 12
+    _plant(monkeypatch, ("cell", ("size", "first"), (6, 3), 1))
+    report = verify_color_conjugate(t, r, size_max)
+    assert report.status == "fail"
+    # the heads of the cell with the empty colored class: 2 partitions of
+    # size 6 with first part 3 and no part at row 4, and 3 pairs
+    monomial = {"size": 6, "first": 3, "row_r": 0, "weight": 0,
+                "profile": [0, 0]}
+    assert report.first_mismatch == {"monomial": monomial, "lhs": 2,
+                                     "rhs": 3}
+    walk = [lam for size in range(size_max + 1)
+            for lam in enumerate_partitions(size)]
+    classes = sorted({(lam.size(), lam.part(1), lam.part(r),
+                       schmidt_weight(lam, t, r), *color_profile(lam, t, r))
+                      for lam in walk})
+    assert report.coefficients_checked == \
+        len(walk) + classes.index((6, 3, 0, 0, 0, 0)) + 1
 
 
 def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
