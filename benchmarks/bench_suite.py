@@ -10,15 +10,19 @@ points). Every suite must pass. The same entry holds the product sides
 alone: per series identity, the median of the summed time of rhs_series
 at every full-level grid point and box, and for eq20 the time of
 f_recurrence at the full level's n_max, t and box, after one untimed
-pass. The entry, with the machine (cores, Python, numpy, whether numba
-was loaded), is stored in OUT under --label; entries under other labels
-are kept, so one file can hold a run before and a run after a change.
+pass. It also holds the scalar maps alone: per map and inverse, the
+median of the summed time of its calls on the map mix (see time_maps),
+every round trip checked. The entry, with the machine (cores, Python,
+numpy, whether numba was loaded), is stored in OUT under --label; entries
+under other labels are kept, so one file can hold a run before and a run
+after a change.
 """
 
 import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -26,11 +30,35 @@ from functools import partial
 
 import numpy as np
 
+from partbij.bijections import (
+    bessenrodt,
+    bessenrodt_inverse,
+    color_conjugate,
+    color_conjugate_inverse,
+    generalized_hook_map,
+    mork,
+    mork_inverse,
+)
+from partbij.partitions import Partition, enumerate_partitions, to_modular
 from partbij.verify import _suite_tasks, f_recurrence, rhs_series, run_suite
 
 LEVELS = ("quick", "full")
 RUNS = 7
 OUT = "BENCH_suite.json"
+
+# the map mix: every partition of size <= MAP_SMALL_MAX and MAP_LARGE_COUNT
+# uniform random partitions of MAP_LARGE_SIZE drawn from MAP_SEED, through
+# mork, bessenrodt (on the odd parts 2*lam_i - 1), color_conjugate at each
+# of COLOR_TR, each with its inverse, and the hook map at each of HOOK_M
+MAP_SMALL_MAX = 20
+MAP_LARGE_SIZE = 300
+MAP_LARGE_COUNT = 200
+MAP_SEED = 1
+COLOR_TR = ((1, 1), (2, 1), (3, 2), (4, 3))
+HOOK_M = (2, 3, 5)
+MAP_NAMES = ("mork", "mork_inverse", "bessenrodt", "bessenrodt_inverse",
+             "color_conjugate", "color_conjugate_inverse",
+             "generalized_hook_map")
 
 
 def timed_suite(level):
@@ -97,6 +125,81 @@ def time_series(runs):
     return {i: round(statistics.median(v), 3) for i, v in samples.items()}
 
 
+def random_partitions(n, count, seed):
+    """count uniform random partitions of n. With fits[m][k] the number of
+    partitions of m with parts <= k, the largest part j of a partition of
+    m with parts <= k is drawn with weight fits[m - j][j], and then the
+    rest of the partition with parts <= j."""
+    fits = [[1] * (n + 1)]
+    for m in range(1, n + 1):
+        row = [0]
+        for k in range(1, n + 1):
+            row.append(row[-1] + (fits[m - k][k] if k <= m else 0))
+        fits.append(row)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = k = n
+        parts = []
+        while m:
+            x = rng.randrange(fits[m][k])
+            j = min(k, m)
+            while x >= fits[m - j][j]:
+                x -= fits[m - j][j]
+                j -= 1
+            parts.append(j)
+            m -= j
+            k = j
+        out.append(Partition(parts))
+    return out
+
+
+def time_maps(runs):
+    """Per name in MAP_NAMES, the median over runs of the summed ms of its
+    calls on the map mix. Every round trip must return its input, and
+    every hook-map image must sum to its input's size."""
+    lams = [p for n in range(MAP_SMALL_MAX + 1)
+            for p in enumerate_partitions(n)]
+    lams += random_partitions(MAP_LARGE_SIZE, MAP_LARGE_COUNT, MAP_SEED)
+    omegas = [Partition([2 * p - 1 for p in lam]) for lam in lams]
+    samples = {name: [] for name in MAP_NAMES}
+    for _ in range(runs):
+        sums = dict.fromkeys(MAP_NAMES, 0.0)
+
+        def timed(name, fn, args):
+            start = time.perf_counter()
+            out = [fn(*a) for a in args]
+            sums[name] += (time.perf_counter() - start) * 1000.0
+            return out
+
+        def check(name, got, want):
+            if got != want:
+                raise SystemExit(f"{name} round trip failed")
+
+        delta = timed("mork", mork, [(x,) for x in lams])
+        check("mork", timed("mork_inverse", mork_inverse,
+                            [(d,) for d in delta]), lams)
+        delta = timed("bessenrodt", bessenrodt, [(w,) for w in omegas])
+        check("bessenrodt", timed("bessenrodt_inverse", bessenrodt_inverse,
+                                  [(d,) for d in delta]), omegas)
+        for t, r in COLOR_TR:
+            pairs = timed("color_conjugate", color_conjugate,
+                          [(x, t, r) for x in lams])
+            check("color_conjugate",
+                  timed("color_conjugate_inverse", color_conjugate_inverse,
+                        [(nu, mu, t, r) for nu, mu in pairs]), lams)
+        for m in HOOK_M:
+            diagrams = [to_modular(x, m) for x in lams]
+            images = timed("generalized_hook_map", generalized_hook_map,
+                           [(d,) for d in diagrams])
+            check("generalized_hook_map", [sum(i.parts) for i in images],
+                  [sum(x) for x in lams])
+        for name, ms in sums.items():
+            samples[name].append(ms)
+    return {name: round(statistics.median(v), 3)
+            for name, v in samples.items()}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="current")
@@ -109,6 +212,7 @@ def main():
         "runs": RUNS,
         "levels": measure(),
         "series_ms": time_series(RUNS),
+        "maps_ms": time_maps(RUNS),
     }
     try:
         with open(OUT) as fh:
@@ -126,6 +230,9 @@ def main():
     print("full product sides:")
     for ident, ms in entry["series_ms"].items():
         print(f"  {ident:<12} {ms:8.3f} ms")
+    print("scalar maps on the map mix:")
+    for name, ms in entry["maps_ms"].items():
+        print(f"  {name:<24} {ms:8.3f} ms")
 
 
 if __name__ == "__main__":

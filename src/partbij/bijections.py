@@ -1,23 +1,27 @@
 """Partition maps: diagonal-hook reading, odd-parts fill, 2-modular hook
 counting, the color-conjugate pair map, and the m-modular hook-count map
 with its collision search.
+
+Each scalar map validates its input once at the boundary, by coercing it
+through Partition, works on plain tuples and lists inside, and builds one
+validated Partition (or ColoredPartition) per output. The scalar maps are
+the independent reference that the array maps (the ``*_rows`` functions)
+are tested against, so none of them calls an array map.
 """
 
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import ge, gt
 from typing import NamedTuple
 
 import numpy as np
 
 from .partitions import (
-    FrobeniusCoords,
     InvalidFrobenius,
-    ModularDiagram,
     Partition,
     PartitionError,
-    conjugate,
-    durfee_size,
+    _columns,
+    _frobenius_parts,
     enumerate_partitions,
-    from_frobenius,
     to_modular,
 )
 from .colored import ColoredPartition
@@ -61,12 +65,16 @@ def mork(mu):
     (i,i+1) when that cell exists. The result always has strictly
     decreasing parts, and its odd-indexed parts sum to the input size.
     """
-    conj = conjugate(mu)
+    mu = Partition(mu)
+    conj = _columns(mu)
     parts = []
-    for i in range(1, durfee_size(mu) + 1):
-        parts.append((mu.part(i) - i) + (conj.part(i) - i) + 1)
-        if mu.part(i) >= i + 1:
-            parts.append((mu.part(i) - (i + 1)) + (conj.part(i + 1) - i) + 1)
+    # 0-based: the hook at (i, i) has arm mu_i - i - 1 and leg conj_i - i - 1
+    for i, (row, col) in enumerate(zip(mu, conj)):
+        if row <= i:
+            break
+        parts.append(row + col - 2 * i - 1)
+        if row > i + 1:
+            parts.append(row + conj[i + 1] - 2 * i - 2)
     return Partition(parts)
 
 
@@ -78,12 +86,16 @@ def mork_inverse(delta):
     delta_{2i-1} = a_i + l_i + 1 and delta_{2i} = a_i + l_{i+1} + 1,
     with the last diagonal pinned by the parity of len(delta).
     """
-    delta = Partition(delta)
+    return Partition(_mork_inverse_parts(Partition(delta)))
+
+
+def _mork_inverse_parts(delta):
+    """mork_inverse of a Partition, as a list of parts."""
     if not delta:
-        return Partition(())
-    for i in range(len(delta) - 1):
-        if delta[i] == delta[i + 1]:
-            raise NotDistinct(f"repeated part {delta[i]}")
+        return []
+    if not all(map(gt, delta, delta[1:])):
+        part = next(a for a, b in zip(delta, delta[1:]) if a == b)
+        raise NotDistinct(f"repeated part {part}")
     d = (len(delta) + 1) // 2
     arms = [0] * d
     legs = [0] * d
@@ -97,7 +109,7 @@ def mork_inverse(delta):
         arms[i] = delta[2 * i + 1] - legs[i + 1] - 1
         legs[i] = delta[2 * i] - arms[i] - 1
     try:
-        return from_frobenius(FrobeniusCoords(tuple(arms), tuple(legs)))
+        return _frobenius_parts(tuple(arms), tuple(legs))
     except InvalidFrobenius as exc:
         raise NotInImage(str(exc)) from exc
 
@@ -105,15 +117,20 @@ def mork_inverse(delta):
 def modular_fill(mu):
     """Double each part and subtract one: fill mu's diagram read as a
     2-modular diagram, a 1 ending every row and 2s elsewhere."""
-    return Partition(2 * p - 1 for p in mu)
+    return Partition([2 * p - 1 for p in Partition(mu)])
+
+
+def _odd_parts(omega):
+    """omega as a Partition; raises NotOddParts if a part is even."""
+    omega = Partition(omega)
+    if not all(p % 2 for p in omega):
+        raise NotOddParts(f"even part in {omega!r}")
+    return omega
 
 
 def modular_fill_inverse(omega):
     """Halve each odd part rounding up; inverse of modular_fill."""
-    omega = Partition(omega)
-    if any(p % 2 == 0 for p in omega):
-        raise NotOddParts(f"even part in {omega!r}")
-    return Partition((p + 1) // 2 for p in omega)
+    return Partition([(p + 1) // 2 for p in _odd_parts(omega)])
 
 
 def _diagonal_hook_values(diagram):
@@ -127,8 +144,9 @@ def _diagonal_hook_values(diagram):
     for i, (cells, rem) in enumerate(rows):
         if cells <= i:
             break
-        values = [m] * (cells - i - 1) + [rem]
-        for cells2, rem2 in rows[i + 1:]:
+        values = [m] * (cells - i - 1)
+        values.append(rem)
+        for cells2, rem2 in islice(rows, i + 1, None):
             if cells2 <= i:
                 break
             values.append(rem2 if cells2 == i + 1 else m)
@@ -143,19 +161,19 @@ def bessenrodt(omega):
     Size-preserving map from odd-parts to distinct-parts partitions;
     pointwise equal to mork(modular_fill_inverse(omega)).
     """
-    omega = Partition(omega)
-    if any(p % 2 == 0 for p in omega):
-        raise NotOddParts(f"even part in {omega!r}")
     parts = []
-    for values in _diagonal_hook_values(to_modular(omega, 2)):
+    for values in _diagonal_hook_values(to_modular(_odd_parts(omega), 2)):
         parts.append(len(values))
-        parts.append(sum(1 for v in values if v == 2))
-    return Partition(p for p in parts if p)
+        twos = values.count(2)
+        if twos:
+            parts.append(twos)
+    return Partition(parts)
 
 
 def bessenrodt_inverse(delta):
     """Compose the two inverses: distinct parts back to odd parts."""
-    return modular_fill(mork_inverse(delta))
+    return Partition([2 * p - 1
+                      for p in _mork_inverse_parts(Partition(delta))])
 
 
 def bessenrodt_inverse_rows(rows):
@@ -203,42 +221,39 @@ def color_conjugate(lam, t, r):
 
     nu records rows above row r relative to it; mu's parts are the
     conjugate of the rows r, t+r, 2t+r, ...; the color of part i encodes
-    column i's height above the last counted row, reduced mod t.
+    column i's height above the last counted row, reduced mod t. Raises
+    ValueError unless t and r are positive.
     """
+    if t < 1 or r < 1:
+        raise ValueError("t and r must be positive")
     lam = Partition(lam)
-    lam_r = lam.part(r)
-    nu = Partition(lam.part(i) - lam_r for i in range(1, r))
-    counted = []
-    k = 0
-    while lam.part(r + k * t) > 0:
-        counted.append(lam.part(r + k * t))
-        k += 1
-    mu_parts = conjugate(Partition(counted))
-    conj = conjugate(lam)
-    entries = []
-    for i in range(1, lam_r + 1):
-        h = conj.part(i) - (r - 1)
-        entries.append((mu_parts.part(i), (h - 1) % t + 1))
-    return ColorConjugatePair(nu, ColoredPartition(entries, t))
+    lam_r = lam[r - 1] if r <= len(lam) else 0
+    nu = Partition([part - lam_r for part in lam[:r - 1]])
+    # column i's height below row r - 1 is conj_i - (r - 1)
+    colors = [(h - r) % t + 1 for h in _columns(lam)[:lam_r]]
+    mu = ColoredPartition(zip(_columns(lam[r - 1::t]), colors), t)
+    return ColorConjugatePair(nu, mu)
 
 
 def color_conjugate_inverse(nu, mu, t, r):
     """Rebuild the partition from its color-conjugate pair.
 
     Column i regrows to height (mu_i - 1)*t + color_i below row r-1;
-    rows above are nu's parts over a base of length(mu).
+    rows above are nu's parts over a base of length(mu). Raises
+    ValueError unless t and r are positive.
     """
+    if t < 1 or r < 1:
+        raise ValueError("t and r must be positive")
     nu = Partition(nu)
-    if nu.length() > r - 1:
+    if len(nu) > r - 1:
         raise InvalidPair(
-            f"nu has {nu.length()} parts, at most {r - 1} allowed")
+            f"nu has {len(nu)} parts, at most {r - 1} allowed")
     heights = [(part - 1) * t + color for part, color in mu.entries]
-    for a, b in zip(heights, heights[1:]):
-        if a < b:
-            raise InvalidPair("column heights increase")
-    back = conjugate(Partition(heights))
-    front = [mu.length() + nu.part(i) for i in range(1, r)]
-    return Partition(front + list(back))
+    if not all(map(ge, heights, heights[1:])):
+        raise InvalidPair("column heights increase")
+    base = len(heights)
+    front = [base + part for part in nu] + [base] * (r - 1 - len(nu))
+    return Partition(front + _columns(heights))
 
 
 def _conjugate_rows(rows):
@@ -298,8 +313,7 @@ def generalized_hook_map(diagram):
         for v in values:
             tally[v] += 1
         parts.extend(reversed(list(accumulate(reversed(tally[1:])))))
-    is_partition = all(a >= b for a, b in zip(parts, parts[1:]))
-    return HookMapImage(tuple(parts), is_partition)
+    return HookMapImage(tuple(parts), all(map(ge, parts, parts[1:])))
 
 
 def generalized_hook_map_rows(rows, m):

@@ -3,6 +3,8 @@
 Entries are kept in the canonical order (part descending, then color
 descending), which makes equality of colored partitions decidable while
 satisfying the rule that colors weakly decrease across equal parts.
+The constructor is the boundary: it converts and checks every entry in
+one pass and sorts once.
 """
 
 from itertools import combinations_with_replacement, groupby
@@ -27,13 +29,16 @@ class ColoredPartition:
     def __init__(self, entries: Iterable[Tuple[int, int]], t: int):
         if t < 1:
             raise ColoredPartitionError(f"palette size must be >= 1, got {t}")
-        pairs = tuple(sorted(((int(p), int(c)) for p, c in entries), reverse=True))
-        for part, color in pairs:
+        pairs = []
+        for part, color in entries:
+            part, color = int(part), int(color)
             if part < 1:
                 raise ColoredPartitionError(f"part must be positive: {part}")
             if not 1 <= color <= t:
                 raise ColoredPartitionError(f"color {color} outside 1..{t}")
-        self.entries = pairs
+            pairs.append((part, color))
+        pairs.sort(reverse=True)
+        self.entries = tuple(pairs)
         self.t = t
 
     def size(self) -> int:

@@ -4,9 +4,16 @@ A partition is stored as a tuple of weakly decreasing positive parts.
 Parts are addressed 1-based, and ``part(i)`` reads as 0 past the end, so
 statistics defined over infinite index sets (Schmidt weights, color
 profiles) are total functions.
+
+A public function validates its input once, by coercing it through
+``Partition`` (which returns a ``Partition`` unchanged), and works on
+plain tuples and lists inside; it builds one validated ``Partition`` per
+output.
 """
 
 import math
+from itertools import accumulate, count, repeat
+from operator import ge, gt
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -40,21 +47,24 @@ class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
     Trailing zeros are stripped on construction; the empty partition is
-    ``Partition()``.
+    ``Partition()``. A Partition is returned unchanged.
     """
 
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()):
-        vals = list(values)
-        for a, b in zip(vals, vals[1:]):
-            if a < b:
-                raise NotSorted(f"parts not weakly decreasing: {a} < {b}")
-        if vals and vals[-1] < 0:
-            raise NegativePart(f"negative part: {vals[-1]}")
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return super().__new__(cls, vals)
+        if values.__class__ is cls:
+            return values
+        vals = tuple(values)
+        if not all(map(ge, vals, vals[1:])):
+            a, b = next((a, b) for a, b in zip(vals, vals[1:]) if a < b)
+            raise NotSorted(f"parts not weakly decreasing: {a} < {b}")
+        if vals and vals[-1] <= 0:
+            if vals[-1] < 0:
+                raise NegativePart(f"negative part: {vals[-1]}")
+            # sorted with a zero last part: every part from the first zero is 0
+            vals = vals[:vals.index(0)]
+        return tuple.__new__(cls, vals)
 
     def size(self) -> int:
         return sum(self)
@@ -87,35 +97,41 @@ class ModularDiagram(NamedTuple):
     rows: tuple
 
 
+def _columns(parts) -> list:
+    """Column lengths of the diagram of weakly decreasing positive parts:
+    the number of parts >= j for j = 1..parts[0], from a tally of the
+    parts and one reverse running sum."""
+    if not parts:
+        return []
+    tally = [0] * (parts[0] + 1)
+    for part in parts:
+        tally[part] += 1
+    del tally[0]
+    tally.reverse()
+    cols = list(accumulate(tally))
+    cols.reverse()
+    return cols
+
+
 def conjugate(p: Partition) -> Partition:
     """Column lengths of p's Young diagram."""
-    if not p:
-        return Partition()
-    cols = [0] * p[0]
-    for part in p:
-        for j in range(part):
-            cols[j] += 1
-    return Partition(cols)
+    return Partition(_columns(Partition(p)))
 
 
 def durfee_size(p: Partition) -> int:
     """Largest d with p.part(d) >= d."""
-    d = 0
-    for i, part in enumerate(p, start=1):
-        if part >= i:
-            d = i
-        else:
-            break
-    return d
+    # p_i >= i holds exactly on a prefix, as p falls and i rises
+    return sum(map(ge, Partition(p), count(1)))
 
 
 def hook_length(p: Partition, i: int, j: int) -> int:
     """Number of cells in the hook of cell (i, j): the cell itself plus all
     cells below and to the right."""
-    if i < 1 or j < 1 or j > p.part(i):
+    p = Partition(p)
+    if i < 1 or j < 1 or i > len(p) or j > p[i - 1]:
         raise CellOutOfDiagram(f"cell ({i}, {j}) outside diagram of {p}")
-    arm = p.part(i) - j
-    leg = conjugate(p).part(j) - i
+    arm = p[i - 1] - j
+    leg = sum(map(ge, p, repeat(j))) - i  # column j holds the parts >= j
     return arm + leg + 1
 
 
@@ -123,12 +139,7 @@ def schmidt_weight(p: Partition, t: int, r: int) -> int:
     """Sum of the parts at indices r, t+r, 2t+r, ..."""
     if t < 1 or r < 1:
         raise ValueError("t and r must be positive")
-    total = 0
-    i = r
-    while i <= len(p):
-        total += p[i - 1]
-        i += t
-    return total
+    return sum(Partition(p)[r - 1::t])
 
 
 def color_profile(p: Partition, t: int, r: int) -> tuple:
@@ -138,50 +149,43 @@ def color_profile(p: Partition, t: int, r: int) -> tuple:
     """
     if t < 1 or r < 1:
         raise ValueError("t and r must be positive")
-    profile = []
-    for i in range(1, t + 1):
-        c = 0
-        k = 0
-        while True:
-            a = r + i - 1 + k * t
-            if a > len(p):
-                break
-            c += p.part(a) - p.part(a + 1)
-            k += 1
-        profile.append(c)
-    return tuple(profile)
+    p = Partition(p)
+    # the subtracted parts p_{a+1} are the next slice, 0 past the end
+    return tuple(sum(p[r + i - 2::t]) - sum(p[r + i - 1::t])
+                 for i in range(1, t + 1))
 
 
 def to_frobenius(p: Partition) -> FrobeniusCoords:
     """Arms a_i = p_i - i and legs l_i = p'_i - i for i up to the Durfee size."""
+    p = Partition(p)
     d = durfee_size(p)
-    conj = conjugate(p)
-    arms = tuple(p[i - 1] - i for i in range(1, d + 1))
-    legs = tuple(conj[i - 1] - i for i in range(1, d + 1))
+    conj = _columns(p)
+    arms = tuple(p[i] - i - 1 for i in range(d))
+    legs = tuple(conj[i] - i - 1 for i in range(d))
     return FrobeniusCoords(arms, legs)
+
+
+def _frobenius_parts(arms: tuple, legs: tuple) -> list:
+    """The parts, as a list, of the partition whose diagonal arms and legs
+    are arms and legs; raises InvalidFrobenius unless they are nonnegative,
+    strictly decreasing and of equal length."""
+    if len(arms) != len(legs):
+        raise InvalidFrobenius("arms and legs must have equal length")
+    for seq, name in ((arms, "arms"), (legs, "legs")):
+        if seq and min(seq) < 0:
+            raise InvalidFrobenius(f"{name} must be nonnegative: {seq}")
+        if not all(map(gt, seq, seq[1:])):
+            raise InvalidFrobenius(f"{name} must be strictly decreasing: {seq}")
+    parts = [a + i for i, a in enumerate(arms, 1)]
+    # rows below the Durfee square are the columns of the column heights
+    # legs[j] + j + 1, each at least d
+    parts += _columns([leg + j for j, leg in enumerate(legs, 1)])[len(legs):]
+    return parts
 
 
 def from_frobenius(f: FrobeniusCoords) -> Partition:
     """Rebuild the partition whose diagonal arms and legs are f."""
-    arms, legs = tuple(f.arms), tuple(f.legs)
-    if len(arms) != len(legs):
-        raise InvalidFrobenius("arms and legs must have equal length")
-    for seq, name in ((arms, "arms"), (legs, "legs")):
-        if any(x < 0 for x in seq):
-            raise InvalidFrobenius(f"{name} must be nonnegative: {seq}")
-        if any(a <= b for a, b in zip(seq, seq[1:])):
-            raise InvalidFrobenius(f"{name} must be strictly decreasing: {seq}")
-    d = len(arms)
-    parts = [arms[i] + i + 1 for i in range(d)]
-    # rows below the Durfee square come from the column heights legs[j] + j + 1
-    i = d + 1
-    while True:
-        row = sum(1 for j in range(d) if legs[j] + j + 1 >= i)
-        if row == 0:
-            break
-        parts.append(row)
-        i += 1
-    return Partition(parts)
+    return Partition(_frobenius_parts(tuple(f.arms), tuple(f.legs)))
 
 
 def to_modular(p: Partition, m: int) -> ModularDiagram:
@@ -189,7 +193,7 @@ def to_modular(p: Partition, m: int) -> ModularDiagram:
     if m < 2:
         raise ValueError(f"modular base must be >= 2, got {m}")
     rows = []
-    for part in p:
+    for part in Partition(p):
         cells = (part + m - 1) // m
         rows.append((cells, part - m * (cells - 1)))
     return ModularDiagram(m, tuple(rows))

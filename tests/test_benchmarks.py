@@ -29,3 +29,12 @@ def test_bench_suite_series_rows_run():
     assert list(times) == [i for i in THEOREM_IDS
                            if i in IDENTITY_IDS or i == "eq20"]
     assert all(ms > 0 for ms in times.values())
+
+
+def test_bench_suite_maps_run():
+    bench = _load("bench_suite")
+    times = bench.time_maps(1)
+    assert tuple(times) == bench.MAP_NAMES == (
+        "mork", "mork_inverse", "bessenrodt", "bessenrodt_inverse",
+        "color_conjugate", "color_conjugate_inverse", "generalized_hook_map")
+    assert all(ms > 0 for ms in times.values())

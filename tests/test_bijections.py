@@ -27,8 +27,10 @@ from partbij.bijections import (
 )
 from partbij.colored import ColoredPartition
 from partbij.partitions import (
+    NotSorted,
     Partition,
     enumerate_partitions,
+    hook_length,
     partition_blocks,
     to_modular,
 )
@@ -254,3 +256,48 @@ def test_collision_search_finds_known_group():
     pre = set(hit[0].preimages)
     assert {(8, 4, 1), (7, 4, 2)} <= pre
     assert len(pre) >= 2
+
+
+# every partition of size <= 18, for the tests that pin the scalar maps to
+# their definitions
+UP_TO_18 = [p for n in range(19) for p in enumerate_partitions(n)]
+
+
+def test_mork_reads_the_diagonal_hook_lengths():
+    for mu in UP_TO_18:
+        want = []
+        for i in range(1, len(mu) + 1):
+            if mu[i - 1] < i:
+                break
+            want.append(hook_length(mu, i, i))
+            if mu[i - 1] > i:
+                want.append(hook_length(mu, i, i + 1))
+        assert mork(mu) == tuple(want), mu
+
+
+def test_mork_coerces_sequences():
+    assert mork([3, 2]) == mork(Partition([3, 2])) == (4, 3, 1)
+    assert mork((7, 5, 4, 4, 2, 1)) == (12, 10, 7, 5, 3, 2, 1)
+    assert type(mork([3, 2])) is Partition
+    with pytest.raises(NotSorted):
+        mork([2, 3])
+
+
+def test_color_conjugate_round_trips_every_partition():
+    for t in range(1, 5):
+        for r in range(1, 5):
+            for lam in UP_TO_18:
+                nu, mu = color_conjugate(lam, t, r)
+                assert color_conjugate_inverse(nu, mu, t, r) == lam, (lam, t, r)
+
+
+@pytest.mark.parametrize("t, r", [(0, 1), (0, 2), (1, 0), (3, 0), (0, 0),
+                                  (-1, 2), (2, -1)])
+def test_color_conjugate_rejects_nonpositive_t_r(t, r):
+    lam = Partition([4, 2, 1])
+    with pytest.raises(ValueError, match="^t and r must be positive$"):
+        color_conjugate(lam, t, r)
+    nu, mu = color_conjugate(lam, 2, 1)
+    for nu_ in (nu, Partition([1])):
+        with pytest.raises(ValueError, match="^t and r must be positive$"):
+            color_conjugate_inverse(nu_, mu, t, r)

@@ -11,6 +11,7 @@ from partbij.partitions import (
     NegativePart,
     NotSorted,
     Partition,
+    PartitionError,
     color_profile,
     conjugate,
     count_in_box,
@@ -235,3 +236,91 @@ def test_partition_blocks_match_enumeration():
         [(1, 6), (1, 6), (2, 6), (3, 6)]
     with pytest.raises(ValueError):
         list(partition_blocks(-1))
+
+
+# every partition of size <= 18, for the tests that pin the scalar
+# statistics to their definitions
+UP_TO_18 = [p for n in range(19) for p in enumerate_partitions(n)]
+
+
+def test_partition_contract():
+    with pytest.raises(NotSorted, match=r"^parts not weakly decreasing: 0 < 1$"):
+        Partition([3, 0, 1])
+    with pytest.raises(NotSorted, match=r"^parts not weakly decreasing: 2 < 5$"):
+        Partition(iter([4, 2, 5]))
+    with pytest.raises(NegativePart, match=r"^negative part: -2$"):
+        Partition([3, -1, -2])
+    with pytest.raises(NegativePart, match=r"^negative part: -1$"):
+        Partition([2, 0, -1])
+    assert issubclass(NotSorted, PartitionError)
+    assert issubclass(NegativePart, PartitionError)
+    assert issubclass(PartitionError, ValueError)
+    for values, want in (([4, 2, 0, 0], (4, 2)), ([0, 0], ()), ((), ()),
+                         ([1], (1,)), ([3, 3, 0], (3, 3))):
+        p = Partition(values)
+        assert type(p) is Partition and p == want
+    p = Partition(np.array([5, 3, 3, 0, 0], dtype=np.int64))
+    assert type(p) is Partition and p == (5, 3, 3)
+    with pytest.raises(NotSorted, match=r"^parts not weakly decreasing: 1 < 2$"):
+        Partition(np.array([1, 2], dtype=np.int64))
+    assert Partition(p) is p
+
+
+@pytest.mark.parametrize("call", [
+    conjugate, durfee_size, to_frobenius,
+    lambda p: hook_length(p, 1, 1), lambda p: schmidt_weight(p, 2, 1),
+    lambda p: color_profile(p, 2, 1), lambda p: to_modular(p, 2),
+], ids=["conjugate", "durfee_size", "to_frobenius", "hook_length",
+        "schmidt_weight", "color_profile", "to_modular"])
+def test_statistics_validate_their_input(call):
+    assert call([3, 1]) == call(Partition([3, 1]))
+    with pytest.raises(NotSorted):
+        call([1, 3])
+
+
+def _cells(p):
+    return {(i, j) for i, part in enumerate(p, 1) for j in range(1, part + 1)}
+
+
+def test_conjugate_is_the_column_cell_count():
+    for p in UP_TO_18:
+        cells = _cells(p)
+        width = p[0] if p else 0
+        want = tuple(sum(1 for _, j in cells if j == col)
+                     for col in range(1, width + 1))
+        assert conjugate(p) == want, p
+        assert type(conjugate(p)) is Partition
+
+
+def test_frobenius_roundtrip_every_partition():
+    for p in UP_TO_18:
+        assert from_frobenius(to_frobenius(p)) == p, p
+
+
+def test_hook_length_is_the_cell_count():
+    for p in UP_TO_18:
+        cells = _cells(p)
+        for i, j in cells:
+            hook = sum(1 for a, b in cells
+                       if (a == i and b >= j) or (b == j and a > i))
+            assert hook_length(p, i, j) == hook, (p, i, j)
+        for i, j in ((0, 1), (1, 0), (len(p) + 1, 1), (1, (p[0] if p else 0) + 1)):
+            with pytest.raises(CellOutOfDiagram):
+                hook_length(p, i, j)
+
+
+def test_color_profile_is_the_alternating_sum():
+    for p in UP_TO_18:
+        for t in range(1, 5):
+            for r in range(1, 5):
+                want = []
+                for i in range(1, t + 1):
+                    c, k = 0, 0
+                    while r + i - 1 + k * t <= len(p):
+                        a = r + i - 1 + k * t
+                        c += p.part(a) - p.part(a + 1)
+                        k += 1
+                    want.append(c)
+                assert color_profile(p, t, r) == tuple(want), (p, t, r)
+                assert schmidt_weight(p, t, r) == sum(
+                    p.part(i) for i in range(r, len(p) + 1, t))
