@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from partbij._accel import convolve, partition_histogram
+from partbij._accel import partition_histogram
 from partbij.bijections import (
     color_conjugate_inverse_rows,
     color_conjugate_rows,
@@ -32,7 +32,6 @@ from partbij.series import (
     INFINITY,
     TruncatedSeries,
     divide_pochhammer,
-    invert,
     pochhammer,
 )
 from partbij.verify import _colored_classes, _rows_equal, rhs_series
@@ -45,14 +44,6 @@ def timeit(fn, repeat=5):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def bench_convolve():
-    rng = np.random.default_rng(42)
-    shape = (19, 19, 11)
-    a = rng.integers(-50, 50, size=shape).astype(np.int64)
-    b = rng.integers(-50, 50, size=shape).astype(np.int64)
-    return [("convolve 19x19x11", timeit(lambda: convolve(a, b)))]
 
 
 def bench_histogram():
@@ -142,10 +133,6 @@ def bench_pochhammer():
         f = TruncatedSeries.constant(box, 1)
         return divide_pochhammer(divide_pochhammer(f, *zq), *zq)
 
-    def products(bound):
-        p = pochhammer(*zq, {"q": bound, "z": bound})
-        return invert(p * p)
-
     top = int(shifts(60).coeffs.max())
     if top != 71_699_042:
         raise SystemExit(f"1/(zq;q)_inf^2 on q,z<=60 has largest coefficient "
@@ -155,15 +142,13 @@ def bench_pochhammer():
          timeit(lambda: pochhammer(*zq, {"q": 20, "z": 20}))),
         ("pochhammer divide 1/(zq;q)_inf^2 q,z<=20", timeit(lambda: shifts(20))),
         ("pochhammer divide 1/(zq;q)_inf^2 q,z<=60", timeit(lambda: shifts(60))),
-        ("invert((zq;q)_inf^2) q,z<=20, general product",
-         timeit(lambda: products(20))),
     ]
 
 
 def main():
     print(f"cores {os.cpu_count()}, Python {platform.python_version()}, "
           f"numpy {np.__version__}, numba loaded: {'numba' in sys.modules}")
-    rows = (bench_convolve() + bench_histogram() + bench_colored_classes()
+    rows = (bench_histogram() + bench_colored_classes()
             + bench_color_conjugate_rows() + bench_hook_map_rows()
             + bench_pochhammer())
     width = max(len(name) for name, _ in rows)

@@ -1,7 +1,4 @@
-"""Hot kernels: truncated convolution and the partition histogram.
-
-`convolve` multiplies two dense coefficient arrays by shift-and-add over
-the nonzeros of the sparser one.
+"""Hot kernel: the partition histogram.
 
 `partition_histogram` counts partitions row by row instead of visiting
 them. Its state after row `pos` is an int64 array indexed by (last part,
@@ -29,32 +26,6 @@ class HistogramOverflow(OverflowError):
 class UnboundedBox(ValueError):
     """No finite enumeration covers the requested box."""
 
-
-# ---------------------------------------------------------------------------
-# kernel 1: truncated multivariate convolution
-# ---------------------------------------------------------------------------
-
-def convolve(a, b):
-    """Truncated product of two identically shaped coefficient arrays, in
-    their dtype (int64, or object for exact Python ints).
-
-    Exponent vectors add; results falling outside the array are dropped.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
-    out = np.zeros_like(a)
-    for idx in np.argwhere(a):
-        src = tuple(slice(0, dim - e) for e, dim in zip(idx, a.shape))
-        dst = tuple(slice(e, dim) for e, dim in zip(idx, a.shape))
-        out[dst] += a[tuple(idx)] * b[src]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# kernel 2: partition histogram by row transfer
-# ---------------------------------------------------------------------------
 
 def _shifted_axes(kinds, pos, counted):
     """State axes (after the part axis) that row `pos` adds its part to."""

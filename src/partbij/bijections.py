@@ -248,6 +248,9 @@ def color_conjugate_inverse(nu, mu, t, r):
     if len(nu) > r - 1:
         raise InvalidPair(
             f"nu has {len(nu)} parts, at most {r - 1} allowed")
+    # mu's colours lie in 1..mu.t, so only a wider palette needs a scan
+    if mu.t > t and any(color > t for _, color in mu.entries):
+        raise InvalidPair(f"mu has a colour above t = {t}")
     heights = [(part - 1) * t + color for part, color in mu.entries]
     if not all(map(ge, heights, heights[1:])):
         raise InvalidPair("column heights increase")

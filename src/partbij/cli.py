@@ -235,11 +235,10 @@ def _cmd_series(args):
 def _cmd_suite(args):
     suite = ver.run_suite(args.level)
     if args.json:
-        print(json.dumps({
-            "level": suite.level,
-            "passed": suite.passed,
-            "reports": [_json_report(r) for r in suite.reports],
-        }))
+        data = suite.to_json()
+        for report in data["reports"]:
+            report.pop("elapsed_ms", None)
+        print(json.dumps(data))
     else:
         for report in suite.reports:
             print(_report_line(report))

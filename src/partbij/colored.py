@@ -7,10 +7,9 @@ The constructor is the boundary: it converts and checks every entry in
 one pass and sorts once.
 """
 
-from itertools import combinations_with_replacement, groupby
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Tuple
 
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 
 
 class ColoredPartitionError(ValueError):
@@ -82,49 +81,3 @@ class ColoredPartition:
     def __repr__(self) -> str:
         body = ", ".join(f"{p}^{c}" for p, c in self.entries)
         return f"ColoredPartition({body}; t={self.t})"
-
-
-def enumerate_colored(
-    n: int,
-    t: int,
-    num_parts: Optional[int] = None,
-    color_counts: Optional[Tuple[int, ...]] = None,
-) -> Iterator[ColoredPartition]:
-    """Yield every canonical t-colored partition of n exactly once.
-
-    num_parts restricts to exactly that many entries; color_counts to an
-    exact per-color count vector of length t.
-    """
-    if n < 0:
-        raise ValueError(f"target size must be nonnegative, got {n}")
-    if t < 1:
-        raise ValueError(f"palette size must be >= 1, got {t}")
-    if color_counts is not None and len(color_counts) != t:
-        raise ValueError("color_counts must have one entry per color")
-
-    palette = tuple(range(t, 0, -1))
-    for shape in enumerate_partitions(n, max_length=num_parts):
-        if num_parts is not None and len(shape) != num_parts:
-            continue
-        runs = [(value, sum(1 for _ in grp)) for value, grp in groupby(shape)]
-        choices = [
-            list(combinations_with_replacement(palette, mult)) for _, mult in runs
-        ]
-
-        def assign(run_idx, acc):
-            if run_idx == len(runs):
-                yield tuple(acc)
-                return
-            value = runs[run_idx][0]
-            for colors in choices[run_idx]:
-                ext = acc + [(value, c) for c in colors]
-                yield from assign(run_idx + 1, ext)
-
-        for entries in assign(0, []):
-            if color_counts is not None:
-                counts = [0] * t
-                for _, c in entries:
-                    counts[c - 1] += 1
-                if tuple(counts) != tuple(color_counts):
-                    continue
-            yield ColoredPartition(entries, t)

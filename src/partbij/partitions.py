@@ -11,7 +11,6 @@ plain tuples and lists inside; it builds one validated ``Partition`` per
 output.
 """
 
-import math
 from itertools import accumulate, count, repeat
 from operator import ge, gt
 from typing import Iterable, Iterator, List, NamedTuple, Optional
@@ -311,20 +310,3 @@ def partition_numbers(
             for v in range(s, n_max + 1):
                 ways[v] += ways[v - s]
     return ways
-
-
-def count_partitions(
-    n: int,
-    distinct: bool = False,
-    odd_parts: bool = False,
-    max_part: Optional[int] = None,
-) -> int:
-    """Count partitions of n; the last entry of partition_numbers(n)."""
-    return partition_numbers(n, distinct, odd_parts, max_part)[n]
-
-
-def count_in_box(width: int, height: int) -> int:
-    """Number of partitions with parts <= width and at most height parts."""
-    if width < 0 or height < 0:
-        raise ValueError("box dimensions must be nonnegative")
-    return math.comb(width + height, height)

@@ -4,8 +4,9 @@ A series lives on a fixed, canonically ordered variable tuple with an
 inclusive maximum exponent per variable; coefficients sit in a dense int64
 array indexed by exponent vectors. All arithmetic is exact. A series is
 "box-exact" when every stored coefficient equals the coefficient of the
-formal series it stands for; sums and products of box-exact series are
-box-exact because exponents only ever add.
+formal series it stands for; sums of box-exact series, and their
+products with Pochhammer factors, are box-exact because exponents only
+ever add.
 
 Pochhammer products need no general product: multiplying by (1 - x^e) is
 one shift and subtract, and dividing by it is the doubling product
@@ -16,20 +17,14 @@ doubles it when multiplying, and at most multiplies it by the number of
 input coefficients a quotient coefficient sums when dividing. While the
 grown bound fits int64 the shifts run unchecked; when it does not, the
 exact maximum is taken again, and a factor that still might overflow
-runs checked shifts.
-
-The general product `*` shift-adds the sparser operand's nonzeros. When
-max|a| max|b| min(nnz) does not fit int64, the same shift-add runs on
-Python-int copies instead. Every operation raises CoefficientOverflow
-only when a coefficient would really leave int64.
+runs checked shifts. Every operation raises CoefficientOverflow only
+when a coefficient would really leave int64.
 """
 
 import math
 import re
 
 import numpy as np
-
-from . import _accel
 
 INFINITY = math.inf
 
@@ -45,15 +40,11 @@ class BoxMismatch(SeriesError):
 
 
 class NonUnitConstantTerm(SeriesError):
-    """Inversion needs a constant coefficient of +1 or -1."""
+    """A Pochhammer divisor has a factor 1 - 1, whose constant term is 0."""
 
 
 class DivergentInfiniteProduct(SeriesError):
     """Infinite Pochhammer with a constant ratio never leaves the box."""
-
-
-class BoxTooSmall(SeriesError):
-    """The box cannot hold the full polynomial."""
 
 
 class OutOfBox(SeriesError):
@@ -115,24 +106,6 @@ def _difference(a, b):
 
 def _max_abs(coeffs):
     return max(int(coeffs.max()), -int(coeffs.min()))
-
-
-def _product(a, b):
-    """The truncated product a*b, raising only if one of its coefficients
-    leaves int64.
-
-    A product coefficient, and every partial sum of it, is a sum of at
-    most min(nnz(a), nnz(b)) terms a_i b_j, so when max|a| max|b| times
-    that count fits, the int64 shift-add cannot wrap. Otherwise the same
-    shift-add runs on Python-int copies and the exact product is checked.
-    """
-    nnz = int(min(np.count_nonzero(a), np.count_nonzero(b)))
-    if _max_abs(a) * _max_abs(b) * nnz <= _INT64_MAX:
-        return _accel.convolve(a, b)
-    out = _accel.convolve(a.astype(object), b.astype(object))
-    if out.max() > _INT64_MAX or out.min() < -_INT64_MAX - 1:
-        raise _overflow()
-    return out.astype(np.int64)
 
 
 def _shift(shape, e):
@@ -231,20 +204,6 @@ class TruncatedSeries:
                                _difference(np.zeros_like(self.coeffs),
                                            self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            ends = (int(self.coeffs.min()) * other,
-                    int(self.coeffs.max()) * other)
-            if min(ends) < -_INT64_MAX - 1 or max(ends) > _INT64_MAX:
-                raise _overflow()
-            return TruncatedSeries(self.variables, self.box,
-                                   self.coeffs * np.int64(other))
-        self._check_aligned(other)
-        return TruncatedSeries(self.variables, self.box,
-                               _product(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -252,9 +211,6 @@ class TruncatedSeries:
                 and bool(np.array_equal(self.coeffs, other.coeffs)))
 
     __hash__ = None
-
-    def is_zero(self):
-        return not self.coeffs.any()
 
     def coefficient(self, exponents):
         """Exact coefficient at the exponent vector; OutOfBox beyond the box."""
@@ -310,29 +266,6 @@ class TruncatedSeries:
         if nnz <= 8:
             return f"TruncatedSeries({self.text()!r}, box={self.box_dict()})"
         return f"TruncatedSeries(<{nnz} terms>, box={self.box_dict()})"
-
-
-def invert(f):
-    """Multiplicative inverse in the box, by geometric expansion.
-
-    Write f = c(1 - h) with c = +-1 and h free of constant term; then
-    1/f = c(1 + h + h^2 + ...). Each power of h raises the minimum total
-    degree, so the expansion stops after at most sum(box)+1 rounds.
-    """
-    c = int(f.coeffs[(0,) * len(f.variables)])
-    if c not in (1, -1):
-        raise NonUnitConstantTerm(f"constant term is {c}")
-    h = (c * f).copy()
-    h.coeffs[(0,) * len(h.variables)] = 0
-    h = -h  # now c*f = 1 - h
-    acc = TruncatedSeries.constant(f.box_dict(), 1)
-    term = TruncatedSeries.constant(f.box_dict(), 1)
-    for _ in range(sum(f.box) + 1):
-        term = term * h
-        if term.is_zero():
-            break
-        acc = acc + term
-    return c * acc
 
 
 def _monomial_exponents(variables, m):
@@ -430,44 +363,11 @@ def pochhammer(base, ratio, n, box):
 def divide_pochhammer(f, base, ratio, n):
     """f / (base; ratio)_n in f's box, one doubling shift-add per factor.
 
-    Same factors as pochhammer(base, ratio, n, box), so it equals
-    f * invert(pochhammer(...)) without any general product.
-    NonUnitConstantTerm if a factor is 1 - 1.
+    Same factors as pochhammer(base, ratio, n, box), so multiplying the
+    result by that product gives f back in the box. NonUnitConstantTerm
+    if a factor is 1 - 1.
     """
     return _apply_factors(f, base, ratio, n, divide=True)
-
-
-def q_binomial(n, k, variable, box):
-    """Gaussian binomial coefficient as an exact polynomial in one variable.
-
-    Computed in a working box of exactly degree k(n-k) as the quotient of
-    Pochhammer products, checked residue-free, then embedded in the target
-    box. BoxTooSmall if the target cannot hold degree k(n-k).
-    """
-    if not 0 <= k <= n:
-        raise SeriesError(f"need 0 <= k <= n, got n={n} k={k}")
-    deg = k * (n - k)
-    variables, bounds = _canon_box(box)
-    if variable not in variables:
-        raise BoxTooSmall(f"variable {variable} not in box")
-    axis = variables.index(variable)
-    if bounds[axis] < deg:
-        raise BoxTooSmall(
-            f"degree {deg} exceeds box bound {bounds[axis]} for {variable}")
-    work_box = {variable: deg}
-    num = pochhammer({variable: n - k + 1}, {variable: 1}, k, work_box)
-    den = ({variable: 1}, {variable: 1}, k)
-    quot = divide_pochhammer(num, *den)
-    if _apply_factors(quot, *den, divide=False) != num:
-        raise SeriesError("q-binomial division left a residue")
-    if int(quot.coeffs[deg]) != 1:
-        raise SeriesError("q-binomial top coefficient is not 1")
-    out = TruncatedSeries.zero(box)
-    idx = [0] * len(variables)
-    for e in range(deg + 1):
-        idx[axis] = e
-        out.coeffs[tuple(idx)] = quot.coeffs[e]
-    return out
 
 
 def substitute(f, variable, m, box=None):
@@ -512,7 +412,3 @@ def first_mismatch(f, g):
     idx = min(map(tuple, np.argwhere(diff)), key=lambda t: (sum(t), t))
     exps = {v: int(e) for v, e in zip(f.variables, idx) if e}
     return exps, int(f.coeffs[idx]), int(g.coeffs[idx])
-
-
-def equal_in_box(f, g):
-    return first_mismatch(f, g) is None

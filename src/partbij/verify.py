@@ -56,7 +56,6 @@ from .bijections import (
 )
 from .partitions import (
     ModularDiagram,
-    Partition,
     enumerate_partitions,
     partition_blocks,
     partition_numbers,

@@ -1,20 +1,13 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from partbij._accel import (
-    HistogramOverflow,
-    UnboundedBox,
-    convolve,
-    partition_histogram,
-)
+from partbij._accel import HistogramOverflow, UnboundedBox, partition_histogram
 from partbij.partitions import (
     color_profile,
-    count_partitions,
     enumerate_partitions,
+    partition_numbers,
     schmidt_weight,
 )
 
@@ -50,33 +43,6 @@ def brute_histogram(axes, bounds, t=1, r=1, max_part=None, max_len=None,
             if all(s <= b for s, b in zip(stats, bounds)):
                 out[tuple(stats)] += 1
     return out
-
-
-def brute_convolve(a, b):
-    out = np.zeros(a.shape, dtype=np.int64)
-    for i in itertools.product(*map(range, a.shape)):
-        for j in itertools.product(*map(range, b.shape)):
-            k = tuple(x + y for x, y in zip(i, j))
-            if all(e < dim for e, dim in zip(k, a.shape)):
-                out[k] += a[i] * b[j]
-    return out
-
-
-def test_convolve_matches_numpy_reference():
-    rng = np.random.default_rng(7)
-    for shape in [(5,), (4, 3), (3, 3, 2), (1,), (2, 1, 1, 2)]:
-        a = rng.integers(-9, 9, size=shape).astype(np.int64)
-        b = rng.integers(-9, 9, size=shape).astype(np.int64)
-        got = convolve(a, b)
-        want = brute_convolve(a, b)
-        assert got.shape == a.shape
-        assert np.array_equal(got, want)
-
-
-def test_convolve_truncates_to_box():
-    a = np.ones(4, dtype=np.int64)
-    c = convolve(a, a)
-    assert list(c) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("t,r,distinct", [
@@ -179,7 +145,7 @@ def test_histogram_matches_enumeration_sweep(axes, data, t, r, distinct,
 
 def test_histogram_counts_up_to_int64_then_raises():
     out = partition_histogram(("size",), (405,), max_part=405, max_len=405)
-    assert [int(c) for c in out] == [count_partitions(n) for n in range(406)]
+    assert [int(c) for c in out] == partition_numbers(405)
     with pytest.raises(HistogramOverflow):
         partition_histogram(("size",), (406,), max_part=406, max_len=406)
 

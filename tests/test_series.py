@@ -7,12 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from partbij import series
-from partbij._accel import convolve
-from partbij.partitions import count_in_box
+from partbij.partitions import partition_numbers
 from partbij.series import (
     INFINITY,
     BoxMismatch,
-    BoxTooSmall,
     CoefficientOverflow,
     DivergentInfiniteProduct,
     NonUnitConstantTerm,
@@ -20,13 +18,11 @@ from partbij.series import (
     SeriesError,
     TruncatedSeries,
     divide_pochhammer,
-    equal_in_box,
     first_mismatch,
-    invert,
     pochhammer,
-    q_binomial,
     substitute,
 )
+from reference import quotient, truncated_product
 
 BOX = {"q": 4, "z": 3}
 
@@ -68,30 +64,13 @@ def test_from_terms_accumulates_and_drops():
 @given(small_series(), small_series(), small_series())
 def test_ring_laws(f, g, h):
     assert f + g == g + f
-    assert f * g == g * f
     assert (f + g) + h == f + (g + h)
-    assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
     assert f + TruncatedSeries.zero(BOX) == f
-    assert f * TruncatedSeries.constant(BOX, 1) == f
     assert f - f == TruncatedSeries.zero(BOX)
-
-
-@given(small_series(), small_series())
-def test_truncation_is_exact(f, g):
-    # multiplying in a larger box then restricting agrees with multiplying
-    # in the small box directly
-    big = {"q": 8, "z": 6}
-    fb = TruncatedSeries.from_terms(big, f.terms())
-    gb = TruncatedSeries.from_terms(big, g.terms())
-    prod = TruncatedSeries.from_terms(BOX, (fb * gb).terms())
-    assert prod == f * g
 
 
 def test_int_scalars():
     f = TruncatedSeries.monomial(BOX, {"q": 1})
-    assert (2 * f).coefficient({"q": 1}) == 2
-    assert (f * 3).coefficient({"q": 1}) == 3
     assert (1 - f).coefficient({}) == 1
     assert (1 - f).coefficient({"q": 1}) == -1
 
@@ -102,22 +81,7 @@ def test_box_mismatch_rejected():
     with pytest.raises(BoxMismatch):
         f + g
     with pytest.raises(BoxMismatch):
-        f * g
-
-
-def test_invert_is_inverse():
-    box = {"q": 10}
-    f = 1 - TruncatedSeries.monomial(box, {"q": 1})
-    g = invert(f)
-    assert f * g == TruncatedSeries.constant(box, 1)
-    assert all(g.coefficient({"q": n}) == 1 for n in range(11))
-
-
-def test_invert_needs_unit_constant():
-    with pytest.raises(NonUnitConstantTerm):
-        invert(TruncatedSeries.monomial(BOX, {"q": 1}))
-    with pytest.raises(NonUnitConstantTerm):
-        invert(TruncatedSeries.constant(BOX, 2))
+        f - g
 
 
 def test_pochhammer_known_polynomial():
@@ -131,11 +95,8 @@ def test_pochhammer_infinite_truncates():
     f = pochhammer({"q": 1}, {"q": 1}, INFINITY, box)
     g = pochhammer({"q": 1}, {"q": 1}, 9, box)
     assert f == g
-    gen = invert(f)
-    from partbij.partitions import count_partitions
-
-    for n in range(9):
-        assert gen.coefficient({"q": n}) == count_partitions(n)
+    one = TruncatedSeries.constant(box, 1)
+    assert quotient(one.coeffs, f.coeffs).tolist() == partition_numbers(8)
 
 
 def test_pochhammer_divergent_constant_ratio():
@@ -144,29 +105,6 @@ def test_pochhammer_divergent_constant_ratio():
     # finite products with constant ratio are fine
     f = pochhammer({"q": 1}, {}, 2, {"q": 4})
     assert f == pochhammer({"q": 1}, {"q": 0}, 2, {"q": 4})
-
-
-def test_q_binomial_known_and_symmetric():
-    f = q_binomial(4, 2, "q", {"q": 6})
-    assert f.text() == "1 + q + 2*q^2 + q^3 + q^4"
-    assert q_binomial(5, 2, "q", {"q": 10}) == q_binomial(5, 3, "q", {"q": 10})
-    assert q_binomial(3, 0, "q", {"q": 2}).text() == "1"
-
-
-def test_q_binomial_counts_box_partitions():
-    # sum of coefficients = number of partitions in a k by (n-k) box
-    for n in range(7):
-        for k in range(n + 1):
-            f = q_binomial(n, k, "q", {"q": k * (n - k) + 1})
-            total = sum(c for _, c in f.terms())
-            assert total == count_in_box(n - k, k)
-
-
-def test_q_binomial_box_too_small():
-    with pytest.raises(BoxTooSmall):
-        q_binomial(6, 3, "q", {"q": 4})
-    with pytest.raises(BoxTooSmall):
-        q_binomial(2, 1, "s", {"q": 5})
 
 
 def test_substitute_maps_variable():
@@ -199,13 +137,6 @@ def test_json_roundtrip():
     assert TruncatedSeries.from_json(data) == f
 
 
-def test_overflow_guard():
-    box = {"q": 2}
-    f = TruncatedSeries.constant(box, 2 ** 40)
-    with pytest.raises(CoefficientOverflow):
-        f * f
-
-
 @st.composite
 def pochhammer_cases(draw, coefficients=st.integers(-9, 9)):
     """A box of 1-3 variables with bounds <= 8, a series f in it with
@@ -236,7 +167,7 @@ def test_first_mismatch_graded_lex():
     assert exps == {"z": 1}
     assert (cf, cg) == (0, 1)
     assert first_mismatch(f, f) is None
-    assert equal_in_box(g, g)
+    assert first_mismatch(g, g) is None
     # ties in total degree break lexicographically on the exponent tuple
     h = TruncatedSeries.from_terms(BOX, [({"q": 1, "z": 1}, 1), ({"z": 2}, 1)])
     exps, _, _ = first_mismatch(TruncatedSeries.zero(BOX), h)
@@ -261,13 +192,13 @@ def _factors(box, base, ratio, n):
 
 
 def explicit_pochhammer(box, base, ratio, n):
-    """(base; ratio)_n as one full convolution per factor (1 - x^e)."""
+    """(base; ratio)_n as one full truncated product per factor (1 - x^e)."""
     one = TruncatedSeries.constant(box, 1)
     acc = one.coeffs
     for e in _factors(box, base, ratio, n):
         x = TruncatedSeries.monomial(box, dict(zip(box, e)))
-        acc = convolve(acc, (one - x).coeffs)
-    return TruncatedSeries(one.variables, one.box, acc)
+        acc = truncated_product(acc, (one - x).coeffs)
+    return TruncatedSeries(one.variables, one.box, acc.astype(np.int64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -279,10 +210,9 @@ def test_shift_pochhammer_matches_convolution(case):
     if int(want.coeffs.flat[0]) == 0:  # a factor 1 - 1
         with pytest.raises(NonUnitConstantTerm):
             divide_pochhammer(f, base, ratio, n)
-        with pytest.raises(NonUnitConstantTerm):
-            invert(want)
     else:
-        assert divide_pochhammer(f, base, ratio, n) == f * invert(want)
+        assert divide_pochhammer(f, base, ratio, n).coeffs.tolist() == \
+            quotient(f.coeffs, want.coeffs).tolist()
 
 
 def test_divide_pochhammer_leaves_its_input():
@@ -320,8 +250,6 @@ def test_add_and_subtract_overflow_is_exact():
         -big - big - 1
     with pytest.raises(CoefficientOverflow):
         -(-big - big)
-    with pytest.raises(CoefficientOverflow):
-        big * 2
 
 
 def test_shift_subtract_overflow_is_exact(monkeypatch):
@@ -348,35 +276,6 @@ def test_pochhammer_overflow_is_exact():
     assert f.coefficient({"q": 33}) == -math.comb(66, 33)
     with pytest.raises(CoefficientOverflow):
         pochhammer({"q": 1}, {}, 67, {"q": 33})
-
-
-def test_product_bound_uses_max_norm():
-    # l1 * l1 is 2^64, but each product coefficient is at most
-    # l1(f) * max|g| = 2^62
-    box = {"q": 3}
-    f = TruncatedSeries.constant(box, 2 ** 31)
-    g = TruncatedSeries.from_terms(box, [({"q": e}, 2 ** 31) for e in range(4)])
-    assert (f * g).coefficient({"q": 3}) == 2 ** 62
-    with pytest.raises(CoefficientOverflow):
-        (f + f) * g  # 2^63 in every coefficient
-
-
-def test_product_is_exact():
-    # the cheap bound max|a| max|b| min(nnz) is 2^63 for each product
-    # below, so each is taken exactly and raises only when a coefficient
-    # really leaves int64
-    box = {"q": 2}
-    a = TruncatedSeries.from_terms(box, [({}, 2 ** 62), ({"q": 1}, -2 ** 62)])
-    b = TruncatedSeries.from_terms(box, [({}, 1), ({"q": 1}, 1)])
-    assert (a * b).coeffs.tolist() == [2 ** 62, 0, -2 ** 62]
-    assert b * a == a * b
-    box = {"q": 1}
-    c = TruncatedSeries.from_terms(box, [({}, 2 ** 62), ({"q": 1}, 2 ** 62)])
-    d = TruncatedSeries.from_terms(box, [({}, 1), ({"q": 1}, 1)])
-    assert ((-c) * d).coeffs.tolist() == [-2 ** 62, -2 ** 63]
-    assert ((c - 1) * d).coeffs.tolist() == [2 ** 62 - 1, 2 ** 63 - 1]
-    with pytest.raises(CoefficientOverflow):
-        c * d  # 2^63 at q
 
 
 def exact_quotient(f, factors):
