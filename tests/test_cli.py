@@ -264,6 +264,33 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert json.loads(out)["first_mismatch"]["monomial"] == {"q": 2, "z": 4}
 
 
+def test_suite_failure_exits_one_and_json_drops_timing(capsys, monkeypatch):
+    import partbij.cli as cli
+    from partbij.verify import SuiteReport, VerificationReport
+
+    good = VerificationReport("thm3.1", {}, {"q": 2, "z": 4}, "pass", 5, 0.1)
+    bad = VerificationReport(
+        "thm3.2", {}, {"q": 2, "z": 2}, "fail", 5, 0.3,
+        first_mismatch={"monomial": {"q": 1}, "lhs": 0, "rhs": 1},
+    )
+    suite = SuiteReport("quick", [good, bad])
+    monkeypatch.setattr(cli.ver, "run_suite", lambda *a, **k: suite)
+    code, out, _ = run(capsys, "suite")
+    assert code == 1
+    assert out.strip().splitlines()[-1] == "quick suite: 2 checks, 1 FAILED"
+    code, out, _ = run(capsys, "suite", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert list(data) == ["level", "passed", "reports"]
+    assert data["passed"] is False
+    want = suite.to_json()["reports"]
+    for report in want:
+        del report["elapsed_ms"]
+    assert data["reports"] == want
+    # the printed dict leaves the suite's own reports untouched
+    assert [r.elapsed_ms for r in suite.reports] == [0.1, 0.3]
+
+
 def test_verify_counting_id_with_params(capsys):
     code, out, _ = run(capsys, "verify", "thm6", "--t", "2", "--n", "5")
     assert code == 0

@@ -1,13 +1,20 @@
 """The test oracles in reference.py, checked against brute force."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from partbij.partitions import enumerate_partitions
-from reference import q_binomial, quotient, truncated_product
+from reference import (
+    colored_partitions,
+    q_binomial,
+    quotient,
+    truncated_product,
+)
 
 
 def pairwise_product(a, b):
@@ -86,3 +93,42 @@ def test_q_binomial_counts_box_partitions():
                 len(list(enumerate_partitions(e, max_part=n - k,
                                               max_length=k)))
                 for e in range(k * (n - k) + 1)]
+
+
+def test_shapes_must_match():
+    a, b = np.ones(3), np.ones(4)
+    with pytest.raises(ValueError):
+        truncated_product(a, b)
+    with pytest.raises(ValueError):
+        quotient(a, b)
+
+
+def test_colored_partitions_match_brute_force():
+    # every multiset of (part, colour) pairs with parts summing to n,
+    # each listed once in descending order
+    for t in (1, 2, 3):
+        pairs = [(p, c) for p in range(1, 8) for c in range(1, t + 1)]
+        for n in range(8):
+            want = {
+                tuple(sorted(combo, reverse=True))
+                for k in range(n + 1)
+                for combo in itertools.combinations_with_replacement(pairs, k)
+                if sum(p for p, _ in combo) == n
+            }
+            got = list(colored_partitions(n, t))
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            assert all(list(e) == sorted(e, reverse=True) for e in got)
+
+
+def test_reference_imports_nothing_under_test():
+    # an oracle built on the kernels it checks would agree with them by
+    # construction
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert modules == {"itertools", "numpy"}
