@@ -12,13 +12,17 @@ at every full-level grid point and box, and for eq20 the time of
 f_recurrence at the full level's n_max, t and box, after one untimed
 pass. It also holds the scalar maps alone: per map and inverse, the
 median of the summed time of its calls on the map mix (see time_maps),
-every round trip checked. The entry, with the machine (cores, Python,
-numpy, whether numba was loaded), is stored in OUT under --label; entries
-under other labels are kept, so one file can hold a run before and a run
-after a change.
+every round trip checked. Under cli_ms it holds in-process command
+lines: per command of CLI_CALLS, the median ms of one cli.main call,
+output captured, after one untimed pass. The entry, with the machine
+(cores, Python, numpy, whether numba was loaded), is stored in OUT under
+--label; entries under other labels are kept, so one file can hold a run
+before and a run after a change.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -30,6 +34,7 @@ from functools import partial
 
 import numpy as np
 
+from partbij import cli
 from partbij.bijections import (
     bessenrodt,
     bessenrodt_inverse,
@@ -59,6 +64,27 @@ HOOK_M = (2, 3, 5)
 MAP_NAMES = ("mork", "mork_inverse", "bessenrodt", "bessenrodt_inverse",
              "color_conjugate", "color_conjugate_inverse",
              "generalized_hook_map")
+
+# command lines for time_cli: five `series --json` calls at closed-form
+# boxes, above the quick level, then the bijection and table commands
+CLI_CALLS = {
+    "series thm3.1": ["series", "thm3.1", "--json", "--max-q", "18",
+                      "--max-z", "36"],
+    "series thm5.2": ["series", "thm5.2", "--json", "--max-q", "18",
+                      "--max-z", "18"],
+    "series thm8.1": ["series", "thm8.1", "--json", "--t", "3", "--r", "2",
+                      "--max-q", "15", "--max-z", "15"],
+    "series thm9": ["series", "thm9", "--json", "--t", "3", "--r", "1",
+                    "--max-q", "12", "--max-z", "12", "--max-s", "12"],
+    "series eq14": ["series", "eq14", "--json", "--n", "6", "--max-q", "15",
+                    "--max-z", "15"],
+    "bijection mork": ["bijection", "mork", "--input", "[9, 7, 7, 4, 2, 1]"],
+    "bijection color-conjugate": ["bijection", "color-conjugate", "--t", "3",
+                                  "--r", "2", "--input", "[9, 7, 7, 4, 2, 1]"],
+    "bijection hook-map": ["bijection", "hook-map", "--m", "3",
+                           "--input", "[9, 7, 7, 4, 2, 1]"],
+    "table bessenrodt": ["table", "bessenrodt", "--n", "12", "--json"],
+}
 
 
 def timed_suite(level):
@@ -200,6 +226,28 @@ def time_maps(runs):
             for name, v in samples.items()}
 
 
+def time_cli(runs):
+    """Per command in CLI_CALLS, the median over runs of the ms of one
+    in-process cli.main call with its output captured, after one untimed
+    pass. Every call must exit 0 with nothing on stderr."""
+    samples = {name: [] for name in CLI_CALLS}
+    for run in range(runs + 1):  # run 0 is the untimed pass
+        for name, argv in CLI_CALLS.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                start = time.perf_counter()
+                code = cli.main(argv)
+                ms = (time.perf_counter() - start) * 1000.0
+            if code != 0 or err.getvalue():
+                raise SystemExit(f"partbij {' '.join(argv)}: exit {code}, "
+                                 f"{err.getvalue()!r}")
+            if run:
+                samples[name].append(ms)
+    return {name: round(statistics.median(v), 3)
+            for name, v in samples.items()}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="current")
@@ -213,6 +261,7 @@ def main():
         "levels": measure(),
         "series_ms": time_series(RUNS),
         "maps_ms": time_maps(RUNS),
+        "cli_ms": time_cli(RUNS),
     }
     try:
         with open(OUT) as fh:
@@ -233,6 +282,9 @@ def main():
     print("scalar maps on the map mix:")
     for name, ms in entry["maps_ms"].items():
         print(f"  {name:<24} {ms:8.3f} ms")
+    print("in-process command lines:")
+    for name, ms in entry["cli_ms"].items():
+        print(f"  {name:<26} {ms:8.3f} ms")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .partitions import (
     InvalidFrobenius,
     Partition,
     PartitionError,
+    _check_modular,
     _columns,
     _frobenius_parts,
     enumerate_partitions,
@@ -133,24 +134,28 @@ def modular_fill_inverse(omega):
     return Partition([(p + 1) // 2 for p in _odd_parts(omega)])
 
 
-def _diagonal_hook_values(diagram):
-    """Cell values of each diagonal hook of a modular diagram's shape.
+def _diagonal_hooks(diagram):
+    """Per diagonal hook of a modular diagram's shape, the number of its
+    cells that are not the last of their row, each holding the base, and
+    the remainders held by the cells that are.
 
-    A row of c cells holds the base in every cell except the last, which
-    holds the row's remainder.
+    Hook i is row i's cells from column i on and, below it, column i's
+    cells: one per row longer than i, the row's last when it has i + 1.
     """
-    m, rows = diagram
+    rows = diagram.rows
     hooks = []
     for i, (cells, rem) in enumerate(rows):
         if cells <= i:
             break
-        values = [m] * (cells - i - 1)
-        values.append(rem)
+        full, rems = cells - i - 1, [rem]
         for cells2, rem2 in islice(rows, i + 1, None):
             if cells2 <= i:
                 break
-            values.append(rem2 if cells2 == i + 1 else m)
-        hooks.append(values)
+            if cells2 == i + 1:
+                rems.append(rem2)
+            else:
+                full += 1
+        hooks.append((full, rems))
     return hooks
 
 
@@ -162,9 +167,9 @@ def bessenrodt(omega):
     pointwise equal to mork(modular_fill_inverse(omega)).
     """
     parts = []
-    for values in _diagonal_hook_values(to_modular(_odd_parts(omega), 2)):
-        parts.append(len(values))
-        twos = values.count(2)
+    for full, rems in _diagonal_hooks(to_modular(_odd_parts(omega), 2)):
+        parts.append(full + len(rems))
+        twos = full + rems.count(2)
         if twos:
             parts.append(twos)
     return Partition(parts)
@@ -307,14 +312,19 @@ def generalized_hook_map(diagram):
     is flagged as a partition when weakly decreasing. The emitted parts
     always sum to the size of the decoded partition, because summing
     the threshold counts of a cell of value v contributes exactly v.
+    InvalidDiagram if the diagram is not that of a partition.
     """
+    _check_modular(diagram)
+    m = diagram.m
     parts = []
-    for values in _diagonal_hook_values(diagram):
+    for full, rems in _diagonal_hooks(diagram):
         # the counts of values >= j up to the hook's largest value, none of
         # them 0, as a reverse running sum of each value's tally
-        tally = [0] * (max(values) + 1)
-        for v in values:
-            tally[v] += 1
+        top = m if full else max(rems)
+        tally = [0] * (top + 1)
+        tally[top] = full
+        for rem in rems:
+            tally[rem] += 1
         parts.extend(reversed(list(accumulate(reversed(tally[1:])))))
     return HookMapImage(tuple(parts), all(map(ge, parts, parts[1:])))
 

@@ -8,6 +8,7 @@ failure, 2 usage or bad input.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -248,6 +249,9 @@ def _cmd_suite(args):
     return 0 if suite.passed else 1
 
 
+# built on the first main() call, not at import, and reused by every later
+# call in the process: a parse keeps its state in the namespace it returns
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="partbij",

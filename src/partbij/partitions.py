@@ -11,6 +11,7 @@ plain tuples and lists inside; it builds one validated ``Partition`` per
 output.
 """
 
+import math
 from itertools import accumulate, count, repeat
 from operator import ge, gt
 from typing import Iterable, Iterator, List, NamedTuple, Optional
@@ -198,25 +199,33 @@ def to_modular(p: Partition, m: int) -> ModularDiagram:
     return ModularDiagram(m, tuple(rows))
 
 
-def from_modular(d: ModularDiagram) -> Partition:
-    """Decode a modular diagram back to its partition."""
-    if d.m < 2:
-        raise InvalidDiagram(f"modular base must be >= 2, got {d.m}")
-    parts = []
-    prev_cells = None
-    for cells, rem in d.rows:
+def _check_modular(d: ModularDiagram) -> None:
+    """Raise InvalidDiagram unless d is the modular diagram of a partition:
+    base at least 2, and row by row a positive cell count, a remainder in
+    1..m and no rise of the cell count; then no rise of the decoded parts,
+    which given the rest happens exactly where a row has the cell count
+    of the row above and a larger remainder. One walk over the rows."""
+    m, rows = d
+    if m < 2:
+        raise InvalidDiagram(f"modular base must be >= 2, got {m}")
+    prev_cells, prev_rem, rising = math.inf, m, False
+    for cells, rem in rows:
         if cells < 1:
             raise InvalidDiagram(f"cell count must be positive: {cells}")
-        if not 1 <= rem <= d.m:
-            raise InvalidDiagram(f"remainder {rem} outside 1..{d.m}")
-        if prev_cells is not None and cells > prev_cells:
+        if not 1 <= rem <= m:
+            raise InvalidDiagram(f"remainder {rem} outside 1..{m}")
+        if cells > prev_cells:
             raise InvalidDiagram("cell counts must be weakly decreasing")
-        prev_cells = cells
-        parts.append(d.m * (cells - 1) + rem)
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise InvalidDiagram("decoded parts must be weakly decreasing")
-    return Partition(parts)
+        rising = rising or (cells == prev_cells and rem > prev_rem)
+        prev_cells, prev_rem = cells, rem
+    if rising:
+        raise InvalidDiagram("decoded parts must be weakly decreasing")
+
+
+def from_modular(d: ModularDiagram) -> Partition:
+    """Decode a modular diagram back to its partition."""
+    _check_modular(d)
+    return Partition([d.m * (cells - 1) + rem for cells, rem in d.rows])
 
 
 def enumerate_partitions(

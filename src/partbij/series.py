@@ -19,10 +19,17 @@ grown bound fits int64 the shifts run unchecked; when it does not, the
 exact maximum is taken again, and a factor that still might overflow
 runs checked shifts. Every operation raises CoefficientOverflow only
 when a coefficient would really leave int64.
+
+The shift plan of a product is lean: the factors in the box are counted
+with one floor division per axis (the k-th factor of (base; ratio)_n
+lies in the box while k <= (bound - base) // ratio on every axis where
+ratio moves), and each shift's source and destination slices are built
+once, by mapping `slice` over the step and the shape.
 """
 
 import math
 import re
+from operator import sub
 
 import numpy as np
 
@@ -108,11 +115,25 @@ def _max_abs(coeffs):
     return max(int(coeffs.max()), -int(coeffs.min()))
 
 
-def _shift(shape, e):
-    """Source and destination slices of a shift by exponent vector e."""
-    src = tuple(slice(0, dim - k) for k, dim in zip(e, shape))
-    dst = tuple(slice(k, dim) for k, dim in zip(e, shape))
-    return src, dst
+def _shifts(shape, e, count):
+    """Source and destination slices of the shifts by e, 2e, 4e, ...,
+    count of them."""
+    pairs = []
+    for i in range(count):
+        step = [k << i for k in e]
+        pairs.append((tuple(map(slice, map(sub, shape, step))),
+                      tuple(map(slice, step, shape))))
+    return pairs
+
+
+def _graded_lex(coeffs):
+    """The nonzero cells of an array in graded-lexicographic order: the
+    rows of their index vectors sorted by total degree, then by index,
+    and their values as a list of Python ints."""
+    nonzero = coeffs != 0
+    idx = np.argwhere(nonzero)
+    order = np.lexsort((*idx.T[::-1], idx.sum(axis=1)))
+    return idx[order], coeffs[nonzero][order].tolist()
 
 
 class TruncatedSeries:
@@ -218,23 +239,15 @@ class TruncatedSeries:
 
     def terms(self):
         """Yield (exponents, coeff) in graded-lexicographic order, zeros omitted."""
-        idxs = np.argwhere(self.coeffs)
-        order = sorted(map(tuple, idxs), key=lambda t: (sum(t), t))
-        for idx in order:
-            exps = {v: int(e) for v, e in zip(self.variables, idx) if e}
-            yield exps, int(self.coeffs[idx])
+        idx, values = _graded_lex(self.coeffs)
+        for row, coeff in zip(idx.tolist(), values):
+            yield {v: e for v, e in zip(self.variables, row) if e}, coeff
 
     def text(self):
         """Plain rendering, e.g. '1 + q*z + 2*q^2*z^2'."""
         parts = []
         for exps, coeff in self.terms():
-            factors = []
-            for v in self.variables:
-                e = exps.get(v, 0)
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in exps.items()]
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -250,7 +263,7 @@ class TruncatedSeries:
 
     def to_json(self):
         return {
-            "box": {v: b for v, b in zip(self.variables, self.box)},
+            "box": dict(zip(self.variables, self.box)),
             "terms": [[exps, coeff] for exps, coeff in self.terms()],
         }
 
@@ -286,26 +299,26 @@ def _monomial_exponents(variables, m):
 def _factor_exponents(variables, bounds, base, ratio, n):
     """Exponent vectors of the factors of (base; ratio)_n inside the box.
 
-    Exponents only grow with k, so the first factor whose monomial leaves
-    the box ends the list: it and every later factor are 1 there.
+    Exponents only grow with k, so the factors in the box are the first
+    count of them, where count is the least (bound - base) // ratio + 1
+    over the axes the ratio moves, and none if the base leaves the box.
     """
     b = _monomial_exponents(variables, base)
     r = _monomial_exponents(variables, ratio)
     if n is INFINITY:
         if not any(r):
             raise DivergentInfiniteProduct("constant ratio")
-        n = None
     else:
         n = int(n)
         if n < 0:
             raise SeriesError(f"negative factor count {n}")
-    out = []
-    while n is None or len(out) < n:
-        if any(e > bound for e, bound in zip(b, bounds)):
-            break
-        out.append(b)
-        b = [e + d for e, d in zip(b, r)]
-    return out
+    count = n
+    for e, d, bound in zip(b, r, bounds):
+        if e > bound:
+            return []
+        if d:
+            count = min(count, (bound - e) // d + 1)
+    return [[e + k * d for e, d in zip(b, r)] for k in range(count)]
 
 
 def _apply_factors(f, base, ratio, n, divide):
@@ -324,20 +337,19 @@ def _apply_factors(f, base, ratio, n, divide):
     coeffs = f.coeffs.copy()
     shape = coeffs.shape
     bound = _max_abs(coeffs)
-    for e in _factor_exponents(f.variables, f.box, base, ratio, n):
-        if not divide:
-            steps, grow = [e], 2
-        elif not any(e):
-            raise NonUnitConstantTerm("constant term is 0")
-        else:
-            grow = min((dim - 1) // k for k, dim in zip(e, shape) if k) + 1
-            steps = [[k << i for k in e]
-                     for i in range((grow - 1).bit_length())]
+    factors = _factor_exponents(f.variables, f.box, base, ratio, n)
+    # exponents only grow, so only the first factor can be 1 - 1
+    if divide and factors and not any(factors[0]):
+        raise NonUnitConstantTerm("constant term is 0")
+    grow, steps = 2, 1
+    for e in factors:
+        if divide:
+            grow = min([(dim - 1) // k for k, dim in zip(e, shape) if k]) + 1
+            steps = (grow - 1).bit_length()
         if bound * grow > _INT64_MAX:
             bound = _max_abs(coeffs)
         checked = bound * grow > _INT64_MAX
-        for step in steps:
-            src, dst = _shift(shape, step)
+        for src, dst in _shifts(shape, e, steps):
             if checked:
                 coeffs[dst] = (_sum if divide else _difference)(
                     coeffs[dst], coeffs[src])
@@ -375,7 +387,9 @@ def substitute(f, variable, m, box=None):
 
     The result is exact on the target box only when f was exact on a box
     large enough to cover every preimage; the caller supplies that larger
-    source and, when needed, a different target box.
+    source and, when needed, a different target box. Terms that land on
+    one exponent vector are summed exactly, so CoefficientOverflow is
+    raised only when such a sum leaves int64.
     """
     if box is None:
         box = f.box_dict()
@@ -384,19 +398,31 @@ def substitute(f, variable, m, box=None):
     for name in f.variables:
         if name != variable and name not in pos:
             raise SeriesError(f"variable {name} not in target box")
-    for name in m:
-        if int(m[name]) and name not in pos:
-            raise SeriesError(f"variable {name} not in target box")
-    sub = [(pos[name], int(e)) for name, e in m.items() if int(e)]
-    for exps, coeff in f.terms():
-        e = exps.pop(variable, 0)
-        idx = [0] * len(out.variables)
-        for name, val in exps.items():
-            idx[pos[name]] = val
-        for axis, step in sub:
-            idx[axis] += e * step
-        if all(v <= b for v, b in zip(idx, out.box)):
-            out.coeffs[tuple(idx)] += coeff
+    steps = np.array(_monomial_exponents(out.variables, m), dtype=np.int64)
+    nonzero = f.coeffs != 0
+    idx = np.argwhere(nonzero)
+    # each term's exponent vector in the target box, one row per term
+    target = np.zeros((len(idx), len(out.variables)), dtype=np.int64)
+    for axis, name in enumerate(f.variables):
+        if name == variable:
+            target += idx[:, axis, None] * steps
+        else:
+            target[:, pos[name]] += idx[:, axis]
+    keep = (target <= out.box).all(axis=1)
+    # each kept term's position in the flat, C-ordered coefficients
+    strides = np.array(out.coeffs.strides, dtype=np.int64)
+    flat = (target[keep] * (strides // out.coeffs.itemsize)).sum(axis=1)
+    values = f.coeffs[nonzero][keep]
+    coeffs = out.coeffs.reshape(-1)
+    if np.bincount(flat, minlength=1).max() > 1:
+        # terms collide: sum them as Python ints, then check the sums
+        exact = np.zeros(coeffs.size, dtype=object)
+        np.add.at(exact, flat, values.astype(object))
+        if not all(-_INT64_MAX - 1 <= c <= _INT64_MAX for c in exact.tolist()):
+            raise _overflow()
+        coeffs[:] = exact
+    else:
+        coeffs[flat] = values
     return out
 
 
@@ -406,9 +432,9 @@ def first_mismatch(f, g):
     Returns (exponents, f_coeff, g_coeff).
     """
     f._check_aligned(g)
-    diff = f.coeffs != g.coeffs
-    if not diff.any():
+    idx, _ = _graded_lex(f.coeffs != g.coeffs)
+    if not len(idx):
         return None
-    idx = min(map(tuple, np.argwhere(diff)), key=lambda t: (sum(t), t))
-    exps = {v: int(e) for v, e in zip(f.variables, idx) if e}
-    return exps, int(f.coeffs[idx]), int(g.coeffs[idx])
+    first = tuple(idx[0].tolist())
+    exps = {v: e for v, e in zip(f.variables, first) if e}
+    return exps, int(f.coeffs[first]), int(g.coeffs[first])

@@ -92,3 +92,31 @@ def colored_partitions(n, t, top=None):
         for color in range(top_color if part == top_part else t, 0, -1):
             for rest in colored_partitions(n - part, t, (part, color)):
                 yield ((part, color),) + rest
+
+
+def graded_terms(coeffs):
+    """The nonzero entries of an array as (index tuple, value) pairs of
+    plain Python ints, sorted by total degree and then by index."""
+    a = np.asarray(coeffs)
+    cells = [(i, int(a[i])) for i in itertools.product(*map(range, a.shape))
+             if a[i]]
+    return sorted(cells, key=lambda cell: (sum(cell[0]), cell[0]))
+
+
+def series_text(variables, coeffs):
+    """A series as text: its graded terms joined by ' + ' and ' - ' (a
+    leading '-' on the first), each the magnitude, left out when it is 1
+    and the term has a variable, then 'v' or 'v^e' per variable, all
+    joined by '*'; '0' when there is no term."""
+    text = ""
+    for index, value in graded_terms(coeffs):
+        factors = [v if e == 1 else f"{v}^{e}"
+                   for v, e in zip(variables, index) if e]
+        if abs(value) != 1 or not factors:
+            factors.insert(0, str(abs(value)))
+        body = "*".join(factors)
+        if text:
+            text += (" - " if value < 0 else " + ") + body
+        else:
+            text = ("-" if value < 0 else "") + body
+    return text or "0"

@@ -38,3 +38,11 @@ def test_bench_suite_maps_run():
         "mork", "mork_inverse", "bessenrodt", "bessenrodt_inverse",
         "color_conjugate", "color_conjugate_inverse", "generalized_hook_map")
     assert all(ms > 0 for ms in times.values())
+
+
+def test_bench_suite_cli_run():
+    bench = _load("bench_suite")
+    times = bench.time_cli(1)
+    assert tuple(times) == tuple(bench.CLI_CALLS)
+    assert sum(name.startswith("series ") for name in times) == 5
+    assert all(ms > 0 for ms in times.values())

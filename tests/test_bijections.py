@@ -27,6 +27,8 @@ from partbij.bijections import (
 )
 from partbij.colored import ColoredPartition
 from partbij.partitions import (
+    InvalidDiagram,
+    ModularDiagram,
     NotSorted,
     Partition,
     enumerate_partitions,
@@ -203,8 +205,6 @@ def test_color_conjugate_inverse_rejects_a_colour_above_t():
 
 
 def test_hook_map_printed_examples():
-    from partbij.partitions import ModularDiagram
-
     a = ModularDiagram(3, ((3, 2), (2, 1), (1, 1)))
     b = ModularDiagram(3, ((3, 1), (2, 1), (1, 2)))
     ia = generalized_hook_map(a)
@@ -212,6 +212,17 @@ def test_hook_map_printed_examples():
     assert ia.parts == (5, 4, 3, 1)
     assert ib.parts == (5, 4, 3, 1)
     assert ia.is_partition and ib.is_partition
+
+
+@pytest.mark.parametrize("diagram, message", [
+    # rising cell counts, which once gave (2, 1, 1, 1)
+    (ModularDiagram(3, ((1, 1), (2, 1))), "cell counts must be weakly"),
+    # a remainder of 0, which once was dropped to give (1, 1, 1)
+    (ModularDiagram(3, ((2, 0),)), r"remainder 0 outside 1\.\.3"),
+])
+def test_hook_map_rejects_a_malformed_diagram(diagram, message):
+    with pytest.raises(InvalidDiagram, match=message):
+        generalized_hook_map(diagram)
 
 
 @given(partitions(max_n=20), st.integers(2, 4))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from partbij import cli
 from partbij.cli import BIJECTION_NAMES, main
 from partbij.verify import CATALOG, IDENTITY_IDS
 
@@ -326,6 +327,52 @@ def test_series_text_and_json(capsys):
     data = json.loads(out1)
     assert data["box"] == {"q": 5, "z": 10}
     assert [{}, 1] in data["terms"]
+
+
+# usage errors, --help and a bad --input first, then every command with
+# and without the flags an earlier call set
+REUSED_PARSER_CALLS = [
+    ["bijection", "nope", "--input", "[1]"],
+    ["verify", "thm3.1", "--t"],
+    [],
+    ["--help"],
+    ["series", "--help"],
+    ["bijection", "mork", "--input", "[x"],
+    ["bijection", "color-conjugate", "--t", "3", "--r", "4",
+     "--input", "[9, 7, 6, 5, 4, 4, 4, 4, 3, 2, 1]"],
+    ["bijection", "color-conjugate",
+     "--input", "[9, 7, 6, 5, 4, 4, 4, 4, 3, 2, 1]"],
+    ["bijection", "mork", "--inverse", "--input", "[12, 10, 7, 5, 3, 2, 1]"],
+    ["bijection", "mork", "--input", "[7, 5, 4, 4, 2, 1]"],
+    ["bijection", "hook-map", "--m", "3", "--input", "[8, 4, 1]"],
+    ["bijection", "hook-map", "--input", "[8, 4, 1]"],
+    ["series", "eq14", "--n", "2", "--max-q", "4", "--max-z", "4"],
+    ["series", "eq14", "--json"],
+    ["series", "thm9", "--t", "2", "--r", "2", "--max-q", "5", "--json"],
+    ["series", "thm9", "--json"],
+    ["table", "bessenrodt", "--n", "9", "--json"],
+    ["table", "bessenrodt"],
+    ["verify", "thm8.1", "--t", "2", "--r", "3", "--max-q", "6", "--json"],
+    ["verify", "thm8.1", "--json"],
+    ["suite", "--level", "quick", "--json"],
+]
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    # one process reuses one parser; every call must print what a freshly
+    # built parser prints
+    assert cli._build_parser() is cli._build_parser()
+    reused = [run(capsys, *argv) for argv in REUSED_PARSER_CALLS]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in REUSED_PARSER_CALLS:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [2, 2, 2, 0, 0, 2] + [0] * 15
+    # a flag given to one call is not a default of the next
+    assert reused[7] != reused[6] and reused[11] != reused[10]
 
 
 def test_suite_quick(capsys):

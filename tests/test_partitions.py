@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from partbij.bijections import generalized_hook_map
 from partbij.partitions import (
     CellOutOfDiagram,
     InvalidDiagram,
     InvalidFrobenius,
+    ModularDiagram,
     NegativePart,
     NotSorted,
     Partition,
@@ -165,6 +167,43 @@ def test_from_modular_rejects_bad_rows():
     bad = type(d)(2, ((1, 1), (2, 2)))
     with pytest.raises(InvalidDiagram):
         from_modular(bad)
+
+
+def first_diagram_fault(m, rows):
+    """The message of the first fault of a modular diagram, checked in
+    turn: the base, then row by row the cell count, the remainder and a
+    rise of the cell count, then a rise of the decoded parts."""
+    if m < 2:
+        return f"modular base must be >= 2, got {m}"
+    prev = None
+    for cells, rem in rows:
+        if cells < 1:
+            return f"cell count must be positive: {cells}"
+        if not 1 <= rem <= m:
+            return f"remainder {rem} outside 1..{m}"
+        if prev is not None and cells > prev:
+            return "cell counts must be weakly decreasing"
+        prev = cells
+    parts = [m * (cells - 1) + rem for cells, rem in rows]
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        return "decoded parts must be weakly decreasing"
+    return None
+
+
+@given(st.integers(1, 4), st.lists(st.tuples(st.integers(-1, 3),
+                                             st.integers(-1, 5)), max_size=4))
+def test_diagram_checks_name_the_first_fault(m, rows):
+    # from_modular and the hook map share one check, which walks a valid
+    # diagram once and names the first fault of any other
+    diagram = ModularDiagram(m, tuple(rows))
+    want = first_diagram_fault(m, rows)
+    for decode in (from_modular, generalized_hook_map):
+        if want is None:
+            decode(diagram)
+        else:
+            with pytest.raises(InvalidDiagram) as info:
+                decode(diagram)
+            assert str(info.value) == want
 
 
 def test_enumerate_matches_count():

@@ -11,8 +11,10 @@ import pytest
 from partbij.partitions import enumerate_partitions
 from reference import (
     colored_partitions,
+    graded_terms,
     q_binomial,
     quotient,
+    series_text,
     truncated_product,
 )
 
@@ -119,6 +121,20 @@ def test_colored_partitions_match_brute_force():
             assert len(got) == len(set(got))
             assert set(got) == want
             assert all(list(e) == sorted(e, reverse=True) for e in got)
+
+
+def test_graded_terms_and_text_by_hand():
+    a = np.zeros((3, 3), dtype=np.int64)
+    a[0, 0], a[1, 0], a[0, 2], a[1, 1], a[2, 0] = 1, -1, 4, -1, 3
+    # degree first, then the index: (0, 2) < (1, 1) < (2, 0)
+    assert graded_terms(a) == [((0, 0), 1), ((1, 0), -1), ((0, 2), 4),
+                               ((1, 1), -1), ((2, 0), 3)]
+    assert series_text(("q", "z"), a) == "1 - q + 4*z^2 - q*z + 3*q^2"
+    assert series_text(("q", "z"), -a) == "-1 + q - 4*z^2 + q*z - 3*q^2"
+    assert series_text(("q",), np.zeros(2)) == "0"
+    assert graded_terms(np.array(-7)) == [((), -7)]
+    assert series_text((), np.array(-7)) == "-7"
+    assert series_text(("q", "z"), np.array([[0, -1], [0, 0]])) == "-z"
 
 
 def test_reference_imports_nothing_under_test():

@@ -22,7 +22,7 @@ from partbij.series import (
     pochhammer,
     substitute,
 )
-from reference import quotient, truncated_product
+from reference import graded_terms, quotient, series_text, truncated_product
 
 BOX = {"q": 4, "z": 3}
 
@@ -120,6 +120,73 @@ def test_substitute_maps_variable():
     assert h.coefficient({"q": 3, "z": 1}) == 2
 
 
+def test_substitute_sums_colliding_terms_exactly():
+    # z -> q sends 2^62 q and 2^62 z to one term 2^63, which once wrapped
+    # to -2^63
+    f = TruncatedSeries.from_terms({"q": 2, "z": 2},
+                                   [({"q": 1}, 2 ** 62), ({"z": 1}, 2 ** 62)])
+    for box in (None, {"q": 2}):
+        with pytest.raises(CoefficientOverflow):
+            substitute(f, "z", {"q": 1}, box)
+    # 2^62 z^2 + 2^62 q z - 2^62 q^2 -> 2^62 q^2: a running sum in graded
+    # order passes 2^63, the total fits
+    g = TruncatedSeries.from_terms({"q": 2, "z": 2}, [
+        ({"z": 2}, 2 ** 62), ({"q": 1, "z": 1}, 2 ** 62), ({"q": 2}, -2 ** 62)])
+    assert substitute(g, "z", {"q": 1}, {"q": 2}).coeffs.tolist() == \
+        [0, 0, 2 ** 62]
+
+
+def substituted(f, variable, m, box):
+    """substitute term by term on Python ints: the target box's
+    coefficients as a dict of exponent tuples."""
+    names = list(box)
+    out = {}
+    for index, value in graded_terms(f.coeffs):
+        exps = dict(zip(f.variables, index))
+        e = exps.pop(variable, 0)
+        for name, step in m.items():
+            exps[name] = exps.get(name, 0) + e * step
+        target = tuple(exps.get(name, 0) for name in names)
+        if all(x <= box[name] for x, name in zip(target, names)):
+            out[target] = out.get(target, 0) + value
+    return {k: v for k, v in out.items() if v}
+
+
+def test_substitute_injective_keeps_every_term():
+    # eq24's substitution z -> s^t q z maps distinct terms apart; every
+    # cell of the source is nonzero and every image keeps its value
+    box = {"q": 7, "z": 5, "s": 9}
+    f = TruncatedSeries.zero(box)
+    f.coeffs[...] = np.arange(1, f.coeffs.size + 1).reshape(f.coeffs.shape)
+    for t in (1, 2, 3):
+        m = {"s": t, "q": 1, "z": 1}
+        got = substitute(f, "z", m)
+        assert dict(graded_terms(got.coeffs)) == substituted(f, "z", m, box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_substitute_matches_term_by_term(nvars, data):
+    names = ("q", "z", "s")[:nvars]
+    box = {v: data.draw(st.integers(0, 3)) for v in names}
+    f = TruncatedSeries.zero(box)
+    f.coeffs[...] = np.array(data.draw(st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(2 ** 62 - 2, 2 ** 62 + 2),
+                  st.integers(-2 ** 62 - 2, -2 ** 62 + 2)),
+        min_size=f.coeffs.size, max_size=f.coeffs.size)),
+        dtype=np.int64).reshape(f.coeffs.shape)
+    variable = data.draw(st.sampled_from(names))
+    m = {v: data.draw(st.integers(0, 2)) for v in names}
+    target = {v: data.draw(st.integers(0, 3)) for v in names}
+    want = substituted(f, variable, m, target)
+    if all(-2 ** 63 <= c < 2 ** 63 for c in want.values()):
+        got = substitute(f, variable, m, target)
+        assert dict(graded_terms(got.coeffs)) == want
+    else:
+        with pytest.raises(CoefficientOverflow):
+            substitute(f, variable, m, target)
+
+
 def test_text_rendering():
     f = TruncatedSeries.from_terms(
         BOX, [({}, 1), ({"q": 1}, -1), ({"q": 2, "z": 1}, 3)]
@@ -156,6 +223,53 @@ def pochhammer_cases(draw, coefficients=st.integers(-9, 9)):
     f = TruncatedSeries.zero(box)
     f.coeffs[...] = np.array(values, dtype=np.int64).reshape(shape)
     return box, f, base, ratio, n
+
+
+# zero-heavy, with small values and values at the ends of int64
+COEFFS = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                   st.integers(-2 ** 63, -2 ** 63 + 2),
+                   st.integers(2 ** 63 - 3, 2 ** 63 - 1))
+
+
+@st.composite
+def rendered_series(draw):
+    """A series on 0-4 variables with bounds <= 3: zero now and then, and
+    otherwise drawn from COEFFS cell by cell."""
+    names = ("q", "z", "s", "z1")[:draw(st.integers(0, 4))]
+    f = TruncatedSeries.zero({v: draw(st.integers(0, 3)) for v in names})
+    if draw(st.integers(0, 4)):
+        values = draw(st.lists(COEFFS, min_size=f.coeffs.size,
+                               max_size=f.coeffs.size))
+        f.coeffs[...] = np.array(values, dtype=np.int64).reshape(
+            f.coeffs.shape)
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_series(), st.data())
+def test_rendering_matches_the_oracle(f, data):
+    want = [({v: e for v, e in zip(f.variables, index) if e}, value)
+            for index, value in graded_terms(f.coeffs)]
+    assert list(f.terms()) == want
+    assert f.text() == series_text(f.variables, f.coeffs)
+    text = json.dumps(f.to_json())
+    assert text == json.dumps({"box": f.box_dict(),
+                               "terms": [list(term) for term in want]})
+    assert TruncatedSeries.from_json(json.loads(text)) == f
+    # g differs from f in a few drawn cells, perhaps none
+    g = f.copy()
+    for cell, value in data.draw(st.lists(
+            st.tuples(st.integers(0, f.coeffs.size - 1), COEFFS),
+            max_size=3)):
+        g.coeffs.flat[cell] = value
+    differ = graded_terms(f.coeffs != g.coeffs)
+    if not differ:
+        assert first_mismatch(f, g) is None
+    else:
+        index = differ[0][0]
+        assert first_mismatch(f, g) == (
+            {v: e for v, e in zip(f.variables, index) if e},
+            int(f.coeffs[index]), int(g.coeffs[index]))
 
 
 def test_first_mismatch_graded_lex():
