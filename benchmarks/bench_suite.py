@@ -10,11 +10,16 @@ points). Every suite must pass. The same entry holds the product sides
 alone: per series identity, the median of the summed time of rhs_series
 at every full-level grid point and box, and for eq20 the time of
 f_recurrence at the full level's n_max, t and box, after one untimed
-pass. It also holds the scalar maps alone: per map and inverse, the
-median of the summed time of its calls on the map mix (see time_maps),
-every round trip checked. Under cli_ms it holds in-process command
-lines: per command of CLI_CALLS, the median ms of one cli.main call,
-output captured, after one untimed pass. The entry, with the machine
+pass. Under lhs_ms it holds the enumeration sides the same way: per
+series identity, lhs_series at every full-level grid point and box.
+Under ladder_ms it holds thm5.1's enumeration side, the histogram
+kernel's (weight, first) count at t = 2, at the ladder boxes of
+LADDER_QZ, each checked once against its closed form. It also holds the
+scalar maps alone: per map and inverse, the median of the summed time
+of its calls on the map mix (see time_maps), every round trip checked.
+Under cli_ms it holds in-process command lines: per command of
+CLI_CALLS, the median ms of one cli.main call, output captured, after
+one untimed pass. The entry, with the machine
 (cores, Python, numpy, whether numba was loaded), is stored in OUT under
 --label; entries under other labels are kept, so one file can hold a run
 before and a run after a change.
@@ -45,11 +50,21 @@ from partbij.bijections import (
     mork_inverse,
 )
 from partbij.partitions import Partition, enumerate_partitions, to_modular
-from partbij.verify import _suite_tasks, f_recurrence, rhs_series, run_suite
+from partbij.verify import (
+    _suite_tasks,
+    f_recurrence,
+    lhs_series,
+    rhs_series,
+    run_suite,
+    verify_identity,
+)
 
 LEVELS = ("quick", "full")
 RUNS = 7
 OUT = "BENCH_suite.json"
+# q = z bounds of thm5.1's boxes in ladder_ms, near the top of its box
+# ladder, where the histogram kernel takes almost all of its time
+LADDER_QZ = (120, 200)
 
 # the map mix: every partition of size <= MAP_SMALL_MAX and MAP_LARGE_COUNT
 # uniform random partitions of MAP_LARGE_SIZE drawn from MAP_SEED, through
@@ -118,25 +133,39 @@ def measure():
     return out
 
 
-def series_rows():
-    """(id, call) for each product side the full suite expands: every
-    series identity's rhs_series at each grid point and its box, and
-    eq20's f_recurrence at its n_max, t and box."""
+def series_rows(side=rhs_series):
+    """(id, call) for each side the full suite expands: every series
+    identity's side (rhs_series or lhs_series) at each grid point and its
+    box, and for the product side eq20's f_recurrence at its n_max, t and
+    box."""
     rows = []
     for task in _suite_tasks("full"):
         entry, params, box = task.args  # partial(_run, entry, params, box)
         if entry.lhs is not None:
-            rows.append((entry.id, partial(rhs_series, entry.id, params, box)))
-        elif entry.id == "eq20":
+            rows.append((entry.id, partial(side, entry.id, params, box)))
+        elif entry.id == "eq20" and side is rhs_series:
             rows.append((entry.id, partial(f_recurrence, params["n_max"],
                                            params["t"], box)))
     return rows
 
 
-def time_series(runs):
-    """Per id, the median over runs of the summed ms of its series_rows,
-    after one untimed pass."""
-    rows = series_rows()
+def ladder_rows():
+    """(name, call) for thm5.1's enumeration side at each LADDER_QZ box;
+    each box must verify."""
+    rows = []
+    for qz in LADDER_QZ:
+        box = {"q": qz, "z": qz}
+        if not verify_identity("thm5.1", box=box).passed:
+            raise SystemExit(f"thm5.1 failed at q = z = {qz}")
+        rows.append((f"thm5.1 q,z={qz}", partial(lhs_series, "thm5.1", {},
+                                                   box)))
+    return rows
+
+
+def time_series(runs, rows=None):
+    """Per id, the median over runs of the summed ms of its rows (by
+    default series_rows()), after one untimed pass."""
+    rows = series_rows() if rows is None else rows
     samples = {}
     for run in range(runs + 1):  # run 0 is the untimed pass
         sums = {}
@@ -260,6 +289,8 @@ def main():
         "runs": RUNS,
         "levels": measure(),
         "series_ms": time_series(RUNS),
+        "lhs_ms": time_series(RUNS, series_rows(lhs_series)),
+        "ladder_ms": time_series(RUNS, ladder_rows()),
         "maps_ms": time_maps(RUNS),
         "cli_ms": time_cli(RUNS),
     }
@@ -276,9 +307,12 @@ def main():
         print(f"{level}: suite {entry['levels'][level]['suite_ms']:.1f} ms")
         for ident, ms in entry["levels"][level]["checks_ms"].items():
             print(f"  {ident:<12} {ms:8.2f} ms")
-    print("full product sides:")
-    for ident, ms in entry["series_ms"].items():
-        print(f"  {ident:<12} {ms:8.3f} ms")
+    for key, title in (("series_ms", "full product sides"),
+                       ("lhs_ms", "full enumeration sides"),
+                       ("ladder_ms", "ladder enumeration sides")):
+        print(f"{title}:")
+        for ident, ms in entry[key].items():
+            print(f"  {ident:<16} {ms:8.3f} ms")
     print("scalar maps on the map mix:")
     for name, ms in entry["maps_ms"].items():
         print(f"  {name:<24} {ms:8.3f} ms")

@@ -8,8 +8,15 @@ over the last-part axis (parts never grow), shifted by one when parts must
 be distinct, and moves each new part value v up the axes that row adds v
 to. A colour-profile class is settled one row late, by the drop from the
 last part to the next one, so in the row it belongs to each step down
-the sum over last parts also moves that class up by one. Counts never
-wrap: a sum that leaves int64 raises HistogramOverflow.
+the sum over last parts also moves that class up by one.
+
+Counts never wrap unseen. Running bounds cap the state's counts and the
+output's: the reverse sum adds at most vmax counts of the row before,
+vmax being the row's largest part, and the output adds the row's sums.
+Only a row whose bound passes int64 scans the array for a wrap, and the
+bound drops to the array's true max. A wrap needs a count past int64, so
+it happens in a scanned row and leaves a negative count there (see
+_unwrapped): HistogramOverflow is raised where a count first leaves int64.
 """
 
 import itertools
@@ -36,16 +43,21 @@ def _shifted_axes(kinds, pos, counted):
             or (kind == "anti" and not counted)]
 
 
-def _unwrapped(counts):
-    """Return counts, or raise if an int64 sum of counts has wrapped.
+def _unwrapped(counts, bound):
+    """Return bound, a cap on the true counts, while it fits int64; past
+    it, raise if an int64 sum of counts has wrapped, else return their max.
 
     Counts are nonnegative, so a sum of two that leaves the int64 range
-    wraps to a negative value, as does the first partial sum of a cumsum
-    to leave it.
+    wraps to a negative value. The reverse sum never rewrites a finished
+    cell, so the first of its partial sums to leave the range is still
+    negative when the row ends; the output is checked in each row that
+    may wrap it.
     """
+    if bound < 2**63:
+        return bound
     if np.any(counts < 0):
         raise HistogramOverflow("partition count exceeds the int64 range")
-    return counts
+    return int(counts.max())
 
 
 def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
@@ -131,50 +143,60 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
         raise UnboundedBox(f"rows {r + 1} to {r + t}, which repeat with period "
                            f"{t}, add to no bounded axis, so the length is "
                            "unbounded")
-    # avail[v] counts the prefixes the next row may extend with part v
+    # avail[v] counts the prefixes the next row may extend with part v;
+    # bound caps those counts, out_bound every cell a later row adds to
     avail = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
     avail[(slice(1, None),) + (0,) * len(kinds)] = 1
+    bound = out_bound = 1
     rows = itertools.count(1) if max_len is None else range(1, max_len + 1)
     for pos in rows:
         shifted = _shifted_axes(kinds, pos, counted(pos))
         vmax = min([top] + [kbounds[j] for j in shifted])
-        state = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
-        for v in range(1, vmax + 1):
-            src = [v] + [slice(None)] * len(kinds)
-            dst = list(src)
-            for j in shifted:
-                src[j + 1] = slice(0, kbounds[j] + 1 - v)
-                dst[j + 1] = slice(v, None)
-            state[tuple(dst)] = avail[tuple(src)]
-        # sums[v] counts the states with last part >= v, sums[0] all of
-        # them. Row pos's profile class, if any, gains the drop from the
-        # last part to the next part v (all of the last part for sums[0]),
-        # so each step down in v moves that class up by one
+        if shifted:
+            state = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
+            for v in range(1, vmax + 1):
+                src = [v] + [slice(None)] * len(kinds)
+                dst = list(src)
+                for j in shifted:
+                    src[j + 1] = slice(0, kbounds[j] + 1 - v)
+                    dst[j + 1] = slice(v, None)
+                state[tuple(dst)] = avail[tuple(src)]
+        else:
+            # every prefix keeps its statistics: avail is not read again
+            state = avail[:top + 1]
+            state[0] = 0
+        # state[v] becomes the count of states with last part >= v, state[0]
+        # of all of them. Row pos's profile class, if any, gains the drop
+        # from the last part to the next part v (all of the last part for
+        # state[0]), so each step down in v moves that class up by one
         src = [slice(None)] * len(kinds)
         dst = list(src)
         if classes and pos >= r:
             cls = classes[(pos - r) % t]
             src[cls], dst[cls] = slice(0, -1), slice(1, None)
+        lower, upper = state[(slice(None), *dst)], state[(slice(None), *src)]
         for v in range(top - 1, -1, -1):
-            state[(v, *dst)] += state[(v + 1, *src)]
-        sums = _unwrapped(state)
-        # the moves drop classes past their bound, so sums[0] may be empty
+            lower[v] += upper[v + 1]
+        # only rows 1..vmax held counts, so each sum added at most vmax
+        bound = _unwrapped(state, bound * vmax)
+        # the moves drop classes past their bound, so state[0] may be empty
         # while longer prefixes live on
-        alive = np.flatnonzero(sums.reshape(top + 1, -1).any(axis=1))
-        if not alive.size:
+        while top >= 0 and not np.count_nonzero(state[top]):
+            top -= 1
+        if top < 0:
             break
         if admits(pos):
             cell = tuple(pos if axis == "length" else slice(None)
                          for axis in axes)
-            out[cell] += sums[0]
-            _unwrapped(out[cell])
-        top = int(alive[-1])
+            out[cell] += state[0]
+            # with a length axis a later row adds to fresh zero cells
+            out_bound = _unwrapped(out[cell], out_bound + bound)
         if distinct:
             # a distinct next part v is below the last part, so the count
             # with last part > v also steps the class up once more
-            avail = np.zeros_like(sums[1:])
-            avail[(slice(None), *dst)] = sums[(slice(1, None), *src)]
+            avail = np.zeros_like(state[1:])
+            avail[(slice(None), *dst)] = upper[1:]
             top -= 1
         else:
-            avail = sums
+            avail = state
     return out

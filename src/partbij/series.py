@@ -29,7 +29,7 @@ once, by mapping `slice` over the step and the shape.
 
 import math
 import re
-from operator import sub
+from operator import index, sub
 
 import numpy as np
 
@@ -94,6 +94,14 @@ def _overflow():
     return CoefficientOverflow("coefficient exceeds the int64 range")
 
 
+def _checked(value):
+    """An integer coefficient as a Python int, raising if it leaves int64."""
+    value = index(value)
+    if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        raise _overflow()
+    return value
+
+
 def _sum(a, b):
     """a + b, raising if a coefficient wrapped: an int64 sum wraps exactly
     when it lands on the wrong side of a for the sign of b."""
@@ -155,7 +163,7 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, box, value):
         f = cls.zero(box)
-        f.coeffs[(0,) * len(f.variables)] = value
+        f.coeffs[(0,) * len(f.variables)] = _checked(value)
         return f
 
     @classmethod
@@ -163,20 +171,32 @@ class TruncatedSeries:
         """Single term; exponents maps variable name to exponent, zeros may be omitted."""
         f = cls.zero(box)
         idx = f._index(exponents)
-        f.coeffs[idx] = coeff
+        f.coeffs[idx] = _checked(coeff)
         return f
 
     @classmethod
     def from_terms(cls, box, terms):
-        """Accumulate (exponents, coeff) pairs; terms outside the box are dropped."""
+        """Accumulate (exponents, coeff) pairs; terms outside the box are
+        dropped. Terms on one exponent vector are summed exactly, so
+        CoefficientOverflow is raised only when a sum leaves int64."""
         f = cls.zero(box)
+        cells = []
         for exponents, coeff in terms:
             try:
-                idx = f._index(exponents)
+                cells.append((f._index(exponents), coeff))
             except OutOfBox:
-                continue
-            f.coeffs[idx] += coeff
-        return f
+                pass
+        return f._filled(cells)
+
+    def _filled(self, cells):
+        """self with the coefficients of (index, coeff) pairs summed
+        exactly into their cells; CoefficientOverflow if a sum leaves int64."""
+        sums = {}
+        for idx, coeff in cells:
+            sums[idx] = sums.get(idx, 0) + index(coeff)
+        for idx, value in sums.items():
+            self.coeffs[idx] = _checked(value)
+        return self
 
     def _index(self, exponents):
         idx = [0] * len(self.variables)
@@ -270,9 +290,8 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, data):
         f = cls.zero(data["box"])
-        for exps, coeff in data["terms"]:
-            f.coeffs[f._index(exps)] += coeff
-        return f
+        return f._filled((f._index(exps), coeff)
+                         for exps, coeff in data["terms"])
 
     def __repr__(self):
         nnz = int(np.count_nonzero(self.coeffs))
@@ -418,9 +437,7 @@ def substitute(f, variable, m, box=None):
         # terms collide: sum them as Python ints, then check the sums
         exact = np.zeros(coeffs.size, dtype=object)
         np.add.at(exact, flat, values.astype(object))
-        if not all(-_INT64_MAX - 1 <= c <= _INT64_MAX for c in exact.tolist()):
-            raise _overflow()
-        coeffs[:] = exact
+        coeffs[:] = [_checked(c) for c in exact.tolist()]
     else:
         coeffs[flat] = values
     return out

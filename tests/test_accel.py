@@ -150,6 +150,35 @@ def test_histogram_counts_up_to_int64_then_raises():
         partition_histogram(("size",), (406,), max_part=406, max_len=406)
 
 
+def partitions_by_length(n):
+    """p[k][s], the number of partitions of s into exactly k parts, for
+    k, s <= n, as Python ints."""
+    p = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for k in range(1, n + 1):
+        for s in range(k, n + 1):
+            p[k][s] = p[k - 1][s - 1] + p[k][s - k]
+    return p
+
+
+def test_histogram_raises_when_a_state_count_leaves_int64():
+    # a (length, size) histogram never sums over rows, so its counts
+    # leave int64 in the state first. At 467 every count fits, the
+    # largest being 9,011,331,301,502,787,549 partitions of 467 into 49
+    # parts, and the running bound passes int64 and is reset many times;
+    # at 468 the counts for 46 to 53 parts do not fit
+    want = partitions_by_length(467)
+    assert [sum(col) for col in zip(*want)] == partition_numbers(467)
+    out = partition_histogram(("length", "size"), (467, 467))
+    assert out.tolist() == want
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("length", "size"), (468, 468))
+    # lengths divisible by 66 skip the rows where the counts of 480 first
+    # leave int64, and 12,513,202,306,558,162,513 partitions of 480 into 66
+    # parts do not fit: the state wraps in a row the output never sees
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("size",), (480,), length_mod=(66, [0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     axes=st.lists(st.sampled_from(["first", "size", "length", "weight", "anti"]),

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from partbij.verify import IDENTITY_IDS, THEOREM_IDS
+from partbij.verify import IDENTITY_IDS, THEOREM_IDS, lhs_series
 
 BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
@@ -28,6 +28,18 @@ def test_bench_suite_series_rows_run():
     times = bench.time_series(1)
     assert list(times) == [i for i in THEOREM_IDS
                            if i in IDENTITY_IDS or i == "eq20"]
+    assert all(ms > 0 for ms in times.values())
+
+
+def test_bench_suite_lhs_and_ladder_rows_run():
+    bench = _load("bench_suite")
+    times = bench.time_series(1, bench.series_rows(lhs_series))
+    assert list(times) == [i for i in THEOREM_IDS if i in IDENTITY_IDS]
+    assert all(ms > 0 for ms in times.values())
+    # the ladder rows at small boxes, which verify just the same
+    bench.LADDER_QZ = (6, 12)
+    times = bench.time_series(1, bench.ladder_rows())
+    assert list(times) == ["thm5.1 q,z=6", "thm5.1 q,z=12"]
     assert all(ms > 0 for ms in times.values())
 
 

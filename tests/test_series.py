@@ -204,6 +204,36 @@ def test_json_roundtrip():
     assert TruncatedSeries.from_json(data) == f
 
 
+def test_building_a_series_sums_terms_exactly():
+    box = {"q": 1}
+    # two terms of 2^62 on one exponent: an int64 running sum wraps to
+    # -2^63; the exact sum leaves int64
+    twice = [({"q": 1}, 2 ** 62), ({"q": 1}, 2 ** 62)]
+    with pytest.raises(CoefficientOverflow):
+        TruncatedSeries.from_terms(box, twice)
+    with pytest.raises(CoefficientOverflow):
+        TruncatedSeries.from_json(
+            {"box": box, "terms": [list(t) for t in twice]})
+    # a running sum past 2^63 whose total fits is kept
+    terms = twice + [({"q": 1}, -2 ** 62), ({}, np.int64(-2 ** 63))]
+    f = TruncatedSeries.from_terms(box, terms)
+    assert list(f.terms()) == [({}, -2 ** 63), ({"q": 1}, 2 ** 62)]
+    assert TruncatedSeries.from_json(
+        {"box": box, "terms": [list(t) for t in terms]}) == f
+    # a single coefficient outside int64, in every constructor
+    for value in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(CoefficientOverflow):
+            TruncatedSeries.constant(box, value)
+        with pytest.raises(CoefficientOverflow):
+            TruncatedSeries.monomial(box, {"q": 1}, value)
+        with pytest.raises(CoefficientOverflow):
+            TruncatedSeries.from_terms(box, [({}, value)])
+        with pytest.raises(CoefficientOverflow):
+            TruncatedSeries.from_json({"box": box, "terms": [[{}, value]]})
+    top = TruncatedSeries.constant(box, 2 ** 63 - 1)
+    assert top.coefficient({}) == 2 ** 63 - 1
+
+
 @st.composite
 def pochhammer_cases(draw, coefficients=st.integers(-9, 9)):
     """A box of 1-3 variables with bounds <= 8, a series f in it with
