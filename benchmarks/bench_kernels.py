@@ -9,8 +9,9 @@ coefficient by coefficient, the thm7 pair-side count against the number
 of partitions it stands for, thm7's array round trip (t=3, r=1,
 size <= 24) against the number of partitions that come back unchanged,
 the array hook map at m = 2..4 over furtherwork's quick domain (size
-<= 20) against each partition's size, and the Pochhammer division at
-q,z <= 60 against its largest coefficient. The first lines give the
+<= 20) against each partition's size (both over the kept parts-major
+domain of verify, in the column ranges the checks use), and the
+Pochhammer division at q,z <= 60 against its largest coefficient. The first lines give the
 machine: cores, Python, numpy, and whether numba was loaded.
 """
 
@@ -27,14 +28,20 @@ from partbij.bijections import (
     color_conjugate_rows,
     generalized_hook_map_rows,
 )
-from partbij.partitions import partition_blocks, partition_numbers
+from partbij.partitions import partition_numbers
 from partbij.series import (
     INFINITY,
     TruncatedSeries,
     divide_pochhammer,
     pochhammer,
 )
-from partbij.verify import _colored_classes, _rows_equal, rhs_series
+from partbij.verify import (
+    _colored_classes,
+    _column_chunks,
+    _columns_equal,
+    _domain,
+    rhs_series,
+)
 
 
 def timeit(fn, repeat=5):
@@ -91,13 +98,16 @@ def bench_colored_classes():
 
 def bench_color_conjugate_rows():
     # thm7's partition side at the full level: every partition of size
-    # <= 24, one block per size, through the array map and back
+    # <= 24, in thm7's column ranges, through the array map, given the
+    # kept column heights, and back
+    parts, _, heights = _domain(24)
+
     def round_trip():
         back = 0
-        for rows in partition_blocks(24):
-            nu, mu, colors = color_conjugate_rows(rows, 3, 1)
+        for lam, cols in _column_chunks(26, parts, heights):
+            nu, mu, colors = color_conjugate_rows(lam, 3, 1, cols)
             rebuilt, valid = color_conjugate_inverse_rows(nu, mu, colors, 3, 1)
-            back += int((valid & _rows_equal(rebuilt, rows)).sum())
+            back += int((valid & _columns_equal(rebuilt, lam)).sum())
         return back
 
     back, want = round_trip(), sum(partition_numbers(24))
@@ -109,19 +119,20 @@ def bench_color_conjugate_rows():
 
 def bench_hook_map_rows():
     # furtherwork's part sums at the quick level: every partition of size
-    # <= 20, one block per size, at m = 2, 3, 4
-    blocks = list(partition_blocks(20))
+    # <= 20, in furtherwork's column ranges, at m = 2, 3, 4
+    parts, sizes, _ = _domain(20)
+    chunks = list(_column_chunks(22, parts, sizes))
 
     def hook_maps():
-        return [generalized_hook_map_rows(rows, m)[0]
-                for rows in blocks for m in (2, 3, 4)]
+        return [generalized_hook_map_rows(lam, m)[0]
+                for lam, _ in chunks for m in (2, 3, 4)]
 
     images = hook_maps()
-    for n, rows in enumerate(blocks):
-        for image in images[3 * n:3 * n + 3]:
-            if not (image.sum(axis=1) == rows.sum(axis=1)).all():
-                raise SystemExit(f"hook map images of size {n} do not sum "
-                                 "to their rows' sizes")
+    for k, (_, n) in enumerate(chunks):
+        for image in images[3 * k:3 * k + 3]:
+            if not (image.sum(axis=0) == n).all():
+                raise SystemExit("hook map images do not sum to their "
+                                 "partitions' sizes")
     return [("hook map rows m=2..4 size<=20", timeit(hook_maps))]
 
 

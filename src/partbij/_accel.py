@@ -13,10 +13,13 @@ the sum over last parts also moves that class up by one.
 Counts never wrap unseen. Running bounds cap the state's counts and the
 output's: the reverse sum adds at most vmax counts of the row before,
 vmax being the row's largest part, and the output adds the row's sums.
-Only a row whose bound passes int64 scans the array for a wrap, and the
-bound drops to the array's true max. A wrap needs a count past int64, so
-it happens in a scanned row and leaves a negative count there (see
-_unwrapped): HistogramOverflow is raised where a count first leaves int64.
+With a length axis each row writes its sums to cells of its own, a copy
+of the state's cells, so the state's bound covers the output and the
+output needs none. Only a row whose bound passes int64 scans the array
+for a wrap, and the bound drops to the array's true max. A wrap needs a
+count past int64, so it happens in a scanned row and leaves a negative
+count there (see _unwrapped): HistogramOverflow is raised where a count
+first leaves int64.
 """
 
 import itertools
@@ -189,8 +192,10 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
             cell = tuple(pos if axis == "length" else slice(None)
                          for axis in axes)
             out[cell] += state[0]
-            # with a length axis a later row adds to fresh zero cells
-            out_bound = _unwrapped(out[cell], out_bound + bound)
+            # with a length axis each row fills fresh zero cells with
+            # state[0], which the state's bound already covers
+            if "length" not in axes:
+                out_bound = _unwrapped(out, out_bound + bound)
         if distinct:
             # a distinct next part v is below the last part, so the count
             # with last part > v also steps the class up once more

@@ -182,43 +182,45 @@ def bessenrodt_inverse(delta):
 
 
 def bessenrodt_inverse_rows(rows):
-    """bessenrodt_inverse on every row of an int64 array of partitions,
-    zero-padded, as whole-array operations.
+    """bessenrodt_inverse on every column of a parts-major int64 array of
+    partitions (see partitions), as whole-array operations.
 
-    mork_inverse's recursion runs over the diagonals of all rows at once,
-    from the innermost out: with leg_d = -1 past a row's last diagonal d,
-    arm_i = delta_{2i+1} - leg_{i+1} - 1 and leg_i = delta_{2i} - arm_i - 1
-    (0-based), which also covers both parities of the last diagonal and
-    leaves leg_i = -1 for i >= d. The preimage's parts below the Durfee
-    square are the conjugate of the column heights leg_j + j + 1, and its
-    first d parts are arm_i + i + 1; then every part p becomes 2p - 1.
+    mork_inverse's recursion runs over the diagonals of all columns at
+    once, from the innermost out: with leg_d = -1 past a column's last
+    diagonal d, arm_i = delta_{2i+1} - leg_{i+1} - 1 and
+    leg_i = delta_{2i} - arm_i - 1 (0-based), which also covers both
+    parities of the last diagonal and leaves leg_i = -1 for i >= d. The
+    preimage's parts below the Durfee square are the conjugate of the
+    column heights leg_j + j + 1, and its first d parts are arm_i + i + 1;
+    then every part p becomes 2p - 1.
 
-    Returns the images, zero-padded, and a mask of the rows that have a
-    preimage: distinct parts, and arms and legs nonnegative and strictly
-    decreasing. Other rows hold no meaningful partition.
+    Returns the images, parts-major, and a mask of the columns that have
+    a preimage: distinct parts, and arms and legs nonnegative and
+    strictly decreasing. Other columns hold no meaningful partition.
     """
-    d = (np.count_nonzero(rows, axis=1) + 1) // 2
+    d = (np.count_nonzero(rows, axis=0) + 1) // 2
     top = int(d.max(initial=0))
-    delta = np.pad(rows, ((0, 0), (0, max(0, 2 * top - rows.shape[1]))))
-    arms = np.zeros((len(rows), top), dtype=np.int64)
-    legs = np.full((len(rows), top + 1), -1, dtype=np.int64)
+    delta = np.pad(rows, ((0, max(0, 2 * top - len(rows))), (0, 0)))
+    arms = np.zeros((top, rows.shape[1]), dtype=np.int64)
+    legs = np.full((top + 1, rows.shape[1]), -1, dtype=np.int64)
     for i in range(top - 1, -1, -1):
-        arms[:, i] = delta[:, 2 * i + 1] - legs[:, i + 1] - 1
-        legs[:, i] = delta[:, 2 * i] - arms[:, i] - 1
-    legs = legs[:, :top]
-    diagonal = np.arange(top)
-    inside = diagonal < d[:, None]
-    valid = (((rows[:, :-1] > rows[:, 1:]) | (rows[:, 1:] == 0)).all(axis=1)
-             & ((arms >= 0) & (legs >= 0) | ~inside).all(axis=1)
-             & ((arms[:, :-1] > arms[:, 1:]) & (legs[:, :-1] > legs[:, 1:])
-                | ~inside[:, 1:]).all(axis=1))
+        arms[i] = delta[2 * i + 1] - legs[i + 1] - 1
+        legs[i] = delta[2 * i] - arms[i] - 1
+    legs = legs[:top]
+    diagonal = np.arange(top)[:, None]
+    inside = diagonal < d
+    valid = (((rows[:-1] > rows[1:]) | (rows[1:] == 0)).all(axis=0)
+             & ((arms >= 0) & (legs >= 0) | ~inside).all(axis=0)
+             & ((arms[:-1] > arms[1:]) & (legs[:-1] > legs[1:])
+                | ~inside[1:]).all(axis=0))
     below = _conjugate_rows(
-        np.where(inside & valid[:, None], legs + diagonal + 1, 0))
-    # below holds d in each of a valid row's first d columns
-    mu = np.zeros((len(rows), max(below.shape[1], top)), dtype=np.int64)
-    mu[:, :below.shape[1]] = below
-    mu[:, :top] += np.where(inside, arms + diagonal + 1 - d[:, None], 0)
-    return np.where(mu > 0, 2 * mu - 1, 0), valid
+        np.where(inside & valid, legs + diagonal + 1, 0))
+    # below holds d in each of a valid column's first d rows
+    mu = np.zeros((max(len(below), top), rows.shape[1]), dtype=np.int64)
+    mu[:len(below)] = below
+    mu[:top] += np.where(inside, arms + diagonal + 1 - d, 0)
+    # 2p - 1 on the parts, and 0 stays 0
+    return 2 * mu - (mu > 0), valid
 
 
 def color_conjugate(lam, t, r):
@@ -265,44 +267,62 @@ def color_conjugate_inverse(nu, mu, t, r):
 
 
 def _conjugate_rows(rows):
-    """Conjugates of the rows of a nonnegative int64 array, each row the
-    parts of a partition in any order, zero-padded to the largest part."""
+    """Conjugates of the columns of a nonnegative parts-major int64 array
+    (see partitions), each column the parts of a partition in any order:
+    row c counts each column's parts above c, up to the largest part.
+    One bincount tallies the part values, and a running sum down from the
+    largest turns the tallies into counts of the parts >= each value."""
     top = int(rows.max(initial=0))
-    counts = np.bincount(
-        (np.arange(len(rows))[:, None] * (top + 1) + rows).ravel(),
-        minlength=len(rows) * (top + 1))
-    return np.cumsum(counts.reshape(-1, top + 1)[:, :0:-1], axis=1)[:, ::-1]
+    n = rows.shape[1]
+    index = rows * n
+    index += np.arange(n)
+    counts = np.bincount(index.ravel(), minlength=(top + 1) * n)
+    counts = counts.reshape(top + 1, n)
+    for above, at in zip(counts[:0:-1], counts[-2:0:-1]):
+        at += above
+    return counts[1:]
 
 
-def color_conjugate_rows(rows, t, r):
-    """color_conjugate on every row of an int64 array of partitions
-    zero-padded to at least r columns, as whole-array operations.
+def color_conjugate_rows(rows, t, r, heights=None):
+    """color_conjugate on every column of a parts-major int64 array of
+    partitions (see partitions) with at least r rows, as whole-array
+    operations. heights, if given, are the columns' heights
+    (_conjugate_rows(rows)), as int64.
 
-    Returns nu (r - 1 columns), mu's parts and their colors, the last two
-    zero-padded alike and nonzero on the first lambda_r columns.
+    Column j of a partition with lambda_r > j has a height h >= r, so
+    h - r + 1 cells below row r - 1, and these are (mu_j - 1) t + colour_j
+    with the colour in 1..t: one floor division of h - r by t gives both
+    (mu_j also counts the rows r, t + r, ... that the column reaches). The
+    columns from lambda_r on are shorter than r and take 0 for both.
+
+    Returns nu (r - 1 rows), mu's parts and their colors, the last two
+    parts-major alike and nonzero on the first lambda_r rows.
     """
-    mu = _conjugate_rows(rows[:, r - 1::t])
-    # the column heights h below row r - 1 take colour (h - 1) mod t + 1
-    colors = _conjugate_rows(rows)[:, :mu.shape[1]] - r
-    colors %= t
-    colors += 1
-    colors[mu == 0] = 0
-    return rows[:, :r - 1] - rows[:, r - 1:r], mu, colors
+    if heights is None:
+        heights = _conjugate_rows(rows)
+    below = heights[:int(rows[r - 1].max(initial=0))] - r
+    mu = below // t
+    inside = below >= 0
+    colors = (below - mu * t + 1) * inside
+    mu = (mu + 1) * inside
+    return rows[:r - 1] - rows[r - 1], mu, colors
 
 
 def color_conjugate_inverse_rows(nu, mu, colors, t, r):
-    """color_conjugate_inverse on every row of the arrays that
-    color_conjugate_rows returns (nu may have extra columns).
+    """color_conjugate_inverse on every column of the arrays that
+    color_conjugate_rows returns (nu may have extra rows).
 
-    Returns the rebuilt partitions, zero-padded, and a mask of the rows
-    whose pair is valid: nu has at most r - 1 parts and the column
-    heights do not increase. Other rows hold no meaningful partition.
+    Returns the rebuilt partitions, parts-major, and a mask of the columns
+    whose pair is valid: nu has at most r - 1 parts and the column heights
+    do not increase. Other columns hold no meaningful partition.
     """
-    heights = np.where(mu > 0, (mu - 1) * t + colors, 0)
-    valid = ((nu[:, r - 1:] == 0).all(axis=1)
-             & (heights[:, :-1] >= heights[:, 1:]).all(axis=1))
-    front = np.count_nonzero(mu, axis=1)[:, None] + nu[:, :r - 1]
-    return np.hstack([front, _conjugate_rows(heights)]), valid
+    # the height (mu - 1) t + colour of a part, and 0 where mu is 0, whose
+    # colour is 0: there the sum is -t, and the clip lifts it
+    heights = np.maximum((mu - 1) * t + colors, 0)
+    valid = ((nu[r - 1:] == 0).all(axis=0)
+             & (heights[:-1] >= heights[1:]).all(axis=0))
+    front = nu[:r - 1] + np.count_nonzero(mu, axis=0)
+    return np.vstack([front, _conjugate_rows(heights)]), valid
 
 
 def generalized_hook_map(diagram):
@@ -330,42 +350,50 @@ def generalized_hook_map(diagram):
 
 
 def generalized_hook_map_rows(rows, m):
-    """generalized_hook_map(to_modular(lam, m)) on every row of an int64
-    array of partitions, zero-padded, as whole-array operations.
+    """generalized_hook_map(to_modular(lam, m)) on every column of a
+    parts-major int64 array of partitions (see partitions), as
+    whole-array operations.
 
     Part i takes cells_i = ceil(lam_i / m) cells, each holding m but the
     last, which holds the remainder and lies in diagonal hook
     min(i, cells_i - 1). Hook k has cells_k + cells'_k - 2k - 1 cells, so
     its count of values >= j is its cells holding m plus its remainders
-    >= j: one bincount over (row, hook, remainder) and a reverse cumsum.
+    >= j: one bincount over (hook, remainder, column) and a running sum
+    down the remainders.
 
-    Returns the images' parts, zero-padded and left-aligned, and a mask
-    of the rows whose image is a partition.
+    Returns the images' parts, parts-major, and a mask of the columns
+    whose image is a partition.
     """
-    n_rows, width = rows.shape
+    width, n = rows.shape
     cells = -(-rows // m)
-    column = np.arange(width)
-    # the most diagonal hooks of any row: the largest Durfee size of cells
-    hooks = int((cells > column).sum(axis=1).max(initial=0))
+    row = np.arange(width)[:, None]
+    # the most diagonal hooks of any column, the largest Durfee size of
+    # cells: some column has cells_i > i exactly for the i below it
+    hooks = int(np.count_nonzero(cells.max(axis=1, initial=0) > row[:, 0]))
     span = min(m, int(rows.max(initial=0)))  # the remainders lie in 1..span
-    row_hook = (np.arange(n_rows)[:, None] * hooks
-                + np.minimum(column, cells - 1))
-    tally = np.bincount(
-        (row_hook * (span + 1) + rows - m * (cells - 1))[rows > 0],
-        minlength=n_rows * hooks * (span + 1))
-    at_least = np.cumsum(
-        tally.reshape(n_rows, hooks, span + 1)[:, :, ::-1], axis=2)[:, :, ::-1]
-    # negative past a row's own Durfee size, where the row has no hook
-    length = (cells[:, :hooks] + _conjugate_rows(cells)[:, :hooks]
-              - 2 * np.arange(hooks) - 1).clip(min=0)
-    parts = ((length - at_least[:, :, 0])[:, :, None]
-             + at_least[:, :, 1:]).reshape(n_rows, -1)
+    # (hook, remainder, column) of each part's last cell
+    last = cells - 1
+    index = np.minimum(row, last)
+    index *= span + 1
+    index += rows
+    last *= m
+    index -= last
+    index *= n
+    index += np.arange(n)
+    tally = np.bincount(index[rows > 0], minlength=hooks * (span + 1) * n)
+    at_least = tally.reshape(hooks, span + 1, n)
+    for j in range(span - 1, -1, -1):
+        at_least[:, j] += at_least[:, j + 1]
+    # negative past a column's own Durfee size, where it has no hook
+    length = (cells[:hooks] + _conjugate_rows(cells)[:hooks]
+              - 2 * row[:hooks] - 1).clip(min=0)
+    parts = ((length - at_least[:, 0])[:, None] + at_least[:, 1:])
+    parts = parts.reshape(hooks * span, n)
     keep = parts > 0
-    image = np.zeros((n_rows, int(keep.sum(axis=1).max(initial=0))),
-                     dtype=np.int64)
-    slot = np.cumsum(keep, axis=1) - 1
-    image[np.nonzero(keep)[0], slot[keep]] = parts[keep]
-    return image, (image[:, :-1] >= image[:, 1:]).all(axis=1)
+    slot = np.cumsum(keep, axis=0)  # each kept part's row in the image, + 1
+    image = np.zeros((int(slot.max(initial=0)), n), dtype=np.int64)
+    image[slot[keep] - 1, np.nonzero(keep)[1]] = parts[keep]
+    return image, (image[:-1] >= image[1:]).all(axis=0)
 
 
 def collision_search(m, n):

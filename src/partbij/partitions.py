@@ -9,6 +9,13 @@ A public function validates its input once, by coercing it through
 ``Partition`` (which returns a ``Partition`` unchanged), and works on
 plain tuples and lists inside; it builds one validated ``Partition`` per
 output.
+
+Many partitions at once are stored **parts-major**: a 2-D integer array
+whose row i holds part i + 1 of every partition, zero past each one's
+length, with one column per partition (``partition_blocks`` lists them in
+``enumerate_partitions`` order). A per-partition sum, count or running
+sum then runs along axis 0, over whole contiguous rows. The array maps of
+``bijections`` (the ``*_rows`` functions) take and return this layout.
 """
 
 import math
@@ -259,18 +266,20 @@ def enumerate_partitions(
 
 
 def partition_blocks(
-    n_max: int, width: Optional[int] = None, distinct: bool = False
+    n_max: int, width: Optional[int] = None, distinct: bool = False,
+    dtype=np.int64,
 ) -> Iterator[np.ndarray]:
     """Yield, for n = 0, 1, ..., n_max, every partition of n (with distinct
-    parts, if distinct) as the rows of an int64 array zero-padded to width
-    columns (default n_max + 2), in enumerate_partitions(n, distinct)
-    order. Every row needs a zero last column, so width must exceed the
-    longest partition's length.
+    parts, if distinct) as the columns of a parts-major array (see the
+    module docstring) of the integer type dtype with width rows (default
+    n_max + 2), in enumerate_partitions(n, distinct) order. Every column
+    needs a zero last row, so width must exceed the longest partition's
+    length.
 
     A partition of n is a first part f followed by a partition of n - f
     with parts <= f (<= f - 1 if distinct), and block n - f lists those
     last, since each block runs by first part descending. So a block is
-    one gather from the earlier blocks, of which only the rows a later
+    one gather from the earlier blocks, of which only the columns a later
     block can extend are kept.
     """
     if n_max < 0:
@@ -281,17 +290,21 @@ def partition_blocks(
     fits = []  # fits[m][f]: how many partitions of m have parts <= f
     for n in range(n_max + 1):
         if n == 0:
-            rows = np.zeros((1, width), dtype=np.int64)
+            cols = np.zeros((width, 1), dtype=dtype)
         else:
             firsts = range(n, 0, -1)
-            tails = [kept[n - f][len(kept[n - f]) - fits[n - f][f - gap]:]
-                     for f in firsts]
-            rows = np.empty((sum(map(len, tails)), width), dtype=np.int64)
-            rows[:, 0] = np.repeat(firsts, [len(tail) for tail in tails])
-            np.concatenate([tail[:, :-1] for tail in tails], out=rows[:, 1:])
-        fits.append(np.cumsum(np.bincount(rows[:, 0], minlength=n_max + 1)))
-        kept.append(rows[len(rows) - fits[n][n_max - n]:].copy())
-        yield rows
+            tails = []
+            for f in firsts:
+                # the last fits[n - f][f - gap] columns have parts <= f - gap
+                ends = kept[n - f]
+                tails.append(ends[:, ends.shape[1] - fits[n - f][f - gap]:])
+            counts = [tail.shape[1] for tail in tails]
+            cols = np.empty((width, sum(counts)), dtype=dtype)
+            cols[0] = np.repeat(firsts, counts)
+            np.concatenate([tail[:-1] for tail in tails], axis=1, out=cols[1:])
+        fits.append(np.cumsum(np.bincount(cols[0], minlength=n_max + 1)))
+        kept.append(cols[:, cols.shape[1] - fits[n][n_max - n]:].copy())
+        yield cols
 
 
 def partition_numbers(

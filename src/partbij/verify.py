@@ -12,9 +12,12 @@ for coloured partitions. The sides share no identity-specific logic, so
 agreement across a whole coefficient box is strong evidence, and any
 disagreement is pinned to its graded-lex-first monomial. The bijection
 checks test the maps themselves: thm7, prop1 and furtherwork run their
-maps' array forms over their whole domain in chunks of rows that may
-span sizes. Two walks visit partitions one at a time: table1's rows and
-furtherwork's collision_search(3, 13).
+maps' array forms over their whole domain, stored parts-major (the
+layout is stated in the partitions module), in ranges of columns that
+may span sizes. The domain of the last size asked for is kept between
+calls (_domain), so thm7's grid points build it once; each check over a
+domain has a size cap, DOMAIN_MAX_SIZE. Two walks visit partitions one
+at a time: table1's rows and furtherwork's collision_search(3, 13).
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
@@ -23,8 +26,8 @@ or for eq3 one gather from the (size, length) histogram.
 The dedicated checks schmidt, cor2, table1, thm6 and cor11 report
 through one first-failure scan, _first_failure: each lays out its cells
 or its walk as (where, got, want) cases in order, and the report counts
-the cases up to the first mismatch. prop1 checks its rows as arrays and
-counts the rows up to its first bad one.
+the cases up to the first mismatch. prop1 checks its partitions as arrays
+and counts them up to its first bad one.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
@@ -33,6 +36,7 @@ lists every id; the series-vs-series subset is IDENTITY_IDS and runs
 through verify_identity.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -45,6 +49,7 @@ import numpy as np
 from . import series as qs
 from ._accel import UnboundedBox, partition_histogram  # noqa: F401 (re-exported)
 from .bijections import (
+    _conjugate_rows,
     bessenrodt,
     bessenrodt_inverse,
     bessenrodt_inverse_rows,
@@ -188,34 +193,71 @@ def _series_from_hist(box, arr):
     return TruncatedSeries(variables, bounds, arr)
 
 
-# rows per array pass bounded to about this many cells, so that the
+@functools.lru_cache(maxsize=1)
+def _domain(size_max, distinct=False):
+    """Every partition of size <= size_max (with distinct parts, if
+    distinct) as read-only arrays in the narrowest unsigned type that
+    holds size_max: the parts, parts-major (see partitions) with a zero
+    last row, in enumerate_partitions order by size; each column's size;
+    and, for all parts, the column heights (the conjugates, size_max rows)
+    that thm7 reads; None for distinct parts, which prop1 alone runs.
+
+    Only the last domain is kept, between calls: thm7's grid points share
+    size_max and so one build.
+    """
+    # the longest distinct partition of size_max has
+    # (isqrt(8 size_max + 1) - 1) / 2 parts, and a column needs one zero
+    # row more
+    width = (math.isqrt(8 * size_max + 1) + 1) // 2 if distinct \
+        else size_max + 2
+    kind = np.min_scalar_type(size_max)
+    total = sum(partition_numbers(size_max, distinct=distinct))
+    parts = np.empty((width, total), dtype=kind)
+    sizes = np.empty(total, dtype=kind)
+    end = 0
+    for n, block in enumerate(partition_blocks(size_max, width, distinct,
+                                               dtype=kind)):
+        start, end = end, end + block.shape[1]
+        parts[:, start:end] = block
+        sizes[start:end] = n
+    heights = None
+    if not distinct:
+        heights = np.zeros((size_max, total), dtype=kind)
+        step = max(1, _CHUNK_CELLS // width)
+        for lo in range(0, total, step):
+            cols = _conjugate_rows(parts[:, lo:lo + step].astype(np.int64))
+            heights[:len(cols), lo:lo + step] = cols
+    for array in (parts, sizes, heights):
+        if array is not None:
+            array.flags.writeable = False
+    return parts, sizes, heights
+
+
+# columns per array pass bounded to about this many cells, so that the
 # arrays of the largest domains stay small
 _CHUNK_CELLS = 1 << 15
 
-
-def _row_chunks(blocks, row_cells):
-    """The rows of partition_blocks' blocks in chunks of at most
-    _CHUNK_CELLS // row_cells rows (at least one), where row_cells bounds
-    the cells per row of the widest array a pass over a chunk builds; a
-    chunk may span sizes. Yields each chunk's sizes and rows."""
-    chunk = max(1, _CHUNK_CELLS // row_cells)
-    held, count = [], 0  # (size, rows) pieces of the next chunk
-    for n, block in enumerate(blocks):
-        lo = 0
-        while lo < len(block):
-            take = min(len(block) - lo, chunk - count)
-            held.append((n, block[lo:lo + take]))
-            count, lo = count + take, lo + take
-            if count == chunk:
-                yield _joined(held)
-                held, count = [], 0
-    if held:
-        yield _joined(held)
+# the largest size each check over a whole domain takes: at the size 2
+# above, its run took over 10 s (2 cores, Python 3.11, numpy 2.4; thm7 at
+# t = 2, r = 1, furtherwork at m_max = 4), and its time and memory grow
+# with the number of partitions
+DOMAIN_MAX_SIZE = {"prop1": 104, "thm7": 58, "furtherwork": 52}
 
 
-def _joined(held):
-    return (np.repeat([n for n, _ in held], [len(rows) for _, rows in held]),
-            np.concatenate([rows for _, rows in held]))
+def _check_size(ident, name, size):
+    cap = DOMAIN_MAX_SIZE[ident]
+    if size > cap:
+        raise VerifyError(f"{ident} takes {name} at most {cap}, got {size}")
+
+
+def _column_chunks(row_cells, *arrays):
+    """The columns of arrays that share their last axis, cast to int64, in
+    ranges of at most _CHUNK_CELLS // row_cells columns (at least one),
+    where row_cells bounds the cells per column of the widest array a
+    pass over a range builds. Yields each range's arrays."""
+    step = max(1, _CHUNK_CELLS // row_cells)
+    for lo in range(0, arrays[0].shape[-1], step):
+        yield [array[..., lo:lo + step].astype(np.int64) for array in arrays]
 
 
 def _key_sums(keys, values):
@@ -392,36 +434,34 @@ def verify_euler_refinement(n_max=25):
     odd-parts preimage mu has length 2m - n, and when lam is nonempty
     its largest part is 1 + 2k + 2n - 4m.
 
-    Every distinct partition of size <= n_max, in chunks of rows, goes
+    Every distinct partition of size <= n_max, in ranges of columns, goes
     through the array form of the inverse map; the report is the one a
     partition-by-partition walk would give. A partition the map finds no
     preimage for reports lhs None.
     """
     if n_max < 0:
         raise VerifyError("prop1 needs n_max >= 0")
+    _check_size("prop1", "n_max", n_max)
     start = time.perf_counter()
-    # the longest distinct partition of n_max has (isqrt(8 n_max + 1) - 1) / 2
-    # parts, and each row needs one zero column more; the preimages have up
-    # to n_max parts
-    width = (math.isqrt(8 * n_max + 1) + 1) // 2
-    blocks = partition_blocks(n_max, width, distinct=True)
     checked, mismatch = 0, None
-    for n, lam in _row_chunks(blocks, n_max + 1):
+    parts, sizes, _ = _domain(n_max, True)
+    # the preimages have up to n_max parts
+    for lam, n in _column_chunks(n_max + 1, parts, sizes):
         mu, valid = bessenrodt_inverse_rows(lam)
-        m = lam[:, ::2].sum(axis=1)
-        got = np.column_stack([np.count_nonzero(mu, axis=1),
-                               mu[:, :1].sum(axis=1)])
-        want = np.column_stack([2 * m - n, np.where(
-            lam[:, 0] > 0, 1 + 2 * lam[:, 0] + 2 * n - 4 * m, 0)])
-        bad = np.flatnonzero(~valid | (got != want).any(axis=1))
+        m = lam[::2].sum(axis=0)
+        got = np.stack([np.count_nonzero(mu, axis=0), mu[:1].sum(axis=0)])
+        want = np.stack([2 * m - n, np.where(
+            lam[0] > 0, 1 + 2 * lam[0] + 2 * n - 4 * m, 0)])
+        bad = np.flatnonzero(~valid | (got != want).any(axis=0))
         if bad.size:
             i = int(bad[0])
             mismatch = _mismatch(
-                {"partition": np.trim_zeros(lam[i], "b").tolist()},
-                got[i].tolist() if valid[i] else None, want[i].tolist())
+                {"partition": np.trim_zeros(lam[:, i], "b").tolist()},
+                got[:, i].tolist() if valid[i] else None,
+                want[:, i].tolist())
             checked += i + 1
             break
-        checked += len(lam)
+        checked += lam.shape[1]
     return _finish("prop1", {"n_max": n_max}, {}, checked, mismatch, start)
 
 
@@ -520,12 +560,11 @@ def _colored_classes(bound, weights):
     return rows
 
 
-def _rows_equal(a, b):
-    """Row-wise equality of two zero-padded int arrays of any widths."""
-    if a.shape[1] < b.shape[1]:
+def _columns_equal(a, b):
+    """Column-wise equality of two parts-major int arrays of any heights."""
+    if len(a) < len(b):
         a, b = b, a
-    width = b.shape[1]
-    return (a[:, :width] == b).all(axis=1) & (a[:, width:] == 0).all(axis=1)
+    return (a[:len(b)] == b).all(axis=0) & (a[len(b):] == 0).all(axis=0)
 
 
 def _pair_classes(t, r, size_max):
@@ -549,36 +588,39 @@ def _pair_classes(t, r, size_max):
                             prof[i], classes[i, -1] * heads[size, first][j]])
 
 
-def _round_trip_rows(lam, t, r):
-    """Run the array form of the color-conjugate map on rows of
-    partitions, and check every row against values read off the rows
-    themselves: the weight is a strided sum, and the profile a strided sum
-    of part differences, as color_profile defines it.
+def _round_trip_rows(lam, heights, t, r):
+    """Run the array form of the color-conjugate map on the parts-major
+    columns lam, with their column heights, and check every column
+    against values read off the columns themselves: the weight is a
+    strided sum, and profile class i the difference of the strided sums
+    from rows r + i and r + i + 1, as color_profile defines it.
 
-    Returns the rows' class keys (first, row_r, weight, *profile) and
-    None, or None and the first failing row's index and got/want lists.
+    Returns the columns' class keys, rows (first, row_r, weight,
+    *profile), and None, or None and the first failing column's index and
+    got/want lists.
     """
-    nu, mu, colors = color_conjugate_rows(lam, t, r)
+    nu, mu, colors = color_conjugate_rows(lam, t, r, heights)
     back, valid = color_conjugate_inverse_rows(nu, mu, colors, t, r)
-    first, lam_r = lam[:, 0], lam[:, r - 1]
-    weight = lam[:, r - 1::t].sum(axis=1)
-    steps = lam[:, r - 1:-1] - lam[:, r:]
-    profile = np.stack([steps[:, i::t].sum(axis=1) for i in range(t)], 1)
-    counts = np.stack([(colors == i).sum(axis=1) for i in range(1, t + 1)], 1)
-    ok = (_rows_equal(back, lam)
-          & (np.count_nonzero(mu, axis=1) == lam_r)
-          & (nu[:, :1].sum(axis=1) == first - lam_r)  # nu_1, 0 if r = 1
+    first, lam_r = lam[0], lam[r - 1]
+    sums = np.stack([lam[r - 1 + i::t].sum(axis=0) for i in range(t + 1)])
+    weight, profile = sums[0], sums[:-1] - sums[1:]
+    counts = np.stack([(colors == i).sum(axis=0) for i in range(1, t + 1)])
+    length = np.count_nonzero(mu, axis=0)
+    ok = (_columns_equal(back, lam)
+          & (length == lam_r)
+          & (nu[:1].sum(axis=0) == first - lam_r)  # nu_1, 0 if r = 1
           & valid
-          & (mu.sum(axis=1) == weight)
-          & (counts == profile).all(axis=1))
+          & (mu.sum(axis=0) == weight)
+          & (counts == profile).all(axis=0))
     if ok.all():
-        return np.column_stack([first, lam_r, weight, profile]), None
+        return np.vstack([first, lam_r, weight, profile]), None
     i = int(np.argmin(ok))
-    got = [np.trim_zeros(back[i], "b").tolist(), int(np.count_nonzero(mu[i])),
-           int(nu[i, :1].sum()), int(valid[i]), int(mu[i].sum()),
-           counts[i].tolist()]
-    want = [np.trim_zeros(lam[i], "b").tolist(), int(lam_r[i]),
-            int(first[i] - lam_r[i]), 1, int(weight[i]), profile[i].tolist()]
+    got = [np.trim_zeros(back[:, i], "b").tolist(), int(length[i]),
+           int(nu[:1, i].sum()), int(valid[i]), int(mu[:, i].sum()),
+           counts[:, i].tolist()]
+    want = [np.trim_zeros(lam[:, i], "b").tolist(), int(lam_r[i]),
+            int(first[i] - lam_r[i]), 1, int(weight[i]),
+            profile[:, i].tolist()]
     return None, (i, got, want)
 
 
@@ -615,15 +657,16 @@ def verify_color_conjugate(t, r, size_max=18):
     identically at size_max.
 
     The partition side runs every partition of size <= size_max, in
-    chunks of rows, through the array form of the map, and then the
-    classes of the whole domain are compared with the pair side's at
-    once. The report is the one a partition-by-partition walk would give:
-    a round-trip failure anywhere counts the partitions up to it; else
-    every partition counts, and the classes up to the first mismatch in
-    (size, key) order.
+    ranges of columns of the kept domain, through the array form of the
+    map, and then the classes of the whole domain are compared with the
+    pair side's at once. The report is the one a partition-by-partition
+    walk would give: a round-trip failure anywhere counts the partitions
+    up to it; else every partition counts, and the classes up to the
+    first mismatch in (size, key) order.
     """
     if t < 1 or r < 1:
         raise VerifyError("thm7 needs t >= 1 and r >= 1")
+    _check_size("thm7", "size_max", size_max)
     start = time.perf_counter()
     params = {"t": t, "r": r, "size_max": size_max}
     # every key field lies in 0..size_max on both sides, and the narrowest
@@ -631,17 +674,20 @@ def verify_color_conjugate(t, r, size_max=18):
     key_type = np.min_scalar_type(size_max)
     visited = 0
     keys = []
+    # the map reads rows up to r; past size_max + 1 they are all zero
     width = max(size_max, r) + 2
-    for sizes, lam in _row_chunks(partition_blocks(size_max, width), width):
-        chunk_keys, failure = _round_trip_rows(lam, t, r)
+    for lam, sizes, heights in _column_chunks(width, *_domain(size_max)):
+        if len(lam) < width:
+            lam = np.pad(lam, ((0, width - len(lam)), (0, 0)))
+        chunk_keys, failure = _round_trip_rows(lam, heights, t, r)
         if failure is not None:
             i, got, want = failure
             return _finish("thm7", params, {}, visited + i + 1,
                            _mismatch({"partition": want[0], "t": t, "r": r},
                                      got, want), start)
-        keys.append(np.column_stack([sizes, chunk_keys]).astype(key_type))
-        visited += len(lam)
-    classes, mismatch = _class_mismatch(np.concatenate(keys),
+        keys.append(np.vstack([sizes, chunk_keys]).astype(key_type))
+        visited += len(sizes)
+    classes, mismatch = _class_mismatch(np.concatenate(keys, axis=1).T,
                                         _pair_classes(t, r, size_max))
     return _finish("thm7", params, {}, visited + classes, mismatch, start)
 
@@ -778,8 +824,8 @@ def verify_functional_equation(t, box=None, perturb=None):
 # ---------------------------------------------------------------------------
 
 def _hook_map_readouts(m_max, size_max):
-    """Run every partition of size <= size_max, in chunks of rows that may
-    span sizes, through the array hook map at m = 2..m_max, and check
+    """Run every partition of size <= size_max, in ranges of columns that
+    may span sizes, through the array hook map at m = 2..m_max, and check
     that no two odd-part partitions of one size share a base-2 image that
     is a partition, and that every image sums to its size.
 
@@ -787,28 +833,30 @@ def _hook_map_readouts(m_max, size_max):
     its first failure: the collision test of each size in turn, then the
     part sums, m by m. A collision is reported from collision_search.
     """
-    width = size_max + 2
     visited = 0
-    wrong = None  # the first bad part sum: (m, index in the walk, row, sum)
-    odd_images = []  # (sizes, images) of the odd-part rows at base 2
-    for sizes, lam in _row_chunks(partition_blocks(size_max, width), width):
+    wrong = None  # the first bad part sum: (m, index in the walk, parts, sum)
+    odd_images = []  # (sizes, images) of the odd-part columns at base 2
+    parts, sizes, _ = _domain(size_max)
+    for lam, n in _column_chunks(size_max + 2, parts, sizes):
         for m in range(2, m_max + 1):
             image, is_partition = generalized_hook_map_rows(lam, m)
-            sums = image.sum(axis=1)
-            off = np.flatnonzero(sums != sizes)
+            sums = image.sum(axis=0)
+            off = np.flatnonzero(sums != n)
             if off.size and (wrong is None or m < wrong[0]):
                 i = int(off[0])
-                wrong = (m, visited + i, lam[i], int(sums[i]))
+                wrong = (m, visited + i, lam[:, i], int(sums[i]))
             if m == 2:
-                keep = ~((lam % 2 == 0) & (lam > 0)).any(axis=1) & is_partition
-                odd_images.append((sizes[keep], image[keep]))
-        visited += len(lam)
+                # a part is even iff its low bit is 0, and 0 is no part
+                even = ((lam & 1) == 0) & (lam > 0)
+                keep = ~even.any(axis=0) & is_partition
+                odd_images.append((n[keep], image[:, keep]))
+        visited += len(n)
     # one row per odd-part image, led by its size: a repeated row is a
     # collision, and the sorted unique rows put the smallest size first
-    top = max(image.shape[1] for _, image in odd_images)
+    top = max(len(image) for _, image in odd_images)
     keyed = np.concatenate(
-        [np.column_stack([sizes, np.pad(image, ((0, 0),
-                                                (0, top - image.shape[1])))])
+        [np.column_stack([sizes, np.pad(image.T, ((0, 0),
+                                                  (0, top - len(image))))])
          for sizes, image in odd_images])
     rows, counts = np.unique(keyed, axis=0, return_counts=True)
     if (counts > 1).any():
@@ -834,6 +882,7 @@ def verify_furtherwork(m_max=4, size_max=20):
     """
     if m_max < 2 or size_max < 0:
         raise VerifyError("furtherwork needs m_max >= 2 and size_max >= 0")
+    _check_size("furtherwork", "size_max", size_max)
     start = time.perf_counter()
     checked = 0
     mismatch = None

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from partbij import _accel
 from partbij._accel import HistogramOverflow, UnboundedBox, partition_histogram
 from partbij.partitions import (
     color_profile,
@@ -177,6 +178,36 @@ def test_histogram_raises_when_a_state_count_leaves_int64():
     # parts do not fit: the state wraps in a row the output never sees
     with pytest.raises(HistogramOverflow):
         partition_histogram(("size",), (480,), length_mod=(66, [0]))
+
+
+def test_histogram_with_a_length_axis_scans_only_the_state(monkeypatch):
+    # each row writes a fresh length slab equal to state[0], which the
+    # state's bound covers, so only the state is scanned: 95 scans at 467,
+    # where the output slab once took 67 more, and the table stays exact
+    scans = []
+
+    def counted(counts, bound):
+        if bound >= 2**63:  # past int64 the array is scanned
+            scans.append(counts.shape)
+        return real(counts, bound)
+
+    real = _accel._unwrapped
+    monkeypatch.setattr(_accel, "_unwrapped", counted)
+    for axes in (("length", "size"), ("size", "length")):
+        scans.clear()
+        out = partition_histogram(axes, (467, 467))
+        want = partitions_by_length(467)
+        assert out.tolist() == (want if axes[0] == "length"
+                                else [list(col) for col in zip(*want)])
+        assert len(scans) == 95
+        assert all(len(shape) == 2 for shape in scans)  # (part, size)
+        with pytest.raises(HistogramOverflow):
+            partition_histogram(axes, (468, 468))
+    # without a length axis the output is still scanned where it may wrap
+    scans.clear()
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("size",), (406,), max_part=406, max_len=406)
+    assert (407,) in scans
 
 
 @settings(max_examples=200, deadline=None)

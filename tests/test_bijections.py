@@ -12,6 +12,7 @@ from partbij.bijections import (
     NotOddParts,
     bessenrodt,
     bessenrodt_inverse,
+    _conjugate_rows,
     bessenrodt_inverse_rows,
     collision_search,
     color_conjugate,
@@ -111,14 +112,15 @@ def test_bessenrodt_inverse_rejects_non_image():
 
 
 def test_bessenrodt_inverse_rows_agree_with_scalar_map():
-    rows = np.concatenate(list(partition_blocks(25, distinct=True)))
-    images, valid = bessenrodt_inverse_rows(rows)
+    # parts-major: one column per partition
+    cols = np.concatenate(list(partition_blocks(25, distinct=True)), axis=1)
+    images, valid = bessenrodt_inverse_rows(cols)
     assert valid.all()
-    for row, image in zip(rows.tolist(), images.tolist()):
-        want = list(bessenrodt_inverse(Partition(row)))
-        assert image == want + [0] * (len(image) - len(want)), row
+    for lam, image in zip(cols.T.tolist(), images.T.tolist()):
+        want = list(bessenrodt_inverse(Partition(lam)))
+        assert image == want + [0] * (len(image) - len(want)), lam
     # a repeated part has no preimage, as the scalar map raises
-    _, valid = bessenrodt_inverse_rows(np.array([[3, 3, 0], [3, 0, 0]]))
+    _, valid = bessenrodt_inverse_rows(np.array([[3, 3, 0], [3, 0, 0]]).T)
     assert valid.tolist() == [False, True]
 
 
@@ -158,31 +160,37 @@ def test_color_conjugate_rows_agree_with_scalar_map(t, r):
     size_max = 18
     lams = [lam for n in range(size_max + 1)
             for lam in enumerate_partitions(n)]
-    rows = np.concatenate(list(partition_blocks(size_max)))
+    # parts-major: one column per partition
+    rows = np.concatenate(list(partition_blocks(size_max)), axis=1)
     nu, mu, colors = color_conjugate_rows(rows, t, r)
+    # the column heights, given, change nothing
+    for got, want in zip(
+            color_conjugate_rows(rows, t, r, _conjugate_rows(rows)),
+            (nu, mu, colors)):
+        assert np.array_equal(got, want)
     back, valid = color_conjugate_inverse_rows(nu, mu, colors, t, r)
     # pairs outside the image: nu with an r-th part, and colours moved
-    # c -> c mod t + 1, which makes the column heights rise on some rows
-    extra = np.ones((len(rows), 1), dtype=np.int64)
+    # c -> c mod t + 1, which makes the column heights rise on some columns
+    extra = np.ones((1, rows.shape[1]), dtype=np.int64)
     _, long_valid = color_conjugate_inverse_rows(
-        np.hstack([nu, extra]), mu, colors, t, r)
+        np.vstack([nu, extra]), mu, colors, t, r)
     assert not long_valid.any()
     moved = np.where(mu > 0, colors % t + 1, 0)
     moved_back, moved_valid = color_conjugate_inverse_rows(
         nu, mu, moved, t, r)
     for i, lam in enumerate(lams):
         want_nu, want_mu = color_conjugate(lam, t, r)
-        cols = mu[i] > 0
-        assert Partition(nu[i]) == want_nu, lam
-        assert ColoredPartition(zip(mu[i][cols], colors[i][cols]), t) \
+        cols = mu[:, i] > 0
+        assert Partition(nu[:, i]) == want_nu, lam
+        assert ColoredPartition(zip(mu[cols, i], colors[cols, i]), t) \
             == want_mu, lam
-        assert valid[i] and Partition(back[i]) == lam
-        heights = [(p - 1) * t + c for p, c in zip(mu[i][cols], moved[i][cols])]
+        assert valid[i] and Partition(back[:, i]) == lam
+        heights = [(p - 1) * t + c for p, c in zip(mu[cols, i], moved[cols, i])]
         rises = any(a < b for a, b in zip(heights, heights[1:]))
         assert moved_valid[i] == (not rises), lam
         if not rises:
-            recolored = ColoredPartition(zip(mu[i][cols], moved[i][cols]), t)
-            assert Partition(moved_back[i]) == \
+            recolored = ColoredPartition(zip(mu[cols, i], moved[cols, i]), t)
+            assert Partition(moved_back[:, i]) == \
                 color_conjugate_inverse(want_nu, recolored, t, r), lam
 
 
@@ -240,9 +248,9 @@ def test_hook_map_rows_agree_with_scalar_map(m):
     # single hook of 5001 cells, which the scalar map once rescanned for
     # each of its 5000 thresholds
     big = Partition([5001] + [1] * 4999)
-    image, is_partition = generalized_hook_map_rows(np.array([big]), m)
+    image, is_partition = generalized_hook_map_rows(np.array([big]).T, m)
     want = generalized_hook_map(to_modular(big, m))
-    got = image[0].tolist()
+    got = image[:, 0].tolist()
     assert got == list(want.parts) + [0] * (len(got) - len(want.parts))
     assert is_partition[0] == want.is_partition
     size_max = 18
@@ -250,16 +258,16 @@ def test_hook_map_rows_agree_with_scalar_map(m):
             for lam in enumerate_partitions(n)]
     blocks = list(partition_blocks(size_max))
     assert lams[0] == () and not blocks[0].any()  # the empty partition
-    per_block = [generalized_hook_map_rows(rows, m) for rows in blocks]
+    per_block = [generalized_hook_map_rows(cols, m) for cols in blocks]
     for image, is_partition in [
-            generalized_hook_map_rows(np.concatenate(blocks), m),
-            (np.concatenate([np.pad(a, ((0, 0), (0, size_max - a.shape[1])))
-                             for a, _ in per_block]),
+            generalized_hook_map_rows(np.concatenate(blocks, axis=1), m),
+            (np.concatenate([np.pad(a, ((0, size_max - len(a)), (0, 0)))
+                             for a, _ in per_block], axis=1),
              np.concatenate([b for _, b in per_block]))]:
-        assert image.shape == (len(lams), image.shape[1])
+        assert image.shape == (len(image), len(lams))
         for i, lam in enumerate(lams):
             want = generalized_hook_map(to_modular(lam, m))
-            got, parts = image[i].tolist(), list(want.parts)
+            got, parts = image[:, i].tolist(), list(want.parts)
             assert got == parts + [0] * (len(got) - len(parts)), lam
             assert is_partition[i] == want.is_partition, lam
 

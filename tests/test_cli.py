@@ -298,6 +298,37 @@ def test_verify_counting_id_with_params(capsys):
     assert ": pass" in out
 
 
+def test_verify_thm7_with_r_past_the_size(capsys):
+    # r = 30 reads rows past the kept domain of size 5, which are all zero
+    code, out, _ = run(capsys, "verify", "thm7", "--t", "2", "--r", "30",
+                       "--n", "5", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "pass"
+    assert report["coefficients_checked"] == 35
+
+
+@pytest.mark.parametrize("ident, name, cap", [
+    ("prop1", "n_max", 104), ("thm7", "size_max", 58),
+    ("furtherwork", "size_max", 52)])
+def test_domain_checks_cap_their_size(capsys, monkeypatch, ident, name, cap):
+    assert cli.ver.DOMAIN_MAX_SIZE[ident] == cap
+    code, out, err = run(capsys, "verify", ident, "--n", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {ident} takes {name} at most {cap}, got {cap + 1}\n"
+
+    # at the cap the check starts: it asks for its domain
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(cli.ver, "_domain", started)
+    with pytest.raises(Started):
+        main(["verify", ident, "--n", str(cap)])
+
+
 def test_table_text_and_json(capsys):
     code, out, _ = run(capsys, "table", "bessenrodt", "--n", "7")
     assert code == 0

@@ -264,13 +264,19 @@ def test_partition_blocks_match_enumeration():
         for n_max in range(21):
             blocks = list(partition_blocks(n_max, distinct=distinct))
             assert len(blocks) == n_max + 1
-            for n, block in enumerate(blocks):
+            narrow = partition_blocks(n_max, distinct=distinct,
+                                      dtype=np.uint8)
+            for n, (block, small) in enumerate(zip(blocks, narrow)):
                 assert block.dtype == np.int64
-                assert block.shape == (len(packed[n]), n_max + 2)
-                assert block.tolist() == [lam + [0] * (n_max + 2 - len(lam))
-                                          for lam in packed[n]]
+                # parts-major: one row per part index, one column per
+                # partition
+                assert block.shape == (n_max + 2, len(packed[n]))
+                assert block.T.tolist() == [lam + [0] * (n_max + 2 - len(lam))
+                                            for lam in packed[n]]
+                assert small.dtype == np.uint8
+                assert np.array_equal(small, block)
     assert [b.shape for b in partition_blocks(3, width=6)] == \
-        [(1, 6), (1, 6), (2, 6), (3, 6)]
+        [(6, 1), (6, 1), (6, 2), (6, 3)]
     with pytest.raises(ValueError):
         list(partition_blocks(-1))
 

@@ -16,6 +16,7 @@ from partbij.partitions import (
     enumerate_partitions,
     from_modular,
     partition_blocks,
+    partition_numbers,
     schmidt_weight,
     to_modular,
 )
@@ -259,7 +260,7 @@ def _thm7_class(row, t, r):
 
 @pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
 def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
-    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 5 rows a chunk
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 5 columns a chunk
     t, r, size_max = 2, 2, 10
     monomial, count = _thm7_class(_thm7_classes(t, r, size_max)[-1], t, r)
     _plant(monkeypatch, ("class", "last", 1))
@@ -321,24 +322,24 @@ def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
         == report.coefficients_checked
 
 
-def _recoloured(rows, t, r):
+def _recoloured(rows, t, r, heights=None):
     """color_conjugate_rows with colour h mod t + 1 instead of
     (h - 1) mod t + 1."""
-    nu, mu, colors = bij.color_conjugate_rows(rows, t, r)
+    nu, mu, colors = bij.color_conjugate_rows(rows, t, r, heights)
     return nu, mu, np.where(mu > 0, colors % t + 1, 0)
 
 
 @pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
 @pytest.mark.parametrize("t, r", [(2, 1), (3, 2), (2, 3)])
 def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r, cells):
-    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 6 rows a chunk
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 6 columns a chunk
     # the first partition, in enumeration order, that the two maps colour
     # differently: the column of r ones
-    rows = np.concatenate(list(partition_blocks(8)))
+    rows = np.concatenate(list(partition_blocks(8)), axis=1)
     differs = (_recoloured(rows, t, r)[2]
-               != bij.color_conjugate_rows(rows, t, r)[2]).any(axis=1)
+               != bij.color_conjugate_rows(rows, t, r)[2]).any(axis=0)
     i = int(np.argmax(differs))
-    first = np.trim_zeros(rows[i], "b").tolist()
+    first = np.trim_zeros(rows[:, i], "b").tolist()
     assert first == [1] * r
     monkeypatch.setattr(ver, "color_conjugate_rows", _recoloured)
     report = verify_color_conjugate(t, r, size_max=8)
@@ -359,10 +360,11 @@ def test_color_conjugate_round_trip_fault_wins_over_an_earlier_class(
     # a round-trip fault at size 7 only: (4, 2, 1) takes the wrong colours
     target = [4, 2, 1]
 
-    def recoloured_at(rows, t, r):
-        nu, mu, colors = bij.color_conjugate_rows(rows, t, r)
-        hit = (rows[:, :3] == target).all(axis=1) & (rows[:, 3:] == 0).all(1)
-        colors[hit] = _recoloured(rows, t, r)[2][hit]
+    def recoloured_at(rows, t, r, heights):
+        nu, mu, colors = bij.color_conjugate_rows(rows, t, r, heights)
+        hit = ((rows[:3] == np.array(target)[:, None]).all(axis=0)
+               & (rows[3:] == 0).all(axis=0))
+        colors[:, hit] = _recoloured(rows, t, r, heights)[2][:, hit]
         return nu, mu, colors
 
     monkeypatch.setattr(ver, "color_conjugate_rows", recoloured_at)
@@ -373,6 +375,87 @@ def test_color_conjugate_round_trip_fault_wins_over_an_earlier_class(
     assert report.first_mismatch["monomial"] == {
         "partition": target, "t": t, "r": r}
     assert report.coefficients_checked == walk.index(target) + 1
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_kept_domain_is_exact_and_read_only(distinct):
+    parts, sizes, heights = ver._domain(9, distinct)
+    assert ver._domain(9, distinct)[0] is parts  # kept between calls
+    blocks = list(partition_blocks(9, len(parts), distinct))
+    assert parts.dtype == sizes.dtype == np.uint8
+    assert np.array_equal(parts, np.concatenate(blocks, axis=1))
+    assert sizes.tolist() == [n for n, block in enumerate(blocks)
+                              for _ in range(block.shape[1])]
+    if distinct:
+        assert heights is None
+    else:
+        assert heights.dtype == np.uint8
+        assert np.array_equal(heights, bij._conjugate_rows(
+            parts.astype(np.int64)))
+    for array in (parts, sizes, heights):
+        if array is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 1
+    assert parts[0, 0] == 0  # the empty partition, still
+
+
+@pytest.mark.parametrize("t, r, checked, lhs, rhs", [
+    (2, 1, 2, [[1, 1], 1, 0, 1, 1, [0, 1]], [[1], 1, 0, 1, 1, [1, 0]]),
+    (3, 2, 4, [[1, 1, 1], 1, 0, 1, 1, [0, 1, 0]],
+     [[1, 1], 1, 0, 1, 1, [1, 0, 0]]),
+])
+def test_color_conjugate_fault_after_a_clean_call_is_caught(
+        monkeypatch, t, r, checked, lhs, rhs):
+    # the clean call keeps the domain of size 8, and the faulty map that
+    # the next call looks up runs over it
+    assert verify_color_conjugate(t, r, size_max=8).passed
+    hits = ver._domain.cache_info().hits
+    monkeypatch.setattr(ver, "color_conjugate_rows", _recoloured)
+    report = verify_color_conjugate(t, r, size_max=8)
+    assert ver._domain.cache_info().hits == hits + 1
+    assert report.status == "fail"
+    assert report.coefficients_checked == checked
+    assert report.first_mismatch == {
+        "monomial": {"partition": [1] * r, "t": t, "r": r},
+        "lhs": lhs, "rhs": rhs}
+
+
+def _recording(monkeypatch, name):
+    """Wrap verify's name, an array map, to record the number of columns
+    of each call's first argument."""
+    real, widths = getattr(ver, name), []
+
+    def recorded(rows, *args):
+        widths.append(rows.shape[1])
+        return real(rows, *args)
+    monkeypatch.setattr(ver, name, recorded)
+    return widths
+
+
+def test_chunk_cells_set_after_a_clean_call_is_honoured(monkeypatch):
+    # clean calls at the default keep each domain; _CHUNK_CELLS = 64 set
+    # after them still cuts the column ranges, and the reports are the
+    # pinned ones
+    t, r, size_max = 2, 2, 10
+    assert verify_color_conjugate(t, r, size_max).passed
+    assert verify_euler_refinement().passed
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", 64)
+    _plant(monkeypatch, ("class", "last", 1))
+    widths = _recording(monkeypatch, "color_conjugate_rows")
+    monomial, count = _thm7_class(_thm7_classes(t, r, size_max)[-1], t, r)
+    assert verify_color_conjugate(t, r, size_max).first_mismatch == {
+        "monomial": monomial, "lhs": count, "rhs": count + 1}
+    # 64 // 12 columns a range
+    assert max(widths) == 5
+    assert sum(widths) == sum(partition_numbers(size_max))
+    _plant(monkeypatch, ("image", "bessenrodt_inverse", (6, 4, 2, 1)))
+    widths = _recording(monkeypatch, "bessenrodt_inverse_rows")
+    report = verify_euler_refinement()
+    assert (report.coefficients_checked, report.first_mismatch) == (
+        87, {"monomial": {"partition": [6, 4, 2, 1]}, "lhs": [4, 7],
+             "rhs": [3, 7]})
+    assert set(widths) == {2}  # 64 // 26 columns a range, up to the fault
+    assert sum(widths) == 88
 
 
 def _plant_hook_images(monkeypatch, planted):
@@ -393,12 +476,12 @@ def _plant_hook_images(monkeypatch, planted):
     def faulty_rows(rows, m):
         image, flags = rows_map(rows, m)
         for (base, lam), parts in planted.items():
-            hit = (rows[:, :len(lam)] == lam).all(axis=1) \
-                & (rows[:, len(lam):] == 0).all(axis=1)
+            hit = (rows[:len(lam)] == np.array(lam, dtype=int)[:, None]).all(
+                axis=0) & (rows[len(lam):] == 0).all(axis=0)
             if base == m and hit.any():
-                image = np.pad(image, ((0, 0), (0, len(parts))))
-                image[hit] = 0
-                image[hit, :len(parts)] = parts
+                image = np.pad(image, ((0, len(parts)), (0, 0)))
+                image[:, hit] = 0
+                image[:len(parts), hit] = np.array(parts)[:, None]
                 flags[hit] = is_partition(parts)
         return image, flags
 
@@ -446,7 +529,7 @@ def _one_more(m, lam):
 @pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
 def test_furtherwork_reports_a_wrong_part_as_the_walk_does(
         monkeypatch, faults, first, cells):
-    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 2 rows a chunk
+    monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 2 columns a chunk
     planted = {(m, lam): _one_more(m, lam) for m, lam in faults}
     _plant_hook_images(monkeypatch, planted)
     report = verify_furtherwork(m_max=4, size_max=20)
@@ -526,11 +609,11 @@ def _plant(monkeypatch, fault):
 
         def images(rows):
             out, valid = real(rows)
-            out = np.pad(out, ((0, 0), (0, 1)))
+            out = np.pad(out, ((0, 1), (0, 0)))
             hit = np.flatnonzero(
-                (rows[:, :len(parts)] == parts).all(axis=1)
-                & (rows[:, len(parts):] == 0).all(axis=1))
-            out[hit, np.count_nonzero(out[hit], axis=1)] = 1
+                (rows[:len(parts)] == np.array(parts, dtype=int)[:, None]).all(
+                    axis=0) & (rows[len(parts):] == 0).all(axis=0))
+            out[np.count_nonzero(out[:, hit], axis=0), hit] = 1
             return out, valid
         monkeypatch.setattr(ver, "bessenrodt_inverse_rows", images)
     else:
@@ -731,9 +814,9 @@ def test_prop1_catches_an_arm_swapped_with_its_leg(monkeypatch):
     import inspect
 
     source = inspect.getsource(bij.bessenrodt_inverse_rows)
-    line = "        legs[:, i] = delta[:, 2 * i] - arms[:, i] - 1\n"
+    line = "        legs[i] = delta[2 * i] - arms[i] - 1\n"
     swap = ("        if i == 0:\n"
-            "            arms[:, i], legs[:, i] = legs[:, i], arms[:, i].copy()\n")
+            "            arms[i], legs[i] = legs[i], arms[i].copy()\n")
     assert source.count(line) == 1
     namespace = dict(vars(bij))
     exec(source.replace(line, line + swap), namespace)
