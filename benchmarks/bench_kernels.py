@@ -120,7 +120,7 @@ def bench_color_conjugate_rows():
 def bench_hook_map_rows():
     # furtherwork's part sums at the quick level: every partition of size
     # <= 20, in furtherwork's column ranges, at m = 2, 3, 4
-    parts, sizes, _ = _domain(20)
+    parts, sizes, _ = _domain(20, False, False)  # no heights
     chunks = list(_column_chunks(22, parts, sizes))
 
     def hook_maps():

@@ -11,25 +11,29 @@ ever add.
 Pochhammer products need no general product: multiplying by (1 - x^e) is
 one shift and subtract, and dividing by it is the doubling product
 (1 + x^e)(1 + x^2e)(1 + x^4e)..., one shift-add per doubling until the
-shift leaves the box. A whole product runs in place on one copy of the
-coefficients under a running bound on their magnitude: a factor at most
-doubles it when multiplying, and at most multiplies it by the number of
-input coefficients a quotient coefficient sums when dividing. While the
-grown bound fits int64 the shifts run unchecked; when it does not, the
-exact maximum is taken again, and a factor that still might overflow
-runs checked shifts. Every operation raises CoefficientOverflow only
-when a coefficient would really leave int64.
+shift leaves the box. A whole closed form, a list of Pochhammer
+products, runs in one pass, factor by factor in order, in place on one
+copy of the coefficients under one running bound on their magnitude: a
+factor at most doubles it when multiplying, and at most multiplies it by
+the number of input coefficients a quotient coefficient sums when
+dividing. While the grown bound fits int64 the shifts run unchecked, each
+an in-place add on a view; when it does not, the exact maximum is taken
+again, and a factor that still might overflow runs checked shifts. Every
+operation raises CoefficientOverflow only when a coefficient would
+really leave int64.
 
-The shift plan of a product is lean: the factors in the box are counted
-with one floor division per axis (the k-th factor of (base; ratio)_n
-lies in the box while k <= (bound - base) // ratio on every axis where
-ratio moves), and each shift's source and destination slices are built
-once, by mapping `slice` over the step and the shape.
+The shift plan of a pass is lean: the factors of each product in the box
+are counted with one floor division per axis (the k-th factor of
+(base; ratio)_n lies in the box while k <= (bound - base) // ratio on
+every axis where ratio moves), and each distinct factor exponent gets
+its growth and its shifts' destination and source views once, the first
+time it comes up, shared by its repeats, such as the t copies of
+(zq; q)_oo. The plans are built per call and die with it.
 """
 
 import math
 import re
-from operator import index, sub
+from operator import add, iadd, index, isub, sub
 
 import numpy as np
 
@@ -123,14 +127,15 @@ def _max_abs(coeffs):
     return max(int(coeffs.max()), -int(coeffs.min()))
 
 
-def _shifts(shape, e, count):
-    """Source and destination slices of the shifts by e, 2e, 4e, ...,
-    count of them."""
+def _shifts(coeffs, e, count):
+    """Destination and source views of coeffs for the shifts by e, 2e,
+    4e, ..., count of them."""
     pairs = []
+    shape = coeffs.shape
     for i in range(count):
         step = [k << i for k in e]
-        pairs.append((tuple(map(slice, map(sub, shape, step))),
-                      tuple(map(slice, step, shape))))
+        pairs.append((coeffs[tuple(map(slice, step, shape))],
+                      coeffs[tuple(map(slice, map(sub, shape, step)))]))
     return pairs
 
 
@@ -337,12 +342,18 @@ def _factor_exponents(variables, bounds, base, ratio, n):
             return []
         if d:
             count = min(count, (bound - e) // d + 1)
-    return [[e + k * d for e, d in zip(b, r)] for k in range(count)]
+    factors, e = [], tuple(b)
+    for _ in range(count):
+        factors.append(e)
+        e = tuple(map(add, e, r))
+    return factors
 
 
-def _apply_factors(f, base, ratio, n, divide):
-    """A new series: f times each factor (1 - x^e) of (base; ratio)_n, or
-    f divided by each, worked in place on one copy of f's coefficients.
+def _expand(f, products, divide):
+    """A new series: f times each factor (1 - x^e) of every (base, ratio,
+    n) Pochhammer product in products, or f divided by each, factor by
+    factor in order, worked in place on one copy of f's coefficients
+    under one running bound.
 
     Dividing by 1 - x^e is the shift-add by e, 2e, 4e, ... while the
     shift stays in the box: after k of them the factor applied is
@@ -352,32 +363,47 @@ def _apply_factors(f, base, ratio, n, divide):
     than the most multiples of e that fit the box; multiplying at most
     doubles a coefficient. So bound * grow bounds the magnitude after a
     factor, and the shifts of a factor run unchecked when it fits int64.
+
+    A factor's plan, its grow and its shift views, is built the first
+    time its exponent comes up in the call and shared by its repeats,
+    as in (zq; q)_oo^t; the plans die with the call.
     """
     coeffs = f.coeffs.copy()
-    shape = coeffs.shape
     bound = _max_abs(coeffs)
-    factors = _factor_exponents(f.variables, f.box, base, ratio, n)
-    # exponents only grow, so only the first factor can be 1 - 1
-    if divide and factors and not any(factors[0]):
-        raise NonUnitConstantTerm("constant term is 0")
-    grow, steps = 2, 1
-    for e in factors:
-        if divide:
-            grow = min([(dim - 1) // k for k, dim in zip(e, shape) if k]) + 1
-            steps = (grow - 1).bit_length()
-        if bound * grow > _INT64_MAX:
-            bound = _max_abs(coeffs)
-        checked = bound * grow > _INT64_MAX
-        for src, dst in _shifts(shape, e, steps):
-            if checked:
-                coeffs[dst] = (_sum if divide else _difference)(
-                    coeffs[dst], coeffs[src])
-            elif divide:
-                coeffs[dst] += coeffs[src]
+    shift = iadd if divide else isub
+    plans = {}
+    for base, ratio, n in products:
+        factors = _factor_exponents(f.variables, f.box, base, ratio, n)
+        # exponents only grow, so only the first factor can be 1 - 1
+        if divide and factors and not any(factors[0]):
+            raise NonUnitConstantTerm("constant term is 0")
+        for e in factors:
+            plan = plans.get(e)
+            if plan is None:
+                grow = 2
+                if divide:
+                    grow = min([(dim - 1) // k
+                                for k, dim in zip(e, coeffs.shape) if k]) + 1
+                plan = plans[e] = grow, _shifts(coeffs, e,
+                                                (grow - 1).bit_length())
+            grow, pairs = plan
+            if bound * grow > _INT64_MAX:
+                bound = _max_abs(coeffs)
+            if bound * grow > _INT64_MAX:
+                for dst, src in pairs:
+                    dst[...] = (_sum if divide else _difference)(dst, src)
+                bound = _max_abs(coeffs)
             else:
-                coeffs[dst] -= coeffs[src]
-        bound = _max_abs(coeffs) if checked else bound * grow
+                for dst, src in pairs:
+                    shift(dst, src)
+                bound *= grow
     return TruncatedSeries(f.variables, f.box, coeffs)
+
+
+def _apply_factors(f, base, ratio, n, divide):
+    """f times, or divided by, each factor of (base; ratio)_n: _expand
+    with the one product."""
+    return _expand(f, [(base, ratio, n)], divide)
 
 
 def pochhammer(base, ratio, n, box):

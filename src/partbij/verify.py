@@ -15,8 +15,9 @@ checks test the maps themselves: thm7, prop1 and furtherwork run their
 maps' array forms over their whole domain, stored parts-major (the
 layout is stated in the partitions module), in ranges of columns that
 may span sizes. The domain of the last size asked for is kept between
-calls (_domain), so thm7's grid points build it once; each check over a
-domain has a size cap, DOMAIN_MAX_SIZE. Two walks visit partitions one
+calls (_parts, and _domain with thm7's column heights), so thm7's grid
+points build it once; each check over a domain has a size cap,
+DOMAIN_MAX_SIZE. Two walks visit partitions one
 at a time: table1's rows and furtherwork's collision_search(3, 13).
 
 Every counting side of a series identity is a (params, box) function,
@@ -194,17 +195,12 @@ def _series_from_hist(box, arr):
 
 
 @functools.lru_cache(maxsize=1)
-def _domain(size_max, distinct=False):
+def _parts(size_max, distinct):
     """Every partition of size <= size_max (with distinct parts, if
     distinct) as read-only arrays in the narrowest unsigned type that
     holds size_max: the parts, parts-major (see partitions) with a zero
-    last row, in enumerate_partitions order by size; each column's size;
-    and, for all parts, the column heights (the conjugates, size_max rows)
-    that thm7 reads; None for distinct parts, which prop1 alone runs.
-
-    Only the last domain is kept, between calls: thm7's grid points share
-    size_max and so one build.
-    """
+    last row, in enumerate_partitions order by size, and each column's
+    size."""
     # the longest distinct partition of size_max has
     # (isqrt(8 size_max + 1) - 1) / 2 parts, and a column needs one zero
     # row more
@@ -220,17 +216,31 @@ def _domain(size_max, distinct=False):
         start, end = end, end + block.shape[1]
         parts[:, start:end] = block
         sizes[start:end] = n
-    heights = None
-    if not distinct:
-        heights = np.zeros((size_max, total), dtype=kind)
-        step = max(1, _CHUNK_CELLS // width)
-        for lo in range(0, total, step):
-            cols = _conjugate_rows(parts[:, lo:lo + step].astype(np.int64))
-            heights[:len(cols), lo:lo + step] = cols
-    for array in (parts, sizes, heights):
-        if array is not None:
-            array.flags.writeable = False
-    return parts, sizes, heights
+    parts.flags.writeable = sizes.flags.writeable = False
+    return parts, sizes
+
+
+@functools.lru_cache(maxsize=1)
+def _domain(size_max, distinct=False, heights=True):
+    """_parts(size_max, distinct) and, when heights and the parts are not
+    distinct, the column heights (the conjugates, size_max rows, read-only)
+    that thm7 reads; else None. prop1 runs distinct parts and furtherwork
+    reads no heights, so neither builds them.
+
+    Only the last domain, and the last parts, are kept between calls:
+    thm7's grid points share size_max and so one build, and furtherwork
+    at thm7's size_max reuses its parts.
+    """
+    parts, sizes = _parts(size_max, distinct)
+    if distinct or not heights:
+        return parts, sizes, None
+    columns = np.zeros((size_max, parts.shape[1]), dtype=parts.dtype)
+    step = max(1, _CHUNK_CELLS // len(parts))
+    for lo in range(0, parts.shape[1], step):
+        chunk = _conjugate_rows(parts[:, lo:lo + step].astype(np.int64))
+        columns[:len(chunk), lo:lo + step] = chunk
+    columns.flags.writeable = False
+    return parts, sizes, columns
 
 
 # columns per array pass bounded to about this many cells, so that the
@@ -308,11 +318,9 @@ def _zq(n=INFINITY):
 
 def _quotient(box, factors, head=None):
     """The monomial head (1 if None) divided by each (base, ratio, n)
-    Pochhammer product in factors."""
-    f = TruncatedSeries.monomial(box, head or {})
-    for base, ratio, n in factors:
-        f = qs.divide_pochhammer(f, base, ratio, n)
-    return f
+    Pochhammer product in factors, in one shift pass."""
+    return qs._expand(TruncatedSeries.monomial(box, head or {}), factors,
+                      divide=True)
 
 
 def _head_sum(box, constant, term):
@@ -744,8 +752,8 @@ def _f_series(n_max, t, box):
     (s^(m-k+1); s)_(t-1) / (s; s)_(t-1), so each f_k is multiplied in
     place by the t-1 numerator factors, placed under its head monomial by
     a slice shift and added with the checked add, and the sum is divided
-    once by (s; s)_(t-1) and once by 1 - q^m s^(mt). Every pass runs
-    under the series layer's running magnitude bound.
+    by (s; s)_(t-1) and by 1 - q^m s^(mt) in one shift pass. Every pass
+    runs under the series layer's running magnitude bound.
     """
     q, s = box["q"], box["s"]
     f = [TruncatedSeries.constant(box, 1)]
@@ -759,8 +767,8 @@ def _f_series(n_max, t, box):
                                      divide=False).coeffs
             acc.coeffs[m:, ds:] = qs._sum(acc.coeffs[m:, ds:],
                                           term[:q + 1 - m, :s + 1 - ds])
-        acc = qs.divide_pochhammer(acc, {"s": 1}, {"s": 1}, t - 1)
-        f.append(qs.divide_pochhammer(acc, {"q": m, "s": m * t}, {}, 1))
+        f.append(qs._expand(acc, [({"s": 1}, {"s": 1}, t - 1),
+                                  ({"q": m, "s": m * t}, {}, 1)], divide=True))
     return f
 
 
@@ -836,7 +844,7 @@ def _hook_map_readouts(m_max, size_max):
     visited = 0
     wrong = None  # the first bad part sum: (m, index in the walk, parts, sum)
     odd_images = []  # (sizes, images) of the odd-part columns at base 2
-    parts, sizes, _ = _domain(size_max)
+    parts, sizes, _ = _domain(size_max, False, False)  # no heights
     for lam, n in _column_chunks(size_max + 2, parts, sizes):
         for m in range(2, m_max + 1):
             image, is_partition = generalized_hook_map_rows(lam, m)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from partbij import series
 from partbij.partitions import partition_numbers
@@ -22,6 +22,7 @@ from partbij.series import (
     pochhammer,
     substitute,
 )
+from partbij.verify import rhs_series
 from reference import graded_terms, quotient, series_text, truncated_product
 
 BOX = {"q": 4, "z": 3}
@@ -525,3 +526,78 @@ def test_factor_passes_leave_their_input(case):
     except NonUnitConstantTerm:
         pass
     assert np.array_equal(f.coeffs, before)
+
+
+@st.composite
+def expansion_cases(draw):
+    """A series f in a box of 1-3 variables with bounds 1-8, either
+    dense or a head monomial of degree <= 2 in each variable, with
+    signed coefficients up to 2^scale, scale <= 61, and a list of 1-5
+    Pochhammer products (base, ratio, n) drawn from 1-3 distinct ones, so
+    that products repeat. A ratio may be constant (all zero) with n
+    finite; no base is constant, so no factor is 1 - 1."""
+    names = ("q", "z", "s")[:draw(st.integers(1, 3))]
+    box = {v: draw(st.integers(1, 8)) for v in names}
+    # half the scales near int64, and the largest magnitudes often, so
+    # that repeated factors overflow
+    top = 2 ** draw(st.one_of(st.integers(0, 61), st.integers(48, 61)))
+    coefficients = st.one_of(st.integers(-top, top),
+                             st.sampled_from((-top, top)))
+    if draw(st.booleans()):
+        head = {v: draw(st.integers(0, min(2, box[v]))) for v in names}
+        f = TruncatedSeries.monomial(box, head, draw(coefficients))
+    else:
+        shape = tuple(b + 1 for b in box.values())
+        values = draw(st.lists(coefficients, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        f = TruncatedSeries.zero(box)
+        f.coeffs[...] = np.array(values, dtype=np.int64).reshape(shape)
+    distinct = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = {v: draw(st.integers(0, 2)) for v in names}
+        base[draw(st.sampled_from(names))] = draw(st.integers(1, 2))
+        ratio = {v: draw(st.integers(0, 2)) for v in names}
+        if any(ratio.values()) and draw(st.booleans()):
+            n = INFINITY
+        else:
+            n = draw(st.integers(1, 5))
+        distinct.append((base, ratio, n))
+    products = draw(st.lists(st.sampled_from(distinct), min_size=1,
+                             max_size=5))
+    return box, f, products
+
+
+# c / (1 - q)^5 on q <= 8 peaks at C(12, 4) c = 495 c, which fits int64 for
+# c = 2^54 and not for 2^55, while c times one factor's growth, 9, fits
+_FIVE = [({"q": 1}, {"q": 0}, 1)] * 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases())
+@example(({"q": 8}, TruncatedSeries.constant({"q": 8}, 2 ** 54), _FIVE))
+@example(({"q": 8}, TruncatedSeries.constant({"q": 8}, 2 ** 55), _FIVE))
+def test_one_pass_quotient_equals_the_chained_quotients(case):
+    box, f, products = case
+    before = f.coeffs.copy()
+    chained = f
+    try:
+        for base, ratio, n in products:
+            chained = divide_pochhammer(chained, base, ratio, n)
+    except CoefficientOverflow:
+        with pytest.raises(CoefficientOverflow):
+            series._expand(f, products, divide=True)
+    else:
+        got = series._expand(f, products, divide=True)
+        factors = [e for p in products for e in _factors(box, *p)]
+        assert got.coeffs.tolist() == chained.coeffs.tolist() \
+            == exact_quotient(f, factors).tolist()
+    assert np.array_equal(f.coeffs, before)
+
+
+def test_thm81_plans_each_distinct_factor_once(monkeypatch):
+    # 1 / ((z; 1)_3 (zq; q)_oo^4) on q, z <= 15 has 3 + 4 * 15 factors
+    # but only 16 distinct exponents: z and q^k z for k = 1..15
+    shifts = _counting(monkeypatch, "_shifts")
+    g = rhs_series("thm8.1", {"t": 4, "r": 4}, {"q": 15, "z": 15})
+    assert len(shifts) == 16
+    assert g.coefficient({"q": 1, "z": 1}) == 4  # the t colours of one 1
