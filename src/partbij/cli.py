@@ -227,7 +227,7 @@ def _cmd_series(args):
     )
     f = ver.rhs_series(args.id, params, box)
     if args.json:
-        print(json.dumps(f.to_json()))
+        print(f.json_text())
     else:
         print(f.text())
     return 0

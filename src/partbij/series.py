@@ -29,8 +29,15 @@ every axis where ratio moves), and each distinct factor exponent gets
 its growth and its shifts' destination and source views once, the first
 time it comes up, shared by its repeats, such as the t copies of
 (zq; q)_oo. The plans are built per call and die with it.
+
+A series is printed as JSON from its arrays, with no dict per term:
+its nonzero cells are sorted once into graded-lexicographic order, each
+pattern of carried variables gets one %-template, and the joined
+templates are filled from one list of the cells' exponents and values.
+The text is what json.dumps prints for the same document.
 """
 
+import json
 import math
 import re
 from operator import add, iadd, index, isub, sub
@@ -142,11 +149,11 @@ def _shifts(coeffs, e, count):
 def _graded_lex(coeffs):
     """The nonzero cells of an array in graded-lexicographic order: the
     rows of their index vectors sorted by total degree, then by index,
-    and their values as a list of Python ints."""
+    and their values."""
     nonzero = coeffs != 0
     idx = np.argwhere(nonzero)
     order = np.lexsort((*idx.T[::-1], idx.sum(axis=1)))
-    return idx[order], coeffs[nonzero][order].tolist()
+    return idx[order], coeffs[nonzero][order]
 
 
 class TruncatedSeries:
@@ -265,7 +272,7 @@ class TruncatedSeries:
     def terms(self):
         """Yield (exponents, coeff) in graded-lexicographic order, zeros omitted."""
         idx, values = _graded_lex(self.coeffs)
-        for row, coeff in zip(idx.tolist(), values):
+        for row, coeff in zip(idx.tolist(), values.tolist()):
             yield {v: e for v, e in zip(self.variables, row) if e}, coeff
 
     def text(self):
@@ -286,11 +293,32 @@ class TruncatedSeries:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
 
+    def json_text(self):
+        """The JSON document {"box": {name: bound}, "terms": [[exponents,
+        coeff], ...]}, terms in graded-lexicographic order, as json.dumps
+        prints it, written straight from the coefficients: each pattern
+        of carried variables gets one %-template, such as
+        '[{"q": %d, "z": %d}, %d]', the terms' templates are joined in
+        order, and one tolist() of the nonzero cells of the rows
+        (exponents, value) fills them."""
+        idx, values = _graded_lex(self.coeffs)
+        table = np.column_stack([idx, values])
+        cells = table != 0  # every value is nonzero
+        keys = [json.dumps(v).replace("%", "%%") + ": %d"
+                for v in self.variables]
+        masks, pattern = np.unique(cells[:, :-1] @ (1 << np.arange(len(keys))),
+                                   return_inverse=True)
+        templates = np.array(
+            ["[{" + ", ".join(k for i, k in enumerate(keys) if m >> i & 1)
+             + "}, %d]" for m in masks.tolist()], dtype=object)
+        terms = ", ".join(templates[pattern].tolist()) % tuple(
+            table[cells].tolist())
+        return '{"box": %s, "terms": [%s]}' % (
+            json.dumps(self.box_dict()), terms)
+
     def to_json(self):
-        return {
-            "box": dict(zip(self.variables, self.box)),
-            "terms": [[exps, coeff] for exps, coeff in self.terms()],
-        }
+        """json_text() as plain data."""
+        return json.loads(self.json_text())
 
     @classmethod
     def from_json(cls, data):

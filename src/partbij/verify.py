@@ -270,13 +270,22 @@ def _column_chunks(row_cells, *arrays):
         yield [array[..., lo:lo + step].astype(np.int64) for array in arrays]
 
 
-def _key_sums(keys, values):
-    """The distinct rows of keys, sorted, and the sums of their values."""
+def _key_sums(keys, values=None):
+    """The distinct rows of keys, sorted, and the sums of their values, or
+    without values how many times each row occurs. The sorted rows are
+    compared a column at a time, so no sorted copy of keys is made."""
     order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(
-        [[True], (keys[1:] != keys[:-1]).any(axis=1)]))
-    return keys[starts], np.add.reduceat(values[order], starts)
+    start = np.zeros(len(keys), dtype=bool)
+    start[:1] = True
+    for column in keys.T:
+        column = column[order]
+        start[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(start)
+    if values is None:
+        sums = np.diff(starts, append=len(keys))
+    else:
+        sums = np.add.reduceat(values[order], starts)
+    return keys[order[starts]], sums
 
 
 # ---------------------------------------------------------------------------
@@ -634,22 +643,30 @@ def _round_trip_rows(lam, heights, t, r):
 
 def _class_mismatch(keys, pair):
     """Compare the classes of the partitions (their keys, size first) with
-    the pair side's (rows of key and count) in sorted key order. Returns
-    how many classes were checked and the first mismatch, or None."""
-    m = len(keys)
-    keys = np.concatenate([keys, pair[:, :-1].astype(keys.dtype)])
-    tally = np.zeros((len(keys), 2), dtype=np.int64)  # partitions, pairs
-    tally[:m, 0] = 1
-    tally[m:, 1] = pair[:, -1]
-    keys, sums = _key_sums(keys, tally)
-    differ = np.flatnonzero(sums[:, 0] != sums[:, 1])
-    if not differ.size:
-        return len(keys), None
-    j = int(differ[0])
-    n, k1, kr, w, *prof = keys[j].tolist()
+    the pair side's (rows of key and count) in sorted key order. Each
+    side's classes are counted on their own, the partitions' as the run
+    lengths of their sorted keys and the pairs' as the sums of their
+    sorted rows, and the two sorted class lists are walked together to
+    the first class where they part. Returns how many classes were
+    checked and the first mismatch, or None."""
+    keys, counts = _key_sums(keys)
+    pair_keys, pair_counts = _key_sums(pair[:, :-1].astype(keys.dtype),
+                                       pair[:, -1])
+    common = min(len(keys), len(pair_keys))
+    same = (keys[:common] == pair_keys[:common]).all(axis=1) & (
+        counts[:common] == pair_counts[:common])
+    j = common if same.all() else int(np.argmin(same))
+    if j == len(keys) == len(pair_keys):
+        return j, None
+    # the lists part at class j: a side whose key there is the greater
+    # has no class at the lesser key
+    sides = [(k[j].tolist(), int(c[j])) if j < len(k) else None
+             for k, c in ((keys, counts), (pair_keys, pair_counts))]
+    key = min(side[0] for side in sides if side)
+    lhs, rhs = [side[1] if side and side[0] == key else 0 for side in sides]
+    n, k1, kr, w, *prof = key
     return j + 1, _mismatch({"size": n, "first": k1, "row_r": kr,
-                             "weight": w, "profile": prof},
-                            int(sums[j, 0]), int(sums[j, 1]))
+                             "weight": w, "profile": prof}, lhs, rhs)
 
 
 def verify_color_conjugate(t, r, size_max=18):

@@ -7,7 +7,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from partbij import cli
 from partbij.cli import BIJECTION_NAMES, main
-from partbij.verify import CATALOG, IDENTITY_IDS
+from partbij.verify import (
+    CATALOG,
+    IDENTITY_IDS,
+    resolve_arguments,
+    rhs_series,
+)
+from reference import graded_terms
 
 # stdout of `partbij suite --level quick|full --json`, byte for byte
 DATA = Path(__file__).parent / "data"
@@ -358,6 +364,20 @@ def test_series_text_and_json(capsys):
     data = json.loads(out1)
     assert data["box"] == {"q": 5, "z": 10}
     assert [{}, 1] in data["terms"]
+
+
+@pytest.mark.parametrize("ident, flags", [(i, {}) for i in IDENTITY_IDS]
+                         + [("thm8.2", {"t": 3})])
+def test_series_json_matches_the_oracle(capsys, ident, flags):
+    argv = ["series", ident, "--json"]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", str(value)]
+    code, out, err = run(capsys, *argv)
+    f = rhs_series(ident, *resolve_arguments(ident, **flags))
+    terms = [[{v: e for v, e in zip(f.variables, index) if e}, value]
+             for index, value in graded_terms(f.coeffs)]
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"box": f.box_dict(), "terms": terms}) + "\n"
 
 
 # usage errors, --help and a bad --input first, then every command with

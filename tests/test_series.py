@@ -205,6 +205,15 @@ def test_json_roundtrip():
     assert TruncatedSeries.from_json(data) == f
 
 
+def test_json_text_escapes_variable_names():
+    # names outside the catalog's: a %, a quote, a non-ASCII letter
+    f = TruncatedSeries.from_terms(
+        {"q": 2, "a%d": 2, 'b"\u00e9': 1},
+        [({"a%d": 1}, 3), ({"q": 2, 'b"\u00e9': 1}, -4), ({}, 1)])
+    assert f.json_text() == json.dumps(
+        {"box": f.box_dict(), "terms": [list(t) for t in f.terms()]})
+
+
 def test_building_a_series_sums_terms_exactly():
     box = {"q": 1}
     # two terms of 2^62 on one exponent: an int64 running sum wraps to
@@ -283,6 +292,8 @@ def test_rendering_matches_the_oracle(f, data):
             for index, value in graded_terms(f.coeffs)]
     assert list(f.terms()) == want
     assert f.text() == series_text(f.variables, f.coeffs)
+    assert f.json_text() == json.dumps(
+        {"box": f.box_dict(), "terms": [list(term) for term in want]})
     text = json.dumps(f.to_json())
     assert text == json.dumps({"box": f.box_dict(),
                                "terms": [list(term) for term in want]})

@@ -1,5 +1,7 @@
 import inspect
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -280,6 +282,51 @@ def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
         len(walk) + classes.index((*key, *prof)) + 1
 
 
+def _first_class_mismatch(walk, pair, t, r):
+    """The classes checked and the first mismatch of thm7's class compare,
+    from counters: the partitions of walk by key, the pair rows' counts
+    summed by key, and the union of their keys in order."""
+    lhs = Counter((lam.size(), lam.part(1), lam.part(r),
+                   schmidt_weight(lam, t, r), *color_profile(lam, t, r))
+                  for lam in walk)
+    rhs = Counter()
+    for *key, count in pair.tolist():
+        rhs[tuple(key)] += count
+    for checked, key in enumerate(sorted(lhs.keys() | rhs.keys()), 1):
+        if lhs[key] != rhs[key]:
+            n, first, row_r, weight, *prof = key
+            return checked, {"monomial": {
+                "size": n, "first": first, "row_r": row_r, "weight": weight,
+                "profile": prof}, "lhs": lhs[key], "rhs": rhs[key]}
+    return len(lhs.keys() | rhs.keys()), None
+
+
+# t 2, r 1: the part at row r is the first part, so a key whose two
+# differ belongs to no partition
+@pytest.mark.parametrize("fault", ["dropped", "added early", "added last"])
+def test_color_conjugate_catches_a_class_on_one_side(monkeypatch, fault):
+    t, r, size_max = 2, 1, 10
+    real = ver._pair_classes
+
+    def pair_classes(*args):
+        rows = real(*args)
+        if fault == "dropped":
+            return rows[(rows[:, :-1] != rows[len(rows) // 2, :-1]).any(1)]
+        key = [5, 5, 0] if fault == "added early" else [size_max + 1, 1, 0]
+        return np.vstack([rows, key + [0, 0, 0, 1]])
+
+    monkeypatch.setattr(ver, "_pair_classes", pair_classes)
+    report = verify_color_conjugate(t, r, size_max)
+    walk = [lam for size in range(size_max + 1)
+            for lam in enumerate_partitions(size)]
+    checked, mismatch = _first_class_mismatch(
+        walk, pair_classes(t, r, size_max), t, r)
+    assert report.status == "fail"
+    assert report.first_mismatch == mismatch
+    assert (mismatch["lhs"] == 0) == (fault != "dropped")
+    assert report.coefficients_checked == len(walk) + checked
+
+
 # from r = 4 on, one (size, first part) cell holds several heads: at size 6
 # and first part 3, the heads (3, 3) and (3, 2, 1)
 @pytest.mark.parametrize("r", [4, 5])
@@ -320,6 +367,31 @@ def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
         "monomial": monomial, "lhs": count, "rhs": count - 1}
     assert json.loads(json.dumps(report.to_json()))["coefficients_checked"] \
         == report.coefficients_checked
+
+
+def test_class_compare_keeps_no_copy_of_the_joined_rows(monkeypatch):
+    # thm7 at size 30 (t 2, r 1): 28,629 partition keys and 1,481 pair
+    # rows, 0.25 MB in all; joining the two sides and sorting the join
+    # held 1.61 MB of copies above them, and counting each side's
+    # classes on its own holds about 0.3 MB
+    calls = []
+    compare = ver._class_mismatch
+
+    def recorded(keys, pair):
+        calls.append((keys, pair))
+        return compare(keys, pair)
+
+    monkeypatch.setattr(ver, "_class_mismatch", recorded)
+    assert verify_color_conjugate(2, 1, 30).passed
+    (keys, pair), = calls
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert compare(keys, pair) == (1481, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_611_490 // 2
 
 
 def _recoloured(rows, t, r, heights=None):
