@@ -30,11 +30,13 @@ its growth and its shifts' destination and source views once, the first
 time it comes up, shared by its repeats, such as the t copies of
 (zq; q)_oo. The plans are built per call and die with it.
 
-A series is printed as JSON from its arrays, with no dict per term:
-its nonzero cells are sorted once into graded-lexicographic order, each
-pattern of carried variables gets one %-template, and the joined
-templates are filled from one list of the cells' exponents and values.
-The text is what json.dumps prints for the same document.
+A series is printed, as JSON or as plain text, from its arrays, with
+no dict per term: its nonzero cells are sorted once into
+graded-lexicographic order, each kind of term gets one %-template (for
+JSON its carried variables; for text also its sign, which exponents are
+1 and whether the magnitude shows), and the joined templates are filled
+from one list of the cells' numbers. The JSON is what json.dumps prints
+for the same document.
 """
 
 import json
@@ -276,22 +278,39 @@ class TruncatedSeries:
             yield {v: e for v, e in zip(self.variables, row) if e}, coeff
 
     def text(self):
-        """Plain rendering, e.g. '1 + q*z + 2*q^2*z^2'."""
-        parts = []
-        for exps, coeff in self.terms():
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in exps.items()]
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        """Plain rendering, e.g. '1 + q*z + 2*q^2*z^2', written straight
+        from the coefficients like json_text(): a term's template, such
+        as ' - %d*q*z^%d', follows from its sign, whether its magnitude
+        shows (it is not 1, or the term has no variable) and which
+        variables it carries with exponent 1 or more; the terms'
+        templates are joined in order and one tolist() of the shown
+        magnitudes and exponents fills them."""
+        idx, values = _graded_lex(self.coeffs)
+        if not len(values):
+            return "0"
+        carried = np.minimum(idx, 2)  # absent, bare, or with an exponent
+        shown = (np.abs(values) != 1) | ~idx.any(axis=1)
+        kinds, pattern = np.unique(
+            (carried @ 3 ** np.arange(len(self.variables)) * 2 + shown) * 2
+            + (values < 0), return_inverse=True)
+        templates = []
+        for kind in kinds.tolist():
+            factors = ["%d"] if kind & 2 else []
+            states = kind >> 2
+            for v in self.variables:
+                states, state = divmod(states, 3)
+                if state:
+                    factors.append(v.replace("%", "%%")
+                                   + ("" if state == 1 else "^%d"))
+            templates.append((" - " if kind & 1 else " + ")
+                             + "*".join(factors))
+        templates = np.array(templates, dtype=object)
+        # magnitudes as uint64: abs(-2**63) wraps in int64
+        table = np.column_stack([np.abs(values).view(np.uint64),
+                                 idx.astype(np.uint64)])
+        text = "".join(templates[pattern].tolist()) % tuple(
+            table[np.column_stack([shown, carried == 2])].tolist())
+        return ("-" if values[0] < 0 else "") + text[3:]
 
     def json_text(self):
         """The JSON document {"box": {name: bound}, "terms": [[exponents,

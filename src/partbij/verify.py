@@ -765,27 +765,43 @@ def _f_series(n_max, t, box):
         f_m = sum over k < m of q^m s^(m + k(t-1)) [m-k+t-1, t-1]_s f_k,
               divided by 1 - q^m s^(mt),
 
-    built from Pochhammer shift passes alone. The Gaussian binomial is
-    (s^(m-k+1); s)_(t-1) / (s; s)_(t-1), so each f_k is multiplied in
-    place by the t-1 numerator factors, placed under its head monomial by
-    a slice shift and added with the checked add, and the sum is divided
-    by (s; s)_(t-1) and by 1 - q^m s^(mt) in one shift pass. Every pass
-    runs under the series layer's running magnitude bound.
+    kept as t running sums
+
+        B_u(m) = sum over k < m of s^(k(t-1)) [m-k+u, u]_s f_k,  u < t,
+
+    so that f_m = q^m s^m B_(t-1)(m) / (1 - q^m s^(mt)). The q-Pascal
+    rule [n+u, u] = [n+u-1, u-1] + s^u [n+u-1, u] steps every sum from
+    m to m + 1 with checked slice adds, and no Gaussian binomial is
+    formed:
+
+        C_u = B_u(m) + s^(m(t-1)) f_m,
+        B_0(m+1) = C_0,  B_u(m+1) = B_(u-1)(m+1) + s^u C_u.
+
+    f_m reads B_(t-1)(m) only up to q^(q-m) s^(s-m), and a step reads no
+    cell past the window it writes, so the sums at step m are kept on
+    that window alone. Each f_m is then one shift pass, the division by
+    1 - q^m s^(mt). Every stored cell is an exact sum of partition
+    counts, at most a coefficient of f_m, so CoefficientOverflow comes
+    only where a coefficient of the result leaves int64.
     """
     q, s = box["q"], box["s"]
     f = [TruncatedSeries.constant(box, 1)]
+    sums = np.zeros((t, q + 1, s + 1), dtype=np.int64)  # B_0, ..., B_(t-1)
     for m in range(1, n_max + 1):
-        acc = TruncatedSeries.zero(box)
-        for k in range(m):
-            ds = m + k * (t - 1)
-            if m > q or ds > s:
-                break  # ds grows with k: this term and the rest lie outside
-            term = qs._apply_factors(f[k], {"s": m - k + 1}, {"s": 1}, t - 1,
-                                     divide=False).coeffs
-            acc.coeffs[m:, ds:] = qs._sum(acc.coeffs[m:, ds:],
-                                          term[:q + 1 - m, :s + 1 - ds])
-        f.append(qs._expand(acc, [({"s": 1}, {"s": 1}, t - 1),
-                                  ({"q": m, "s": m * t}, {}, 1)], divide=True))
+        # step every B_u from m - 1 to m on the window f_m reads
+        window = sums[:, :max(q + 1 - m, 0), :max(s + 1 - m, 0)]
+        rows, width = window.shape[1:]
+        e = min((m - 1) * (t - 1), width)
+        window[:, :, e:] = qs._sum(window[:, :, e:],
+                                   f[m - 1].coeffs[:rows, :width - e])
+        for u in range(1, t):
+            e = min(u, width)
+            low, high = window[u - 1], window[u]
+            high[:, e:] = qs._sum(low[:, e:], high[:, :width - e])
+            high[:, :e] = low[:, :e]
+        g = TruncatedSeries.zero(box)
+        g.coeffs[m:, m:] = window[t - 1]
+        f.append(qs._expand(g, [({"q": m, "s": m * t}, {}, 1)], divide=True))
     return f
 
 

@@ -5,10 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import partbij
 import partbij.bijections as bij
 import partbij.cli as cli
+import partbij.series as qs
 import partbij.verify as ver
 from partbij._accel import partition_histogram
 from partbij.colored import ColoredPartition
@@ -970,6 +972,47 @@ def test_recurrence_matches_binomial_reference(box):
         assert _coefficients(f_recurrence(12, t, box), box) == want[12]
         assert [_coefficients(g, box) for g in ver._f_series(12, t, box)] \
             == want
+
+
+# windows that go empty: at t 5, q 3, s 2 the window is empty from m = 4,
+# the s^((m-1)(t-1)) shift passes s from m = 2 and the s^u shift at u > 2;
+# at t 3, q 9, s 3 the s^((m-1)(t-1)) shift passes s from m = 3 while m <= q
+@example(8, 5, 3, 2)
+@example(8, 3, 9, 3)
+@example(5, 2, 0, 0)
+@example(4, 4, 9, 0)
+@example(6, 1, 0, 14)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 5), st.integers(0, 9),
+       st.integers(0, 14))
+def test_recurrence_running_sums_match_the_binomial_reference(n_max, t, q, s):
+    box = {"q": q, "s": s}
+    want = [g.tolist() for g in reference_f_series(n_max, t, box)]
+    assert [_coefficients(g, box) for g in ver._f_series(n_max, t, box)] \
+        == want
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
+@pytest.mark.parametrize("box", [{"q": 16, "s": 30}, {"q": 5, "s": 8}])
+def test_recurrence_takes_one_shift_pass_per_largest_part(monkeypatch, t,
+                                                          box):
+    # one division by 1 - q^m s^(mt) per m and no pass per (m, k) pair:
+    # the running sums keep the recurrence at O(n) shift passes
+    expand = qs._expand
+    calls = []
+
+    def counted(f, products, divide):
+        calls.append((products, divide))
+        return expand(f, products, divide)
+
+    def refused(*args):
+        raise AssertionError("_apply_factors called")
+
+    monkeypatch.setattr(qs, "_expand", counted)
+    monkeypatch.setattr(qs, "_apply_factors", refused)
+    ver._f_series(12, t, box)
+    assert calls == [([({"q": m, "s": m * t}, {}, 1)], True)
+                     for m in range(1, 13)]
 
 
 def test_quick_suite_takes_no_series_product():
