@@ -11,8 +11,9 @@ size <= 24) against the number of partitions that come back unchanged,
 the array hook map at m = 2..4 over furtherwork's quick domain (size
 <= 20) against each partition's size (both over the kept parts-major
 domain of verify, in the column ranges the checks use), and the
-Pochhammer division at q,z <= 60 against its largest coefficient. The first lines give the
-machine: cores, Python, numpy, and whether numba was loaded.
+Pochhammer division at q,z <= 60 against its largest coefficient. The
+first lines give the machine: cores, Python, numpy, and whether numba
+was loaded.
 """
 
 import os
@@ -29,12 +30,7 @@ from partbij.bijections import (
     generalized_hook_map_rows,
 )
 from partbij.partitions import partition_numbers
-from partbij.series import (
-    INFINITY,
-    TruncatedSeries,
-    divide_pochhammer,
-    pochhammer,
-)
+from partbij.series import INFINITY, TruncatedSeries, divide_pochhammer
 from partbij.verify import (
     _colored_classes,
     _column_chunks,
@@ -149,8 +145,6 @@ def bench_pochhammer():
         raise SystemExit(f"1/(zq;q)_inf^2 on q,z<=60 has largest coefficient "
                          f"{top}, expected 71699042")
     return [
-        ("pochhammer multiply (zq;q)_inf q,z<=20",
-         timeit(lambda: pochhammer(*zq, {"q": 20, "z": 20}))),
         ("pochhammer divide 1/(zq;q)_inf^2 q,z<=20", timeit(lambda: shifts(20))),
         ("pochhammer divide 1/(zq;q)_inf^2 q,z<=60", timeit(lambda: shifts(60))),
     ]

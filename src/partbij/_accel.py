@@ -63,16 +63,16 @@ def _unwrapped(counts, bound):
     return int(counts.max())
 
 
-def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
-                        max_len=None, distinct=False, length_mod=None):
-    """Histogram of all partitions within the given caps and axis bounds.
+def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
+                        distinct=False, length_mod=None):
+    """Histogram of all partitions within the axis bounds and max_len.
 
-    Counts every partition (the empty one included) with parts <= max_part,
-    length <= max_len, and every axis statistic within its bound; each lands
-    in the output cell indexed by its axis values. Axes are statistic names
-    from {"first", "size", "length", "weight", "anti", "profile"};
-    "weight" is the sum of parts at indices r, t+r, 2t+r, ... and "anti"
-    the rest of the size. "profile" occurs exactly t times or not at all,
+    Counts every partition (the empty one included) with length <=
+    max_len, when given, and every axis statistic within its bound; each
+    lands in the output cell indexed by its axis values. Axes are
+    statistic names from {"first", "size", "length", "weight", "anti",
+    "profile"}; "weight" is the sum of parts at indices r, t+r, 2t+r, ...
+    and "anti" the rest of the size. "profile" occurs exactly t times or not at all,
     its k-th occurrence being class k of color_profile(partition, t, r):
     each row pos >= r adds the drop p_pos - p_(pos+1) to class
     ((pos - r) mod t) + 1. length_mod=(m, residues) keeps only partitions
@@ -82,12 +82,13 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
     profile class only once the row after its own is known, so a
     partition whose prefix leaves the box has no extension inside it; the
     row transfer drops such states, which keeps the count complete for
-    the returned box. The caps are optional. Row 1 holds the largest part,
-    so the bounds of the axes it adds to cap the parts; once every prefix
-    has left the box the rows stop, which happens when every t consecutive
-    rows add to some bounded axis. Profile axes cap neither. UnboundedBox
-    if a left-out cap does not follow from the axes. Raises
-    HistogramOverflow if a count exceeds int64.
+    the returned box. The axes give the caps: row 1 holds the largest
+    part, so the bounds of the axes it adds to cap the parts, and without
+    max_len the rows stop once every prefix has left the box, which
+    happens when every t consecutive rows add to some bounded axis.
+    Profile axes cap neither. UnboundedBox if the parts, or the length
+    without max_len, have no cap. Raises HistogramOverflow if a count
+    exceeds int64.
     """
     if not axes:
         raise ValueError("at least one axis is required")
@@ -131,8 +132,6 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_part=None,
     classes = [j for j, kind in enumerate(kinds) if kind == "profile"]
     # the first part is the largest, so every axis row 1 adds to caps it
     caps = [kbounds[j] for j in _shifted_axes(kinds, 1, counted(1))]
-    if max_part is not None:
-        caps.append(int(max_part))
     if not caps:
         raise UnboundedBox("row 1 adds to no bounded axis, so the parts "
                            "are unbounded")

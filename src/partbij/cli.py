@@ -237,8 +237,7 @@ def _cmd_suite(args):
     suite = ver.run_suite(args.level)
     if args.json:
         data = suite.to_json()
-        for report in data["reports"]:
-            report.pop("elapsed_ms", None)
+        data["reports"] = [_json_report(report) for report in suite.reports]
         print(json.dumps(data))
     else:
         for report in suite.reports:

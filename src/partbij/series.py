@@ -5,22 +5,21 @@ inclusive maximum exponent per variable; coefficients sit in a dense int64
 array indexed by exponent vectors. All arithmetic is exact. A series is
 "box-exact" when every stored coefficient equals the coefficient of the
 formal series it stands for; sums of box-exact series, and their
-products with Pochhammer factors, are box-exact because exponents only
+quotients by Pochhammer products, are box-exact because exponents only
 ever add.
 
-Pochhammer products need no general product: multiplying by (1 - x^e) is
-one shift and subtract, and dividing by it is the doubling product
-(1 + x^e)(1 + x^2e)(1 + x^4e)..., one shift-add per doubling until the
-shift leaves the box. A whole closed form, a list of Pochhammer
-products, runs in one pass, factor by factor in order, in place on one
-copy of the coefficients under one running bound on their magnitude: a
-factor at most doubles it when multiplying, and at most multiplies it by
-the number of input coefficients a quotient coefficient sums when
-dividing. While the grown bound fits int64 the shifts run unchecked, each
-an in-place add on a view; when it does not, the exact maximum is taken
-again, and a factor that still might overflow runs checked shifts. Every
-operation raises CoefficientOverflow only when a coefficient would
-really leave int64.
+Every closed form of the catalog divides by Pochhammer products, and
+division needs no general product: dividing by 1 - x^e is the doubling
+product (1 + x^e)(1 + x^2e)(1 + x^4e)..., one shift-add per doubling
+until the shift leaves the box. A whole closed form, a list of
+Pochhammer products, runs in one pass, factor by factor in order, in
+place on one copy of the coefficients under one running bound on their
+magnitude, which a factor at most multiplies by the number of input
+coefficients a quotient coefficient sums. While the grown bound fits
+int64 the shifts run unchecked, each an in-place add on a view; when it
+does not, the exact maximum is taken again, and a factor that still
+might overflow runs checked shifts. Every operation raises
+CoefficientOverflow only when a coefficient would really leave int64.
 
 The shift plan of a pass is lean: the factors of each product in the box
 are counted with one floor division per axis (the k-th factor of
@@ -42,7 +41,7 @@ for the same document.
 import json
 import math
 import re
-from operator import add, iadd, index, isub, sub
+from operator import add, index, sub
 
 import numpy as np
 
@@ -124,14 +123,6 @@ def _sum(a, b):
     return out
 
 
-def _difference(a, b):
-    """a - b, raising if a coefficient wrapped (see _sum)."""
-    out = a - b
-    if np.not_equal(out > a, b < 0).any():
-        raise _overflow()
-    return out
-
-
 def _max_abs(coeffs):
     return max(int(coeffs.max()), -int(coeffs.min()))
 
@@ -194,23 +185,16 @@ class TruncatedSeries:
         dropped. Terms on one exponent vector are summed exactly, so
         CoefficientOverflow is raised only when a sum leaves int64."""
         f = cls.zero(box)
-        cells = []
+        sums = {}
         for exponents, coeff in terms:
             try:
-                cells.append((f._index(exponents), coeff))
+                idx = f._index(exponents)
             except OutOfBox:
-                pass
-        return f._filled(cells)
-
-    def _filled(self, cells):
-        """self with the coefficients of (index, coeff) pairs summed
-        exactly into their cells; CoefficientOverflow if a sum leaves int64."""
-        sums = {}
-        for idx, coeff in cells:
+                continue
             sums[idx] = sums.get(idx, 0) + index(coeff)
         for idx, value in sums.items():
-            self.coeffs[idx] = _checked(value)
-        return self
+            f.coeffs[idx] = _checked(value)
+        return f
 
     def _index(self, exponents):
         idx = [0] * len(self.variables)
@@ -236,28 +220,11 @@ class TruncatedSeries:
                 f"{self.variables}/{self.box} vs {other.variables}/{other.box}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries.constant(self.box_dict(), other)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check_aligned(other)
         return TruncatedSeries(self.variables, self.box,
                                _sum(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries.constant(self.box_dict(), other)
-        self._check_aligned(other)
-        return TruncatedSeries(self.variables, self.box,
-                               _difference(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return TruncatedSeries(self.variables, self.box,
-                               _difference(np.zeros_like(self.coeffs),
-                                           self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -339,12 +306,6 @@ class TruncatedSeries:
         """json_text() as plain data."""
         return json.loads(self.json_text())
 
-    @classmethod
-    def from_json(cls, data):
-        f = cls.zero(data["box"])
-        return f._filled((f._index(exps), coeff)
-                         for exps, coeff in data["terms"])
-
     def __repr__(self):
         nnz = int(np.count_nonzero(self.coeffs))
         if nnz <= 8:
@@ -396,20 +357,21 @@ def _factor_exponents(variables, bounds, base, ratio, n):
     return factors
 
 
-def _expand(f, products, divide):
-    """A new series: f times each factor (1 - x^e) of every (base, ratio,
-    n) Pochhammer product in products, or f divided by each, factor by
-    factor in order, worked in place on one copy of f's coefficients
-    under one running bound.
+def _expand(f, products):
+    """A new series: f divided by each factor (1 - x^e) of every (base,
+    ratio, n) Pochhammer product in products, factor by factor in order,
+    worked in place on one copy of f's coefficients under one running
+    bound.
 
     Dividing by 1 - x^e is the shift-add by e, 2e, 4e, ... while the
     shift stays in the box: after k of them the factor applied is
     1 + x^e + ... + x^((2^k - 1)e), which equals 1/(1 - x^e) in the box.
     Each quotient coefficient, and each partial sum on the way to it, is
     a sum of at most `grow` input coefficients, where grow is one more
-    than the most multiples of e that fit the box; multiplying at most
-    doubles a coefficient. So bound * grow bounds the magnitude after a
-    factor, and the shifts of a factor run unchecked when it fits int64.
+    than the most multiples of e that fit the box. So bound * grow bounds
+    the magnitude after a factor, and the shifts of a factor run
+    unchecked when it fits int64. NonUnitConstantTerm if a factor is
+    1 - 1.
 
     A factor's plan, its grow and its shift views, is built the first
     time its exponent comes up in the call and shared by its repeats,
@@ -417,20 +379,17 @@ def _expand(f, products, divide):
     """
     coeffs = f.coeffs.copy()
     bound = _max_abs(coeffs)
-    shift = iadd if divide else isub
     plans = {}
     for base, ratio, n in products:
         factors = _factor_exponents(f.variables, f.box, base, ratio, n)
         # exponents only grow, so only the first factor can be 1 - 1
-        if divide and factors and not any(factors[0]):
+        if factors and not any(factors[0]):
             raise NonUnitConstantTerm("constant term is 0")
         for e in factors:
             plan = plans.get(e)
             if plan is None:
-                grow = 2
-                if divide:
-                    grow = min([(dim - 1) // k
-                                for k, dim in zip(e, coeffs.shape) if k]) + 1
+                grow = min([(dim - 1) // k
+                            for k, dim in zip(e, coeffs.shape) if k]) + 1
                 plan = plans[e] = grow, _shifts(coeffs, e,
                                                 (grow - 1).bit_length())
             grow, pairs = plan
@@ -438,40 +397,24 @@ def _expand(f, products, divide):
                 bound = _max_abs(coeffs)
             if bound * grow > _INT64_MAX:
                 for dst, src in pairs:
-                    dst[...] = (_sum if divide else _difference)(dst, src)
+                    dst[...] = _sum(dst, src)
                 bound = _max_abs(coeffs)
             else:
                 for dst, src in pairs:
-                    shift(dst, src)
+                    dst += src
                 bound *= grow
     return TruncatedSeries(f.variables, f.box, coeffs)
 
 
-def _apply_factors(f, base, ratio, n, divide):
-    """f times, or divided by, each factor of (base; ratio)_n: _expand
-    with the one product."""
-    return _expand(f, [(base, ratio, n)], divide)
+def divide_pochhammer(f, base, ratio, n):
+    """f / (base; ratio)_n in f's box: _expand with the one product.
 
-
-def pochhammer(base, ratio, n, box):
-    """Product of (1 - base*ratio^k) for k = 0..n-1, truncated to the box.
-
+    (base; ratio)_n is the product of (1 - base*ratio^k) for k = 0..n-1;
     base and ratio are exponent maps. n may be INFINITY when ratio is not
     the constant monomial; factors whose monomial leaves the box are
-    identically 1 there. Each factor is one shift and subtract.
+    identically 1 there. NonUnitConstantTerm if a factor is 1 - 1.
     """
-    return _apply_factors(TruncatedSeries.constant(box, 1),
-                          base, ratio, n, divide=False)
-
-
-def divide_pochhammer(f, base, ratio, n):
-    """f / (base; ratio)_n in f's box, one doubling shift-add per factor.
-
-    Same factors as pochhammer(base, ratio, n, box), so multiplying the
-    result by that product gives f back in the box. NonUnitConstantTerm
-    if a factor is 1 - 1.
-    """
-    return _apply_factors(f, base, ratio, n, divide=True)
+    return _expand(f, [(base, ratio, n)])
 
 
 def substitute(f, variable, m, box=None):

@@ -328,8 +328,7 @@ def _zq(n=INFINITY):
 def _quotient(box, factors, head=None):
     """The monomial head (1 if None) divided by each (base, ratio, n)
     Pochhammer product in factors, in one shift pass."""
-    return qs._expand(TruncatedSeries.monomial(box, head or {}), factors,
-                      divide=True)
+    return qs._expand(TruncatedSeries.monomial(box, head or {}), factors)
 
 
 def _head_sum(box, constant, term):
@@ -359,7 +358,7 @@ def _series_setup(ident, params, box):
     for name, low in _LOWEST.items():
         if name in params and int(params[name]) < low:
             raise VerifyError(f"{ident} needs {name} >= {low}")
-    _need(ident, box, *_expand(entry, params, entry.box))
+    _need(ident, box, *_entry_box(entry, params, entry.box))
     return entry, params
 
 
@@ -387,7 +386,7 @@ def default_box(ident, params=None):
     entry = _entry(ident)
     if entry.box is None:
         raise VerifyError(f"{ident} has no default box")
-    return _expand(entry, {**entry.params, **(params or {})}, entry.box)
+    return _entry_box(entry, {**entry.params, **(params or {})}, entry.box)
 
 
 def verify_identity(ident, params=None, box=None, perturb=None):
@@ -801,7 +800,7 @@ def _f_series(n_max, t, box):
             high[:, :e] = low[:, :e]
         g = TruncatedSeries.zero(box)
         g.coeffs[m:, m:] = window[t - 1]
-        f.append(qs._expand(g, [({"q": m, "s": m * t}, {}, 1)], divide=True))
+        f.append(qs._expand(g, [({"q": m, "s": m * t}, {}, 1)]))
     return f
 
 
@@ -893,13 +892,13 @@ def _hook_map_readouts(m_max, size_max):
                 odd_images.append((n[keep], image[:, keep]))
         visited += len(n)
     # one row per odd-part image, led by its size: a repeated row is a
-    # collision, and the sorted unique rows put the smallest size first
+    # collision, and the sorted distinct rows put the smallest size first
     top = max(len(image) for _, image in odd_images)
     keyed = np.concatenate(
         [np.column_stack([sizes, np.pad(image.T, ((0, 0),
                                                   (0, top - len(image))))])
          for sizes, image in odd_images])
-    rows, counts = np.unique(keyed, axis=0, return_counts=True)
+    rows, counts = _key_sums(keyed)
     if (counts > 1).any():
         n = int(rows[np.argmax(counts > 1), 0])
         return n + 1, _mismatch(
@@ -1111,7 +1110,7 @@ def _entry(ident):
         raise VerifyError(f"unknown identity id: {ident}") from None
 
 
-def _expand(entry, params, box):
+def _entry_box(entry, params, box):
     """A copy of box, with a colored entry's z spelled out as z1..zt."""
     if box is None:
         return None
@@ -1138,7 +1137,7 @@ def resolve_arguments(ident, box=None, **flags):
             if value < low:
                 raise VerifyError(f"{ident} needs --{flag} >= {low}")
             params[entry.flags[flag]] = value
-    out = _expand(entry, params, entry.box)
+    out = _entry_box(entry, params, entry.box)
     for var, bound in (box or {}).items():
         hit = [v for v in out or () if var in (v, v.rstrip("0123456789"))]
         if not hit:
@@ -1179,7 +1178,8 @@ def _suite_tasks(level):
         grid = full.get("grid", entry.grid)
         for values in itertools.product(*grid.values()):
             point = {**params, **dict(zip(grid, values))}
-            tasks.append(partial(_run, entry, point, _expand(entry, point, box)))
+            tasks.append(partial(_run, entry, point,
+                                 _entry_box(entry, point, box)))
     return tasks
 
 

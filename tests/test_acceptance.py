@@ -143,7 +143,7 @@ def test_criterion_07_length_classes_mod_four():
     cap = 12
     everything = partition_histogram(
         ("weight", "first"), (12, 12), t=4, r=1,
-        distinct=True, max_part=cap, max_len=cap,
+        distinct=True, max_len=cap,
     )
     check("class series sum to the unrestricted series",
           union == _series_from_hist(box, everything))

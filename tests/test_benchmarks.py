@@ -23,6 +23,17 @@ def test_benchmark_script_imports(script):
     _load(script)
 
 
+def test_bench_kernels_rows_run():
+    # each bench_* checks its kernel's output before timing it and raises
+    # SystemExit on a wrong answer, which fails this test
+    bench = _load("bench_kernels")
+    names = [name for name in vars(bench) if name.startswith("bench_")]
+    assert len(names) == 5
+    for name in names:
+        rows = getattr(bench, name)()
+        assert rows and all(best > 0 for _, best in rows)
+
+
 def test_bench_suite_series_rows_run():
     bench = _load("bench_suite")
     times = bench.time_series(1)

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from partbij.series import (
     TruncatedSeries,
     divide_pochhammer,
     first_mismatch,
-    pochhammer,
     substitute,
 )
 from partbij.verify import rhs_series
@@ -67,13 +65,15 @@ def test_ring_laws(f, g, h):
     assert f + g == g + f
     assert (f + g) + h == f + (g + h)
     assert f + TruncatedSeries.zero(BOX) == f
-    assert f - f == TruncatedSeries.zero(BOX)
 
 
-def test_int_scalars():
+def test_series_add_only_series():
+    # no check subtracts, negates or adds a scalar, so a series does none
+    # of these
     f = TruncatedSeries.monomial(BOX, {"q": 1})
-    assert (1 - f).coefficient({}) == 1
-    assert (1 - f).coefficient({"q": 1}) == -1
+    for op in (lambda: f - f, lambda: -f, lambda: f + 1, lambda: 1 + f):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_box_mismatch_rejected():
@@ -81,31 +81,23 @@ def test_box_mismatch_rejected():
     g = TruncatedSeries.zero({"q": 4})
     with pytest.raises(BoxMismatch):
         f + g
-    with pytest.raises(BoxMismatch):
-        f - g
-
-
-def test_pochhammer_known_polynomial():
-    # (q;q)_2 = (1-q)(1-q^2)
-    f = pochhammer({"q": 1}, {"q": 1}, 2, {"q": 6})
-    assert f.text() == "1 - q - q^2 + q^3"
 
 
 def test_pochhammer_infinite_truncates():
-    box = {"q": 8}
-    f = pochhammer({"q": 1}, {"q": 1}, INFINITY, box)
-    g = pochhammer({"q": 1}, {"q": 1}, 9, box)
-    assert f == g
-    one = TruncatedSeries.constant(box, 1)
-    assert quotient(one.coeffs, f.coeffs).tolist() == partition_numbers(8)
+    one = TruncatedSeries.constant({"q": 8}, 1)
+    f = divide_pochhammer(one, {"q": 1}, {"q": 1}, INFINITY)
+    assert f == divide_pochhammer(one, {"q": 1}, {"q": 1}, 9)
+    assert f.coeffs.tolist() == partition_numbers(8)
 
 
 def test_pochhammer_divergent_constant_ratio():
+    one = TruncatedSeries.constant({"q": 4}, 1)
     with pytest.raises(DivergentInfiniteProduct):
-        pochhammer({"q": 1}, {}, INFINITY, {"q": 4})
-    # finite products with constant ratio are fine
-    f = pochhammer({"q": 1}, {}, 2, {"q": 4})
-    assert f == pochhammer({"q": 1}, {"q": 0}, 2, {"q": 4})
+        divide_pochhammer(one, {"q": 1}, {}, INFINITY)
+    # finite products with constant ratio are fine: 1/(1 - q)^2
+    f = divide_pochhammer(one, {"q": 1}, {}, 2)
+    assert f == divide_pochhammer(one, {"q": 1}, {"q": 0}, 2)
+    assert f.coeffs.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_substitute_maps_variable():
@@ -202,7 +194,8 @@ def test_json_roundtrip():
     )
     data = f.to_json()
     json.dumps(data)  # serializable, no numpy scalars
-    assert TruncatedSeries.from_json(data) == f
+    assert data == {"box": BOX, "terms": [[{"q": 1}, 2],
+                                          [{"q": 3, "z": 2}, -4]]}
 
 
 def test_json_text_escapes_variable_names():
@@ -221,15 +214,10 @@ def test_building_a_series_sums_terms_exactly():
     twice = [({"q": 1}, 2 ** 62), ({"q": 1}, 2 ** 62)]
     with pytest.raises(CoefficientOverflow):
         TruncatedSeries.from_terms(box, twice)
-    with pytest.raises(CoefficientOverflow):
-        TruncatedSeries.from_json(
-            {"box": box, "terms": [list(t) for t in twice]})
     # a running sum past 2^63 whose total fits is kept
     terms = twice + [({"q": 1}, -2 ** 62), ({}, np.int64(-2 ** 63))]
     f = TruncatedSeries.from_terms(box, terms)
     assert list(f.terms()) == [({}, -2 ** 63), ({"q": 1}, 2 ** 62)]
-    assert TruncatedSeries.from_json(
-        {"box": box, "terms": [list(t) for t in terms]}) == f
     # a single coefficient outside int64, in every constructor
     for value in (2 ** 63, -2 ** 63 - 1):
         with pytest.raises(CoefficientOverflow):
@@ -238,8 +226,6 @@ def test_building_a_series_sums_terms_exactly():
             TruncatedSeries.monomial(box, {"q": 1}, value)
         with pytest.raises(CoefficientOverflow):
             TruncatedSeries.from_terms(box, [({}, value)])
-        with pytest.raises(CoefficientOverflow):
-            TruncatedSeries.from_json({"box": box, "terms": [[{}, value]]})
     top = TruncatedSeries.constant(box, 2 ** 63 - 1)
     assert top.coefficient({}) == 2 ** 63 - 1
 
@@ -297,7 +283,6 @@ def test_rendering_matches_the_oracle(f, data):
     text = json.dumps(f.to_json())
     assert text == json.dumps({"box": f.box_dict(),
                                "terms": [list(term) for term in want]})
-    assert TruncatedSeries.from_json(json.loads(text)) == f
     # g differs from f in a few drawn cells, perhaps none
     g = f.copy()
     for cell, value in data.draw(st.lists(
@@ -352,8 +337,9 @@ def explicit_pochhammer(box, base, ratio, n):
     one = TruncatedSeries.constant(box, 1)
     acc = one.coeffs
     for e in _factors(box, base, ratio, n):
-        x = TruncatedSeries.monomial(box, dict(zip(box, e)))
-        acc = truncated_product(acc, (one - x).coeffs)
+        factor = TruncatedSeries.from_terms(box, [({}, 1),
+                                                  (dict(zip(box, e)), -1)])
+        acc = truncated_product(acc, factor.coeffs)
     return TruncatedSeries(one.variables, one.box, acc.astype(np.int64))
 
 
@@ -362,7 +348,6 @@ def explicit_pochhammer(box, base, ratio, n):
 def test_shift_pochhammer_matches_convolution(case):
     box, f, base, ratio, n = case
     want = explicit_pochhammer(box, base, ratio, n)
-    assert pochhammer(base, ratio, n, box) == want
     if int(want.coeffs.flat[0]) == 0:  # a factor 1 - 1
         with pytest.raises(NonUnitConstantTerm):
             divide_pochhammer(f, base, ratio, n)
@@ -395,43 +380,17 @@ def test_divide_overflow_is_exact():
     assert g.coefficient({"q": 1}) == 2 ** 63 - 1
 
 
-def test_add_and_subtract_overflow_is_exact():
+def test_add_overflow_is_exact():
     box = {"q": 1}
     big = TruncatedSeries.constant(box, 2 ** 62)
-    assert (big + (big - 1)).coefficient({}) == 2 ** 63 - 1
-    assert (-big - big).coefficient({}) == -(2 ** 63)
+    low = TruncatedSeries.constant(box, -2 ** 62)
+    below = TruncatedSeries.constant(box, 2 ** 62 - 1)
+    assert (big + below).coefficient({}) == 2 ** 63 - 1
+    assert (low + low).coefficient({}) == -(2 ** 63)
     with pytest.raises(CoefficientOverflow):
         big + big
     with pytest.raises(CoefficientOverflow):
-        -big - big - 1
-    with pytest.raises(CoefficientOverflow):
-        -(-big - big)
-
-
-def test_shift_subtract_overflow_is_exact(monkeypatch):
-    # (-2^62 + c q)(1 - q) has q coefficient c + 2^62 on q <= 1; the
-    # bound 2^62 * 2 does not fit, so the multiply pass runs the checked
-    # subtract
-    differences = _counting(monkeypatch, "_difference")
-
-    def times_one_minus_q(coeffs):
-        f = TruncatedSeries(("q",), (1,), coeffs)
-        return series._apply_factors(f, {"q": 1}, {}, 1, divide=False)
-
-    fits = np.array([-(2 ** 62), 2 ** 62 - 1], dtype=np.int64)
-    assert times_one_minus_q(fits).coefficient({"q": 1}) == 2 ** 63 - 1
-    with pytest.raises(CoefficientOverflow):
-        times_one_minus_q(np.array([-(2 ** 62), 2 ** 62]))
-    assert len(differences) == 2
-
-
-def test_pochhammer_overflow_is_exact():
-    # (1 - q)^n has q^k coefficient (-1)^k C(n, k), largest at k = n/2:
-    # C(66, 33) fits int64 and C(67, 33) does not
-    f = pochhammer({"q": 1}, {}, 66, {"q": 33})
-    assert f.coefficient({"q": 33}) == -math.comb(66, 33)
-    with pytest.raises(CoefficientOverflow):
-        pochhammer({"q": 1}, {}, 67, {"q": 33})
+        low + low + TruncatedSeries.constant(box, -1)
 
 
 def exact_quotient(f, factors):
@@ -530,8 +489,6 @@ def test_checked_factor_can_succeed(monkeypatch):
 def test_factor_passes_leave_their_input(case):
     box, f, base, ratio, n = case
     before = f.coeffs.copy()
-    pochhammer(base, ratio, n, box)
-    series._apply_factors(f, base, ratio, n, divide=False)
     try:
         divide_pochhammer(f, base, ratio, n)
     except NonUnitConstantTerm:
@@ -596,9 +553,9 @@ def test_one_pass_quotient_equals_the_chained_quotients(case):
             chained = divide_pochhammer(chained, base, ratio, n)
     except CoefficientOverflow:
         with pytest.raises(CoefficientOverflow):
-            series._expand(f, products, divide=True)
+            series._expand(f, products)
     else:
-        got = series._expand(f, products, divide=True)
+        got = series._expand(f, products)
         factors = [e for p in products for e in _factors(box, *p)]
         assert got.coeffs.tolist() == chained.coeffs.tolist() \
             == exact_quotient(f, factors).tolist()
