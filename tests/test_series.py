@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,10 +69,17 @@ def test_ring_laws(f, g, h):
 
 
 def test_series_add_only_series():
-    # no check subtracts, negates or adds a scalar, so a series does none
-    # of these
+    # no check subtracts or negates, so a series does neither
     f = TruncatedSeries.monomial(BOX, {"q": 1})
-    for op in (lambda: f - f, lambda: -f, lambda: f + 1, lambda: 1 + f):
+    for op in (lambda: f - f, lambda: -f):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_int_scalars():
+    # a series adds only a series: no check mixes in a scalar
+    f = TruncatedSeries.monomial(BOX, {"q": 1})
+    for op in (lambda: f + 1, lambda: 1 + f, lambda: 1 - f, lambda: f - 1):
         with pytest.raises(TypeError):
             op()
 
@@ -81,6 +89,19 @@ def test_box_mismatch_rejected():
     g = TruncatedSeries.zero({"q": 4})
     with pytest.raises(BoxMismatch):
         f + g
+
+
+def test_divide_pochhammer_known_series():
+    # 1/(q;q)_2 = 1/((1-q)(1-q^2)) counts partitions into parts 1 and 2
+    one = TruncatedSeries.constant({"q": 6}, 1)
+    f = divide_pochhammer(one, {"q": 1}, {"q": 1}, 2)
+    assert f.text() == "1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 3*q^5 + 4*q^6"
+    # 1/(zq;q)_oo counts partitions of n into k parts at q^n z^k
+    one = TruncatedSeries.constant({"q": 4, "z": 3}, 1)
+    g = divide_pochhammer(one, {"q": 1, "z": 1}, {"q": 1}, INFINITY)
+    got = {(e.get("q", 0), e.get("z", 0)): c for e, c in g.terms()}
+    assert got == {(0, 0): 1, (1, 1): 1, (2, 1): 1, (2, 2): 1, (3, 1): 1,
+                   (3, 2): 1, (3, 3): 1, (4, 1): 1, (4, 2): 2, (4, 3): 1}
 
 
 def test_pochhammer_infinite_truncates():
@@ -378,6 +399,16 @@ def test_divide_overflow_is_exact():
     f = TruncatedSeries.from_terms(box, [({}, 2 ** 62), ({"q": 1}, 2 ** 62 - 1)])
     g = divide_pochhammer(f, {"q": 1}, {}, 1)
     assert g.coefficient({"q": 1}) == 2 ** 63 - 1
+
+
+def test_divide_pochhammer_overflow_is_exact():
+    # 1/(1 - q)^n has q^k coefficient C(n + k - 1, k), growing with each
+    # factor: C(66, 33) fits int64 and C(67, 33) does not
+    one = TruncatedSeries.constant({"q": 33}, 1)
+    f = divide_pochhammer(one, {"q": 1}, {}, 34)
+    assert f.coefficient({"q": 33}) == math.comb(66, 33)
+    with pytest.raises(CoefficientOverflow):
+        divide_pochhammer(one, {"q": 1}, {}, 35)
 
 
 def test_add_overflow_is_exact():
