@@ -258,6 +258,9 @@ def _build_parser():
                     "identity verification.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # main() hands a command line that starts with a subcommand straight to
+    # that subcommand's parser, looked up here
+    parser.subcommands = sub.choices
 
     b = sub.add_parser("bijection", help="apply a named bijection")
     b.add_argument("name", choices=BIJECTION_NAMES)
@@ -311,9 +314,27 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one command line (sys.argv[1:] if argv is None) and return its
+    exit code.
+
+    A line whose first token names a subcommand takes one argparse pass,
+    at that subcommand's parser, and any token it leaves over is the
+    top-level parser's "unrecognized arguments" error. The top-level
+    parser parses only a line that starts with anything else: nothing,
+    an option such as --help, or an unknown name. Either way the exit
+    code, stdout and stderr are those of a full top-level parse.
+    """
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        sub = parser.subcommands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
     except SystemExit:  # --help; every other parse error is a UsageError
         return 0

@@ -399,7 +399,13 @@ def verify_identity(ident, params=None, box=None, perturb=None):
     if box is None:
         box = default_box(ident, params)
     start = time.perf_counter()
-    lhs = lhs_series(ident, params, box)
+    try:
+        lhs = lhs_series(ident, params, box)
+    except UnboundedBox:
+        # parameters whose closed form is degenerate (cor10 at t = 1) leave
+        # the enumeration side unbounded too; report them as series does
+        rhs_series(ident, params, box)
+        raise
     rhs = rhs_series(ident, params, box)
     if perturb:
         rhs = rhs + TruncatedSeries.monomial(box, perturb)

@@ -174,18 +174,24 @@ def int_flags(draw, names):
     return argv
 
 
+def one_in(draw, n, tokens):
+    """One of tokens, drawn about one time in n, as a list of 0 or 1."""
+    return [draw(st.sampled_from(tokens))] if draw(st.integers(1, n)) == 1 else []
+
+
 @st.composite
 def command_lines(draw):
     """bijection, table, series or verify command lines with arbitrary
-    JSON input and small int flags."""
+    JSON input and small int flags; now and then with a token left over
+    for the top-level parser, or led by one that names no subcommand."""
     command = draw(st.sampled_from(["bijection", "table", "series", "verify"]))
     if command == "bijection":
         argv = ["bijection", draw(st.sampled_from(BIJECTION_NAMES)),
                 "--input", json.dumps(draw(JSON))]
         if draw(st.booleans()):
             argv.append("--inverse")
-        return argv + int_flags(draw, ("t", "r", "m"))
-    if command == "table":
+        argv += int_flags(draw, ("t", "r", "m"))
+    elif command == "table":
         argv = ["table", "bessenrodt"] + int_flags(draw, ("n",))
     elif command == "verify":
         # the entry's own flags and box bounds, each only some of the
@@ -198,7 +204,9 @@ def command_lines(draw):
     else:
         argv = ["series", draw(st.sampled_from(IDENTITY_IDS))]
         argv += int_flags(draw, ("t", "r", "n", "max-q", "max-z", "max-s"))
-    return argv + (["--json"] if draw(st.booleans()) else [])
+    argv += ["--json"] if draw(st.booleans()) else []
+    return (one_in(draw, 8, ["--json", "nope", "--help"]) + argv
+            + one_in(draw, 8, ["--bogus", "stray"]))
 
 
 @settings(max_examples=300, deadline=None,
@@ -212,6 +220,68 @@ def test_exit_code_contract(capsys, argv):
         assert code == 2, (argv, err)
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+# command lines on which main(), which hands a line that starts with a
+# subcommand to that subcommand's parser, must print what a full top-level
+# parse prints: first tokens that name no subcommand, a subcommand with
+# nothing or -h, tokens left over, and the forms argparse reads specially
+DISPATCH_LINES = [
+    ([], 2),
+    (["--help"], 0),
+    (["-h"], 0),
+    (["nope"], 2),
+    (["-h", "table"], 0),
+    (["--json", "table", "bessenrodt"], 2),
+    (["bijection"], 2),
+    (["table"], 2),
+    (["verify", "-h"], 0),
+    (["series", "--help"], 0),
+    (["bijection", "mork", "--input", "[3, 1]", "extra"], 2),
+    (["table", "bessenrodt", "more", "--n", "3"], 2),
+    (["bijection", "mork", "--input", "[3, 1]", "--bogus"], 2),
+    (["series", "eq14", "--json", "--bogus=1", "x"], 2),
+    (["bijection", "mork", "--", "--input", "[3, 1]"], 2),
+    (["bijection", "--", "mork", "--input", "[3, 1]"], 2),
+    (["table", "--", "bessenrodt"], 0),
+    (["table", "bessenrodt", "--n", "3", "--"], 2),
+    (["bijection", "mork", "--inp", "[5, 3, 3, 1]"], 0),
+    (["bijection", "mork", "--i", "[3, 1]"], 2),
+    (["bijection", "mork", "--input=[5, 3, 3, 1]"], 0),
+    (["table", "bessenrodt", "--n=5", "--js"], 0),
+    # text suite lines carry their times, so the suite prints --json
+    (["suite", "--threads", "1", "--json"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", DISPATCH_LINES)
+def test_dispatch_matches_a_full_parse(capsys, monkeypatch, argv, code):
+    direct = run(capsys, *argv)
+    assert direct[0] == code
+    # with no subcommand to look up, main() parses at the top level
+    monkeypatch.setattr(cli._build_parser(), "subcommands", {})
+    assert run(capsys, *argv) == direct
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bijection", "mork", "--input", "[3, 1]"], 0),
+    (["bijection", "mork", "--input", "[3, 1]", "extra"], 2),
+    ([], 2),
+])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv, code):
+    # the console script calls main() with no argv
+    monkeypatch.setattr("sys.argv", ["partbij", *argv])
+    got = main()
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == run(capsys, *argv)
+    assert got == code
+
+
+def test_degenerate_cor10_reads_alike_in_verify_and_series(capsys):
+    want = ("error: cor10 with {'t': 1, 'r': 1} has a constant-ratio "
+            "infinite product\n")
+    for command in ("verify", "series"):
+        assert run(capsys, command, "cor10", "--t", "1") == (2, "", want)
 
 
 def test_verify_text_and_exit_zero(capsys):
