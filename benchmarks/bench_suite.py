@@ -14,7 +14,10 @@ pass. Under lhs_ms it holds the enumeration sides the same way: per
 series identity, lhs_series at every full-level grid point and box.
 Under ladder_ms it holds thm5.1's enumeration side, the histogram
 kernel's (weight, first) count at t = 2, at the ladder boxes of
-LADDER_QZ, each checked once against its closed form. It also holds the
+LADDER_QZ, each checked once against its closed form, and under
+rhs_ladder_ms the product sides of RHS_LADDER, near the tops of their
+box ladders, each box checked once against its enumeration side. It
+also holds the
 scalar maps alone: per map and inverse, the median of the summed time
 of its calls on the map mix (see time_maps), every round trip checked.
 Under cli_ms it holds in-process command lines: per command of
@@ -65,6 +68,16 @@ OUT = "BENCH_suite.json"
 # q = z bounds of thm5.1's boxes in ladder_ms, near the top of its box
 # ladder, where the histogram kernel takes almost all of its time
 LADDER_QZ = (120, 200)
+# (id, params, box) of the product sides in rhs_ladder_ms: eq3 at its int64
+# wall, where its product side is almost all of its time, and the other
+# closed forms at or near the tops of their box ladders
+RHS_LADDER = (
+    ("eq3", {}, {"q": 466, "z": 932}),
+    ("thm5.1", {}, {"q": 238, "z": 238}),
+    ("thm4.1", {}, {"q": 262, "z": 262}),
+    ("thm4.2", {}, {"q": 248, "z": 248}),
+    ("thm8.1", {"t": 4, "r": 4}, {"q": 82, "z": 82}),
+)
 
 # the map mix: every partition of size <= MAP_SMALL_MAX and MAP_LARGE_COUNT
 # uniform random partitions of MAP_LARGE_SIZE drawn from MAP_SEED, through
@@ -159,6 +172,19 @@ def ladder_rows():
             raise SystemExit(f"thm5.1 failed at q = z = {qz}")
         rows.append((f"thm5.1 q,z={qz}", partial(lhs_series, "thm5.1", {},
                                                    box)))
+    return rows
+
+
+def rhs_ladder_rows():
+    """(name, call) for the product side of each RHS_LADDER entry; each
+    box must verify."""
+    rows = []
+    for ident, params, box in RHS_LADDER:
+        if not verify_identity(ident, params, box).passed:
+            raise SystemExit(f"{ident} {params} failed at {box}")
+        name = " ".join([ident, *(f"{k}={v}" for k, v in params.items()),
+                         ",".join(f"{v}={b}" for v, b in box.items())])
+        rows.append((name, partial(rhs_series, ident, params, box)))
     return rows
 
 
@@ -291,6 +317,7 @@ def main():
         "series_ms": time_series(RUNS),
         "lhs_ms": time_series(RUNS, series_rows(lhs_series)),
         "ladder_ms": time_series(RUNS, ladder_rows()),
+        "rhs_ladder_ms": time_series(RUNS, rhs_ladder_rows()),
         "maps_ms": time_maps(RUNS),
         "cli_ms": time_cli(RUNS),
     }
@@ -309,10 +336,11 @@ def main():
             print(f"  {ident:<12} {ms:8.2f} ms")
     for key, title in (("series_ms", "full product sides"),
                        ("lhs_ms", "full enumeration sides"),
-                       ("ladder_ms", "ladder enumeration sides")):
+                       ("ladder_ms", "ladder enumeration sides"),
+                       ("rhs_ladder_ms", "ladder product sides")):
         print(f"{title}:")
         for ident, ms in entry[key].items():
-            print(f"  {ident:<16} {ms:8.3f} ms")
+            print(f"  {ident:<26} {ms:8.3f} ms")
     print("scalar maps on the map mix:")
     for name, ms in entry["maps_ms"].items():
         print(f"  {name:<24} {ms:8.3f} ms")

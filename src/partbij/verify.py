@@ -325,21 +325,49 @@ def _zq(n=INFINITY):
     return {"q": 1, "z": 1}, {"q": 1}, n
 
 
+def _from(corner):
+    """The index of the view at or past corner, an exponent vector."""
+    return tuple(slice(e, None) for e in corner)
+
+
 def _quotient(box, factors, head=None):
     """The monomial head (1 if None) divided by each (base, ratio, n)
-    Pochhammer product in factors, in one shift pass."""
-    return qs._expand(TruncatedSeries.monomial(box, head or {}), factors)
+    Pochhammer product in factors, in one pass on the head's corner."""
+    head = head or {}
+    f = TruncatedSeries.monomial(box, head)
+    qs._divide(f.coeffs[_from(f._index(head))], f.variables, factors, 1)
+    return f
 
 
 def _head_sum(box, constant, term):
-    """constant plus the sum over n = 1, 2, ... of head / factors, where
-    term(n) = (head, factors), until the head leaves the box."""
-    acc = TruncatedSeries.constant(box, constant)
+    """constant plus the sum over n = 1, 2, ... of head_n / D_n, where
+    term(n) = (head_n, E_n), a head and the Pochhammer products that
+    D_n = D_(n-1) E_n adds to D_(n-1) (D_0 = 1), until the head leaves
+    the box. The heads must rise in every variable.
+
+    The sum is nested (Horner's rule): with R_(N+1) = 0 for the last
+    head N in the box and R_n = (head_n + R_(n+1)) / E_n, the sum is
+    constant + R_1. R_n is zero below head_n, so step n adds the head's
+    1 and divides the corner at head_n once, by E_n alone, under the
+    running bound of the steps before it. Every partial sum on the way
+    is at most a coefficient of the result, so CoefficientOverflow comes
+    only where a coefficient of the result leaves int64.
+    """
+    acc = TruncatedSeries.zero(box)
+    terms = []
     for n in itertools.count(1):
         head, factors = term(n)
         if any(e > box[v] for v, e in head.items()):
-            return acc
-        acc = acc + _quotient(box, factors, head)
+            break
+        terms.append((acc._index(head), factors))
+    bound = 0
+    for corner, factors in reversed(terms):
+        acc.coeffs[corner] += 1
+        bound = qs._divide(acc.coeffs[_from(corner)],
+                           acc.variables, factors, bound + 1)
+    origin = (0,) * len(acc.variables)
+    acc.coeffs[origin] = qs._checked(int(acc.coeffs[origin]) + constant)
+    return acc
 
 
 # lowest admissible value of a parameter, or of the CLI flag of that
@@ -806,7 +834,9 @@ def _f_series(n_max, t, box):
             high[:, :e] = low[:, :e]
         g = TruncatedSeries.zero(box)
         g.coeffs[m:, m:] = window[t - 1]
-        f.append(qs._expand(g, [({"q": m, "s": m * t}, {}, 1)]))
+        qs._divide(g.coeffs[m:, m:], g.variables,
+                   [({"q": m, "s": m * t}, {}, 1)])
+        f.append(g)
     return f
 
 
@@ -1028,17 +1058,22 @@ CATALOG = (
           lhs=_size_and_excess,
           rhs=lambda p, box: _quotient(
               box, [({"q": 1, "z": 1}, {"q": 1, "z": 2}, INFINITY)])),
+    # theorem 4's sums over heads: each term(n) gives E_n, the factors
+    # D_n adds to D_(n-1): (1 - zq^n)^4 for D_n = (zq; q)_n^4, and
+    # (1 - zq^n)^2 (1 - zq^(n-1))^2 for D_n = (zq; q)_n^2 (zq; q)_(n-1)^2
     Entry("thm4.1", box=_QZ12, full=_FULL18,
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=4,
                                         distinct=True, length_mod=(4, (0, 3))),
           rhs=lambda p, box: _head_sum(box, 1, lambda n: (
-              {"q": n * (2 * n + 1), "z": 4 * n - 1}, [_zq(n)] * 4))),
+              {"q": n * (2 * n + 1), "z": 4 * n - 1},
+              [({"q": n, "z": 1}, {}, 1)] * 4))),
     Entry("thm4.2", box=_QZ12, full=_FULL18,
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=4,
                                         distinct=True, length_mod=(4, (1, 2))),
           rhs=lambda p, box: _head_sum(box, 0, lambda n: (
               {"q": n * (2 * n - 1), "z": 4 * n - 3},
-              [_zq(n)] * 2 + [_zq(n - 1)] * 2))),
+              [({"q": n, "z": 1}, {}, 1)] * 2
+              + [({"q": n - 1, "z": 1}, {}, 1)] * (2 if n > 1 else 0)))),
     Entry("thm5.1", box=_QZ12, full=_FULL18,
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2),
           rhs=lambda p, box: _quotient(box, [_zq(), _zq()])),

@@ -54,6 +54,18 @@ def test_bench_suite_lhs_and_ladder_rows_run():
     assert all(ms > 0 for ms in times.values())
 
 
+def test_bench_suite_rhs_ladder_rows_run():
+    bench = _load("bench_suite")
+    # the rows at tiny boxes, which verify just the same
+    bench.RHS_LADDER = (("eq3", {}, {"q": 4, "z": 8}),
+                        ("thm4.1", {}, {"q": 6, "z": 6}),
+                        ("thm8.1", {"t": 4, "r": 4}, {"q": 5, "z": 5}))
+    times = bench.time_series(1, bench.rhs_ladder_rows())
+    assert list(times) == ["eq3 q=4,z=8", "thm4.1 q=6,z=6",
+                           "thm8.1 t=4 r=4 q=5,z=5"]
+    assert all(ms > 0 for ms in times.values())
+
+
 def test_bench_suite_maps_run():
     bench = _load("bench_suite")
     times = bench.time_maps(1)

@@ -21,7 +21,7 @@ from partbij.series import (
     first_mismatch,
     substitute,
 )
-from partbij.verify import rhs_series
+from partbij.verify import _quotient, rhs_series, verify_identity
 from reference import graded_terms, quotient, series_text, truncated_product
 
 BOX = {"q": 4, "z": 3}
@@ -600,3 +600,69 @@ def test_thm81_plans_each_distinct_factor_once(monkeypatch):
     g = rhs_series("thm8.1", {"t": 4, "r": 4}, {"q": 15, "z": 15})
     assert len(shifts) == 16
     assert g.coefficient({"q": 1, "z": 1}) == 4  # the t colours of one 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansion_cases(), st.data())
+def test_corner_quotient_equals_the_full_box_quotient(case, data):
+    # _quotient divides only the view at or past its head; the quotient
+    # of the whole box's monomial is zero below the head as well
+    box, _, products = case
+    head = {v: data.draw(st.integers(0, bound)) for v, bound in box.items()}
+    f = TruncatedSeries.monomial(box, head)
+    want = exact_quotient(f, [e for p in products for e in _factors(box, *p)])
+    if not _fits(want):
+        with pytest.raises(CoefficientOverflow):
+            _quotient(box, products, head)
+        return
+    got = _quotient(box, products, head)
+    assert got.coeffs.tolist() == want.tolist()
+    below = np.ones(got.coeffs.shape, dtype=bool)
+    below[tuple(slice(e, None) for e in head.values())] = False
+    assert not got.coeffs[below].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases(), st.sampled_from((1, 2, 8, 64)))
+@example(({"q": 8}, TruncatedSeries.constant({"q": 8}, 2 ** 54), _FIVE), 1)
+@example(({"q": 8}, TruncatedSeries.constant({"q": 8}, 2 ** 55), _FIVE), 2)
+def test_block_walks_divide_exactly(case, cells):
+    # a view of at least `cells` cells ends each division in a block
+    # walk; with coefficients near int64 its blocks run checked
+    box, f, products = case
+    want = exact_quotient(f, [e for p in products for e in _factors(box, *p)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_BLOCK_CELLS", cells)
+        try:
+            got = series._expand(f, products)
+        except CoefficientOverflow:
+            # with no negative coefficient every partial sum is at most
+            # a coefficient of the quotient
+            assert f.coeffs.min() < 0 or not _fits(want)
+        else:
+            assert got.coeffs.tolist() == want.tolist()
+
+
+def _plans(monkeypatch):
+    """The (grow, split, pairs) plan of every division step from here on."""
+    plans = []
+    shifts = series._shifts
+
+    def recorded(coeffs, e):
+        plans.append(shifts(coeffs, e))
+        return plans[-1]
+
+    monkeypatch.setattr(series, "_shifts", recorded)
+    return plans
+
+
+def test_large_views_walk_blocks_to_the_same_quotient(monkeypatch):
+    # q <= 150, z <= 300 holds 45,451 cells, so a division ends in a
+    # walk of up to 5 blocks; with no walk the quotient is the same
+    box = {"q": 150, "z": 300}
+    plans = _plans(monkeypatch)
+    walked = rhs_series("eq3", {}, box)
+    assert max(len(pairs) - split for _, split, pairs in plans) == 5
+    monkeypatch.setattr(series, "_BLOCK_CELLS", 2 ** 62)
+    assert rhs_series("eq3", {}, box) == walked
+    assert verify_identity("eq3", box=box).passed

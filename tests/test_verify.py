@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import itertools
 import json
 import tracemalloc
 from collections import Counter
@@ -54,6 +56,7 @@ from partbij.verify import (
     verify_table,
 )
 from reference import colored_partitions, q_binomial, quotient, truncated_product
+from test_series import exact_quotient
 
 SMALL = {
     "thm3.1": ({}, {"q": 6, "z": 12}),
@@ -114,6 +117,77 @@ def test_identity_passes_in_large_box(ident, params, box):
 def test_thm8_1_largest_coefficient():
     f = rhs_series("thm8.1", {"t": 4, "r": 4}, {"q": 15, "z": 15})
     assert int(f.coeffs.max()) == 7_146_952
+
+
+def _head_terms(ident, n):
+    """Theorem 4's n-th head and the factor exponents (q, z) of its whole
+    denominator: (zq; q)_n^4 for thm4.1, (zq; q)_n^2 (zq; q)_(n-1)^2 for
+    thm4.2."""
+    if ident == "thm4.1":
+        return (n * (2 * n + 1), 4 * n - 1), [(k, 1) for k in range(1, n + 1)] * 4
+    return ((n * (2 * n - 1), 4 * n - 3),
+            [(k, 1) for k in range(1, n + 1)] * 2
+            + [(k, 1) for k in range(1, n)] * 2)
+
+
+@pytest.mark.parametrize("qz", [0, 1, 5, 12, 22, 24, 40])
+@pytest.mark.parametrize("ident", ["thm4.1", "thm4.2"])
+def test_nested_head_sums_equal_the_term_by_term_sums(ident, qz):
+    # the sum over n of head_n / D_n, each quotient taken whole in
+    # Python ints, against the nested sum of rhs_series
+    box = {"q": qz, "z": qz}
+    want = np.zeros((qz + 1, qz + 1), dtype=object)
+    want[0, 0] = 1 if ident == "thm4.1" else 0
+    for n in itertools.count(1):
+        head, factors = _head_terms(ident, n)
+        if max(head) > qz:
+            break
+        want += exact_quotient(
+            TruncatedSeries.monomial(box, dict(zip("qz", head))), factors)
+    assert rhs_series(ident, {}, box).coeffs.tolist() == want.tolist()
+
+
+# the sha256 of each closed form's coefficients one step below its int64
+# wall, as the whole quotients (for theorem 4 the sums of whole quotients
+# head_n / D_n) gave them; at the wall a coefficient leaves int64
+@pytest.mark.parametrize("ident, wall, digest", [
+    ("thm4.1", 264,
+     "f09600649d2c3d2089cbb1b33d13736cea4e916d5e8f6f3376b673930906838f"),
+    ("thm4.2", 264,
+     "9368c41b098f1f68d04ccb854c41b10e554bbd0d66662f9e301b69d2b01dd93e"),
+    ("thm5.1", 240,
+     "3c87835c4fda18a41a10f83c788757057449173b353e36eb78c33d205e1ed61f"),
+    ("thm5.2", 211,
+     "d9b6f66ff1c1bee3448c77a98d9dc503026e894f908525ecc5c7561fb3772cd0"),
+])
+def test_closed_forms_overflow_at_their_int64_walls(ident, wall, digest):
+    f = rhs_series(ident, {}, {"q": wall - 1, "z": wall - 1})
+    assert hashlib.sha256(f.coeffs.astype("<i8").tobytes()).hexdigest() \
+        == digest
+    with pytest.raises(qs.CoefficientOverflow):
+        rhs_series(ident, {}, {"q": wall, "z": wall})
+
+
+def test_no_block_walk_at_suite_or_closed_form_workload_boxes(monkeypatch):
+    # blocks pay off only in views of many cells: every division of the
+    # suites and of the closed-form workload's largest boxes stays doubling
+    plans = []
+    shifts = qs._shifts
+
+    def recorded(coeffs, e):
+        plans.append(shifts(coeffs, e))
+        return plans[-1]
+
+    monkeypatch.setattr(qs, "_shifts", recorded)
+    assert run_suite("quick").passed and run_suite("full").passed
+    for ident, params, box in [
+            ("thm5.1", {}, {"q": 30, "z": 30}),
+            ("thm3.1", {}, {"q": 18, "z": 36}),
+            ("thm9", {"t": 2, "r": 1}, {"q": 16, "z": 16, "s": 16}),
+            ("thm8.2", {"t": 3}, {"q": 12, "z1": 6, "z2": 6, "z3": 6})]:
+        rhs_series(ident, params, box)
+    assert len(plans) > 1000
+    assert all(split == len(pairs) for _, split, pairs in plans)
 
 
 # eq3's z is twice the size less the length, so it lies between q and 2q:
@@ -998,14 +1072,15 @@ def test_recurrence_takes_one_shift_pass_per_largest_part(monkeypatch, t,
                                                           box):
     # one division by 1 - q^m s^(mt) per m and no pass per (m, k) pair:
     # the running sums keep the recurrence at O(n) shift passes
-    expand = qs._expand
+    divide = qs._divide
     calls = []
 
-    def counted(f, products):
+    def counted(coeffs, variables, products, bound=None):
         calls.append(products)
-        return expand(f, products)
+        return divide(coeffs, variables, products, bound)
 
-    monkeypatch.setattr(qs, "_expand", counted)
+    monkeypatch.setattr(qs, "_divide", counted)
+    monkeypatch.setattr(qs, "_expand", None)
     ver._f_series(12, t, box)
     assert calls == [[({"q": m, "s": m * t}, {}, 1)] for m in range(1, 13)]
 
