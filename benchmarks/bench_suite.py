@@ -22,7 +22,9 @@ scalar maps alone: per map and inverse, the median of the summed time
 of its calls on the map mix (see time_maps), every round trip checked.
 Under cli_ms it holds in-process command lines: per command of
 CLI_CALLS, the median ms of one cli.main call, output captured, after
-one untimed pass. The entry, with the machine
+one untimed pass. Under kernels_ms it holds the hot kernels on fixed
+inputs (see kernel_rows), the median ms of each row after one untimed
+pass, every row's output checked once. The entry, with the machine
 (cores, Python, numpy, whether numba was loaded), is stored in OUT under
 --label; entries under other labels are kept, so one file can hold a run
 before and a run after a change.
@@ -43,17 +45,32 @@ from functools import partial
 import numpy as np
 
 from partbij import cli
+from partbij._accel import partition_histogram
 from partbij.bijections import (
     bessenrodt,
     bessenrodt_inverse,
     color_conjugate,
     color_conjugate_inverse,
+    color_conjugate_inverse_rows,
+    color_conjugate_rows,
     generalized_hook_map,
+    generalized_hook_map_rows,
     mork,
     mork_inverse,
 )
-from partbij.partitions import Partition, enumerate_partitions, to_modular
+from partbij.partitions import (
+    Partition,
+    enumerate_partitions,
+    partition_numbers,
+    to_modular,
+)
+from partbij.series import INFINITY, TruncatedSeries, divide_pochhammer
 from partbij.verify import (
+    _colored_classes,
+    _column_chunks,
+    _columns_equal,
+    _domain,
+    _parts,
     _suite_tasks,
     f_recurrence,
     lhs_series,
@@ -188,6 +205,95 @@ def rhs_ladder_rows():
     return rows
 
 
+def kernel_rows():
+    """(name, call) for the hot kernels on fixed inputs, each output
+    checked once:
+    - the partition histogram by (weight, size) at t = 2, r = 1 with
+      distinct parts, q <= 30, z <= 90, against thm3.1's closed form;
+    - thm8.1's histogram at t = 4, r = 4, q, z <= 15, against its closed
+      form's total, 67,379,212;
+    - thm8.2's colour-profile histogram at t = 3, q <= 12, z_i <= 6,
+      against its closed form;
+    - thm7's coloured class rows at t = 3, r = 1, size <= 24, which must
+      count every partition of size <= 24 once;
+    - thm7's array round trip at t = 3, r = 1 over the kept domain of
+      size 24, in thm7's column ranges, which must give back every
+      partition;
+    - the array hook map at m = 2..4 over the kept parts of size 20, in
+      furtherwork's column ranges, whose images must sum to their sizes;
+    - Pochhammer division 1/(zq;q)_inf^2 at q, z <= 20 and 60, whose
+      largest coefficient at 60 must be 71,699,042.
+    """
+    def check(ok, message):
+        if not ok:
+            raise SystemExit(message)
+
+    distinct = partial(partition_histogram, ("weight", "size"), (30, 90),
+                       t=2, r=1, distinct=True)
+    check(np.array_equal(distinct(), rhs_series(
+        "thm3.1", {}, {"q": 30, "z": 90}).coeffs),
+        "histogram q<=30 z<=90 distinct differs from thm3.1's closed form")
+    thm81 = partial(partition_histogram, ("weight", "first"), (15, 15),
+                    t=4, r=4)
+    total = int(thm81().sum())
+    check(total == 67_379_212,
+          f"thm8.1 t=4 r=4 q,z<=15 counted {total}, expected 67379212")
+    thm82 = partial(partition_histogram, ("weight",) + ("profile",) * 3,
+                    (12, 6, 6, 6), t=3)
+    check(np.array_equal(thm82(), rhs_series(
+        "thm8.2", {"t": 3}, {"q": 12, "z1": 6, "z2": 6, "z3": 6}).coeffs),
+        "thm8.2 t=3 q<=12 z_i<=6 histogram differs from its closed form")
+
+    # with r = 1 the head is empty, so the classes count every partition
+    everyone = sum(partition_numbers(24))
+    classes = partial(_colored_classes, 24,
+                      [range(i, 25, 3) for i in (1, 2, 3)])
+    total = int(classes()[:, -1].sum())
+    check(total == everyone, f"thm7 t=3 r=1 size<=24 pair side counted "
+                             f"{total}, expected {everyone}")
+    parts, _, heights = _domain(24)
+
+    def round_trip():
+        back = 0
+        for lam, cols in _column_chunks(26, parts, heights):
+            nu, mu, colors = color_conjugate_rows(lam, 3, 1, cols)
+            rebuilt, valid = color_conjugate_inverse_rows(nu, mu, colors, 3, 1)
+            back += int((valid & _columns_equal(rebuilt, lam)).sum())
+        return back
+
+    back = round_trip()
+    check(back == everyone, f"thm7 t=3 r=1 size<=24 array round trip gave "
+                            f"back {back} partitions, expected {everyone}")
+    chunks = list(_column_chunks(22, *_parts(20, False)))
+
+    def hook_maps():
+        return [(n, generalized_hook_map_rows(lam, m)[0])
+                for lam, n in chunks for m in (2, 3, 4)]
+
+    check(all((image.sum(axis=0) == n).all() for n, image in hook_maps()),
+          "hook map images do not sum to their partitions' sizes")
+
+    zq = ({"q": 1, "z": 1}, {"q": 1}, INFINITY)
+
+    def shifts(bound):
+        f = TruncatedSeries.constant({"q": bound, "z": bound}, 1)
+        return divide_pochhammer(divide_pochhammer(f, *zq), *zq)
+
+    top = int(shifts(60).coeffs.max())
+    check(top == 71_699_042, f"1/(zq;q)_inf^2 on q,z<=60 has largest "
+                             f"coefficient {top}, expected 71699042")
+    return [
+        ("histogram q<=30 z<=90 distinct", distinct),
+        ("histogram thm8.1 t=4 r=4 q,z<=15", thm81),
+        ("histogram thm8.2 t=3 q<=12 z_i<=6", thm82),
+        ("thm7 colored class rows t=3 r=1 size<=24", classes),
+        ("thm7 array round trip t=3 r=1 size<=24", round_trip),
+        ("hook map rows m=2..4 size<=20", hook_maps),
+        ("pochhammer divide 1/(zq;q)_inf^2 q,z<=20", partial(shifts, 20)),
+        ("pochhammer divide 1/(zq;q)_inf^2 q,z<=60", partial(shifts, 60)),
+    ]
+
+
 def time_series(runs, rows=None):
     """Per id, the median over runs of the summed ms of its rows (by
     default series_rows()), after one untimed pass."""
@@ -320,6 +426,7 @@ def main():
         "rhs_ladder_ms": time_series(RUNS, rhs_ladder_rows()),
         "maps_ms": time_maps(RUNS),
         "cli_ms": time_cli(RUNS),
+        "kernels_ms": time_series(RUNS, kernel_rows()),
     }
     try:
         with open(OUT) as fh:
@@ -337,7 +444,8 @@ def main():
     for key, title in (("series_ms", "full product sides"),
                        ("lhs_ms", "full enumeration sides"),
                        ("ladder_ms", "ladder enumeration sides"),
-                       ("rhs_ladder_ms", "ladder product sides")):
+                       ("rhs_ladder_ms", "ladder product sides"),
+                       ("kernels_ms", "kernels on fixed inputs")):
         print(f"{title}:")
         for ident, ms in entry[key].items():
             print(f"  {ident:<26} {ms:8.3f} ms")

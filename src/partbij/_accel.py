@@ -138,10 +138,11 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
     top = min(caps)
     if top < 1 or (max_len is not None and max_len < 1):
         return out
-    # rows past r repeat with period t; if none of them adds to a bounded
-    # axis, prefixes stay in the box however long they grow
-    if max_len is None and not any(_shifted_axes(kinds, pos, counted(pos))
-                                   for pos in range(r + 1, r + t + 1)):
+    # rows past r repeat with period t: each adds to size, one a period to
+    # weight and the other t - 1 to anti. If none adds to a bounded axis,
+    # prefixes stay in the box however long they grow
+    if max_len is None and not ({"size", "weight"} & set(kinds)
+                                or ("anti" in kinds and t > 1)):
         raise UnboundedBox(f"rows {r + 1} to {r + t}, which repeat with period "
                            f"{t}, add to no bounded axis, so the length is "
                            "unbounded")

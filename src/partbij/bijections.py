@@ -16,12 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .partitions import (
-    InvalidFrobenius,
     Partition,
     PartitionError,
     _check_modular,
     _columns,
-    _frobenius_parts,
     enumerate_partitions,
     to_modular,
 )
@@ -109,10 +107,25 @@ def _mork_inverse_parts(delta):
     for i in range(d - 2, -1, -1):
         arms[i] = delta[2 * i + 1] - legs[i + 1] - 1
         legs[i] = delta[2 * i] - arms[i] - 1
-    try:
-        return _frobenius_parts(tuple(arms), tuple(legs))
-    except InvalidFrobenius as exc:
-        raise NotInImage(str(exc)) from exc
+    return _frobenius_parts(tuple(arms), tuple(legs))
+
+
+def _frobenius_parts(arms, legs):
+    """The parts, as a list, of the partition whose diagonal arms and legs
+    are arms and legs; raises NotInImage unless they are nonnegative,
+    strictly decreasing and of equal length."""
+    if len(arms) != len(legs):
+        raise NotInImage("arms and legs must have equal length")
+    for seq, name in ((arms, "arms"), (legs, "legs")):
+        if seq and min(seq) < 0:
+            raise NotInImage(f"{name} must be nonnegative: {seq}")
+        if not all(map(gt, seq, seq[1:])):
+            raise NotInImage(f"{name} must be strictly decreasing: {seq}")
+    parts = [a + i for i, a in enumerate(arms, 1)]
+    # rows below the Durfee square are the columns of the column heights
+    # legs[j] + j + 1, each at least d
+    parts += _columns([leg + j for j, leg in enumerate(legs, 1)])[len(legs):]
+    return parts
 
 
 def modular_fill(mu):

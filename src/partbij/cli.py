@@ -270,7 +270,6 @@ def _build_parser():
     b.add_argument("--t", type=int)
     b.add_argument("--r", type=int)
     b.add_argument("--m", type=int)
-    b.add_argument("--json", action="store_true")
     b.set_defaults(func=_cmd_bijection)
 
     v = sub.add_parser("verify", help="run one catalog check")
@@ -340,7 +339,8 @@ def main(argv=None):
         return 0
     except (UsageError, PartitionError, ColoredPartitionError, SeriesError,
             VerifyError, HistogramOverflow, UnboundedBox, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError may carry no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -19,8 +19,8 @@ sum then runs along axis 0, over whole contiguous rows. The array maps of
 """
 
 import math
-from itertools import accumulate, count, repeat
-from operator import ge, gt
+from itertools import accumulate
+from operator import ge
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -36,14 +36,6 @@ class NotSorted(PartitionError):
 
 class NegativePart(PartitionError):
     """A part is negative."""
-
-
-class CellOutOfDiagram(PartitionError):
-    """Cell (i, j) lies outside the Young diagram."""
-
-
-class InvalidFrobenius(PartitionError):
-    """Arm/leg sequences are not strictly decreasing nonnegative of equal length."""
 
 
 class InvalidDiagram(PartitionError):
@@ -89,13 +81,6 @@ class Partition(tuple):
         return f"Partition{tuple(self)!r}" if self else "Partition()"
 
 
-class FrobeniusCoords(NamedTuple):
-    """Arm and leg lengths at the diagonal cells, both strictly decreasing."""
-
-    arms: tuple
-    legs: tuple
-
-
 class ModularDiagram(NamedTuple):
     """Base m and rows of (cell_count, remainder); row i encodes the part
     m*(cell_count - 1) + remainder with remainder in 1..m."""
@@ -125,23 +110,6 @@ def conjugate(p: Partition) -> Partition:
     return Partition(_columns(Partition(p)))
 
 
-def durfee_size(p: Partition) -> int:
-    """Largest d with p.part(d) >= d."""
-    # p_i >= i holds exactly on a prefix, as p falls and i rises
-    return sum(map(ge, Partition(p), count(1)))
-
-
-def hook_length(p: Partition, i: int, j: int) -> int:
-    """Number of cells in the hook of cell (i, j): the cell itself plus all
-    cells below and to the right."""
-    p = Partition(p)
-    if i < 1 or j < 1 or i > len(p) or j > p[i - 1]:
-        raise CellOutOfDiagram(f"cell ({i}, {j}) outside diagram of {p}")
-    arm = p[i - 1] - j
-    leg = sum(map(ge, p, repeat(j))) - i  # column j holds the parts >= j
-    return arm + leg + 1
-
-
 def schmidt_weight(p: Partition, t: int, r: int) -> int:
     """Sum of the parts at indices r, t+r, 2t+r, ..."""
     if t < 1 or r < 1:
@@ -160,39 +128,6 @@ def color_profile(p: Partition, t: int, r: int) -> tuple:
     # the subtracted parts p_{a+1} are the next slice, 0 past the end
     return tuple(sum(p[r + i - 2::t]) - sum(p[r + i - 1::t])
                  for i in range(1, t + 1))
-
-
-def to_frobenius(p: Partition) -> FrobeniusCoords:
-    """Arms a_i = p_i - i and legs l_i = p'_i - i for i up to the Durfee size."""
-    p = Partition(p)
-    d = durfee_size(p)
-    conj = _columns(p)
-    arms = tuple(p[i] - i - 1 for i in range(d))
-    legs = tuple(conj[i] - i - 1 for i in range(d))
-    return FrobeniusCoords(arms, legs)
-
-
-def _frobenius_parts(arms: tuple, legs: tuple) -> list:
-    """The parts, as a list, of the partition whose diagonal arms and legs
-    are arms and legs; raises InvalidFrobenius unless they are nonnegative,
-    strictly decreasing and of equal length."""
-    if len(arms) != len(legs):
-        raise InvalidFrobenius("arms and legs must have equal length")
-    for seq, name in ((arms, "arms"), (legs, "legs")):
-        if seq and min(seq) < 0:
-            raise InvalidFrobenius(f"{name} must be nonnegative: {seq}")
-        if not all(map(gt, seq, seq[1:])):
-            raise InvalidFrobenius(f"{name} must be strictly decreasing: {seq}")
-    parts = [a + i for i, a in enumerate(arms, 1)]
-    # rows below the Durfee square are the columns of the column heights
-    # legs[j] + j + 1, each at least d
-    parts += _columns([leg + j for j, leg in enumerate(legs, 1)])[len(legs):]
-    return parts
-
-
-def from_frobenius(f: FrobeniusCoords) -> Partition:
-    """Rebuild the partition whose diagonal arms and legs are f."""
-    return Partition(_frobenius_parts(tuple(f.arms), tuple(f.legs)))
 
 
 def to_modular(p: Partition, m: int) -> ModularDiagram:

@@ -96,8 +96,15 @@ def _var_key(name):
     return (4, 0, name)
 
 
+# numpy's limit on the dimensions of an array: 32 before numpy 2.0, 64 since
+_MAX_VARIABLES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+
+
 def _canon_box(box):
     """Split a {name: bound} dict into aligned variable and bound tuples."""
+    if len(box) > _MAX_VARIABLES:
+        raise SeriesError(f"a box has at most {_MAX_VARIABLES} variables, "
+                          f"numpy's limit on array dimensions; got {len(box)}")
     variables = tuple(sorted(box, key=_var_key))
     bounds = []
     for v in variables:

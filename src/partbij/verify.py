@@ -17,8 +17,9 @@ layout is stated in the partitions module), in ranges of columns that
 may span sizes. The domain of the last size asked for is kept between
 calls (_parts, and _domain with thm7's column heights), so thm7's grid
 points build it once; each check over a domain has a size cap,
-DOMAIN_MAX_SIZE. Two walks visit partitions one
-at a time: table1's rows and furtherwork's collision_search(3, 13).
+DOMAIN_MAX_SIZE, and thm6 and thm7 a cap on t, T_MAX. Two walks visit
+partitions one at a time: table1's rows and furtherwork's
+collision_search(3, 13).
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
@@ -221,19 +222,15 @@ def _parts(size_max, distinct):
 
 
 @functools.lru_cache(maxsize=1)
-def _domain(size_max, distinct=False, heights=True):
-    """_parts(size_max, distinct) and, when heights and the parts are not
-    distinct, the column heights (the conjugates, size_max rows, read-only)
-    that thm7 reads; else None. prop1 runs distinct parts and furtherwork
-    reads no heights, so neither builds them.
+def _domain(size_max):
+    """_parts(size_max, False) and the column heights (the conjugates,
+    size_max rows, read-only) that thm7 reads.
 
     Only the last domain, and the last parts, are kept between calls:
     thm7's grid points share size_max and so one build, and furtherwork
     at thm7's size_max reuses its parts.
     """
-    parts, sizes = _parts(size_max, distinct)
-    if distinct or not heights:
-        return parts, sizes, None
+    parts, sizes = _parts(size_max, False)
     columns = np.zeros((size_max, parts.shape[1]), dtype=parts.dtype)
     step = max(1, _CHUNK_CELLS // len(parts))
     for lo in range(0, parts.shape[1], step):
@@ -253,11 +250,17 @@ _CHUNK_CELLS = 1 << 15
 # with the number of partitions
 DOMAIN_MAX_SIZE = {"prop1": 104, "thm7": 58, "furtherwork": 52}
 
+# the largest t each check with a coloured side takes: at t + 1 its run
+# took over 10 s (2 cores, Python 3.11, numpy 2.4; thm6 at its full-level
+# n_max = 12, thm7 at r = 1 and its size cap), and its time and memory
+# grow with the number of colour classes
+T_MAX = {"thm6": 10, "thm7": 8}
 
-def _check_size(ident, name, size):
-    cap = DOMAIN_MAX_SIZE[ident]
-    if size > cap:
-        raise VerifyError(f"{ident} takes {name} at most {cap}, got {size}")
+
+def _check_cap(caps, ident, name, value):
+    cap = caps[ident]
+    if value > cap:
+        raise VerifyError(f"{ident} takes {name} at most {cap}, got {value}")
 
 
 def _column_chunks(row_cells, *arrays):
@@ -491,10 +494,10 @@ def verify_euler_refinement(n_max=25):
     """
     if n_max < 0:
         raise VerifyError("prop1 needs n_max >= 0")
-    _check_size("prop1", "n_max", n_max)
+    _check_cap(DOMAIN_MAX_SIZE, "prop1", "n_max", n_max)
     start = time.perf_counter()
     checked, mismatch = 0, None
-    parts, sizes, _ = _domain(n_max, True)
+    parts, sizes = _parts(n_max, True)
     # the preimages have up to n_max parts
     for lam, n in _column_chunks(n_max + 1, parts, sizes):
         mu, valid = bessenrodt_inverse_rows(lam)
@@ -565,6 +568,7 @@ def verify_li_yee(t, n_max=8):
     """
     if t < 1:
         raise VerifyError("palette size t must be >= 1")
+    _check_cap(T_MAX, "thm6", "t", t)
     start = time.perf_counter()
     arr = partition_histogram(("weight", "length"), (n_max, t * n_max), t=t, r=1)
     # classes indexed (n, s, j): length (s-1)t + j has s >= 1 and j in
@@ -724,7 +728,8 @@ def verify_color_conjugate(t, r, size_max=18):
     """
     if t < 1 or r < 1:
         raise VerifyError("thm7 needs t >= 1 and r >= 1")
-    _check_size("thm7", "size_max", size_max)
+    _check_cap(DOMAIN_MAX_SIZE, "thm7", "size_max", size_max)
+    _check_cap(T_MAX, "thm7", "t", t)
     start = time.perf_counter()
     params = {"t": t, "r": r, "size_max": size_max}
     # every key field lies in 0..size_max on both sides, and the narrowest
@@ -912,7 +917,7 @@ def _hook_map_readouts(m_max, size_max):
     visited = 0
     wrong = None  # the first bad part sum: (m, index in the walk, parts, sum)
     odd_images = []  # (sizes, images) of the odd-part columns at base 2
-    parts, sizes, _ = _domain(size_max, False, False)  # no heights
+    parts, sizes = _parts(size_max, False)
     for lam, n in _column_chunks(size_max + 2, parts, sizes):
         for m in range(2, m_max + 1):
             image, is_partition = generalized_hook_map_rows(lam, m)
@@ -958,7 +963,7 @@ def verify_furtherwork(m_max=4, size_max=20):
     """
     if m_max < 2 or size_max < 0:
         raise VerifyError("furtherwork needs m_max >= 2 and size_max >= 0")
-    _check_size("furtherwork", "size_max", size_max)
+    _check_cap(DOMAIN_MAX_SIZE, "furtherwork", "size_max", size_max)
     start = time.perf_counter()
     checked = 0
     mismatch = None

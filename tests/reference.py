@@ -94,6 +94,13 @@ def colored_partitions(n, t, top=None):
                 yield ((part, color),) + rest
 
 
+def hook_length(p, i, j):
+    """The number of cells in the hook of cell (i, j), 1-based, of the
+    diagram of the weakly decreasing parts p: the cell itself, the cells
+    to its right in row i and the cells below it in column j."""
+    return p[i - 1] - j + sum(1 for part in p[i:] if part >= j) + 1
+
+
 def graded_terms(coeffs):
     """The nonzero entries of an array as (index tuple, value) pairs of
     plain Python ints, sorted by total degree and then by index."""

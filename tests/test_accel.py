@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -249,3 +252,39 @@ def test_histogram_unbounded_box_raises(axes, t, r):
     bounds = (3,) * len(axes)
     with pytest.raises(UnboundedBox):
         partition_histogram(axes, bounds, t=t, r=r)
+
+
+def period_rows_unbounded(kinds, t, r):
+    """The period test walked row by row: no row r + 1..r + t adds to an
+    axis of kinds."""
+    return not any(
+        _accel._shifted_axes(kinds, pos, pos >= r and (pos - r) % t == 0)
+        for pos in range(r + 1, r + t + 1))
+
+
+def test_unbounded_box_is_raised_as_by_the_row_walk():
+    names = ("first", "size", "length", "weight", "anti")
+    for k in range(1, 4):
+        for axes in itertools.combinations(names, k):
+            kinds = [axis for axis in axes if axis != "length"]
+            for t in range(1, 5):
+                for r in range(1, 5):
+                    first_row = _accel._shifted_axes(kinds, 1, r == 1)
+                    want = not first_row or (
+                        "length" not in axes
+                        and period_rows_unbounded(kinds, t, r))
+                    try:
+                        partition_histogram(axes, (2,) * k, t=t, r=r)
+                        got = False
+                    except UnboundedBox:
+                        got = True
+                    assert got == want, (axes, t, r)
+
+
+def test_period_test_takes_constant_time_in_t():
+    # at t = 10^12 only row 1 is weighed, and the rows after it add to no
+    # axis, so the prefixes that stay in the box pile up past int64
+    start = time.perf_counter()
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("weight", "first"), (10, 10), t=10**12)
+    assert time.perf_counter() - start < 5

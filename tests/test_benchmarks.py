@@ -16,22 +16,22 @@ def _load(script):
     return module
 
 
-@pytest.mark.parametrize("script", ["bench_kernels", "bench_suite"])
+@pytest.mark.parametrize("script", ["bench_suite"])
 def test_benchmark_script_imports(script):
-    # both scripts guard __main__, so importing one runs nothing; an
-    # import of a library name that no longer exists fails here
+    # the script guards __main__, so importing it runs nothing; an import
+    # of a library name that no longer exists fails here
     _load(script)
 
 
-def test_bench_kernels_rows_run():
-    # each bench_* checks its kernel's output before timing it and raises
+def test_bench_suite_kernel_rows_run():
+    # kernel_rows checks each kernel's output before it is timed and raises
     # SystemExit on a wrong answer, which fails this test
-    bench = _load("bench_kernels")
-    names = [name for name in vars(bench) if name.startswith("bench_")]
-    assert len(names) == 5
-    for name in names:
-        rows = getattr(bench, name)()
-        assert rows and all(best > 0 for _, best in rows)
+    bench = _load("bench_suite")
+    rows = bench.kernel_rows()
+    assert len(rows) == 8
+    times = bench.time_series(1, rows)
+    assert list(times) == [name for name, _ in rows]
+    assert all(ms > 0 for ms in times.values())
 
 
 def test_bench_suite_series_rows_run():

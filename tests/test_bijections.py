@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from partbij.bijections import (
     bessenrodt,
     bessenrodt_inverse,
     _conjugate_rows,
+    _frobenius_parts,
     bessenrodt_inverse_rows,
     collision_search,
     color_conjugate,
@@ -33,10 +35,10 @@ from partbij.partitions import (
     NotSorted,
     Partition,
     enumerate_partitions,
-    hook_length,
     partition_blocks,
     to_modular,
 )
+from reference import hook_length
 
 
 @st.composite
@@ -303,6 +305,16 @@ def test_mork_reads_the_diagonal_hook_lengths():
             if mu[i - 1] > i:
                 want.append(hook_length(mu, i, i + 1))
         assert mork(mu) == tuple(want), mu
+
+
+def test_frobenius_parts_reject_bad_coords():
+    for arms, legs, message in (
+            ((0, 3), (2, 0), "arms must be strictly decreasing: (0, 3)"),
+            ((3, 0), (2,), "arms and legs must have equal length"),
+            ((3, -1), (2, 0), "arms must be nonnegative: (3, -1)"),
+            ((3, 0), (2, 2), "legs must be strictly decreasing: (2, 2)")):
+        with pytest.raises(NotInImage, match=f"^{re.escape(message)}$"):
+            _frobenius_parts(arms, legs)
 
 
 def test_mork_coerces_sequences():

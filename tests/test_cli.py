@@ -251,6 +251,8 @@ DISPATCH_LINES = [
     (["table", "bessenrodt", "--n=5", "--js"], 0),
     # text suite lines carry their times, so the suite prints --json
     (["suite", "--threads", "1", "--json"], 0),
+    # bijection output is JSON already, and the command takes no --json
+    (["bijection", "mork", "--input", "[3, 1]", "--json"], 2),
 ]
 
 
@@ -393,16 +395,48 @@ def test_domain_checks_cap_their_size(capsys, monkeypatch, ident, name, cap):
     assert (code, out) == (2, "")
     assert err == f"error: {ident} takes {name} at most {cap}, got {cap + 1}\n"
 
-    # at the cap the check starts: it asks for its domain
+    # at the cap the check starts: it asks for its partitions
     class Started(Exception):
         pass
 
     def started(*args):
         raise Started
 
-    monkeypatch.setattr(cli.ver, "_domain", started)
+    monkeypatch.setattr(cli.ver, "_parts", started)
     with pytest.raises(Started):
         main(["verify", ident, "--n", str(cap)])
+
+
+@pytest.mark.parametrize("ident, cap, argv", [
+    ("thm6", 10, []), ("thm7", 8, ["--n", "3"])])
+def test_coloured_checks_cap_their_t(capsys, ident, cap, argv):
+    assert cli.ver.T_MAX[ident] == cap
+    code, out, err = run(capsys, "verify", ident, "--t", str(cap + 1), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {ident} takes t at most {cap}, got {cap + 1}\n"
+    code, out, err = run(capsys, "verify", ident, "--t", str(cap), *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm8.2", "--t", "70", "--max-z", "0"],
+    ["series", "thm8.2", "--t", "70", "--max-z", "0"]])
+def test_more_box_variables_than_numpy_allows_is_a_usage_error(capsys, argv):
+    limit = cli.ver.qs._MAX_VARIABLES
+    assert limit in (32, 64)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: a box has at most {limit} variables, numpy's "
+                   "limit on array dimensions; got 71\n")
+
+
+def test_out_of_memory_is_a_usage_error_with_a_message(capsys, monkeypatch):
+    # a MemoryError raised by a Python object carries no text
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.ver, "rhs_series", out_of_memory)
+    assert run(capsys, "series", "thm8.1") == (2, "", "error: out of memory\n")
 
 
 def test_table_text_and_json(capsys):
