@@ -66,6 +66,7 @@ from partbij.partitions import (
 )
 from partbij.series import INFINITY, TruncatedSeries, divide_pochhammer
 from partbij.verify import (
+    IDENTITY_IDS,
     _colored_classes,
     _column_chunks,
     _columns_equal,
@@ -170,12 +171,12 @@ def series_rows(side=rhs_series):
     box."""
     rows = []
     for task in _suite_tasks("full"):
-        entry, params, box = task.args  # partial(_run, entry, params, box)
-        if entry.lhs is not None:
-            rows.append((entry.id, partial(side, entry.id, params, box)))
-        elif entry.id == "eq20" and side is rhs_series:
-            rows.append((entry.id, partial(f_recurrence, params["n_max"],
-                                           params["t"], box)))
+        ident, params, box = task.args  # partial(verify_identity, ...)
+        if ident in IDENTITY_IDS:
+            rows.append((ident, partial(side, ident, params, box)))
+        elif ident == "eq20" and side is rhs_series:
+            rows.append((ident, partial(f_recurrence, params["n_max"],
+                                        params["t"], box)))
     return rows
 
 

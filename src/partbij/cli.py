@@ -287,7 +287,7 @@ def _build_parser():
 
     t = sub.add_parser("table", help="print reference table rows")
     t.add_argument("name", choices=("bessenrodt",))
-    t.add_argument("--n", type=int, default=7)
+    t.add_argument("--n", type=int, default=ver._entry("table1").params["n"])
     t.add_argument("--json", action="store_true")
     t.set_defaults(func=_cmd_table)
 

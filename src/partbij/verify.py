@@ -34,8 +34,12 @@ and counts them up to its first bad one.
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
 dedicated verifier or the two sides of a series identity. THEOREM_IDS
-lists every id; the series-vs-series subset is IDENTITY_IDS and runs
-through verify_identity.
+lists every id, and the series-vs-series subset is IDENTITY_IDS. Every
+id runs through verify_identity: _setup lays its parameters over the
+entry's defaults and checks them and the box, the two sides or the
+dedicated verifier run, and verify_identity builds the report. A
+dedicated verifier takes its parameters as they stand and returns only
+the cases it checked and its first mismatch.
 """
 
 import functools
@@ -138,14 +142,6 @@ def _volume(box):
     return v
 
 
-def _finish(ident, params, box, checked, mismatch, start):
-    elapsed = (time.perf_counter() - start) * 1000.0
-    status = "pass" if mismatch is None else "fail"
-    return VerificationReport(
-        ident, dict(params), dict(box), status, checked, elapsed, mismatch
-    )
-
-
 def _mismatch(monomial, lhs, rhs):
     return {"monomial": monomial, "lhs": lhs, "rhs": rhs}
 
@@ -184,7 +180,6 @@ def _need(ident, box, *names):
     if set(box) != set(names):
         want = ", ".join(names)
         raise VerifyError(f"{ident} expects a box over exactly {{{want}}}")
-    return tuple(int(box[n]) for n in names)
 
 
 def _series_from_hist(box, arr):
@@ -256,11 +251,12 @@ DOMAIN_MAX_SIZE = {"prop1": 104, "thm7": 58, "furtherwork": 52}
 # grow with the number of colour classes
 T_MAX = {"thm6": 10, "thm7": 8}
 
+# lowest admissible value of a parameter; every other parameter and every
+# box bound starts at 0
+_LOWEST = {"t": 1, "r": 1, "m_max": 2}
 
-def _check_cap(caps, ident, name, value):
-    cap = caps[ident]
-    if value > cap:
-        raise VerifyError(f"{ident} takes {name} at most {cap}, got {value}")
+# the table that caps each capped parameter, by catalog id
+_CAPS = {"t": T_MAX, "n_max": DOMAIN_MAX_SIZE, "size_max": DOMAIN_MAX_SIZE}
 
 
 def _column_chunks(row_cells, *arrays):
@@ -373,37 +369,54 @@ def _head_sum(box, constant, term):
     return acc
 
 
-# lowest admissible value of a parameter, or of the CLI flag of that
-# name; every other count and every box bound starts at 0
-_LOWEST = {"t": 1, "r": 1, "n": 0, "m": 2}
+def _setup(ident, params=None, box=None):
+    """The entry of a catalog check, its parameters laid over the entry's
+    defaults, and its box: the entry's default box (None if it takes
+    none) if box is None, else box. The one place a check's arguments are
+    checked: VerifyError for a parameter the entry does not take, a
+    parameter below its lowest value (_LOWEST) or above its cap
+    (DOMAIN_MAX_SIZE, T_MAX), a box whose variables are not the entry's,
+    and a negative box bound."""
+    entry = _entry(ident)
+    params = {**entry.params, **(params or {})}
+    for name, value in params.items():
+        if name not in entry.params:
+            raise VerifyError(f"{ident} takes no parameter {name}")
+        low = _LOWEST.get(name, 0)
+        if value < low:
+            raise VerifyError(f"{ident} needs {name} >= {low}")
+        cap = _CAPS.get(name, {}).get(ident)
+        if cap is not None and value > cap:
+            raise VerifyError(f"{ident} takes {name} at most {cap}, "
+                              f"got {value}")
+    default = _entry_box(entry, params, entry.box)
+    if box is None:
+        return entry, params, default
+    _need(ident, box, *(default or ()))
+    for var, bound in box.items():
+        if bound < 0:
+            raise VerifyError(f"{ident} needs {var} >= 0")
+    return entry, params, box
 
 
 def _series_setup(ident, params, box):
-    """A series identity's entry and its parameters over the defaults,
-    both checked, and the box checked against the entry's variables."""
-    entry = _entry(ident)
-    if entry.lhs is None:
+    if _entry(ident).lhs is None:
         raise VerifyError(f"{ident} is not a series identity; "
-                          "use its dedicated verifier")
-    params = {**entry.params, **params}
-    for name, low in _LOWEST.items():
-        if name in params and int(params[name]) < low:
-            raise VerifyError(f"{ident} needs {name} >= {low}")
-    _need(ident, box, *_entry_box(entry, params, entry.box))
-    return entry, params
+                          "use verify_identity")
+    return _setup(ident, params, box)
 
 
 def lhs_series(ident, params, box):
     """Enumeration side of a series identity, counted by the histogram
     kernel from partition statistics only."""
-    entry, params = _series_setup(ident, params, box)
+    entry, params, box = _series_setup(ident, params, box)
     return entry.lhs(params, box)
 
 
 def rhs_series(ident, params, box):
     """Closed-form side of a series identity, built from series
     primitives only."""
-    entry, params = _series_setup(ident, params, box)
+    entry, params, box = _series_setup(ident, params, box)
     try:
         return entry.rhs(params, box)
     except qs.DivergentInfiniteProduct as exc:
@@ -414,72 +427,81 @@ def rhs_series(ident, params, box):
 
 def default_box(ident, params=None):
     """Default coefficient box of a catalog entry."""
-    entry = _entry(ident)
-    if entry.box is None:
+    box = _setup(ident, params)[2]
+    if box is None:
         raise VerifyError(f"{ident} has no default box")
-    return _entry_box(entry, {**entry.params, **(params or {})}, entry.box)
+    return box
 
 
 def verify_identity(ident, params=None, box=None, perturb=None):
-    """Compare the enumeration and closed-form sides of one identity.
+    """Run one catalog check, by id, and report it: params (by parameter
+    name) laid over the entry's defaults, in box, or the default box if
+    None. A series identity compares its enumeration side with its closed
+    form; any other entry runs its dedicated verifier, which returns how
+    many cases it checked and its first mismatch, or None.
 
     perturb, an exponent dict, adds 1 to that coefficient of the closed
-    form before comparison; it exists to prove the machinery can fail.
+    form (of a series identity, or eq24's) before comparison; it exists
+    to prove the machinery can fail.
     """
-    params = {**_entry(ident).params, **(params or {})}
-    if box is None:
-        box = default_box(ident, params)
+    entry, params, box = _setup(ident, params, box)
     start = time.perf_counter()
-    try:
-        lhs = lhs_series(ident, params, box)
-    except UnboundedBox:
-        # parameters whose closed form is degenerate (cor10 at t = 1) leave
-        # the enumeration side unbounded too; report them as series does
-        rhs_series(ident, params, box)
-        raise
-    rhs = rhs_series(ident, params, box)
-    if perturb:
-        rhs = rhs + TruncatedSeries.monomial(box, perturb)
-    return _finish(
-        ident, params, box, _volume(box), _series_mismatch(lhs, rhs), start
-    )
+    if entry.lhs is None:
+        extra = {} if entry.box is None else {"box": box}
+        if perturb is not None:
+            extra["perturb"] = perturb
+        checked, mismatch = globals()[entry.verifier](**params, **extra)
+    else:
+        try:
+            lhs = lhs_series(ident, params, box)
+        except UnboundedBox:
+            # parameters whose closed form is degenerate (cor10 at t = 1)
+            # leave the enumeration side unbounded too; report them as
+            # series does
+            rhs_series(ident, params, box)
+            raise
+        rhs = rhs_series(ident, params, box)
+        if perturb:
+            rhs = rhs + TruncatedSeries.monomial(box, perturb)
+        checked, mismatch = _volume(box), _series_mismatch(lhs, rhs)
+    elapsed = (time.perf_counter() - start) * 1000.0
+    status = "pass" if mismatch is None else "fail"
+    return VerificationReport(ident, params, dict(box or {}), status, checked,
+                              elapsed, mismatch)
 
 
 # ---------------------------------------------------------------------------
 # counting checks
 # ---------------------------------------------------------------------------
 
-def verify_schmidt(n_max=15):
+def verify_schmidt(n_max):
     """Distinct partitions with odd-index sum n are counted by the plain
     partition numbers.
 
     One side is the histogram kernel, the other a dynamic program that
     never enumerates.
     """
-    start = time.perf_counter()
     hist = partition_histogram(("weight",), (n_max,), t=2, r=1, distinct=True)
     _, mismatch = _first_failure(
         _cells(hist, np.array(partition_numbers(n_max)), ("n",)))
     # the report counts the whole table, even when it fails
-    return _finish("schmidt", {"n_max": n_max}, {}, n_max + 1, mismatch, start)
+    return n_max + 1, mismatch
 
 
-def verify_schmidt_refinement(n_max=15):
+def verify_schmidt_refinement(n_max):
     """Partitions of n with given length match distinct partitions with
     odd-index sum n and complementary size 2n - length."""
-    start = time.perf_counter()
     plain = partition_histogram(("size", "length"), (n_max, n_max))
     dist = partition_histogram(
         ("weight", "size"), (n_max, 2 * n_max), t=2, r=1, distinct=True
     )
     n, ell = np.indices(plain.shape)
     # 2n - ell is a valid index even where ell > n, and the mask drops it
-    checked, mismatch = _first_failure(_cells(
+    return _first_failure(_cells(
         plain, dist[n, 2 * n - ell], ("n", "length"), ell <= n))
-    return _finish("cor2", {"n_max": n_max}, {}, checked, mismatch, start)
 
 
-def verify_euler_refinement(n_max=25):
+def verify_euler_refinement(n_max):
     """Pulling a distinct partition back to odd parts fixes its length
     and largest part.
 
@@ -492,10 +514,6 @@ def verify_euler_refinement(n_max=25):
     partition-by-partition walk would give. A partition the map finds no
     preimage for reports lhs None.
     """
-    if n_max < 0:
-        raise VerifyError("prop1 needs n_max >= 0")
-    _check_cap(DOMAIN_MAX_SIZE, "prop1", "n_max", n_max)
-    start = time.perf_counter()
     checked, mismatch = 0, None
     parts, sizes = _parts(n_max, True)
     # the preimages have up to n_max parts
@@ -515,7 +533,7 @@ def verify_euler_refinement(n_max=25):
             checked += i + 1
             break
         checked += lam.shape[1]
-    return _finish("prop1", {"n_max": n_max}, {}, checked, mismatch, start)
+    return checked, mismatch
 
 
 _TABLE_SEVEN = (
@@ -539,13 +557,12 @@ def table_bessenrodt(n):
     return rows
 
 
-def verify_table(n=7):
+def verify_table(n):
     """Every table row round-trips, and the n = 7 table matches its
     frozen reference."""
     def listed(table):
         return [[w, list(d), list(o)] for w, d, o in table]
 
-    start = time.perf_counter()
     rows = table_bessenrodt(n)
     round_trips = (
         ({"partition": list(delta)},
@@ -554,11 +571,10 @@ def verify_table(n=7):
         for w, delta, omega in rows)
     frozen = [({"table": n}, listed(rows), listed(_TABLE_SEVEN))] \
         if n == 7 else []
-    checked, mismatch = _first_failure(itertools.chain(round_trips, frozen))
-    return _finish("table1", {"n": n}, {}, checked, mismatch, start)
+    return _first_failure(itertools.chain(round_trips, frozen))
 
 
-def verify_li_yee(t, n_max=8):
+def verify_li_yee(t, n_max):
     """Length classes of the row-t weight match greatest-multiplicity
     classes of colored partitions.
 
@@ -566,10 +582,6 @@ def verify_li_yee(t, n_max=8):
     t-colored partitions of n where some color appears s times and j is
     the largest such color.
     """
-    if t < 1:
-        raise VerifyError("palette size t must be >= 1")
-    _check_cap(T_MAX, "thm6", "t", t)
-    start = time.perf_counter()
     arr = partition_histogram(("weight", "length"), (n_max, t * n_max), t=t, r=1)
     # classes indexed (n, s, j): length (s-1)t + j has s >= 1 and j in
     # 1..t, and the empty partition is the class (0, 0, 0)
@@ -584,11 +596,7 @@ def verify_li_yee(t, n_max=8):
     np.add.at(rhs, (classes[:, 0], s, j), classes[:, -1])
     present = (lhs != 0) | (rhs != 0)
     present[0, 0, 0] = True
-    checked, mismatch = _first_failure(
-        _cells(lhs, rhs, ("n", "s", "j"), present))
-    return _finish(
-        "thm6", {"t": t, "n_max": n_max}, {}, checked, mismatch, start
-    )
+    return _first_failure(_cells(lhs, rhs, ("n", "s", "j"), present))
 
 
 def _colored_classes(bound, weights):
@@ -706,7 +714,7 @@ def _class_mismatch(keys, pair):
                              "weight": w, "profile": prof}, lhs, rhs)
 
 
-def verify_color_conjugate(t, r, size_max=18):
+def verify_color_conjugate(t, r, size_max):
     """The color-conjugate map round-trips, carries the advertised
     statistics, and matches an independent count of its image classes.
 
@@ -726,36 +734,33 @@ def verify_color_conjugate(t, r, size_max=18):
     up to it; else every partition counts, and the classes up to the
     first mismatch in (size, key) order.
     """
-    if t < 1 or r < 1:
-        raise VerifyError("thm7 needs t >= 1 and r >= 1")
-    _check_cap(DOMAIN_MAX_SIZE, "thm7", "size_max", size_max)
-    _check_cap(T_MAX, "thm7", "t", t)
-    start = time.perf_counter()
-    params = {"t": t, "r": r, "size_max": size_max}
+    # for r past size_max every partition has fewer than r parts, and no
+    # part of colour i, at least r - 1 + i, fits: the check at r is the
+    # check at size_max + 1, reported with the r asked for
+    row = min(r, size_max + 1)
     # every key field lies in 0..size_max on both sides, and the narrowest
     # type that holds them keeps the keys small and their sort fast
     key_type = np.min_scalar_type(size_max)
     visited = 0
     keys = []
-    # the map reads rows up to r; past size_max + 1 they are all zero
-    width = max(size_max, r) + 2
+    # the map reads rows up to row; past size_max + 1 they are all zero
+    width = max(size_max, row) + 2
     for lam, sizes, heights in _column_chunks(width, *_domain(size_max)):
         if len(lam) < width:
             lam = np.pad(lam, ((0, width - len(lam)), (0, 0)))
-        chunk_keys, failure = _round_trip_rows(lam, heights, t, r)
+        chunk_keys, failure = _round_trip_rows(lam, heights, t, row)
         if failure is not None:
             i, got, want = failure
-            return _finish("thm7", params, {}, visited + i + 1,
-                           _mismatch({"partition": want[0], "t": t, "r": r},
-                                     got, want), start)
+            return visited + i + 1, _mismatch(
+                {"partition": want[0], "t": t, "r": r}, got, want)
         keys.append(np.vstack([sizes, chunk_keys]).astype(key_type))
         visited += len(sizes)
     classes, mismatch = _class_mismatch(np.concatenate(keys, axis=1).T,
-                                        _pair_classes(t, r, size_max))
-    return _finish("thm7", params, {}, visited + classes, mismatch, start)
+                                        _pair_classes(t, row, size_max))
+    return visited + classes, mismatch
 
 
-def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
+def verify_opposite_schmidt(t, r, k_max, n_max):
     """Partitions classed by largest part and complement weight match
     two-colored partitions with restricted second-color sizes.
 
@@ -767,7 +772,6 @@ def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
         raise DegenerateParams("the complement weight needs t >= 2")
     if r < 2:
         raise DegenerateParams("the restricted color sizes need r >= 2")
-    start = time.perf_counter()
     arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
     classes = _colored_classes(
         n_max, [range(1, n_max + 1), range(r - 1, n_max + 1, t - 1)])
@@ -775,11 +779,7 @@ def verify_opposite_schmidt(t, r, k_max=6, n_max=10):
     keep = k <= k_max
     rhs = np.zeros_like(arr)
     np.add.at(rhs, (classes[keep, 0], k[keep]), classes[keep, -1])
-    checked, mismatch = _first_failure(_cells(arr, rhs, ("n", "first")))
-    return _finish(
-        "cor11", {"t": t, "r": r, "k_max": k_max, "n_max": n_max}, {},
-        checked, mismatch, start,
-    )
+    return _first_failure(_cells(arr, rhs, ("n", "first")))
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +817,18 @@ def _f_series(n_max, t, box):
 
     f_m reads B_(t-1)(m) only up to q^(q-m) s^(s-m), and a step reads no
     cell past the window it writes, so the sums at step m are kept on
-    that window alone. Each f_m is then one shift pass, the division by
+    that window alone. The window is at most s wide, and a step sets
+    B_u = B_(u-1) on it for every u at least its width, so B_(t-1) is
+    B_s there once t > s + 1: only the first min(t, s + 1) sums are kept,
+    and the last is read. Each f_m is then one shift pass, the division by
     1 - q^m s^(mt). Every stored cell is an exact sum of partition
     counts, at most a coefficient of f_m, so CoefficientOverflow comes
     only where a coefficient of the result leaves int64.
     """
     q, s = box["q"], box["s"]
     f = [TruncatedSeries.constant(box, 1)]
-    sums = np.zeros((t, q + 1, s + 1), dtype=np.int64)  # B_0, ..., B_(t-1)
+    k = min(t, s + 1)
+    sums = np.zeros((k, q + 1, s + 1), dtype=np.int64)  # B_0, ..., B_(k-1)
     for m in range(1, n_max + 1):
         # step every B_u from m - 1 to m on the window f_m reads
         window = sums[:, :max(q + 1 - m, 0), :max(s + 1 - m, 0)]
@@ -832,31 +836,24 @@ def _f_series(n_max, t, box):
         e = min((m - 1) * (t - 1), width)
         window[:, :, e:] = qs._sum(window[:, :, e:],
                                    f[m - 1].coeffs[:rows, :width - e])
-        for u in range(1, t):
+        for u in range(1, k):
             e = min(u, width)
             low, high = window[u - 1], window[u]
             high[:, e:] = qs._sum(low[:, e:], high[:, :width - e])
             high[:, :e] = low[:, :e]
         g = TruncatedSeries.zero(box)
-        g.coeffs[m:, m:] = window[t - 1]
+        g.coeffs[m:, m:] = window[k - 1]
         qs._divide(g.coeffs[m:, m:], g.variables,
                    [({"q": m, "s": m * t}, {}, 1)])
         f.append(g)
     return f
 
 
-def verify_recurrence(t, n_max=6, box=None):
+def verify_recurrence(t, n_max, box):
     """The largest-part recurrence reproduces direct enumeration for
     every largest part up to n_max: one run of the recurrence against
     the slices of one (weight, first, size) histogram."""
-    if t < 1:
-        raise VerifyError("palette size t must be >= 1")
-    if n_max < 0:
-        raise VerifyError("eq20 needs n_max >= 0")
-    if box is None:
-        box = default_box("eq20")
-    start = time.perf_counter()
-    q, s = _need("eq20", box, "q", "s")
+    q, s = box["q"], box["s"]
     arr = partition_histogram(("weight", "first", "size"), (q, n_max, s),
                               t=t, r=1)
     checked = 0
@@ -868,12 +865,10 @@ def verify_recurrence(t, n_max=6, box=None):
             found["monomial"]["n"] = n
             mismatch = found
             break
-    return _finish(
-        "eq20", {"t": t, "n_max": n_max}, box, checked, mismatch, start
-    )
+    return checked, mismatch
 
 
-def verify_functional_equation(t, box=None, perturb=None):
+def verify_functional_equation(t, box, perturb=None):
     """The three-variable generating series is fixed by one application
     of its scaling relation.
 
@@ -881,12 +876,6 @@ def verify_functional_equation(t, box=None, perturb=None):
     of a t-term product times F with z replaced by s^t q z. The
     substitution only raises exponents, so the box stays exact.
     """
-    if t < 1:
-        raise VerifyError("palette size t must be >= 1")
-    if box is None:
-        box = default_box("eq24")
-    _need("eq24", box, "q", "z", "s")
-    start = time.perf_counter()
     big_f = _histogram(box, ("weight", "first", "size"), t=t)
     rhs = qs.divide_pochhammer(
         qs.substitute(big_f, "z", {"s": t, "q": 1, "z": 1}),
@@ -894,10 +883,7 @@ def verify_functional_equation(t, box=None, perturb=None):
     )
     if perturb:
         rhs = rhs + TruncatedSeries.monomial(box, perturb)
-    return _finish(
-        "eq24", {"t": t}, box, _volume(box),
-        _series_mismatch(big_f, rhs), start,
-    )
+    return _volume(box), _series_mismatch(big_f, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -954,17 +940,13 @@ def _hook_map_readouts(m_max, size_max):
                       [lam, sum(lam)]))
 
 
-def verify_furtherwork(m_max=4, size_max=20):
+def verify_furtherwork(m_max, size_max):
     """Known behavior of the diagonal hook counts on modular diagrams.
 
     Two distinct 3-modular diagrams share the image (5, 4, 3, 1); the
     collision search finds them at size 13 and finds nothing at base 2;
     and the emitted parts always sum to the decoded size.
     """
-    if m_max < 2 or size_max < 0:
-        raise VerifyError("furtherwork needs m_max >= 2 and size_max >= 0")
-    _check_cap(DOMAIN_MAX_SIZE, "furtherwork", "size_max", size_max)
-    start = time.perf_counter()
     checked = 0
     mismatch = None
     twin_a = ModularDiagram(3, ((3, 2), (2, 1), (1, 1)))
@@ -996,10 +978,7 @@ def verify_furtherwork(m_max=4, size_max=20):
     if mismatch is None:
         seen, mismatch = _hook_map_readouts(m_max, size_max)
         checked += seen
-    return _finish(
-        "furtherwork", {"m_max": m_max, "size_max": size_max}, {},
-        checked, mismatch, start,
-    )
+    return checked, mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1000,8 @@ class Entry:
     A series identity has an enumeration side lhs and a closed-form side
     rhs, each called with (params, box). Any other entry names its
     dedicated verifier, a module global looked up at call time and called
-    with the parameters (and the box) as keywords.
+    with the parameters (and the box) as keywords; it returns how many
+    cases it checked and its first mismatch, or None.
     """
 
     id: str
@@ -1167,50 +1147,34 @@ def _entry_box(entry, params, box):
 
 
 def resolve_arguments(ident, box=None, **flags):
-    """Parameters and box of one check: the entry's defaults, with each
-    given flag value (t, r, n, k or m; None means not given) and each
-    given box bound laid over them. A bound for z sets every z_i of a
-    colored entry. VerifyError for a flag or a box variable the entry
-    does not take, for t or r below 1, and for a negative count or box
-    bound."""
+    """Parameters and box of one check from its CLI flags: each given flag
+    value (t, r, n, k or m; None means not given) sets the parameter the
+    flag names, over the entry's defaults, and each given box bound
+    replaces that bound of the default box. A bound for z sets every z_i
+    of a colored entry. VerifyError for a flag or a box variable the entry
+    does not take; _setup checks the values."""
     entry = _entry(ident)
-    params = dict(entry.params)
+    params = {}
     for flag, value in flags.items():
         if value is not None:
             if flag not in entry.flags:
                 raise VerifyError(f"{ident} takes no --{flag}")
-            low = _LOWEST.get(flag, 0)
-            if value < low:
-                raise VerifyError(f"{ident} needs --{flag} >= {low}")
             params[entry.flags[flag]] = value
-    out = _entry_box(entry, params, entry.box)
+    _, params, out = _setup(ident, params)
     for var, bound in (box or {}).items():
         hit = [v for v in out or () if var in (v, v.rstrip("0123456789"))]
         if not hit:
             raise VerifyError(f"{ident} has no box variable {var}")
-        if bound < 0:
-            raise VerifyError(f"{ident} needs --max-{var} >= 0")
         out.update(dict.fromkeys(hit, bound))
     return params, out
 
 
-def _run(entry, params, box=None, perturb=None):
-    if entry.lhs is not None:
-        return verify_identity(entry.id, params, box, perturb)
-    kwargs = dict(params)
-    if box is not None:
-        kwargs["box"] = box
-    if perturb is not None:
-        kwargs["perturb"] = perturb
-    return globals()[entry.verifier](**kwargs)
-
-
 def run_verifier(ident, t=None, r=None, n=None, k=None, box=None,
                  perturb=None, m=None):
-    """Run one catalog check by id, its defaults filled in; a partial box
-    replaces only the bounds it names."""
+    """Run one catalog check by id and by its CLI flags, its defaults
+    filled in; a partial box replaces only the bounds it names."""
     params, box = resolve_arguments(ident, box, t=t, r=r, n=n, k=k, m=m)
-    return _run(_entry(ident), params, box, perturb)
+    return verify_identity(ident, params, box, perturb)
 
 
 def _suite_tasks(level):
@@ -1224,7 +1188,7 @@ def _suite_tasks(level):
         grid = full.get("grid", entry.grid)
         for values in itertools.product(*grid.values()):
             point = {**params, **dict(zip(grid, values))}
-            tasks.append(partial(_run, entry, point,
+            tasks.append(partial(verify_identity, entry.id, point,
                                  _entry_box(entry, point, box)))
     return tasks
 

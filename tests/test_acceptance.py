@@ -28,15 +28,7 @@ from partbij.verify import (
     lhs_series,
     rhs_series,
     table_bessenrodt,
-    verify_color_conjugate,
-    verify_euler_refinement,
-    verify_functional_equation,
-    verify_furtherwork,
     verify_identity,
-    verify_li_yee,
-    verify_opposite_schmidt,
-    verify_recurrence,
-    verify_schmidt_refinement,
 )
 
 
@@ -91,13 +83,13 @@ def test_criterion_03_bessenrodt_composite_and_table():
 
 
 def test_criterion_04_distinct_parts_statistics():
-    report = verify_euler_refinement(n_max=25)
+    report = verify_identity("prop1", {"n_max": 25})
     check("length and first-part statistics for distinct lambda, |lambda| <= 25",
           report.passed, str(report.first_mismatch))
 
 
 def test_criterion_05_weight_counts_to_15():
-    report = verify_schmidt_refinement(n_max=15)
+    report = verify_identity("cor2", {"n_max": 15})
     check("refined weight counts for n <= 15, all lengths",
           report.passed, str(report.first_mismatch))
 
@@ -163,7 +155,7 @@ def test_criterion_08_first_part_series():
 def test_criterion_09_color_conjugate():
     for t in (1, 2, 3):
         for r in (1, 2, 3):
-            report = verify_color_conjugate(t, r, size_max=18)
+            report = verify_identity("thm7", {"t": t, "r": r, "size_max": 18})
             check(f"roundtrip and statistics t={t} r={r}, |lambda| <= 18",
                   report.passed, str(report.first_mismatch))
     lam = Partition([9, 7, 6, 5, 4, 4, 4, 4, 3, 2, 1])
@@ -218,23 +210,24 @@ def test_criterion_12_residue_free_series():
 def test_criterion_13_two_colored_counting():
     for t in (2, 3):
         for r in (2, 3):
-            rep = verify_opposite_schmidt(t, r, k_max=6, n_max=10)
+            rep = verify_identity("cor11", {"t": t, "r": r, "k_max": 6,
+                                            "n_max": 10})
             check(f"two-colored counts t={t} r={r}, k <= 6, n <= 10",
                   rep.passed, str(rep.first_mismatch))
 
 
 def test_criterion_14_colored_maximum_counting():
     for t in (1, 2, 3):
-        rep = verify_li_yee(t, n_max=8)
+        rep = verify_identity("thm6", {"t": t, "n_max": 8})
         check(f"colored maximum counts t={t}, n <= 8", rep.passed,
               str(rep.first_mismatch))
 
 
 def test_criterion_15_recurrence_and_functional_equation():
-    rep = verify_recurrence(2, n_max=6)
+    rep = verify_identity("eq20", {"t": 2, "n_max": 6})
     check("column recurrence t=2, n <= 6", rep.passed,
           str(rep.first_mismatch))
-    rep = verify_functional_equation(2, box={"q": 6, "s": 10, "z": 4})
+    rep = verify_identity("eq24", {"t": 2}, box={"q": 6, "s": 10, "z": 4})
     check("functional equation t=2 on q<=6, s<=10, z<=4", rep.passed,
           str(rep.first_mismatch))
 
@@ -251,7 +244,7 @@ def test_criterion_16_generalized_hook_map():
               for g in groups))
     check("collision_search(2,n) empty for n <= 20",
           all(collision_search(2, n) == [] for n in range(21)))
-    rep = verify_furtherwork(m_max=4, size_max=20)
+    rep = verify_identity("furtherwork", {"m_max": 4, "size_max": 20})
     check("part-sum preserved for m <= 4, n <= 20", rep.passed,
           str(rep.first_mismatch))
 
@@ -264,6 +257,6 @@ def test_criterion_17_fault_injection():
           rep.first_mismatch is not None
           and rep.first_mismatch["monomial"] == {"q": 2, "z": 4},
           str(rep.first_mismatch))
-    rep = verify_functional_equation(2, perturb={"q": 1}).first_mismatch
+    rep = verify_identity("eq24", {"t": 2}, perturb={"q": 1}).first_mismatch
     check("counting verifier reports its monomial too",
           rep is not None and rep["monomial"] == {"q": 1}, str(rep))

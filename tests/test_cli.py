@@ -10,8 +10,12 @@ from partbij.cli import BIJECTION_NAMES, main
 from partbij.verify import (
     CATALOG,
     IDENTITY_IDS,
+    THEOREM_IDS,
+    VerifyError,
+    _LOWEST,
     resolve_arguments,
     rhs_series,
+    verify_identity,
 )
 from reference import graded_terms
 
@@ -416,6 +420,44 @@ def test_coloured_checks_cap_their_t(capsys, ident, cap, argv):
     assert err == f"error: {ident} takes t at most {cap}, got {cap + 1}\n"
     code, out, err = run(capsys, "verify", ident, "--t", str(cap), *argv)
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("ident", THEOREM_IDS)
+def test_verify_at_the_defaults_gives_the_quick_suite_report(capsys, ident):
+    # each id's default point is one of its quick suite points
+    entry = cli.ver._entry(ident)
+    golden = [report for report in json.loads(_golden("quick"))["reports"]
+              if report["id"] == ident and report["params"] == entry.params
+              and report["box"] == (cli.ver._setup(ident)[2] or {})]
+    assert len(golden) == 1
+    code, out, err = run(capsys, "verify", ident, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == golden[0]
+
+
+@pytest.mark.parametrize("ident, name", [
+    (entry.id, name) for entry in CATALOG for name in entry.params])
+def test_a_parameter_below_its_lowest_value_is_a_usage_error(
+        capsys, ident, name):
+    low = _LOWEST.get(name, 0)
+    with pytest.raises(VerifyError, match=f"^{ident} needs {name} >= {low}$"):
+        verify_identity(ident, {name: low - 1})
+    flag, = [f for f, p in cli.ver._entry(ident).flags.items() if p == name]
+    code, out, err = run(capsys, "verify", ident, f"--{flag}", str(low - 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {ident} needs {name} >= {low}\n"
+
+
+@pytest.mark.parametrize("ident", [entry.id for entry in CATALOG
+                                   if entry.box is not None])
+def test_a_negative_box_bound_is_a_usage_error(capsys, ident):
+    entry = cli.ver._entry(ident)
+    for var in entry.box:
+        code, out, err = run(capsys, "verify", ident, f"--max-{var}", "-1")
+        assert (code, out) == (2, "")
+        # a colored entry's z bound sets z1, z2, ...
+        name = "z1" if entry.colored and var == "z" else var
+        assert err == f"error: {ident} needs {name} >= 0\n"
 
 
 @pytest.mark.parametrize("argv", [

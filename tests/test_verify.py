@@ -1,7 +1,7 @@
 import hashlib
-import inspect
 import itertools
 import json
+import time
 import tracemalloc
 from collections import Counter
 
@@ -43,17 +43,7 @@ from partbij.verify import (
     run_suite,
     run_verifier,
     table_bessenrodt,
-    verify_color_conjugate,
-    verify_euler_refinement,
-    verify_functional_equation,
-    verify_furtherwork,
     verify_identity,
-    verify_li_yee,
-    verify_opposite_schmidt,
-    verify_recurrence,
-    verify_schmidt,
-    verify_schmidt_refinement,
-    verify_table,
 )
 from reference import colored_partitions, q_binomial, quotient, truncated_product
 from test_series import exact_quotient
@@ -221,6 +211,15 @@ def test_lhs_rejects_non_series_id():
         rhs_series("table1", {}, {"q": 4})
 
 
+def test_a_parameter_the_entry_does_not_take_is_rejected():
+    with pytest.raises(VerifyError, match="^thm3.1 takes no parameter t$"):
+        verify_identity("thm3.1", {"t": 2})
+    with pytest.raises(VerifyError, match="^thm7 takes no parameter n$"):
+        verify_identity("thm7", {"n": 3})
+    with pytest.raises(VerifyError, match="^thm8.1 takes no parameter n$"):
+        rhs_series("thm8.1", {"n": 3}, {"q": 4, "z": 4})
+
+
 def test_box_variable_set_is_checked():
     with pytest.raises(VerifyError):
         lhs_series("thm3.1", {}, {"q": 4})
@@ -234,9 +233,9 @@ def test_unbounded_and_degenerate_params():
     with pytest.raises(DegenerateParams):
         rhs_series("cor10", {"t": 1, "r": 1}, {"q": 4, "z": 4})
     with pytest.raises(DegenerateParams):
-        verify_opposite_schmidt(1, 2)
+        verify_identity("cor11", {"t": 1, "r": 2})
     with pytest.raises(DegenerateParams):
-        verify_opposite_schmidt(2, 1)
+        verify_identity("cor11", {"t": 2, "r": 1})
 
 
 def test_special_case_collapse():
@@ -261,16 +260,17 @@ def test_defaults_cover_every_identity():
 
 
 def test_counting_verifiers_pass_small():
-    assert verify_schmidt(n_max=8).passed
-    assert verify_schmidt_refinement(n_max=8).passed
-    assert verify_euler_refinement(n_max=12).passed
-    assert verify_li_yee(2, n_max=6).passed
-    assert verify_color_conjugate(2, 2, size_max=10).passed
-    assert verify_opposite_schmidt(2, 2, k_max=4, n_max=6).passed
-    assert verify_recurrence(2, n_max=4).passed
-    assert verify_functional_equation(2).passed
-    assert verify_table(7).passed
-    assert verify_furtherwork(m_max=3, size_max=12).passed
+    assert verify_identity("schmidt", {"n_max": 8}).passed
+    assert verify_identity("cor2", {"n_max": 8}).passed
+    assert verify_identity("prop1", {"n_max": 12}).passed
+    assert verify_identity("thm6", {"t": 2, "n_max": 6}).passed
+    assert verify_identity("thm7", {"t": 2, "r": 2, "size_max": 10}).passed
+    assert verify_identity("cor11", {"t": 2, "r": 2, "k_max": 4,
+                                     "n_max": 6}).passed
+    assert verify_identity("eq20", {"t": 2, "n_max": 4}).passed
+    assert verify_identity("eq24", {"t": 2}).passed
+    assert verify_identity("table1", {"n": 7}).passed
+    assert verify_identity("furtherwork", {"m_max": 3, "size_max": 12}).passed
 
 
 def _tally(colored, bound, weight, admits=lambda p, i: True):
@@ -342,7 +342,7 @@ def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
     t, r, size_max = 2, 2, 10
     monomial, count = _thm7_class(_thm7_classes(t, r, size_max)[-1], t, r)
     _plant(monkeypatch, ("class", "last", 1))
-    report = verify_color_conjugate(t, r, size_max)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": size_max})
     assert report.status == "fail"
     assert report.first_mismatch == {
         "monomial": monomial, "lhs": count, "rhs": count + 1}
@@ -392,7 +392,7 @@ def test_color_conjugate_catches_a_class_on_one_side(monkeypatch, fault):
         return np.vstack([rows, key + [0, 0, 0, 1]])
 
     monkeypatch.setattr(ver, "_pair_classes", pair_classes)
-    report = verify_color_conjugate(t, r, size_max)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": size_max})
     walk = [lam for size in range(size_max + 1)
             for lam in enumerate_partitions(size)]
     checked, mismatch = _first_class_mismatch(
@@ -403,19 +403,57 @@ def test_color_conjugate_catches_a_class_on_one_side(monkeypatch, fault):
     assert report.coefficients_checked == len(walk) + checked
 
 
+@pytest.mark.parametrize("size_max", [0, 1, 5, 7])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_color_conjugate_with_r_past_the_size_counts_as_the_walk(
+        monkeypatch, t, size_max):
+    # no partition of the domain reaches row r, so the classes a walk
+    # finds are its (size, first part) pairs
+    walk = [lam for n in range(size_max + 1)
+            for lam in enumerate_partitions(n)]
+    compare, keys = ver._class_mismatch, []
+
+    def recorded(partition_keys, pair):
+        keys.append(partition_keys)
+        return compare(partition_keys, pair)
+
+    monkeypatch.setattr(ver, "_class_mismatch", recorded)
+    for r in range(size_max + 1, size_max + 4):
+        classes = {(lam.size(), lam.part(1), lam.part(r),
+                    schmidt_weight(lam, t, r), *color_profile(lam, t, r))
+                   for lam in walk}
+        assert len(classes) == 1 + size_max * (size_max + 1) // 2
+        report = verify_identity("thm7", {"t": t, "r": r,
+                                          "size_max": size_max})
+        assert report.passed, report.first_mismatch
+        assert report.params["r"] == r
+        assert report.coefficients_checked == len(walk) + len(classes)
+        assert set(map(tuple, keys.pop().tolist())) == classes
+
+
+def test_color_conjugate_at_a_huge_r_is_fast():
+    start = time.perf_counter()
+    report = verify_identity("thm7", {"r": 10**8})
+    assert time.perf_counter() - start < 1
+    assert report.passed
+    assert report.params == {"t": 2, "r": 10**8, "size_max": 18}
+    assert report.coefficients_checked == \
+        verify_identity("thm7", {"r": 19}).coefficients_checked
+
+
 # from r = 4 on, one (size, first part) cell holds several heads: at size 6
 # and first part 3, the heads (3, 3) and (3, 2, 1)
 @pytest.mark.parametrize("r", [4, 5])
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_color_conjugate_passes_with_many_heads_a_cell(t, r):
-    report = verify_color_conjugate(t, r, size_max=12)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": 12})
     assert report.passed, report.first_mismatch
 
 
 def test_color_conjugate_catches_a_miscounted_head_cell(monkeypatch):
     t, r, size_max = 2, 4, 12
     _plant(monkeypatch, ("cell", ("size", "first"), (6, 3), 1))
-    report = verify_color_conjugate(t, r, size_max)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": size_max})
     assert report.status == "fail"
     # the heads of the cell with the empty colored class: 2 partitions of
     # size 6 with first part 3 and no part at row 4, and 3 pairs
@@ -436,7 +474,7 @@ def test_color_conjugate_class_mismatch_report_is_plain_json(monkeypatch):
     t, r, size_max = 3, 1, 9
     rows = _thm7_classes(t, r, size_max)
     _plant(monkeypatch, ("class", "middle", -1))
-    report = verify_color_conjugate(t, r, size_max)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": size_max})
     assert report.status == "fail"
     monomial, count = _thm7_class(rows[len(rows) // 2], t, r)
     assert report.first_mismatch == {
@@ -458,7 +496,7 @@ def test_class_compare_keeps_no_copy_of_the_joined_rows(monkeypatch):
         return compare(keys, pair)
 
     monkeypatch.setattr(ver, "_class_mismatch", recorded)
-    assert verify_color_conjugate(2, 1, 30).passed
+    assert verify_identity("thm7", {"t": 2, "r": 1, "size_max": 30}).passed
     (keys, pair), = calls
     tracemalloc.start()
     try:
@@ -490,7 +528,7 @@ def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r, cells):
     first = np.trim_zeros(rows[:, i], "b").tolist()
     assert first == [1] * r
     monkeypatch.setattr(ver, "color_conjugate_rows", _recoloured)
-    report = verify_color_conjugate(t, r, size_max=8)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": 8})
     assert report.status == "fail"
     assert report.coefficients_checked == i + 1
     assert report.first_mismatch["monomial"] == {
@@ -516,7 +554,7 @@ def test_color_conjugate_round_trip_fault_wins_over_an_earlier_class(
         return nu, mu, colors
 
     monkeypatch.setattr(ver, "color_conjugate_rows", recoloured_at)
-    report = verify_color_conjugate(t, r, size_max)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": size_max})
     walk = [list(lam) for n in range(size_max + 1)
             for lam in enumerate_partitions(n)]
     assert report.status == "fail"
@@ -559,10 +597,10 @@ def test_color_conjugate_fault_after_a_clean_call_is_caught(
         monkeypatch, t, r, checked, lhs, rhs):
     # the clean call keeps the domain of size 8, and the faulty map that
     # the next call looks up runs over it
-    assert verify_color_conjugate(t, r, size_max=8).passed
+    assert verify_identity("thm7", {"t": t, "r": r, "size_max": 8}).passed
     hits = ver._domain.cache_info().hits
     monkeypatch.setattr(ver, "color_conjugate_rows", _recoloured)
-    report = verify_color_conjugate(t, r, size_max=8)
+    report = verify_identity("thm7", {"t": t, "r": r, "size_max": 8})
     assert ver._domain.cache_info().hits == hits + 1
     assert report.status == "fail"
     assert report.coefficients_checked == checked
@@ -588,20 +626,21 @@ def test_chunk_cells_set_after_a_clean_call_is_honoured(monkeypatch):
     # after them still cuts the column ranges, and the reports are the
     # pinned ones
     t, r, size_max = 2, 2, 10
-    assert verify_color_conjugate(t, r, size_max).passed
-    assert verify_euler_refinement().passed
+    params = {"t": t, "r": r, "size_max": size_max}
+    assert verify_identity("thm7", params).passed
+    assert verify_identity("prop1").passed
     monkeypatch.setattr(ver, "_CHUNK_CELLS", 64)
     _plant(monkeypatch, ("class", "last", 1))
     widths = _recording(monkeypatch, "color_conjugate_rows")
     monomial, count = _thm7_class(_thm7_classes(t, r, size_max)[-1], t, r)
-    assert verify_color_conjugate(t, r, size_max).first_mismatch == {
+    assert verify_identity("thm7", params).first_mismatch == {
         "monomial": monomial, "lhs": count, "rhs": count + 1}
     # 64 // 12 columns a range
     assert max(widths) == 5
     assert sum(widths) == sum(partition_numbers(size_max))
     _plant(monkeypatch, ("image", "bessenrodt_inverse", (6, 4, 2, 1)))
     widths = _recording(monkeypatch, "bessenrodt_inverse_rows")
-    report = verify_euler_refinement()
+    report = verify_identity("prop1")
     assert (report.coefficients_checked, report.first_mismatch) == (
         87, {"monomial": {"partition": [6, 4, 2, 1]}, "lhs": [4, 7],
              "rhs": [3, 7]})
@@ -683,7 +722,7 @@ def test_furtherwork_reports_a_wrong_part_as_the_walk_does(
     monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 2 columns a chunk
     planted = {(m, lam): _one_more(m, lam) for m, lam in faults}
     _plant_hook_images(monkeypatch, planted)
-    report = verify_furtherwork(m_max=4, size_max=20)
+    report = verify_identity("furtherwork", {"m_max": 4, "size_max": 20})
     m, lam = first
     assert report.first_mismatch["monomial"] == {"check": f"part_sum_{m}"}
     assert report.first_mismatch["lhs"] == [lam, sum(lam) + 1]
@@ -700,7 +739,7 @@ def test_furtherwork_reports_a_base_2_collision_as_the_walk_does(
     twin = bij.generalized_hook_map(to_modular((3, 3, 1), 2)).parts
     _plant_hook_images(monkeypatch, {(2, (5, 1, 1)): twin,
                                      (3, (2, 1)): _one_more(3, (2, 1))})
-    report = verify_furtherwork(m_max=4, size_max=20)
+    report = verify_identity("furtherwork", {"m_max": 4, "size_max": 20})
     assert report.first_mismatch == {
         "monomial": {"check": "collision_2_7"}, "lhs": [list(twin)],
         "rhs": []}
@@ -712,9 +751,9 @@ def test_furtherwork_reports_a_base_2_collision_as_the_walk_does(
 def test_furtherwork_needs_base_two_or_more():
     for m_max in (-1, 0, 1):
         with pytest.raises(VerifyError):
-            verify_furtherwork(m_max=m_max, size_max=5)
+            verify_identity("furtherwork", {"m_max": m_max, "size_max": 5})
     with pytest.raises(VerifyError):
-        verify_furtherwork(size_max=-1)
+        verify_identity("furtherwork", {"size_max": -1})
 
 
 _AT = {"first": lambda n: 0, "middle": lambda n: n // 2,
@@ -777,15 +816,8 @@ def _plant(monkeypatch, fault):
         monkeypatch.setattr(ver, name, image)
 
 
-_DEDICATED = {
-    "schmidt": verify_schmidt,
-    "cor2": verify_schmidt_refinement,
-    "prop1": verify_euler_refinement,
-    "table1": verify_table,
-    "thm6": verify_li_yee,
-    "cor11": verify_opposite_schmidt,
-    "eq20": verify_recurrence,
-}
+# the parameters that a check's arguments in PINNED_FAULTS set, in order
+_ARGUMENTS = {"thm6": ("t",), "cor11": ("t", "r"), "eq20": ("t",)}
 
 # (check, its arguments, planted fault, coefficients checked, first
 # mismatch or None), recorded from the cell-by-cell and
@@ -952,7 +984,7 @@ PINNED_FAULTS = [
 def test_planted_fault_gives_the_pinned_report(
         monkeypatch, ident, args, fault, checked, mismatch):
     _plant(monkeypatch, fault)
-    report = _DEDICATED[ident](*args)
+    report = verify_identity(ident, dict(zip(_ARGUMENTS.get(ident, ()), args)))
     assert report.status == ("pass" if mismatch is None else "fail")
     assert (report.coefficients_checked, report.first_mismatch) \
         == (checked, mismatch)
@@ -973,7 +1005,7 @@ def test_prop1_catches_an_arm_swapped_with_its_leg(monkeypatch):
     exec(source.replace(line, line + swap), namespace)
     monkeypatch.setattr(ver, "bessenrodt_inverse_rows",
                         namespace["bessenrodt_inverse_rows"])
-    report = verify_euler_refinement()
+    report = verify_identity("prop1")
     assert report.status == "fail"
     # (2) comes from (1, 1) through the diagram (1, 1) with arm 0 and
     # leg 1; swapped, they give (2) and so (3)
@@ -983,7 +1015,7 @@ def test_prop1_catches_an_arm_swapped_with_its_leg(monkeypatch):
 
 
 def test_functional_equation_fault_injection():
-    report = verify_functional_equation(2, perturb={"q": 1, "s": 2})
+    report = verify_identity("eq24", {"t": 2}, perturb={"q": 1, "s": 2})
     assert not report.passed
     assert report.first_mismatch["monomial"] == {"q": 1, "s": 2}
 
@@ -993,12 +1025,24 @@ def test_recurrence_matches_enumeration_columns():
     for n in range(4):
         f = f_recurrence(n, 2, box)
         assert isinstance(f, TruncatedSeries)
-    report = verify_recurrence(2, n_max=3, box=box)
+    report = verify_identity("eq20", {"t": 2, "n_max": 3}, box=box)
     assert report.passed
     # heads q^m s^(m + k(t-1)) beyond the default box contribute nothing,
     # and the Gaussian binomials' factors past the s bound are 1 in the box
     for t in (3, 4, 5):
-        assert verify_recurrence(t).passed
+        assert verify_identity("eq20", {"t": t}).passed
+
+
+def test_recurrence_past_the_box_width_passes_at_any_t():
+    # past t = s + 1 the recurrence keeps s + 1 running sums; the
+    # histogram it is checked against takes t as it is
+    s = default_box("eq20")["s"]
+    for t in (s, s + 1, s + 2):
+        assert verify_identity("eq20", {"t": t}).passed, t
+    start = time.perf_counter()
+    report = verify_identity("eq20", {"t": 10**6})
+    assert time.perf_counter() - start < 1
+    assert report.passed, report.first_mismatch
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -1110,24 +1154,16 @@ def test_public_api():
                "q_binomial", "durfee_size", "hook_length", "to_frobenius",
                "from_frobenius", "FrobeniusCoords", "CellOutOfDiagram",
                "InvalidFrobenius"}
+    # the dedicated verifiers run through verify_identity
+    removed |= {ver._entry(ident).verifier for ident in THEOREM_IDS
+                if ident not in IDENTITY_IDS}
+    assert len(removed) == 25
     assert not removed & set(names)
     assert not any(hasattr(partbij, name) for name in removed)
     assert not any(hasattr(partbij.partitions, name) for name in removed)
 
 
 def test_defaults_match_catalog():
-    for entry in ver.CATALOG:
-        if entry.verifier is None:
-            continue
-        signature = inspect.signature(getattr(ver, entry.verifier))
-        for name, param in signature.parameters.items():
-            if param.default is inspect.Parameter.empty:
-                assert name in entry.params, (entry.id, name)
-            elif name == "box":
-                report = getattr(ver, entry.verifier)(entry.params["t"])
-                assert report.box == default_box(entry.id), entry.id
-            elif name != "perturb":
-                assert param.default == entry.params[name], (entry.id, name)
     args = cli._build_parser().parse_args(["table", "bessenrodt"])
     assert args.n == ver._entry("table1").params["n"]
 
