@@ -275,7 +275,9 @@ def color_conjugate_inverse(nu, mu, t, r):
     if not all(map(ge, heights, heights[1:])):
         raise InvalidPair("column heights increase")
     base = len(heights)
-    front = [base + part for part in nu] + [base] * (r - 1 - len(nu))
+    # rows of width 0 add no part, however many of them r asks for
+    pad = r - 1 - len(nu) if base else 0
+    front = [base + part for part in nu] + [base] * pad
     return Partition(front + _columns(heights))
 
 

@@ -71,10 +71,27 @@ def _is_int_pairs(data):
     )
 
 
+# the largest size of a partition a bijection takes, or for hook-map and
+# color-conjugate --inverse decodes or rebuilds: the maps' time and their
+# outputs' length grow with the size (mork lists a partition's columns,
+# and a part of 10^12 + 1 at base 10^12 has a hook-map image of 10^12
+# parts); at this size each map takes at most about 4 ms (2 cores,
+# Python 3.11)
+BIJECTION_MAX_SIZE = 10_000
+
+
+def _check_size(size):
+    if size > BIJECTION_MAX_SIZE:
+        raise UsageError(f"bijections take partitions of size at most "
+                         f"{BIJECTION_MAX_SIZE}, got {size}")
+
+
 def _as_partition(data):
     if not isinstance(data, list) or not all(map(_is_int, data)):
         raise UsageError("expected a JSON array of integers")
-    return Partition(data)
+    lam = Partition(data)
+    _check_size(lam.size())
+    return lam
 
 
 def _as_colored(data, t):
@@ -83,29 +100,18 @@ def _as_colored(data, t):
     return ColoredPartition(map(tuple, data), t)
 
 
-# the largest decoded size hook-map accepts: the map's time and its image's
-# length grow with the size (a part of 10^12 + 1 at base 10^12 has an image
-# of 10^12 parts); at this size the map takes about 2 ms (2 cores, Python
-# 3.11)
-HOOK_MAP_MAX_SIZE = 10_000
-
-
 def _as_diagram(data, m):
     if isinstance(data, dict):
         if (set(data) != {"m", "rows"} or not _is_int(data["m"])
                 or not _is_int_pairs(data["rows"])):
             raise UsageError('expected {"m": ..., "rows": [[cells, remainder], ...]}')
         diagram = ModularDiagram(data["m"], tuple(map(tuple, data["rows"])))
-        lam = from_modular(diagram)  # raises InvalidDiagram if malformed
+        _check_size(from_modular(diagram).size())  # InvalidDiagram if malformed
     else:
         base = 2 if m is None else m
         if base < 2:
             raise UsageError(f"--m must be >= 2, got {base}")
-        lam = _as_partition(data)
-        diagram = to_modular(lam, base)
-    if lam.size() > HOOK_MAP_MAX_SIZE:
-        raise UsageError(f"hook-map takes diagrams of size at most "
-                         f"{HOOK_MAP_MAX_SIZE}, got {lam.size()}")
+        diagram = to_modular(_as_partition(data), base)
     return diagram
 
 
@@ -147,9 +153,11 @@ def _cmd_bijection(args):
         if args.inverse:
             if not isinstance(data, dict) or set(data) != {"nu", "mu"}:
                 raise UsageError('expected {"nu": [...], "mu": [[part, color], ...]}')
-            lam = color_conjugate_inverse(
-                _as_partition(data["nu"]), _as_colored(data["mu"], t), t, r
-            )
+            nu, mu = _as_partition(data["nu"]), _as_colored(data["mu"], t)
+            # the size of the partition the pair rebuilds
+            _check_size(nu.size() + (r - 1) * mu.length() + sum(
+                (part - 1) * t + color for part, color in mu.entries))
+            lam = color_conjugate_inverse(nu, mu, t, r)
             print(json.dumps(list(lam)))
         else:
             nu, mu = color_conjugate(_as_partition(data), t, r)
@@ -210,9 +218,9 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
-    rows = ver.table_bessenrodt(args.n)
+    # table1's check of n: at least 0, at most its cap
+    params, _ = ver.resolve_arguments("table1", n=args.n)
+    rows = ver.table_bessenrodt(params["n"])
     if args.json:
         print(json.dumps([[w, list(d), list(o)] for w, d, o in rows]))
     else:

@@ -20,22 +20,26 @@ magnitude, which a factor at most multiplies by the number of input
 coefficients a quotient coefficient sums. A caller that owns its array
 divides only the view at or past the input's lowest nonzero corner, with
 the bound it knows: the quotient is zero below that corner too, and the
-view is a smaller box. divide_pochhammer divides a copy. While the grown
-bound fits int64 the adds run unchecked, each an in-place add on a view;
-when it does not, the exact maximum is taken again, and a factor that
-still might overflow runs each add unchecked where its own bound, from
-the exact maximum of its source, fits int64 and checked where it does
-not. Every operation raises CoefficientOverflow only when a coefficient
+view is a smaller box. divide_pochhammer divides a copy. The growth is
+checked once per product: while the bound times the growth of all of a
+product's factors fits int64, the product's adds run unchecked, each an
+in-place add on a view, and the bound is multiplied once. Since the
+bound only grows, that is exactly when every factor's own check would
+pass. When it does not fit, the exact maximum is taken again, and if it
+still does not, the product runs factor by factor: a factor that still
+might overflow runs each add unchecked where its own bound, from the
+exact maximum of its source, fits int64 and checked where it does not.
+Every operation raises CoefficientOverflow only when a coefficient
 would really leave int64.
 
-The plan of a pass is lean: the factors of each product in the box are
-counted with one floor division per axis (the k-th factor of
-(base; ratio)_n lies in the box while k <= (bound - base) // ratio on
-every axis where ratio moves), and each distinct factor exponent gets
-its growth and its adds' destination and source views once, the first
-time it comes up, shared by its repeats, such as the t copies of
-(zq; q)_oo. The views die with the call; their indices, which depend
-only on the view's shape and the exponent, are kept across calls.
+The plan of a pass is made once per product and view shape and kept
+across calls (_plan): the product's factors in the box, counted with one
+floor division per axis (the k-th factor of (base; ratio)_n lies in the
+box while k <= (bound - base) // ratio on every axis where ratio moves),
+each factor's growth and the indices of its adds' destination and
+source views, and the product of the growths. A call turns a product's
+indices into views once, the first time the product comes up, and
+shares them with its repeats, such as the t copies of (zq; q)_oo.
 
 A series is printed, as JSON or as plain text, from its arrays, with
 no dict per term: its nonzero cells are sorted once into
@@ -167,19 +171,12 @@ def _add_under(dst, src, low, bound):
     return max(bound, top)
 
 
-def _shifts(coeffs, e):
-    """The plan that divides coeffs by 1 - x^e: (grow, split, pairs),
-    where grow - 1 multiples of e fit the box and pairs are the
-    (destination, source) views of the in-place adds, run in order, the
-    first split of them doubling shifts and the rest a block walk."""
-    grow, split, adds = _adds(coeffs.shape, e, _BLOCK_CELLS)
-    return grow, split, [(coeffs[dst], coeffs[src]) for dst, src in adds]
-
-
-@functools.lru_cache(maxsize=4096)
 def _adds(shape, e, block_cells):
-    """_shifts' plan for an array of this shape, with index tuples for
-    views.
+    """The plan that divides an array of this shape by 1 - x^e: (grow,
+    split, adds), where grow - 1 multiples of e fit the box and adds are
+    the (destination, source) index tuples of the in-place adds, run in
+    order, the first split of them doubling shifts and the rest a block
+    walk.
 
     The doubling shifts add the array to itself shifted by e, 2e, 4e,
     ...; after j of them the rest of the division is by 1 - x^(2^j e).
@@ -439,6 +436,26 @@ def _factor_exponents(variables, bounds, base, ratio, n):
     return factors
 
 
+@functools.lru_cache(maxsize=4096)
+def _plan(shape, variables, product, block_cells):
+    """The plan that divides an array of this shape, its axes variables,
+    by one Pochhammer product, given as (base items, ratio items, n):
+    (steps, grow, adds), where steps holds each factor's (e, grow, split,
+    adds) from _adds, in order, grow is the product of the factors'
+    growths and adds chains the steps' adds. NonUnitConstantTerm if a
+    factor is 1 - 1.
+    """
+    base, ratio, n = product
+    factors = _factor_exponents(variables, [dim - 1 for dim in shape],
+                                dict(base), dict(ratio), n)
+    # exponents only grow, so only the first factor can be 1 - 1
+    if factors and not any(factors[0]):
+        raise NonUnitConstantTerm("constant term is 0")
+    steps = tuple((e, *_adds(shape, e, block_cells)) for e in factors)
+    return (steps, math.prod(step[1] for step in steps),
+            tuple(pair for step in steps for pair in step[3]))
+
+
 def _divide(coeffs, variables, products, bound=None):
     """Divide coeffs in place by each factor (1 - x^e) of every (base,
     ratio, n) Pochhammer product in products, factor by factor in order,
@@ -452,41 +469,57 @@ def _divide(coeffs, variables, products, bound=None):
 
     Each quotient coefficient, and each partial sum on the way to it,
     sums at most grow input coefficients, one more than the multiples of
-    e in the box, so a factor whose grow times the bound fits int64 runs
-    its adds unchecked and multiplies the bound by grow. When that does
-    not fit, a grown bound is taken again exactly, and a factor that
-    still might overflow runs each add through _add_under. A factor's
-    plan is built once per call and shared by its repeats, as in
-    (zq; q)_oo^t.
+    e in the box, so a factor whose grow times the bound fits int64 can
+    run its adds unchecked and multiply the bound by grow. The bound only
+    grows, so every factor of a product passes that test iff the bound
+    times the product of their grows fits: then the product's adds run
+    unchecked as one run and the bound is multiplied once. When it does
+    not fit, a grown bound is taken again exactly, and if it still does
+    not, each factor is a run of its own: a factor that fits runs
+    unchecked, and before one that does not a grown bound is taken again
+    exactly and, if it still might overflow, each add runs through
+    _add_under. A product's plan is made once per shape (_plan) and its
+    views once per call, shared by its repeats, as in (zq; q)_oo^t.
     """
-    bounds = [dim - 1 for dim in coeffs.shape]
     plans = {}
     grown = True  # bound may lie above the exact maximum
     for base, ratio, n in products:
-        factors = _factor_exponents(variables, bounds, base, ratio, n)
-        # exponents only grow, so only the first factor can be 1 - 1
-        if factors and not any(factors[0]):
-            raise NonUnitConstantTerm("constant term is 0")
-        for e in factors:
-            plan = plans.get(e)
-            if plan is None:
-                plan = plans[e] = _shifts(coeffs, e)
-            grow, split, pairs = plan
-            if bound is None or grown and bound * grow > _INT64_MAX:
+        key = tuple(base.items()), tuple(ratio.items()), n
+        plan = plans.get(key)
+        if plan is None:
+            steps, grow, adds = _plan(coeffs.shape, variables, key,
+                                      _BLOCK_CELLS)
+            plan = plans[key] = steps, grow, [(coeffs[dst], coeffs[src])
+                                              for dst, src in adds]
+        steps, grow, pairs = plan
+        if not steps:  # the view may be empty: take no maximum
+            continue
+        if bound is None or grown and bound * grow > _INT64_MAX:
+            bound, grown = _max_abs(coeffs), False
+        # (grow, split, count) of each run of adds: the whole product if
+        # it fits, as every factor's own check then passes, else each factor
+        if bound * grow <= _INT64_MAX:
+            runs = [(grow, len(pairs), len(pairs))]
+        else:
+            runs = [(grow, split, len(adds)) for _, grow, split, adds in steps]
+        stop = 0
+        for grow, split, count in runs:
+            start, stop = stop, stop + count
+            if grown and bound * grow > _INT64_MAX:
                 bound, grown = _max_abs(coeffs), False
             if bound * grow <= _INT64_MAX:
-                for dst, src in pairs:
+                for dst, src in pairs[start:stop]:
                     dst += src
                 bound *= grow
                 grown = True
                 continue
             # a doubling shift adds to cells under bound; a block adds to
-            # cells no earlier block wrote, which are under start
-            for dst, src in pairs[:split]:
+            # cells no earlier block wrote, which are under low
+            for dst, src in pairs[start:start + split]:
                 bound = _add_under(dst, src, bound, bound)
-            start = bound
-            for dst, src in pairs[split:]:
-                bound = _add_under(dst, src, start, bound)
+            low = bound
+            for dst, src in pairs[start + split:stop]:
+                bound = _add_under(dst, src, low, bound)
             grown = False
     return bound
 

@@ -16,10 +16,10 @@ maps' array forms over their whole domain, stored parts-major (the
 layout is stated in the partitions module), in ranges of columns that
 may span sizes. The domain of the last size asked for is kept between
 calls (_parts, and _domain with thm7's column heights), so thm7's grid
-points build it once; each check over a domain has a size cap,
-DOMAIN_MAX_SIZE, and thm6 and thm7 a cap on t, T_MAX. Two walks visit
-partitions one at a time: table1's rows and furtherwork's
-collision_search(3, 13).
+points build it once. Two walks visit partitions one at a time:
+table1's rows and furtherwork's collision_search(3, 13). Each check over
+a domain, and table1's walk, has a size cap, DOMAIN_MAX_SIZE, and thm6
+and thm7 a cap on t, T_MAX.
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
@@ -241,9 +241,10 @@ _CHUNK_CELLS = 1 << 15
 
 # the largest size each check over a whole domain takes: at the size 2
 # above, its run took over 10 s (2 cores, Python 3.11, numpy 2.4; thm7 at
-# t = 2, r = 1, furtherwork at m_max = 4), and its time and memory grow
-# with the number of partitions
-DOMAIN_MAX_SIZE = {"prop1": 104, "thm7": 58, "furtherwork": 52}
+# t = 2, r = 1, furtherwork at m_max = 4, table1 at 94 in 13.5 s and
+# 238 MB), and its time and memory grow with the number of partitions
+DOMAIN_MAX_SIZE = {"prop1": 104, "thm7": 58, "furtherwork": 52,
+                   "table1": 92}
 
 # the largest t each check with a coloured side takes: at t + 1 its run
 # took over 10 s (2 cores, Python 3.11, numpy 2.4; thm6 at its full-level
@@ -256,7 +257,8 @@ T_MAX = {"thm6": 10, "thm7": 8}
 _LOWEST = {"t": 1, "r": 1, "m_max": 2}
 
 # the table that caps each capped parameter, by catalog id
-_CAPS = {"t": T_MAX, "n_max": DOMAIN_MAX_SIZE, "size_max": DOMAIN_MAX_SIZE}
+_CAPS = {"t": T_MAX, "n_max": DOMAIN_MAX_SIZE, "size_max": DOMAIN_MAX_SIZE,
+         "n": DOMAIN_MAX_SIZE}
 
 
 def _column_chunks(row_cells, *arrays):

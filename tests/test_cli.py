@@ -70,6 +70,24 @@ def test_color_conjugate_forward_and_inverse(capsys):
     assert json.loads(out) == [9, 7, 6, 5, 4, 4, 4, 4, 3, 2, 1]
 
 
+def test_color_conjugate_inverse_caps_the_size_it_rebuilds(capsys):
+    # at t = 1 a part p of mu regrows a column of height p, and at r = 2
+    # each part adds one cell more, in the row above
+    argv = ["bijection", "color-conjugate", "--inverse", "--t", "1"]
+    code, out, _ = run(capsys, *argv, "--r", "1",
+                       "--input", '{"nu": [], "mu": [[10000, 1]]}')
+    assert (code, json.loads(out)) == (0, [1] * 10000)
+    code, out, err = run(capsys, *argv, "--r", "2",
+                         "--input", '{"nu": [], "mu": [[10000, 1]]}')
+    assert (code, out) == (2, "")
+    assert err == ("error: bijections take partitions of size at most "
+                   "10000, got 10001\n")
+    # the empty pair rebuilds the empty partition at any r
+    code, out, _ = run(capsys, *argv, "--r", str(10 ** 20),
+                       "--input", '{"nu": [], "mu": []}')
+    assert (code, out) == (0, "[]\n")
+
+
 def test_hook_map_accepts_diagram_and_rejects_inverse(capsys):
     diagram = '{"m": 3, "rows": [[3, 2], [2, 1], [1, 1]]}'
     code, out, _ = run(capsys, "bijection", "hook-map", "--input", diagram)
@@ -151,6 +169,17 @@ def test_usage_errors_exit_two(capsys):
     # boxes of more than 500 TiB, which numpy refuses at once
     ["verify", "thm8.2", "--t", "8", "--max-z", "40"],
     ["series", "thm3.1", "--max-q", "10000000", "--max-z", "10000000"],
+    # sizes past the cap of every bijection input, or of the partition
+    # color-conjugate --inverse rebuilds
+    ["bijection", "mork", "--input", "[99999999999999999999]"],
+    ["bijection", "mork", "--inverse", "--input", "[99999999999999999999]"],
+    ["bijection", "bessenrodt", "--input", "[99999999999999999999]"],
+    ["bijection", "modular-fill", "--input", "[99999999999999999999]"],
+    ["bijection", "color-conjugate", "--input", "[99999999999999999999]"],
+    ["bijection", "color-conjugate", "--inverse",
+     "--input", '{"nu": [], "mu": [[99999999999999999999, 1]]}'],
+    ["bijection", "color-conjugate", "--inverse", "--r", "99999999999999999999",
+     "--input", '{"nu": [], "mu": [[1, 1]]}'],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -409,6 +438,27 @@ def test_domain_checks_cap_their_size(capsys, monkeypatch, ident, name, cap):
     monkeypatch.setattr(cli.ver, "_parts", started)
     with pytest.raises(Started):
         main(["verify", ident, "--n", str(cap)])
+
+
+@pytest.mark.parametrize("argv", [["verify", "table1"],
+                                  ["table", "bessenrodt"]])
+def test_table1_caps_its_size(capsys, monkeypatch, argv):
+    # the check and the table command share table1's cap
+    assert cli.ver.DOMAIN_MAX_SIZE["table1"] == 92
+    code, out, err = run(capsys, *argv, "--n", "93")
+    assert (code, out) == (2, "")
+    assert err == "error: table1 takes n at most 92, got 93\n"
+
+    # at the cap the table is built
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(cli.ver, "table_bessenrodt", started)
+    with pytest.raises(Started):
+        main([*argv, "--n", "92"])
 
 
 @pytest.mark.parametrize("ident, cap, argv", [

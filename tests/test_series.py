@@ -492,6 +492,20 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _plans(monkeypatch):
+    """The (steps, grow, adds) plan of each product every division plans
+    from here on, once per distinct product per call."""
+    plans = []
+    plan = series._plan
+
+    def recorded(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(series, "_plan", recorded)
+    return plans
+
+
 def test_running_bound_retakes_the_max_and_stays_unchecked(monkeypatch):
     # 2^59 / (1 - q^7)^6 = 2^59 (1 + 6 q^7) on q <= 7: each factor may
     # double the bound, which passes int64 at the fourth factor, where the
@@ -513,6 +527,48 @@ def test_checked_factor_can_succeed(monkeypatch):
                           {"q": 2}, {}, 1)
     assert g.coeffs.tolist() == [2 ** 62, 0, 2 ** 62]
     assert len(sums) == 1
+
+
+# (q; z)_2 on q, z <= 1 has the factors 1 - q and 1 - qz, each of growth
+# 2, so c on every cell has the bound c times 4, which fits int64 up to
+# c = MAX // 4; the quotient c (1 + z + 2q + 3qz) leaves int64 past
+# c = MAX // 3
+_MAX = 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("scale, checked", [
+    (_MAX // 4, False), (_MAX // 4 + 1, True),
+    (_MAX // 3, True), (_MAX // 3 + 1, True)])
+def test_product_runs_unchecked_iff_its_growth_fits(monkeypatch, scale,
+                                                    checked):
+    f = TruncatedSeries.zero({"q": 1, "z": 1})
+    f.coeffs[...] = scale
+    want = exact_quotient(f, [(1, 0), (1, 1)])
+    under = _counting(monkeypatch, "_add_under")
+    if _fits(want):
+        got = divide_pochhammer(f, {"q": 1}, {"z": 1}, 2)
+        assert got.coeffs.tolist() == want.tolist()
+    else:
+        with pytest.raises(CoefficientOverflow):
+            divide_pochhammer(f, {"q": 1}, {"z": 1}, 2)
+    assert bool(under) == checked
+
+
+def test_plans_are_kept_per_block_size(monkeypatch):
+    # one product at one shape, planned under the default block size, then
+    # under 1, then under the default again: only the plan under 1 walks
+    # blocks, so no plan made under another block size is reused
+    f = TruncatedSeries.constant({"q": 20}, 1)
+    cells = series._BLOCK_CELLS
+    plans = _plans(monkeypatch)
+    want = divide_pochhammer(f, {"q": 1}, {"q": 1}, INFINITY)
+    monkeypatch.setattr(series, "_BLOCK_CELLS", 1)
+    walked = divide_pochhammer(f, {"q": 1}, {"q": 1}, INFINITY)
+    monkeypatch.setattr(series, "_BLOCK_CELLS", cells)
+    assert divide_pochhammer(f, {"q": 1}, {"q": 1}, INFINITY) == walked \
+        == want
+    assert [max(_walks([plan])) > 0 for plan in plans] == \
+        [False, True, False]
 
 
 @settings(max_examples=100, deadline=None)
@@ -593,12 +649,14 @@ def test_one_pass_quotient_equals_the_chained_quotients(case):
     assert np.array_equal(f.coeffs, before)
 
 
-def test_thm81_plans_each_distinct_factor_once(monkeypatch):
+def test_thm81_plans_each_distinct_product_once(monkeypatch):
     # 1 / ((z; 1)_3 (zq; q)_oo^4) on q, z <= 15 has 3 + 4 * 15 factors
-    # but only 16 distinct exponents: z and q^k z for k = 1..15
-    shifts = _counting(monkeypatch, "_shifts")
+    # but only 2 distinct products, whose factors have 16 distinct
+    # exponents: z and q^k z for k = 1..15
+    plans = _plans(monkeypatch)
     g = rhs_series("thm8.1", {"t": 4, "r": 4}, {"q": 15, "z": 15})
-    assert len(shifts) == 16
+    assert len(plans) == 2
+    assert len({e for steps, _, _ in plans for e, *_ in steps}) == 16
     assert g.coefficient({"q": 1, "z": 1}) == 4  # the t colours of one 1
 
 
@@ -643,17 +701,10 @@ def test_block_walks_divide_exactly(case, cells):
             assert got.coeffs.tolist() == want.tolist()
 
 
-def _plans(monkeypatch):
-    """The (grow, split, pairs) plan of every division step from here on."""
-    plans = []
-    shifts = series._shifts
-
-    def recorded(coeffs, e):
-        plans.append(shifts(coeffs, e))
-        return plans[-1]
-
-    monkeypatch.setattr(series, "_shifts", recorded)
-    return plans
+def _walks(plans):
+    """The number of blocks each factor of the plans walks."""
+    return [len(adds) - split for steps, _, _ in plans
+            for _, _, split, adds in steps]
 
 
 def test_large_views_walk_blocks_to_the_same_quotient(monkeypatch):
@@ -662,7 +713,7 @@ def test_large_views_walk_blocks_to_the_same_quotient(monkeypatch):
     box = {"q": 150, "z": 300}
     plans = _plans(monkeypatch)
     walked = rhs_series("eq3", {}, box)
-    assert max(len(pairs) - split for _, split, pairs in plans) == 5
+    assert max(_walks(plans)) == 5
     monkeypatch.setattr(series, "_BLOCK_CELLS", 2 ** 62)
     assert rhs_series("eq3", {}, box) == walked
     assert verify_identity("eq3", box=box).passed

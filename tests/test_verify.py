@@ -162,13 +162,13 @@ def test_no_block_walk_at_suite_or_closed_form_workload_boxes(monkeypatch):
     # blocks pay off only in views of many cells: every division of the
     # suites and of the closed-form workload's largest boxes stays doubling
     plans = []
-    shifts = qs._shifts
+    plan = qs._plan
 
-    def recorded(coeffs, e):
-        plans.append(shifts(coeffs, e))
+    def recorded(*args):
+        plans.append(plan(*args))
         return plans[-1]
 
-    monkeypatch.setattr(qs, "_shifts", recorded)
+    monkeypatch.setattr(qs, "_plan", recorded)
     assert run_suite("quick").passed and run_suite("full").passed
     for ident, params, box in [
             ("thm5.1", {}, {"q": 30, "z": 30}),
@@ -176,8 +176,9 @@ def test_no_block_walk_at_suite_or_closed_form_workload_boxes(monkeypatch):
             ("thm9", {"t": 2, "r": 1}, {"q": 16, "z": 16, "s": 16}),
             ("thm8.2", {"t": 3}, {"q": 12, "z1": 6, "z2": 6, "z3": 6})]:
         rhs_series(ident, params, box)
-    assert len(plans) > 1000
-    assert all(split == len(pairs) for _, split, pairs in plans)
+    steps = [step for steps, _, _ in plans for step in steps]
+    assert len(steps) > 1000
+    assert all(split == len(adds) for _, _, split, adds in steps)
 
 
 # eq3's z is twice the size less the length, so it lies between q and 2q:
