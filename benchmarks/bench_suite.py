@@ -61,6 +61,7 @@ from partbij.bijections import (
 from partbij.partitions import (
     Partition,
     enumerate_partitions,
+    partition_domain,
     partition_numbers,
     to_modular,
 )
@@ -222,6 +223,9 @@ def kernel_rows():
       partition;
     - the array hook map at m = 2..4 over the kept parts of size 20, in
       furtherwork's column ranges, whose images must sum to their sizes;
+    - the partition domain of size <= 40, and of size <= 80 with distinct
+      parts, built afresh, whose column counts must be the partition
+      numbers' sums;
     - Pochhammer division 1/(zq;q)_inf^2 at q, z <= 20 and 60, whose
       largest coefficient at 60 must be 71,699,042.
     """
@@ -274,6 +278,16 @@ def kernel_rows():
     check(all((image.sum(axis=0) == n).all() for n, image in hook_maps()),
           "hook map images do not sum to their partitions' sizes")
 
+    def domains():
+        return [partition_domain(40), partition_domain(80, distinct=True)]
+
+    for (cols, _), (n_max, apart) in zip(domains(),
+                                        [(40, False), (80, True)]):
+        want = sum(partition_numbers(n_max, distinct=apart))
+        check(cols.shape[1] == want,
+              f"partition domain size<={n_max} distinct={apart} has "
+              f"{cols.shape[1]} columns, expected {want}")
+
     zq = ({"q": 1, "z": 1}, {"q": 1}, INFINITY)
 
     def shifts(bound):
@@ -290,6 +304,7 @@ def kernel_rows():
         ("thm7 colored class rows t=3 r=1 size<=24", classes),
         ("thm7 array round trip t=3 r=1 size<=24", round_trip),
         ("hook map rows m=2..4 size<=20", hook_maps),
+        ("partition domain size<=40, distinct size<=80", domains),
         ("pochhammer divide 1/(zq;q)_inf^2 q,z<=20", partial(shifts, 20)),
         ("pochhammer divide 1/(zq;q)_inf^2 q,z<=60", partial(shifts, 60)),
     ]

@@ -12,7 +12,7 @@ output.
 
 Many partitions at once are stored **parts-major**: a 2-D integer array
 whose row i holds part i + 1 of every partition, zero past each one's
-length, with one column per partition (``partition_blocks`` lists them in
+length, with one column per partition (``partition_domain`` lists them in
 ``enumerate_partitions`` order). A per-partition sum, count or running
 sum then runs along axis 0, over whole contiguous rows. The array maps of
 ``bijections`` (the ``*_rows`` functions) take and return this layout.
@@ -200,46 +200,45 @@ def enumerate_partitions(
         yield Partition(parts)
 
 
-def partition_blocks(
-    n_max: int, width: Optional[int] = None, distinct: bool = False,
-    dtype=np.int64,
-) -> Iterator[np.ndarray]:
-    """Yield, for n = 0, 1, ..., n_max, every partition of n (with distinct
-    parts, if distinct) as the columns of a parts-major array (see the
-    module docstring) of the integer type dtype with width rows (default
-    n_max + 2), in enumerate_partitions(n, distinct) order. Every column
-    needs a zero last row, so width must exceed the longest partition's
-    length.
+def partition_domain(n_max: int, distinct: bool = False):
+    """Every partition of size <= n_max (with distinct parts, if distinct)
+    as two arrays in the narrowest unsigned type that holds n_max: the
+    parts, parts-major (see the module docstring) with a zero last row,
+    in enumerate_partitions order by size, and each column's size.
 
-    A partition of n is a first part f followed by a partition of n - f
-    with parts <= f (<= f - 1 if distinct), and block n - f lists those
-    last, since each block runs by first part descending. So a block is
-    one gather from the earlier blocks, of which only the columns a later
-    block can extend are kept.
+    The parts array is allocated once and filled in place. A partition of
+    n is a first part f followed by a partition of n - f with parts <= f
+    (<= f - 1 if distinct), and block n - f, written earlier, lists those
+    last, since each block runs by first part descending. So each (n, f)
+    is one copy from earlier columns, one row down.
     """
     if n_max < 0:
         raise ValueError(f"target size must be nonnegative, got {n_max}")
-    width = n_max + 2 if width is None else width
+    # the longest distinct partition of n_max has
+    # (isqrt(8 n_max + 1) - 1) / 2 parts, and a column needs one zero row
+    # more
+    width = (math.isqrt(8 * n_max + 1) + 1) // 2 if distinct else n_max + 2
+    kind = np.min_scalar_type(n_max)
+    counts = partition_numbers(n_max, distinct=distinct)
+    ends = list(accumulate(counts))
+    parts = np.zeros((width, ends[-1]), dtype=kind)
     gap = 1 if distinct else 0
-    kept = []  # kept[m]: the partitions of m with parts <= n_max - m
-    fits = []  # fits[m][f]: how many partitions of m have parts <= f
-    for n in range(n_max + 1):
-        if n == 0:
-            cols = np.zeros((width, 1), dtype=dtype)
-        else:
-            firsts = range(n, 0, -1)
-            tails = []
-            for f in firsts:
-                # the last fits[n - f][f - gap] columns have parts <= f - gap
-                ends = kept[n - f]
-                tails.append(ends[:, ends.shape[1] - fits[n - f][f - gap]:])
-            counts = [tail.shape[1] for tail in tails]
-            cols = np.empty((width, sum(counts)), dtype=dtype)
-            cols[0] = np.repeat(firsts, counts)
-            np.concatenate([tail[:-1] for tail in tails], axis=1, out=cols[1:])
-        fits.append(np.cumsum(np.bincount(cols[0], minlength=n_max + 1)))
-        kept.append(cols[:, cols.shape[1] - fits[n][n_max - n]:].copy())
-        yield cols
+    fits = [[1]]  # fits[m][k]: how many partitions of m have parts <= k
+    for n in range(1, n_max + 1):
+        col = ends[n - 1]
+        firsts = [0] * (n + 1)  # firsts[f]: how many start with part f
+        for f in range(n, 0, -1):
+            m = n - f
+            # the last k columns of block m have parts <= f - gap; past
+            # its first min(m, width - 1) rows, block m is zero
+            k = firsts[f] = fits[m][min(f - gap, m)]
+            rows = min(m, width - 1)
+            parts[0, col:col + k] = f
+            parts[1:rows + 1, col:col + k] = parts[:rows, ends[m] - k:ends[m]]
+            col += k
+        fits.append(list(accumulate(firsts)))
+    sizes = np.repeat(np.arange(n_max + 1, dtype=kind), counts)
+    return parts, sizes
 
 
 def partition_numbers(

@@ -14,12 +14,13 @@ disagreement is pinned to its graded-lex-first monomial. The bijection
 checks test the maps themselves: thm7, prop1 and furtherwork run their
 maps' array forms over their whole domain, stored parts-major (the
 layout is stated in the partitions module), in ranges of columns that
-may span sizes. The domain of the last size asked for is kept between
-calls (_parts, and _domain with thm7's column heights), so thm7's grid
-points build it once. Two walks visit partitions one at a time:
-table1's rows and furtherwork's collision_search(3, 13). Each check over
-a domain, and table1's walk, has a size cap, DOMAIN_MAX_SIZE, and thm6
-and thm7 a cap on t, T_MAX.
+may span sizes. partitions.partition_domain builds a domain in place,
+and the domain of the last size asked for is kept between calls
+(_parts, and _domain with thm7's column heights), so thm7's grid points
+build it once. Two walks visit partitions one at a time: table1's rows
+and furtherwork's collision_search(3, 13). Each check over a domain, and
+table1's walk, has a size cap, DOMAIN_MAX_SIZE; thm6, thm7 and thm8.1 a
+cap on t, T_MAX; and thm8.1 one on r, R_MAX.
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
@@ -44,7 +45,6 @@ the cases it checked and its first mismatch.
 
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -68,7 +68,7 @@ from .bijections import (
 from .partitions import (
     ModularDiagram,
     enumerate_partitions,
-    partition_blocks,
+    partition_domain,
     partition_numbers,
     schmidt_weight,
 )
@@ -192,26 +192,8 @@ def _series_from_hist(box, arr):
 
 @functools.lru_cache(maxsize=1)
 def _parts(size_max, distinct):
-    """Every partition of size <= size_max (with distinct parts, if
-    distinct) as read-only arrays in the narrowest unsigned type that
-    holds size_max: the parts, parts-major (see partitions) with a zero
-    last row, in enumerate_partitions order by size, and each column's
-    size."""
-    # the longest distinct partition of size_max has
-    # (isqrt(8 size_max + 1) - 1) / 2 parts, and a column needs one zero
-    # row more
-    width = (math.isqrt(8 * size_max + 1) + 1) // 2 if distinct \
-        else size_max + 2
-    kind = np.min_scalar_type(size_max)
-    total = sum(partition_numbers(size_max, distinct=distinct))
-    parts = np.empty((width, total), dtype=kind)
-    sizes = np.empty(total, dtype=kind)
-    end = 0
-    for n, block in enumerate(partition_blocks(size_max, width, distinct,
-                                               dtype=kind)):
-        start, end = end, end + block.shape[1]
-        parts[:, start:end] = block
-        sizes[start:end] = n
+    """partition_domain(size_max, distinct), read-only."""
+    parts, sizes = partition_domain(size_max, distinct)
     parts.flags.writeable = sizes.flags.writeable = False
     return parts, sizes
 
@@ -246,19 +228,25 @@ _CHUNK_CELLS = 1 << 15
 DOMAIN_MAX_SIZE = {"prop1": 104, "thm7": 58, "furtherwork": 52,
                    "table1": 92}
 
-# the largest t each check with a coloured side takes: at t + 1 its run
-# took over 10 s (2 cores, Python 3.11, numpy 2.4; thm6 at its full-level
-# n_max = 12, thm7 at r = 1 and its size cap), and its time and memory
-# grow with the number of colour classes
-T_MAX = {"thm6": 10, "thm7": 8}
+# the largest t each check takes: at t + 1 its run took over 10 s (2
+# cores, Python 3.11, numpy 2.4; thm6 at its full-level n_max = 12, thm7
+# at r = 1 and its size cap), and its time and memory grow with the
+# number of colour classes; thm8.1's time grows linearly with t, and at
+# 60,000 its slowest box with q, z <= 10 (q 10, z 3) took 11.5 s
+T_MAX = {"thm6": 10, "thm7": 8, "thm8.1": 50_000}
+
+# the largest r thm8.1 takes: both its sides take time linear in r, and
+# at 100,000 its slowest box with q, z <= 10 (z 4; z >= 5 overflows int64
+# at once) took up to 10.6 s (2 cores, Python 3.11, numpy 2.4)
+R_MAX = {"thm8.1": 90_000}
 
 # lowest admissible value of a parameter; every other parameter and every
 # box bound starts at 0
 _LOWEST = {"t": 1, "r": 1, "m_max": 2}
 
 # the table that caps each capped parameter, by catalog id
-_CAPS = {"t": T_MAX, "n_max": DOMAIN_MAX_SIZE, "size_max": DOMAIN_MAX_SIZE,
-         "n": DOMAIN_MAX_SIZE}
+_CAPS = {"t": T_MAX, "r": R_MAX, "n_max": DOMAIN_MAX_SIZE,
+         "size_max": DOMAIN_MAX_SIZE, "n": DOMAIN_MAX_SIZE}
 
 
 def _column_chunks(row_cells, *arrays):
@@ -377,8 +365,8 @@ def _setup(ident, params=None, box=None):
     none) if box is None, else box. The one place a check's arguments are
     checked: VerifyError for a parameter the entry does not take, a
     parameter below its lowest value (_LOWEST) or above its cap
-    (DOMAIN_MAX_SIZE, T_MAX), a box whose variables are not the entry's,
-    and a negative box bound."""
+    (DOMAIN_MAX_SIZE, T_MAX, R_MAX), a box whose variables are not the
+    entry's, and a negative box bound."""
     entry = _entry(ident)
     params = {**entry.params, **(params or {})}
     for name, value in params.items():

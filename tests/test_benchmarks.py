@@ -28,7 +28,7 @@ def test_bench_suite_kernel_rows_run():
     # SystemExit on a wrong answer, which fails this test
     bench = _load("bench_suite")
     rows = bench.kernel_rows()
-    assert len(rows) == 8
+    assert len(rows) == 9
     times = bench.time_series(1, rows)
     assert list(times) == [name for name, _ in rows]
     assert all(ms > 0 for ms in times.values())

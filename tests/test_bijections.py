@@ -35,7 +35,7 @@ from partbij.partitions import (
     NotSorted,
     Partition,
     enumerate_partitions,
-    partition_blocks,
+    partition_domain,
     to_modular,
 )
 from reference import hook_length
@@ -115,7 +115,7 @@ def test_bessenrodt_inverse_rejects_non_image():
 
 def test_bessenrodt_inverse_rows_agree_with_scalar_map():
     # parts-major: one column per partition
-    cols = np.concatenate(list(partition_blocks(25, distinct=True)), axis=1)
+    cols = partition_domain(25, distinct=True)[0].astype(np.int64)
     images, valid = bessenrodt_inverse_rows(cols)
     assert valid.all()
     for lam, image in zip(cols.T.tolist(), images.T.tolist()):
@@ -163,7 +163,7 @@ def test_color_conjugate_rows_agree_with_scalar_map(t, r):
     lams = [lam for n in range(size_max + 1)
             for lam in enumerate_partitions(n)]
     # parts-major: one column per partition
-    rows = np.concatenate(list(partition_blocks(size_max)), axis=1)
+    rows = partition_domain(size_max)[0].astype(np.int64)
     nu, mu, colors = color_conjugate_rows(rows, t, r)
     # the column heights, given, change nothing
     for got, want in zip(
@@ -258,11 +258,13 @@ def test_hook_map_rows_agree_with_scalar_map(m):
     size_max = 18
     lams = [lam for n in range(size_max + 1)
             for lam in enumerate_partitions(n)]
-    blocks = list(partition_blocks(size_max))
+    rows, sizes = partition_domain(size_max)
+    rows = rows.astype(np.int64)
+    blocks = [rows[:, sizes == n] for n in range(size_max + 1)]
     assert lams[0] == () and not blocks[0].any()  # the empty partition
     per_block = [generalized_hook_map_rows(cols, m) for cols in blocks]
     for image, is_partition in [
-            generalized_hook_map_rows(np.concatenate(blocks, axis=1), m),
+            generalized_hook_map_rows(rows, m),
             (np.concatenate([np.pad(a, ((0, size_max - len(a)), (0, 0)))
                              for a, _ in per_block], axis=1),
              np.concatenate([b for _, b in per_block]))]:

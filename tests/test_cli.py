@@ -472,6 +472,17 @@ def test_coloured_checks_cap_their_t(capsys, ident, cap, argv):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("command", ["verify", "series"])
+@pytest.mark.parametrize("name, table, cap", [
+    ("t", "T_MAX", 50_000), ("r", "R_MAX", 90_000)])
+def test_thm8_1_caps_its_t_and_r(capsys, command, name, table, cap):
+    assert getattr(cli.ver, table)["thm8.1"] == cap
+    code, out, err = run(capsys, command, "thm8.1", f"--{name}",
+                         str(cap + 1), "--max-q", "1", "--max-z", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: thm8.1 takes {name} at most {cap}, got {cap + 1}\n"
+
+
 @pytest.mark.parametrize("ident", THEOREM_IDS)
 def test_verify_at_the_defaults_gives_the_quick_suite_report(capsys, ident):
     # each id's default point is one of its quick suite points

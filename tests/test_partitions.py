@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from partbij.partitions import (
     conjugate,
     enumerate_partitions,
     from_modular,
-    partition_blocks,
+    partition_domain,
     partition_numbers,
     schmidt_weight,
     to_modular,
@@ -238,28 +239,39 @@ def test_partition_values_known():
     assert partition_numbers(10) == known
 
 
-def test_partition_blocks_match_enumeration():
+def test_partition_domain_matches_enumeration():
     for distinct in (False, True):
         packed = [[list(lam) for lam in enumerate_partitions(n, distinct)]
                   for n in range(21)]
         for n_max in range(21):
-            blocks = list(partition_blocks(n_max, distinct=distinct))
-            assert len(blocks) == n_max + 1
-            narrow = partition_blocks(n_max, distinct=distinct,
-                                      dtype=np.uint8)
-            for n, (block, small) in enumerate(zip(blocks, narrow)):
-                assert block.dtype == np.int64
-                # parts-major: one row per part index, one column per
-                # partition
-                assert block.shape == (n_max + 2, len(packed[n]))
-                assert block.T.tolist() == [lam + [0] * (n_max + 2 - len(lam))
-                                            for lam in packed[n]]
-                assert small.dtype == np.uint8
-                assert np.array_equal(small, block)
-    assert [b.shape for b in partition_blocks(3, width=6)] == \
-        [(6, 1), (6, 1), (6, 2), (6, 3)]
+            parts, sizes = partition_domain(n_max, distinct)
+            lams = [lam for n in range(n_max + 1) for lam in packed[n]]
+            # the narrowest unsigned type that holds n_max
+            assert parts.dtype == sizes.dtype == np.uint8
+            # parts-major: one row per part index, one column per
+            # partition, and a zero last row past the longest
+            longest = max(map(len, lams))
+            width = longest + 1 if distinct else n_max + 2
+            assert parts.shape == (width, len(lams))
+            assert parts.T.tolist() == [lam + [0] * (width - len(lam))
+                                        for lam in lams]
+            assert sizes.tolist() == [n for n in range(n_max + 1)
+                                      for _ in packed[n]]
     with pytest.raises(ValueError):
-        list(partition_blocks(-1))
+        partition_domain(-1)
+
+
+@pytest.mark.parametrize("n_max, distinct", [(40, False), (80, True)])
+def test_partition_domain_peaks_at_its_output(n_max, distinct):
+    # the domain is written in place: building it holds little beyond
+    # the arrays it returns
+    tracemalloc.start()
+    try:
+        parts, sizes = partition_domain(n_max, distinct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (parts.nbytes + sizes.nbytes)
 
 
 # every partition of size <= 18, for the tests that pin the scalar

@@ -21,7 +21,7 @@ from partbij.partitions import (
     color_profile,
     enumerate_partitions,
     from_modular,
-    partition_blocks,
+    partition_domain,
     partition_numbers,
     schmidt_weight,
     to_modular,
@@ -219,6 +219,17 @@ def test_a_parameter_the_entry_does_not_take_is_rejected():
         verify_identity("thm7", {"n": 3})
     with pytest.raises(VerifyError, match="^thm8.1 takes no parameter n$"):
         rhs_series("thm8.1", {"n": 3}, {"q": 4, "z": 4})
+
+
+@pytest.mark.parametrize("name, cap", [("t", 50_000), ("r", 90_000)])
+def test_thm8_1_caps_t_and_r(name, cap):
+    # both sides take time linear in t and in r
+    assert ver._CAPS[name]["thm8.1"] == cap
+    box = {"q": 1, "z": 1}
+    for check in (verify_identity, lhs_series, rhs_series):
+        with pytest.raises(VerifyError, match=f"^thm8.1 takes {name} at "
+                                              f"most {cap}, got {cap + 1}$"):
+            check("thm8.1", {name: cap + 1}, box)
 
 
 def test_box_variable_set_is_checked():
@@ -522,7 +533,7 @@ def test_color_conjugate_catches_a_wrong_colour(monkeypatch, t, r, cells):
     monkeypatch.setattr(ver, "_CHUNK_CELLS", cells)  # 64: 6 columns a chunk
     # the first partition, in enumeration order, that the two maps colour
     # differently: the column of r ones
-    rows = np.concatenate(list(partition_blocks(8)), axis=1)
+    rows = partition_domain(8)[0].astype(np.int64)
     differs = (_recoloured(rows, t, r)[2]
                != bij.color_conjugate_rows(rows, t, r)[2]).any(axis=0)
     i = int(np.argmax(differs))
@@ -568,11 +579,10 @@ def test_color_conjugate_round_trip_fault_wins_over_an_earlier_class(
 def test_kept_domain_is_exact_and_read_only(distinct):
     parts, sizes = ver._parts(9, distinct)
     assert ver._parts(9, distinct)[0] is parts  # kept between calls
-    blocks = list(partition_blocks(9, len(parts), distinct))
+    built, built_sizes = partition_domain(9, distinct)
     assert parts.dtype == sizes.dtype == np.uint8
-    assert np.array_equal(parts, np.concatenate(blocks, axis=1))
-    assert sizes.tolist() == [n for n, block in enumerate(blocks)
-                              for _ in range(block.shape[1])]
+    assert np.array_equal(parts, built)
+    assert np.array_equal(sizes, built_sizes)
     arrays = [parts, sizes]
     if not distinct:
         # thm7's domain adds the column heights to the kept parts
