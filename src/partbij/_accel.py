@@ -23,6 +23,7 @@ first leaves int64.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -35,6 +36,15 @@ class HistogramOverflow(OverflowError):
 
 class UnboundedBox(ValueError):
     """No finite enumeration covers the requested box."""
+
+
+def _zeros(shape):
+    """An int64 array of zeros of the given shape; MemoryError, with the
+    shape, if its bytes pass the index range numpy can size an array in."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"an int64 array of shape {shape} is larger than "
+                          "numpy can allocate")
+    return np.zeros(shape, dtype=np.int64)
 
 
 def _shifted_axes(kinds, pos, counted):
@@ -88,7 +98,8 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
     happens when every t consecutive rows add to some bounded axis.
     Profile axes cap neither. UnboundedBox if the parts, or the length
     without max_len, have no cap. Raises HistogramOverflow if a count
-    exceeds int64.
+    exceeds int64, and MemoryError if the output or the state has more
+    bytes than numpy can size an array in.
     """
     if not axes:
         raise ValueError("at least one axis is required")
@@ -108,7 +119,7 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
     if max_len is not None:
         lengths.append(int(max_len))
     max_len = min(lengths, default=None)
-    out = np.zeros(tuple(int(b) + 1 for b in bounds), dtype=np.int64)
+    out = _zeros(tuple(int(b) + 1 for b in bounds))
     admitted = None
     if length_mod is not None:
         mod, residues = length_mod
@@ -148,7 +159,7 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
                            "unbounded")
     # avail[v] counts the prefixes the next row may extend with part v;
     # bound caps those counts, out_bound every cell a later row adds to
-    avail = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
+    avail = _zeros((top + 1,) + stat_shape)
     avail[(slice(1, None),) + (0,) * len(kinds)] = 1
     bound = out_bound = 1
     rows = itertools.count(1) if max_len is None else range(1, max_len + 1)

@@ -30,10 +30,6 @@ class NotDistinct(PartitionError):
     """Input must have strictly decreasing parts."""
 
 
-class NotInImage(PartitionError):
-    """No preimage exists for this input."""
-
-
 class NotOddParts(PartitionError):
     """Input must have all parts odd."""
 
@@ -112,15 +108,8 @@ def _mork_inverse_parts(delta):
 
 def _frobenius_parts(arms, legs):
     """The parts, as a list, of the partition whose diagonal arms and legs
-    are arms and legs; raises NotInImage unless they are nonnegative,
-    strictly decreasing and of equal length."""
-    if len(arms) != len(legs):
-        raise NotInImage("arms and legs must have equal length")
-    for seq, name in ((arms, "arms"), (legs, "legs")):
-        if seq and min(seq) < 0:
-            raise NotInImage(f"{name} must be nonnegative: {seq}")
-        if not all(map(gt, seq, seq[1:])):
-            raise NotInImage(f"{name} must be strictly decreasing: {seq}")
+    are arms and legs: nonnegative, strictly decreasing and of equal
+    length, as mork_inverse derives them from distinct parts."""
     parts = [a + i for i, a in enumerate(arms, 1)]
     # rows below the Durfee square are the columns of the column heights
     # legs[j] + j + 1, each at least d

@@ -29,7 +29,7 @@ from .partitions import (
     to_modular,
 )
 from .series import SeriesError
-from .verify import IDENTITY_IDS, THEOREM_IDS, VerifyError
+from .verify import CATALOG, VerifyError
 
 BIJECTION_NAMES = (
     "mork",
@@ -205,11 +205,14 @@ def _report_line(report):
     return line
 
 
+def _flag_values(args):
+    """The catalog flags of a verify or series command line, by flag."""
+    return {flag: getattr(args, flag) for flag in args.flags}
+
+
 def _cmd_verify(args):
-    report = ver.run_verifier(
-        args.id, t=args.t, r=args.r, n=args.n, k=args.k,
-        box=_box_from_flags(args), m=args.m,
-    )
+    report = ver.run_verifier(args.id, _box_from_flags(args),
+                              **_flag_values(args))
     if args.json:
         print(json.dumps(_json_report(report)))
     else:
@@ -230,9 +233,8 @@ def _cmd_table(args):
 
 
 def _cmd_series(args):
-    params, box = ver.resolve_arguments(
-        args.id, _box_from_flags(args), t=args.t, r=args.r, n=args.n
-    )
+    params, box = ver.resolve_arguments(args.id, _box_from_flags(args),
+                                        **_flag_values(args))
     f = ver.rhs_series(args.id, params, box)
     if args.json:
         print(f.json_text())
@@ -254,6 +256,20 @@ def _cmd_suite(args):
             f"{len(suite.failures())} FAILED"
         print(f"{suite.level} suite: {len(suite.reports)} checks, {verdict}")
     return 0 if suite.passed else 1
+
+
+def _add_check_parser(sub, name, entries, func, help):
+    """A verify or series parser over entries: an id, the flags the entries
+    take, each once in catalog order, the box bounds and --json."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("id", choices=[entry.id for entry in entries])
+    flags = tuple(dict.fromkeys(f for entry in entries for f in entry.flags))
+    for flag in flags:
+        p.add_argument(f"--{flag}", type=int)
+    for var in ("q", "z", "s"):
+        p.add_argument(f"--max-{var}", type=int, dest=f"max_{var}")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=func, flags=flags)
 
 
 # built on the first main() call, not at import, and reused by every later
@@ -280,18 +296,8 @@ def _build_parser():
     b.add_argument("--m", type=int)
     b.set_defaults(func=_cmd_bijection)
 
-    v = sub.add_parser("verify", help="run one catalog check")
-    v.add_argument("id", choices=THEOREM_IDS)
-    v.add_argument("--t", type=int)
-    v.add_argument("--r", type=int)
-    v.add_argument("--n", type=int)
-    v.add_argument("--k", type=int)
-    v.add_argument("--m", type=int)
-    v.add_argument("--max-q", type=int, dest="max_q")
-    v.add_argument("--max-z", type=int, dest="max_z")
-    v.add_argument("--max-s", type=int, dest="max_s")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(func=_cmd_verify)
+    _add_check_parser(sub, "verify", CATALOG, _cmd_verify,
+                      "run one catalog check")
 
     t = sub.add_parser("table", help="print reference table rows")
     t.add_argument("name", choices=("bessenrodt",))
@@ -299,16 +305,9 @@ def _build_parser():
     t.add_argument("--json", action="store_true")
     t.set_defaults(func=_cmd_table)
 
-    s = sub.add_parser("series", help="print an identity's closed form")
-    s.add_argument("id", choices=IDENTITY_IDS)
-    s.add_argument("--t", type=int)
-    s.add_argument("--r", type=int)
-    s.add_argument("--n", type=int)
-    s.add_argument("--max-q", type=int, dest="max_q")
-    s.add_argument("--max-z", type=int, dest="max_z")
-    s.add_argument("--max-s", type=int, dest="max_s")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=_cmd_series)
+    _add_check_parser(sub, "series",
+                      [entry for entry in CATALOG if entry.lhs is not None],
+                      _cmd_series, "print an identity's closed form")
 
     u = sub.add_parser("suite", help="run every catalog check")
     u.add_argument("--level", choices=("quick", "full"), default="quick")

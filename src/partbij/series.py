@@ -58,6 +58,8 @@ from operator import add, index, sub
 
 import numpy as np
 
+from ._accel import _zeros
+
 INFINITY = math.inf
 
 _ZNUM = re.compile(r"^z([1-9][0-9]*)$")
@@ -241,8 +243,7 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, box):
         variables, bounds = _canon_box(box)
-        shape = tuple(b + 1 for b in bounds)
-        return cls(variables, bounds, np.zeros(shape, dtype=np.int64))
+        return cls(variables, bounds, _zeros(tuple(b + 1 for b in bounds)))
 
     @classmethod
     def constant(cls, box, value):

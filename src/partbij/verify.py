@@ -18,9 +18,11 @@ may span sizes. partitions.partition_domain builds a domain in place,
 and the domain of the last size asked for is kept between calls
 (_parts, and _domain with thm7's column heights), so thm7's grid points
 build it once. Two walks visit partitions one at a time: table1's rows
-and furtherwork's collision_search(3, 13). Each check over a domain, and
-table1's walk, has a size cap, DOMAIN_MAX_SIZE; thm6, thm7 and thm8.1 a
-cap on t, T_MAX; and thm8.1 one on r, R_MAX.
+and furtherwork's collision_search(3, 13). Each catalog entry is the one
+home of its parameters' limits (Entry.caps and Entry.lowest): a size cap
+on each check over a domain and on table1's walk, a cap on t for thm6,
+thm7, thm8.1 and thm8.2 and on r for thm8.1, and a lowest t for cor10
+and cor11 and a lowest r for cor11.
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
@@ -77,10 +79,6 @@ from .series import INFINITY, TruncatedSeries
 
 class VerifyError(ValueError):
     """A verification request that cannot be set up."""
-
-
-class DegenerateParams(VerifyError):
-    """Parameters for which the closed form is not defined."""
 
 
 @dataclass
@@ -176,18 +174,9 @@ def _series_mismatch(lhs, rhs):
     return _mismatch(dict(exps), int(a), int(b))
 
 
-def _need(ident, box, *names):
-    if set(box) != set(names):
-        want = ", ".join(names)
-        raise VerifyError(f"{ident} expects a box over exactly {{{want}}}")
-
-
 def _series_from_hist(box, arr):
     """The int64 array arr, not copied, as a series over box."""
-    variables, bounds = qs._canon_box(box)
-    if arr.shape != tuple(b + 1 for b in bounds):
-        raise VerifyError("histogram shape does not match the box")
-    return TruncatedSeries(variables, bounds, arr)
+    return TruncatedSeries(*qs._canon_box(box), arr)
 
 
 @functools.lru_cache(maxsize=1)
@@ -221,32 +210,9 @@ def _domain(size_max):
 # arrays of the largest domains stay small
 _CHUNK_CELLS = 1 << 15
 
-# the largest size each check over a whole domain takes: at the size 2
-# above, its run took over 10 s (2 cores, Python 3.11, numpy 2.4; thm7 at
-# t = 2, r = 1, furtherwork at m_max = 4, table1 at 94 in 13.5 s and
-# 238 MB), and its time and memory grow with the number of partitions
-DOMAIN_MAX_SIZE = {"prop1": 104, "thm7": 58, "furtherwork": 52,
-                   "table1": 92}
-
-# the largest t each check takes: at t + 1 its run took over 10 s (2
-# cores, Python 3.11, numpy 2.4; thm6 at its full-level n_max = 12, thm7
-# at r = 1 and its size cap), and its time and memory grow with the
-# number of colour classes; thm8.1's time grows linearly with t, and at
-# 60,000 its slowest box with q, z <= 10 (q 10, z 3) took 11.5 s
-T_MAX = {"thm6": 10, "thm7": 8, "thm8.1": 50_000}
-
-# the largest r thm8.1 takes: both its sides take time linear in r, and
-# at 100,000 its slowest box with q, z <= 10 (z 4; z >= 5 overflows int64
-# at once) took up to 10.6 s (2 cores, Python 3.11, numpy 2.4)
-R_MAX = {"thm8.1": 90_000}
-
-# lowest admissible value of a parameter; every other parameter and every
-# box bound starts at 0
+# lowest admissible value of a parameter, where its entry sets none; every
+# other parameter and every box bound starts at 0
 _LOWEST = {"t": 1, "r": 1, "m_max": 2}
-
-# the table that caps each capped parameter, by catalog id
-_CAPS = {"t": T_MAX, "r": R_MAX, "n_max": DOMAIN_MAX_SIZE,
-         "size_max": DOMAIN_MAX_SIZE, "n": DOMAIN_MAX_SIZE}
 
 
 def _column_chunks(row_cells, *arrays):
@@ -364,25 +330,27 @@ def _setup(ident, params=None, box=None):
     defaults, and its box: the entry's default box (None if it takes
     none) if box is None, else box. The one place a check's arguments are
     checked: VerifyError for a parameter the entry does not take, a
-    parameter below its lowest value (_LOWEST) or above its cap
-    (DOMAIN_MAX_SIZE, T_MAX, R_MAX), a box whose variables are not the
-    entry's, and a negative box bound."""
+    parameter below its lowest value (the entry's, else _LOWEST's) or
+    above the entry's cap, a box whose variables are not the entry's, and
+    a negative box bound."""
     entry = _entry(ident)
     params = {**entry.params, **(params or {})}
     for name, value in params.items():
         if name not in entry.params:
             raise VerifyError(f"{ident} takes no parameter {name}")
-        low = _LOWEST.get(name, 0)
+        low = entry.lowest.get(name, _LOWEST.get(name, 0))
         if value < low:
             raise VerifyError(f"{ident} needs {name} >= {low}")
-        cap = _CAPS.get(name, {}).get(ident)
+        cap = entry.caps.get(name)
         if cap is not None and value > cap:
             raise VerifyError(f"{ident} takes {name} at most {cap}, "
                               f"got {value}")
     default = _entry_box(entry, params, entry.box)
     if box is None:
         return entry, params, default
-    _need(ident, box, *(default or ()))
+    if set(box) != set(default or ()):
+        want = ", ".join(default or ())
+        raise VerifyError(f"{ident} expects a box over exactly {{{want}}}")
     for var, bound in box.items():
         if bound < 0:
             raise VerifyError(f"{ident} needs {var} >= 0")
@@ -407,12 +375,7 @@ def rhs_series(ident, params, box):
     """Closed-form side of a series identity, built from series
     primitives only."""
     entry, params, box = _series_setup(ident, params, box)
-    try:
-        return entry.rhs(params, box)
-    except qs.DivergentInfiniteProduct as exc:
-        raise DegenerateParams(
-            f"{ident} with {params} has a constant-ratio infinite product"
-        ) from exc
+    return entry.rhs(params, box)
 
 
 def default_box(ident, params=None):
@@ -442,14 +405,7 @@ def verify_identity(ident, params=None, box=None, perturb=None):
             extra["perturb"] = perturb
         checked, mismatch = globals()[entry.verifier](**params, **extra)
     else:
-        try:
-            lhs = lhs_series(ident, params, box)
-        except UnboundedBox:
-            # parameters whose closed form is degenerate (cor10 at t = 1)
-            # leave the enumeration side unbounded too; report them as
-            # series does
-            rhs_series(ident, params, box)
-            raise
+        lhs = lhs_series(ident, params, box)
         rhs = rhs_series(ident, params, box)
         if perturb:
             rhs = rhs + TruncatedSeries.monomial(box, perturb)
@@ -758,10 +714,6 @@ def verify_opposite_schmidt(t, r, k_max, n_max):
     r, t+r, ... equals n correspond to 2-colored partitions of n with
     k parts where color 2 appears only on sizes r-1, r-1 + (t-1), ....
     """
-    if t < 2:
-        raise DegenerateParams("the complement weight needs t >= 2")
-    if r < 2:
-        raise DegenerateParams("the restricted color sizes need r >= 2")
     arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
     classes = _colored_classes(
         n_max, [range(1, n_max + 1), range(r - 1, n_max + 1, t - 1)])
@@ -779,10 +731,9 @@ def verify_opposite_schmidt(t, r, k_max, n_max):
 def f_recurrence(n, t, box):
     """Series over q and s for partitions with largest part exactly n,
     where q carries the row-t weight and s the size, built from the
-    self-referential recurrence rather than any enumeration."""
-    if n < 0 or t < 1:
-        raise VerifyError("f_recurrence needs n >= 0 and t >= 1")
-    _need("eq20", box, "q", "s")
+    self-referential recurrence rather than any enumeration. Its
+    arguments are checked as eq20's: n as n_max, t and box."""
+    _setup("eq20", {"t": t, "n_max": n}, box)
     return _f_series(n, t, box)[n]
 
 
@@ -889,13 +840,17 @@ def _hook_map_readouts(m_max, size_max):
     Returns how many checks a partition-by-partition walk would make and
     its first failure: the collision test of each size in turn, then the
     part sums, m by m. A collision is reported from collision_search.
+
+    At any base m >= size_max every part is one cell, so the images at m
+    are those at size_max: the bases past it are counted, not run.
     """
+    bases = range(2, min(m_max, max(size_max, 2)) + 1)
     visited = 0
     wrong = None  # the first bad part sum: (m, index in the walk, parts, sum)
     odd_images = []  # (sizes, images) of the odd-part columns at base 2
     parts, sizes = _parts(size_max, False)
     for lam, n in _column_chunks(size_max + 2, parts, sizes):
-        for m in range(2, m_max + 1):
+        for m in bases:
             image, is_partition = generalized_hook_map_rows(lam, m)
             sums = image.sum(axis=0)
             off = np.flatnonzero(sums != n)
@@ -984,8 +939,10 @@ class Entry:
     full holds what differs at the full level: parameters, "box" and
     "grid". grid maps parameters to the values the suite runs, all
     combinations in order. flags maps a CLI flag to the parameter it sets;
-    the box flags follow from the box. A colored entry's box variable z
-    stands for z1..zt.
+    the box flags follow from the box. caps holds the largest value of a
+    parameter that has one, and lowest the smallest value of a parameter
+    where it is not _LOWEST's. A colored entry's box variable z stands for
+    z1..zt.
 
     A series identity has an enumeration side lhs and a closed-form side
     rhs, each called with (params, box). Any other entry names its
@@ -997,6 +954,8 @@ class Entry:
     id: str
     params: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
+    caps: dict = field(default_factory=dict)
+    lowest: dict = field(default_factory=dict)
     box: Optional[dict] = None
     full: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
@@ -1012,11 +971,32 @@ _QZ12 = {"q": 12, "z": 12}
 _FULL18 = {"box": {"q": 18, "z": 18}}
 _UP_TO_3 = (1, 2, 3)
 
+# The caps: at one step past each, a run took over 10 s or its arrays
+# outgrew memory (2 cores, 8 GB, Python 3.11, numpy 2.4).
+# - A check over a whole domain, and table1's walk, takes sizes up to its
+#   cap; its time and memory grow with the number of partitions, and at
+#   the size 2 above it took over 10 s (thm7 at t = 2, r = 1, furtherwork
+#   at m_max = 4, table1 at 94 in 13.5 s and 238 MB).
+# - thm6 and thm7 take t up to their caps; the number of colour classes,
+#   and with it time and memory, grows with t, and at t + 1 the run took
+#   over 10 s (thm6 at its full-level n_max = 12, thm7 at r = 1 and its
+#   size cap).
+# - thm8.1's sides take time linear in t and in r. At t = 60,000 its
+#   slowest box with q, z <= 10 (q 10, z 3) took 11.5 s, and at r =
+#   100,000 its slowest (z 4; z >= 5 overflows int64 at once) up to
+#   10.6 s.
+# - thm8.2's arrays grow about 5x with each step of t at its default box:
+#   t = 8 took 2.2 s and 496 MB, t = 9 13.3 s and 2.3 GB, and t = 10
+#   would need about 11 GB.
+# The lowest values past _LOWEST's: at t = 1 cor10's closed form is a
+# constant-ratio infinite product and its count has no bound on the
+# length, and cor11's complement weight needs t >= 2 and its restricted
+# colour sizes r >= 2.
 CATALOG = (
     Entry("schmidt", {"n_max": 15}, {"n": "n_max"}, full={"n_max": 22},
           verifier="verify_schmidt"),
-    Entry("prop1", {"n_max": 25}, {"n": "n_max"}, full={"n_max": 30},
-          verifier="verify_euler_refinement"),
+    Entry("prop1", {"n_max": 25}, {"n": "n_max"}, {"n_max": 104},
+          full={"n_max": 30}, verifier="verify_euler_refinement"),
     Entry("cor2", {"n_max": 15}, {"n": "n_max"}, full={"n_max": 22},
           verifier="verify_schmidt_refinement"),
     Entry("thm3.1", box={"q": 12, "z": 24}, full={"box": {"q": 18, "z": 36}},
@@ -1055,46 +1035,49 @@ CATALOG = (
     Entry("thm5.2", box=_QZ12, full=_FULL18,
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2, r=2),
           rhs=lambda p, box: _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])),
-    Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"},
+    Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"}, {"t": 10},
           full={"n_max": 12}, grid={"t": _UP_TO_3}, verifier="verify_li_yee"),
     Entry("thm7", {"t": 2, "r": 1, "size_max": 18},
-          {"t": "t", "r": "r", "n": "size_max"}, full={"size_max": 24},
-          grid={"t": _UP_TO_3, "r": _UP_TO_3},
+          {"t": "t", "r": "r", "n": "size_max"}, {"t": 8, "size_max": 58},
+          full={"size_max": 24}, grid={"t": _UP_TO_3, "r": _UP_TO_3},
           verifier="verify_color_conjugate"),
-    Entry("thm8.1", {"t": 2, "r": 1}, _TR, box={"q": 10, "z": 10},
-          full={"box": {"q": 15, "z": 15}},
+    Entry("thm8.1", {"t": 2, "r": 1}, _TR, {"t": 50_000, "r": 90_000},
+          box={"q": 10, "z": 10}, full={"box": {"q": 15, "z": 15}},
           grid={"t": (1, 2, 3, 4), "r": (1, 2, 3, 4)},
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=p["t"],
                                         r=p["r"]),
           rhs=lambda p, box: _quotient(
               box, [({"z": 1}, {}, p["r"] - 1)] + [_zq()] * p["t"])),
-    Entry("thm8.2", {"t": 2}, _T, box={"q": 8, "z": 4}, colored=True,
+    Entry("thm8.2", {"t": 2}, _T, {"t": 8}, box={"q": 8, "z": 4}, colored=True,
           full={"box": {"q": 12, "z": 6}}, grid={"t": _UP_TO_3},
           lhs=lambda p, box: _histogram(box, ("weight", "profile"), t=p["t"]),
           rhs=lambda p, box: _quotient(
               box, [({"q": 1, z: 1}, {"q": 1}, INFINITY)
                     for z in _colors(p["t"])])),
     # the product over n >= 0 of 1 / (s^(nt+r) q^(n+1) z; s)_t; the
-    # factors whose base leaves the q or s bound are 1 in the box
+    # factors whose base leaves the q or s bound are 1 in the box, and the
+    # others are made as the pass reaches them, after the box's array
     Entry("thm9", {"t": 2, "r": 1}, _TR, box={"q": 10, "z": 10, "s": 10},
           full={"box": {"q": 12, "z": 12, "s": 12}},
           grid={"t": _UP_TO_3, "r": _UP_TO_3},
           lhs=lambda p, box: _histogram(box, ("weight", "first", "size"),
                                         t=p["t"], r=p["r"]),
-          rhs=lambda p, box: _quotient(
-              box, [({"s": 1, "z": 1}, {"s": 1}, p["r"] - 1)]
-              + [({"s": n * p["t"] + p["r"], "q": n + 1, "z": 1}, {"s": 1},
-                  p["t"]) for n in range(box["q"])
-                 if n * p["t"] + p["r"] <= box["s"]])),
-    Entry("cor10", {"t": 2, "r": 1}, _TR, box={"q": 8, "z": 8},
-          full={"box": {"q": 12, "z": 12}}, grid={"t": (2, 3), "r": _UP_TO_3},
+          rhs=lambda p, box: _quotient(box, itertools.chain(
+              [({"s": 1, "z": 1}, {"s": 1}, p["r"] - 1)],
+              (({"s": n * p["t"] + p["r"], "q": n + 1, "z": 1}, {"s": 1},
+                p["t"]) for n in range(
+                    min(box["q"], (box["s"] - p["r"]) // p["t"] + 1)))))),
+    Entry("cor10", {"t": 2, "r": 1}, _TR, lowest={"t": 2},
+          box={"q": 8, "z": 8}, full={"box": {"q": 12, "z": 12}},
+          grid={"t": (2, 3), "r": _UP_TO_3},
           lhs=lambda p, box: _histogram(box, ("anti", "first"), t=p["t"],
                                         r=p["r"]),
           rhs=lambda p, box: _quotient(box, [
               _zq(), ({"q": p["r"] - 1, "z": 1}, {"q": p["t"] - 1}, INFINITY)])),
     Entry("cor11", {"t": 2, "r": 2, "k_max": 6, "n_max": 10},
           {"t": "t", "r": "r", "k": "k_max", "n": "n_max"},
-          full={"k_max": 9, "n_max": 15}, grid={"t": (2, 3), "r": (2, 3)},
+          lowest={"t": 2, "r": 2}, full={"k_max": 9, "n_max": 15},
+          grid={"t": (2, 3), "r": (2, 3)},
           verifier="verify_opposite_schmidt"),
     Entry("eq14", {"n": 4}, {"n": "n"}, box={"q": 10, "z": 10},
           full={"box": {"q": 15, "z": 15}, "grid": {"n": range(7)}},
@@ -1108,10 +1091,10 @@ CATALOG = (
     Entry("eq24", {"t": 2}, _T, box={"q": 6, "s": 10, "z": 4},
           full={"box": {"q": 9, "s": 15, "z": 6}},
           verifier="verify_functional_equation"),
-    Entry("table1", {"n": 7}, {"n": "n"}, verifier="verify_table"),
+    Entry("table1", {"n": 7}, {"n": "n"}, {"n": 92}, verifier="verify_table"),
     Entry("furtherwork", {"m_max": 4, "size_max": 20},
-          {"m": "m_max", "n": "size_max"}, full={"size_max": 24},
-          verifier="verify_furtherwork"),
+          {"m": "m_max", "n": "size_max"}, {"size_max": 52},
+          full={"size_max": 24}, verifier="verify_furtherwork"),
 )
 
 _BY_ID = {entry.id: entry for entry in CATALOG}
@@ -1138,11 +1121,11 @@ def _entry_box(entry, params, box):
 
 def resolve_arguments(ident, box=None, **flags):
     """Parameters and box of one check from its CLI flags: each given flag
-    value (t, r, n, k or m; None means not given) sets the parameter the
-    flag names, over the entry's defaults, and each given box bound
-    replaces that bound of the default box. A bound for z sets every z_i
-    of a colored entry. VerifyError for a flag or a box variable the entry
-    does not take; _setup checks the values."""
+    value (a key of some entry's flags; None means not given) sets the
+    parameter the flag names, over the entry's defaults, and each given
+    box bound replaces that bound of the default box. A bound for z sets
+    every z_i of a colored entry. VerifyError for a flag or a box
+    variable the entry does not take; _setup checks the values."""
     entry = _entry(ident)
     params = {}
     for flag, value in flags.items():
@@ -1159,11 +1142,10 @@ def resolve_arguments(ident, box=None, **flags):
     return params, out
 
 
-def run_verifier(ident, t=None, r=None, n=None, k=None, box=None,
-                 perturb=None, m=None):
+def run_verifier(ident, box=None, perturb=None, **flags):
     """Run one catalog check by id and by its CLI flags, its defaults
     filled in; a partial box replaces only the bounds it names."""
-    params, box = resolve_arguments(ident, box, t=t, r=r, n=n, k=k, m=m)
+    params, box = resolve_arguments(ident, box, **flags)
     return verify_identity(ident, params, box, perturb)
 
 

@@ -84,6 +84,22 @@ def test_int_scalars():
             op()
 
 
+def test_more_box_variables_than_numpy_allows_is_a_series_error():
+    limit = series._MAX_VARIABLES
+    assert limit in (32, 64)
+    box = {f"z{i}": 0 for i in range(1, 72)}
+    with pytest.raises(SeriesError, match=(
+            f"^a box has at most {limit} variables, numpy's limit on array "
+            "dimensions; got 71$")):
+        TruncatedSeries.zero(box)
+
+
+def test_a_box_past_what_numpy_can_size_is_a_memory_error():
+    # 10^20 int64 cells, past numpy's index range of bytes
+    with pytest.raises(MemoryError, match="larger than numpy can allocate"):
+        TruncatedSeries.zero({"q": 10**10 - 1, "z": 10**10 - 1})
+
+
 def test_box_mismatch_rejected():
     f = TruncatedSeries.zero(BOX)
     g = TruncatedSeries.zero({"q": 4})

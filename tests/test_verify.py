@@ -30,7 +30,6 @@ from partbij.series import TruncatedSeries
 from partbij.verify import (
     IDENTITY_IDS,
     THEOREM_IDS,
-    DegenerateParams,
     SuiteReport,
     UnboundedBox,
     VerificationReport,
@@ -224,7 +223,7 @@ def test_a_parameter_the_entry_does_not_take_is_rejected():
 @pytest.mark.parametrize("name, cap", [("t", 50_000), ("r", 90_000)])
 def test_thm8_1_caps_t_and_r(name, cap):
     # both sides take time linear in t and in r
-    assert ver._CAPS[name]["thm8.1"] == cap
+    assert ver._entry("thm8.1").caps[name] == cap
     box = {"q": 1, "z": 1}
     for check in (verify_identity, lhs_series, rhs_series):
         with pytest.raises(VerifyError, match=f"^thm8.1 takes {name} at "
@@ -240,14 +239,34 @@ def test_box_variable_set_is_checked():
 
 
 def test_unbounded_and_degenerate_params():
+    # at t = 1 cor10's count has no bound on the length and its closed
+    # form is a constant-ratio infinite product, so the entry starts t at 2
+    box = {"q": 4, "z": 4}
     with pytest.raises(UnboundedBox):
-        lhs_series("cor10", {"t": 1, "r": 1}, {"q": 4, "z": 4})
-    with pytest.raises(DegenerateParams):
-        rhs_series("cor10", {"t": 1, "r": 1}, {"q": 4, "z": 4})
-    with pytest.raises(DegenerateParams):
+        partition_histogram(("anti", "first"), (4, 4), t=1, r=1)
+    with pytest.raises(qs.DivergentInfiniteProduct):
+        qs.divide_pochhammer(TruncatedSeries.constant(box, 1),
+                             {"z": 1}, {}, qs.INFINITY)
+    for check in (lhs_series, rhs_series, verify_identity):
+        with pytest.raises(VerifyError, match="^cor10 needs t >= 2$"):
+            check("cor10", {"t": 1, "r": 1}, box)
+    with pytest.raises(VerifyError, match="^cor11 needs t >= 2$"):
         verify_identity("cor11", {"t": 1, "r": 2})
-    with pytest.raises(DegenerateParams):
+    with pytest.raises(VerifyError, match="^cor11 needs r >= 2$"):
         verify_identity("cor11", {"t": 2, "r": 1})
+
+
+def test_f_recurrence_checks_its_arguments_as_eq20():
+    box = {"q": 4, "s": 4}
+    with pytest.raises(VerifyError, match="^eq20 needs n_max >= 0$"):
+        f_recurrence(-1, 2, box)
+    with pytest.raises(VerifyError, match="^eq20 needs t >= 1$"):
+        f_recurrence(2, 0, box)
+    with pytest.raises(VerifyError, match=r"^eq20 expects a box over "
+                                          r"exactly \{q, s\}$"):
+        f_recurrence(2, 2, {"q": 4, "z": 4})
+    with pytest.raises(VerifyError, match="^eq20 needs s >= 0$"):
+        f_recurrence(2, 2, {"q": 4, "s": -1})
 
 
 def test_special_case_collapse():
@@ -757,6 +776,43 @@ def test_furtherwork_reports_a_base_2_collision_as_the_walk_does(
     assert report.coefficients_checked == 3 + 8
     assert (report.coefficients_checked, report.first_mismatch) \
         == _walked_readouts(4, 20)
+
+
+@pytest.mark.parametrize("m_max, size_max", [
+    (9, 6), (3, 6), (5, 1), (3, 0), (2, 0)])
+def test_furtherwork_runs_no_base_past_the_size(monkeypatch, m_max, size_max):
+    # every part is one cell at a base >= size_max, so the images repeat
+    # there, and the report is the walk's over every base
+    bases = []
+    rows_map = ver.generalized_hook_map_rows
+
+    def recorded(rows, m):
+        bases.append(m)
+        return rows_map(rows, m)
+
+    monkeypatch.setattr(ver, "generalized_hook_map_rows", recorded)
+    report = verify_identity("furtherwork",
+                             {"m_max": m_max, "size_max": size_max})
+    assert max(bases) == min(m_max, max(size_max, 2))
+    assert (report.coefficients_checked, report.first_mismatch) \
+        == _walked_readouts(m_max, size_max)
+
+
+def test_hook_map_images_repeat_past_the_size():
+    lam = partition_domain(10, False)[0].astype(np.int64)
+    want = bij.generalized_hook_map_rows(lam, 10)
+    for m in (11, 40, 10**10):
+        got = bij.generalized_hook_map_rows(lam, m)
+        assert all(map(np.array_equal, got, want))
+
+
+def test_furtherwork_at_a_huge_base_counts_every_base():
+    report = run_verifier("furtherwork", m=10**10, n=8)
+    assert report.passed
+    # the two twins, collision_search(3, 13), a collision test per size
+    # and one part sum per partition and base
+    assert report.coefficients_checked == (
+        3 + 9 + (10**10 - 1) * sum(partition_numbers(8)))
 
 
 def test_furtherwork_needs_base_two_or_more():
