@@ -481,6 +481,19 @@ def test_coloured_checks_cap_their_t(capsys, ident, cap, argv):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("command", ["verify", "series"])
+@pytest.mark.parametrize("name, cap", [
+    pytest.param("t", 50_000, id="t-T_MAX-50000"),
+    pytest.param("r", 90_000, id="r-R_MAX-90000")])
+def test_thm8_1_caps_its_t_and_r(capsys, command, name, cap):
+    # pins thm8.1's caps to their values; the test below checks every cap
+    assert cli.ver._entry("thm8.1").caps[name] == cap
+    code, out, err = run(capsys, command, "thm8.1", f"--{name}",
+                         str(cap + 1), "--max-q", "1", "--max-z", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: thm8.1 takes {name} at most {cap}, got {cap + 1}\n"
+
+
 # each entry's limits: (entry, parameter, limit, a value past it, error)
 LIMITS = [
     pytest.param(entry, name, cap, cap + 1,
