@@ -83,10 +83,11 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
     statistic names from {"first", "size", "length", "weight", "anti",
     "profile"}; "weight" is the sum of parts at indices r, t+r, 2t+r, ...
     and "anti" the rest of the size. "profile" occurs exactly t times or not at all,
-    its k-th occurrence being class k of color_profile(partition, t, r):
-    each row pos >= r adds the drop p_pos - p_(pos+1) to class
-    ((pos - r) mod t) + 1. length_mod=(m, residues) keeps only partitions
-    whose length is congruent to one of the residues mod m.
+    its k-th occurrence being class k of the colour profile, as
+    color_profile in tests/reference.py defines it: each row pos >= r
+    adds the drop p_pos - p_(pos+1) to class ((pos - r) mod t) + 1.
+    length_mod=(m, residues) keeps only partitions whose length is
+    congruent to one of the residues mod m.
 
     Every statistic is nondecreasing as parts are appended, counting a
     profile class only once the row after its own is known, so a

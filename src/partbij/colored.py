@@ -49,25 +49,6 @@ class ColoredPartition:
     def parts(self) -> Partition:
         return Partition(p for p, _ in self.entries)
 
-    def part(self, i: int) -> int:
-        """1-based part access; 0 beyond the last entry."""
-        if i < 1:
-            raise IndexError(f"part index must be >= 1, got {i}")
-        return self.entries[i - 1][0] if i <= len(self.entries) else 0
-
-    def color(self, i: int) -> int:
-        """1-based color access."""
-        if not 1 <= i <= len(self.entries):
-            raise IndexError(f"no entry at index {i}")
-        return self.entries[i - 1][1]
-
-    def color_counts(self) -> tuple:
-        """How many entries carry each color, indexed 1..t."""
-        counts = [0] * self.t
-        for _, c in self.entries:
-            counts[c - 1] += 1
-        return tuple(counts)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColoredPartition)

@@ -1,9 +1,8 @@
 """Integer partitions, Young diagram statistics, and enumeration streams.
 
 A partition is stored as a tuple of weakly decreasing positive parts.
-Parts are addressed 1-based, and ``part(i)`` reads as 0 past the end, so
-statistics defined over infinite index sets (Schmidt weights, color
-profiles) are total functions.
+A statistic over an infinite index set, such as a Schmidt weight, reads
+the parts past the last as 0.
 
 A public function validates its input once, by coercing it through
 ``Partition`` (which returns a ``Partition`` unchanged), and works on
@@ -71,12 +70,6 @@ class Partition(tuple):
     def length(self) -> int:
         return len(self)
 
-    def part(self, i: int) -> int:
-        """1-based part access; 0 beyond the last part."""
-        if i < 1:
-            raise IndexError(f"part index must be >= 1, got {i}")
-        return self[i - 1] if i <= len(self) else 0
-
     def __repr__(self) -> str:
         return f"Partition{tuple(self)!r}" if self else "Partition()"
 
@@ -105,29 +98,11 @@ def _columns(parts) -> list:
     return cols
 
 
-def conjugate(p: Partition) -> Partition:
-    """Column lengths of p's Young diagram."""
-    return Partition(_columns(Partition(p)))
-
-
 def schmidt_weight(p: Partition, t: int, r: int) -> int:
     """Sum of the parts at indices r, t+r, 2t+r, ..."""
     if t < 1 or r < 1:
         raise ValueError("t and r must be positive")
     return sum(Partition(p)[r - 1::t])
-
-
-def color_profile(p: Partition, t: int, r: int) -> tuple:
-    """The t alternating sums c_i = sum_k (p_{kt+r+i-1} - p_{kt+r+i}).
-
-    The c_i are nonnegative and sum to p.part(r).
-    """
-    if t < 1 or r < 1:
-        raise ValueError("t and r must be positive")
-    p = Partition(p)
-    # the subtracted parts p_{a+1} are the next slice, 0 past the end
-    return tuple(sum(p[r + i - 2::t]) - sum(p[r + i - 1::t])
-                 for i in range(1, t + 1))
 
 
 def to_modular(p: Partition, m: int) -> ModularDiagram:

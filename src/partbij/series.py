@@ -231,7 +231,7 @@ def _graded_lex(coeffs):
 
 
 class TruncatedSeries:
-    """Dense truncated series. Build via zero / constant / monomial / from_terms."""
+    """Dense truncated series. Build via zero / constant / monomial."""
 
     __slots__ = ("variables", "box", "coeffs")
 
@@ -259,23 +259,6 @@ class TruncatedSeries:
         f.coeffs[idx] = _checked(coeff)
         return f
 
-    @classmethod
-    def from_terms(cls, box, terms):
-        """Accumulate (exponents, coeff) pairs; terms outside the box are
-        dropped. Terms on one exponent vector are summed exactly, so
-        CoefficientOverflow is raised only when a sum leaves int64."""
-        f = cls.zero(box)
-        sums = {}
-        for exponents, coeff in terms:
-            try:
-                idx = f._index(exponents)
-            except OutOfBox:
-                continue
-            sums[idx] = sums.get(idx, 0) + index(coeff)
-        for idx, value in sums.items():
-            f.coeffs[idx] = _checked(value)
-        return f
-
     def _index(self, exponents):
         idx = [0] * len(self.variables)
         pos = {v: i for i, v in enumerate(self.variables)}
@@ -298,31 +281,6 @@ class TruncatedSeries:
         if self.variables != other.variables or self.box != other.box:
             raise BoxMismatch(
                 f"{self.variables}/{self.box} vs {other.variables}/{other.box}")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_aligned(other)
-        return TruncatedSeries(self.variables, self.box,
-                               _sum(self.coeffs, other.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.variables == other.variables and self.box == other.box
-                and bool(np.array_equal(self.coeffs, other.coeffs)))
-
-    __hash__ = None
-
-    def coefficient(self, exponents):
-        """Exact coefficient at the exponent vector; OutOfBox beyond the box."""
-        return int(self.coeffs[self._index(exponents)])
-
-    def terms(self):
-        """Yield (exponents, coeff) in graded-lexicographic order, zeros omitted."""
-        idx, values = _graded_lex(self.coeffs)
-        for row, coeff in zip(idx.tolist(), values.tolist()):
-            yield {v: e for v, e in zip(self.variables, row) if e}, coeff
 
     def text(self):
         """Plain rendering, e.g. '1 + q*z + 2*q^2*z^2', written straight
@@ -381,16 +339,6 @@ class TruncatedSeries:
             table[cells].tolist())
         return '{"box": %s, "terms": [%s]}' % (
             json.dumps(self.box_dict()), terms)
-
-    def to_json(self):
-        """json_text() as plain data."""
-        return json.loads(self.json_text())
-
-    def __repr__(self):
-        nnz = int(np.count_nonzero(self.coeffs))
-        if nnz <= 8:
-            return f"TruncatedSeries({self.text()!r}, box={self.box_dict()})"
-        return f"TruncatedSeries(<{nnz} terms>, box={self.box_dict()})"
 
 
 def _monomial_exponents(variables, m):
@@ -525,23 +473,18 @@ def _divide(coeffs, variables, products, bound=None):
     return bound
 
 
-def _expand(f, products):
-    """A new series: f divided by each Pochhammer product in products,
-    by _divide on a copy of f's coefficients; f is left as it was."""
-    coeffs = f.coeffs.copy()
-    _divide(coeffs, f.variables, products)
-    return TruncatedSeries(f.variables, f.box, coeffs)
-
-
 def divide_pochhammer(f, base, ratio, n):
-    """f / (base; ratio)_n in f's box: _expand with the one product.
+    """f / (base; ratio)_n in f's box, by _divide on a copy of f's
+    coefficients; f is left as it was.
 
     (base; ratio)_n is the product of (1 - base*ratio^k) for k = 0..n-1;
     base and ratio are exponent maps. n may be INFINITY when ratio is not
     the constant monomial; factors whose monomial leaves the box are
     identically 1 there. NonUnitConstantTerm if a factor is 1 - 1.
     """
-    return _expand(f, [(base, ratio, n)])
+    coeffs = f.coeffs.copy()
+    _divide(coeffs, f.variables, [(base, ratio, n)])
+    return TruncatedSeries(f.variables, f.box, coeffs)
 
 
 def substitute(f, variable, m, box=None):

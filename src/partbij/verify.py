@@ -46,6 +46,7 @@ the cases it checked and its first mismatch.
 """
 
 import functools
+import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -325,6 +326,13 @@ def _head_sum(box, constant, term):
     return acc
 
 
+def _perturb(f, exponents):
+    """Add 1, in place, to f's coefficient at exponents: OutOfBox past
+    the box, CoefficientOverflow past int64."""
+    cell = f._index(exponents)
+    f.coeffs[cell] = qs._checked(int(f.coeffs[cell]) + 1)
+
+
 def _setup(ident, params=None, box=None):
     """The entry of a catalog check, its parameters laid over the entry's
     defaults, and its box: the entry's default box (None if it takes
@@ -378,14 +386,6 @@ def rhs_series(ident, params, box):
     return entry.rhs(params, box)
 
 
-def default_box(ident, params=None):
-    """Default coefficient box of a catalog entry."""
-    box = _setup(ident, params)[2]
-    if box is None:
-        raise VerifyError(f"{ident} has no default box")
-    return box
-
-
 def verify_identity(ident, params=None, box=None, perturb=None):
     """Run one catalog check, by id, and report it: params (by parameter
     name) laid over the entry's defaults, in box, or the default box if
@@ -395,20 +395,24 @@ def verify_identity(ident, params=None, box=None, perturb=None):
 
     perturb, an exponent dict, adds 1 to that coefficient of the closed
     form (of a series identity, or eq24's) before comparison; it exists
-    to prove the machinery can fail.
+    to prove the machinery can fail. VerifyError for perturb on any other
+    dedicated check, whose verifier takes no perturb.
     """
     entry, params, box = _setup(ident, params, box)
     start = time.perf_counter()
     if entry.lhs is None:
+        verifier = globals()[entry.verifier]
         extra = {} if entry.box is None else {"box": box}
         if perturb is not None:
+            if "perturb" not in inspect.signature(verifier).parameters:
+                raise VerifyError(f"{ident} takes no perturb")
             extra["perturb"] = perturb
-        checked, mismatch = globals()[entry.verifier](**params, **extra)
+        checked, mismatch = verifier(**params, **extra)
     else:
         lhs = lhs_series(ident, params, box)
         rhs = rhs_series(ident, params, box)
         if perturb:
-            rhs = rhs + TruncatedSeries.monomial(box, perturb)
+            _perturb(rhs, perturb)
         checked, mismatch = _volume(box), _series_mismatch(lhs, rhs)
     elapsed = (time.perf_counter() - start) * 1000.0
     status = "pass" if mismatch is None else "fail"
@@ -601,7 +605,8 @@ def _round_trip_rows(lam, heights, t, r):
     columns lam, with their column heights, and check every column
     against values read off the columns themselves: the weight is a
     strided sum, and profile class i the difference of the strided sums
-    from rows r + i and r + i + 1, as color_profile defines it.
+    from rows r + i and r + i + 1, as color_profile in tests/reference.py
+    defines it.
 
     Returns the columns' class keys, rows (first, row_r, weight,
     *profile), and None, or None and the first failing column's index and
@@ -732,8 +737,12 @@ def f_recurrence(n, t, box):
     """Series over q and s for partitions with largest part exactly n,
     where q carries the row-t weight and s the size, built from the
     self-referential recurrence rather than any enumeration. Its
-    arguments are checked as eq20's: n as n_max, t and box."""
+    arguments are checked as eq20's: n as n_max, t and box. Past min(q,
+    s) it is zero in the box, since the largest part counts in both the
+    weight and the size."""
     _setup("eq20", {"t": t, "n_max": n}, box)
+    if n > min(box["q"], box["s"]):
+        return TruncatedSeries.zero(box)
     return _f_series(n, t, box)[n]
 
 
@@ -793,20 +802,20 @@ def _f_series(n_max, t, box):
 def verify_recurrence(t, n_max, box):
     """The largest-part recurrence reproduces direct enumeration for
     every largest part up to n_max: one run of the recurrence against
-    the slices of one (weight, first, size) histogram."""
+    the slices of one (weight, first, size) histogram. Both run only to
+    the largest part top = min(n_max, q, s): past it f_n and the slice
+    are zero in the box, and they count as checked zero cells."""
     q, s = box["q"], box["s"]
-    arr = partition_histogram(("weight", "first", "size"), (q, n_max, s),
+    top = min(n_max, q, s)
+    arr = partition_histogram(("weight", "first", "size"), (q, top, s),
                               t=t, r=1)
-    checked = 0
-    mismatch = None
-    for n, rhs in enumerate(_f_series(n_max, t, box)):
-        checked += _volume(box)
+    volume = _volume(box)
+    for n, rhs in enumerate(_f_series(top, t, box)):
         found = _series_mismatch(_series_from_hist(box, arr[:, n, :]), rhs)
         if found:
             found["monomial"]["n"] = n
-            mismatch = found
-            break
-    return checked, mismatch
+            return (n + 1) * volume, found
+    return (n_max + 1) * volume, None
 
 
 def verify_functional_equation(t, box, perturb=None):
@@ -823,7 +832,7 @@ def verify_functional_equation(t, box, perturb=None):
         {"s": 1, "q": 1, "z": 1}, {"s": 1}, t,
     )
     if perturb:
-        rhs = rhs + TruncatedSeries.monomial(box, perturb)
+        _perturb(rhs, perturb)
     return _volume(box), _series_mismatch(big_f, rhs)
 
 
@@ -841,22 +850,28 @@ def _hook_map_readouts(m_max, size_max):
     its first failure: the collision test of each size in turn, then the
     part sums, m by m. A collision is reported from collision_search.
 
-    At any base m >= size_max every part is one cell, so the images at m
-    are those at size_max: the bases past it are counted, not run.
+    At every base m at least a partition's first part each part is one
+    cell, so its image at m is its image at m - 1 when its first part is
+    below m: base 2 maps every column and a base m above it only the
+    columns whose first part is at least m. A failure found at m is then
+    the first at m, as the walk's would be, and the bases past the
+    largest first part are counted, not run.
     """
-    bases = range(2, min(m_max, max(size_max, 2)) + 1)
     visited = 0
     wrong = None  # the first bad part sum: (m, index in the walk, parts, sum)
     odd_images = []  # (sizes, images) of the odd-part columns at base 2
     parts, sizes = _parts(size_max, False)
     for lam, n in _column_chunks(size_max + 2, parts, sizes):
-        for m in bases:
-            image, is_partition = generalized_hook_map_rows(lam, m)
+        for m in range(2, m_max + 1):
+            cols = np.flatnonzero(lam[0] >= m) if m > 2 else np.arange(len(n))
+            if not cols.size:
+                break
+            image, is_partition = generalized_hook_map_rows(lam[:, cols], m)
             sums = image.sum(axis=0)
-            off = np.flatnonzero(sums != n)
+            off = np.flatnonzero(sums != n[cols])
             if off.size and (wrong is None or m < wrong[0]):
-                i = int(off[0])
-                wrong = (m, visited + i, lam[:, i], int(sums[i]))
+                i = int(cols[off[0]])
+                wrong = (m, visited + i, lam[:, i], int(sums[off[0]]))
             if m == 2:
                 # a part is even iff its low bit is 0, and 0 is no part
                 even = ((lam & 1) == 0) & (lam > 0)
@@ -975,8 +990,9 @@ _UP_TO_3 = (1, 2, 3)
 # outgrew memory (2 cores, 8 GB, Python 3.11, numpy 2.4).
 # - A check over a whole domain, and table1's walk, takes sizes up to its
 #   cap; its time and memory grow with the number of partitions, and at
-#   the size 2 above it took over 10 s (thm7 at t = 2, r = 1, furtherwork
-#   at m_max = 4, table1 at 94 in 13.5 s and 238 MB).
+#   the size 2 above it took over 10 s (thm7 at t = 2, r = 1, table1 at
+#   94 in 13.5 s and 238 MB). furtherwork's worst case is m_max at the
+#   size: 44 took 9.8 s and 52 MB, 45 12.2 s.
 # - thm6 and thm7 take t up to their caps; the number of colour classes,
 #   and with it time and memory, grows with t, and at t + 1 the run took
 #   over 10 s (thm6 at its full-level n_max = 12, thm7 at r = 1 and its
@@ -1093,7 +1109,7 @@ CATALOG = (
           verifier="verify_functional_equation"),
     Entry("table1", {"n": 7}, {"n": "n"}, {"n": 92}, verifier="verify_table"),
     Entry("furtherwork", {"m_max": 4, "size_max": 20},
-          {"m": "m_max", "n": "size_max"}, {"size_max": 52},
+          {"m": "m_max", "n": "size_max"}, {"size_max": 44},
           full={"size_max": 24}, verifier="verify_furtherwork"),
 )
 

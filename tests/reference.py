@@ -2,8 +2,11 @@
 
 Series are dense numpy arrays of exact Python ints (dtype object), one
 axis per variable and indexed by exponent vectors, so they compare with
-a TruncatedSeries' coefficients by ``.tolist()``. Nothing here calls the
-series layer, the histogram kernel or the coloured-partition module.
+a TruncatedSeries' coefficients by ``.tolist()``. Partitions are plain
+tuples of weakly decreasing parts; conjugate and color_profile here are
+the definitions that the library's array maps and histogram profile axes
+are checked against. Nothing here calls the series layer, the histogram
+kernel or the coloured-partition module.
 """
 
 import itertools
@@ -127,3 +130,22 @@ def series_text(variables, coeffs):
         else:
             text = ("-" if value < 0 else "") + body
     return text or "0"
+
+
+def conjugate(p):
+    """The column lengths of the diagram of the weakly decreasing parts p:
+    column j holds one cell for each part >= j."""
+    return tuple(sum(1 for part in p if part >= j)
+                 for j in range(1, (p[0] if p else 0) + 1))
+
+
+def color_profile(p, t, r):
+    """The t alternating sums c_i = sum over k >= 0 of p_a - p_(a+1), with
+    a = kt + r + i - 1, of the weakly decreasing parts p, 1-based and 0
+    past the last; they are nonnegative and sum to p_r."""
+    def part(a):
+        return p[a - 1] if a <= len(p) else 0
+
+    return tuple(sum(part(a) - part(a + 1)
+                     for a in range(r + i - 1, len(p) + 1, t))
+                 for i in range(1, t + 1))

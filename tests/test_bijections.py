@@ -35,7 +35,7 @@ from partbij.partitions import (
     partition_domain,
     to_modular,
 )
-from reference import hook_length
+from reference import color_profile, hook_length
 
 
 @st.composite
@@ -142,15 +142,17 @@ def test_color_conjugate_single_residue():
 
 @given(partitions(max_n=18), st.integers(1, 3), st.integers(1, 3))
 def test_color_conjugate_statistics(lam, t, r):
-    from partbij.partitions import color_profile, schmidt_weight
+    from partbij.partitions import schmidt_weight
 
     nu, mu = color_conjugate(lam, t, r)
     assert color_conjugate_inverse(nu, mu, t, r) == lam
     assert nu.length() <= r - 1
-    assert nu.part(1) <= lam.part(1) - lam.part(r) or lam.part(r) == 0
+    lam_r = lam[r - 1] if r <= len(lam) else 0
+    assert lam_r == 0 or sum(nu[:1]) <= lam[0] - lam_r
     assert mu.size() == schmidt_weight(lam, t, r)
-    assert mu.length() == lam.part(r)
-    assert mu.color_counts() == color_profile(lam, t, r)
+    assert mu.length() == lam_r
+    assert tuple(sum(1 for _, c in mu.entries if c == i)
+                 for i in range(1, t + 1)) == color_profile(lam, t, r)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])

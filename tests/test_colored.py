@@ -17,12 +17,8 @@ def test_entries_canonical_order():
 def test_accessors():
     c = ColoredPartition([(4, 2), (1, 1)], 2)
     assert c.parts() == (4, 1)
-    assert c.part(1) == 4 and c.part(2) == 1
-    assert c.color(1) == 2 and c.color(2) == 1
-    assert c.color_counts() == (1, 1)
-    assert c.part(3) == 0
-    with pytest.raises(IndexError):
-        c.color(3)
+    assert c.entries == ((4, 2), (1, 1))
+    assert c.size() == 5 and c.length() == 2
 
 
 def test_validation():
@@ -70,10 +66,9 @@ def test_enumeration_is_canonical():
         c = ColoredPartition(entries, 3)
         assert c.entries == entries
         assert c.length() == len(entries)
-        assert c.color_counts() == tuple(
-            sum(1 for _, color in entries if color == i) for i in (1, 2, 3))
+        assert c.parts() == tuple(part for part, _ in entries)
 
 
 def test_empty():
     assert list(colored_partitions(0, 2)) == [()]
-    assert ColoredPartition([], 2).color_counts() == (0, 0)
+    assert ColoredPartition([], 2).entries == ()

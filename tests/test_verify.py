@@ -18,7 +18,6 @@ from partbij._accel import partition_histogram
 from partbij.colored import ColoredPartition
 from partbij.partitions import (
     Partition,
-    color_profile,
     enumerate_partitions,
     from_modular,
     partition_domain,
@@ -35,7 +34,6 @@ from partbij.verify import (
     VerificationReport,
     VerifyError,
     _colored_classes,
-    default_box,
     f_recurrence,
     lhs_series,
     rhs_series,
@@ -44,7 +42,13 @@ from partbij.verify import (
     table_bessenrodt,
     verify_identity,
 )
-from reference import colored_partitions, q_binomial, quotient, truncated_product
+from reference import (
+    color_profile,
+    colored_partitions,
+    q_binomial,
+    quotient,
+    truncated_product,
+)
 from test_series import exact_quotient
 
 SMALL = {
@@ -272,22 +276,20 @@ def test_f_recurrence_checks_its_arguments_as_eq20():
 def test_special_case_collapse():
     # cor10 at t=2, r=2 collapses to the first-part identity thm5.1
     box = {"q": 6, "z": 6}
-    assert rhs_series("cor10", {"t": 2, "r": 2}, box) == \
-        rhs_series("thm5.1", {}, box)
-    assert lhs_series("cor10", {"t": 2, "r": 2}, box) == \
-        lhs_series("thm5.1", {}, box)
+    for side in (rhs_series, lhs_series):
+        assert np.array_equal(side("cor10", {"t": 2, "r": 2}, box).coeffs,
+                              side("thm5.1", {}, box).coeffs)
 
 
 def test_defaults_cover_every_identity():
     for ident in IDENTITY_IDS:
-        assert default_box(ident)
-        report = verify_identity(ident)
-        assert report.passed
-        break  # full default boxes run in the suite; one here keeps this fast
-    assert default_box("thm8.2", {"t": 3}) == \
+        assert ver.resolve_arguments(ident)[1]
+    report = verify_identity(IDENTITY_IDS[0])
+    assert report.passed  # full default boxes run in the suite
+    assert ver.resolve_arguments("thm8.2", t=3)[1] == \
         {"q": 8, "z1": 4, "z2": 4, "z3": 4}
     with pytest.raises(VerifyError):
-        default_box("nope")
+        ver.resolve_arguments("nope")
 
 
 def test_counting_verifiers_pass_small():
@@ -310,7 +312,8 @@ def _tally(colored, bound, weight, admits=lambda p, i: True):
     for mu in colored:
         if all(admits(p, i) for p, i in mu.entries):
             key = (sum(weight(p, i) for p, i in mu.entries),
-                   *mu.color_counts())
+                   *(sum(1 for _, c in mu.entries if c == i)
+                     for i in range(1, mu.t + 1)))
             if key[0] <= bound:
                 tally[key] = tally.get(key, 0) + 1
     return tally
@@ -351,6 +354,16 @@ def test_colored_classes_match_enumeration(t):
                 (step, r)
 
 
+def _class_key(lam, t, r):
+    """thm7's class key of a partition: its size, first part, part at
+    row r, weight and colour profile."""
+    def part(i):
+        return lam[i - 1] if i <= len(lam) else 0
+
+    return (lam.size(), part(1), part(r), schmidt_weight(lam, t, r),
+            *color_profile(lam, t, r))
+
+
 def _thm7_classes(t, r, size_max):
     return _colored_classes(
         size_max, [range(r - 1 + i, size_max + 1, t) for i in range(1, t + 1)])
@@ -381,9 +394,7 @@ def test_color_conjugate_catches_a_miscounted_class(monkeypatch, cells):
     # order up to the miscounted one
     walk = [lam for size in range(size_max + 1)
             for lam in enumerate_partitions(size)]
-    classes = sorted({(lam.size(), lam.part(1), lam.part(r),
-                       schmidt_weight(lam, t, r), *color_profile(lam, t, r))
-                      for lam in walk})
+    classes = sorted({_class_key(lam, t, r) for lam in walk})
     *key, prof = monomial.values()
     assert report.coefficients_checked == \
         len(walk) + classes.index((*key, *prof)) + 1
@@ -393,9 +404,7 @@ def _first_class_mismatch(walk, pair, t, r):
     """The classes checked and the first mismatch of thm7's class compare,
     from counters: the partitions of walk by key, the pair rows' counts
     summed by key, and the union of their keys in order."""
-    lhs = Counter((lam.size(), lam.part(1), lam.part(r),
-                   schmidt_weight(lam, t, r), *color_profile(lam, t, r))
-                  for lam in walk)
+    lhs = Counter(_class_key(lam, t, r) for lam in walk)
     rhs = Counter()
     for *key, count in pair.tolist():
         rhs[tuple(key)] += count
@@ -450,9 +459,7 @@ def test_color_conjugate_with_r_past_the_size_counts_as_the_walk(
 
     monkeypatch.setattr(ver, "_class_mismatch", recorded)
     for r in range(size_max + 1, size_max + 4):
-        classes = {(lam.size(), lam.part(1), lam.part(r),
-                    schmidt_weight(lam, t, r), *color_profile(lam, t, r))
-                   for lam in walk}
+        classes = {_class_key(lam, t, r) for lam in walk}
         assert len(classes) == 1 + size_max * (size_max + 1) // 2
         report = verify_identity("thm7", {"t": t, "r": r,
                                           "size_max": size_max})
@@ -494,9 +501,7 @@ def test_color_conjugate_catches_a_miscounted_head_cell(monkeypatch):
                                      "rhs": 3}
     walk = [lam for size in range(size_max + 1)
             for lam in enumerate_partitions(size)]
-    classes = sorted({(lam.size(), lam.part(1), lam.part(r),
-                       schmidt_weight(lam, t, r), *color_profile(lam, t, r))
-                      for lam in walk})
+    classes = sorted({_class_key(lam, t, r) for lam in walk})
     assert report.coefficients_checked == \
         len(walk) + classes.index((6, 3, 0, 0, 0, 0)) + 1
 
@@ -740,11 +745,14 @@ def _one_more(m, lam):
     return (parts[0] + 1,) + parts[1:]
 
 
+# each fault at a base m lies on a partition whose first part is at least
+# m: below that a real map's image at m repeats its image at m - 1, and
+# the check maps only the others
 @pytest.mark.parametrize("faults, first", [
     # a later m loses to an earlier one, whatever the sizes
-    ([(4, (2, 1)), (3, (7, 5, 3, 2, 1))], (3, [7, 5, 3, 2, 1])),
+    ([(4, (4, 1)), (3, (7, 5, 3, 2, 1))], (3, [7, 5, 3, 2, 1])),
     ([(2, (1,) * 20)], (2, [1] * 20)),
-    ([(4, (20,)), (4, (1,))], (4, [1])),
+    ([(4, (20,)), (4, (4,))], (4, [4])),
 ])
 @pytest.mark.parametrize("cells", [ver._CHUNK_CELLS, 64])
 def test_furtherwork_reports_a_wrong_part_as_the_walk_does(
@@ -768,7 +776,7 @@ def test_furtherwork_reports_a_base_2_collision_as_the_walk_does(
     # smaller size comes later in the walk
     twin = bij.generalized_hook_map(to_modular((3, 3, 1), 2)).parts
     _plant_hook_images(monkeypatch, {(2, (5, 1, 1)): twin,
-                                     (3, (2, 1)): _one_more(3, (2, 1))})
+                                     (3, (3, 1)): _one_more(3, (3, 1))})
     report = verify_identity("furtherwork", {"m_max": 4, "size_max": 20})
     assert report.first_mismatch == {
         "monomial": {"check": "collision_2_7"}, "lhs": [list(twin)],
@@ -788,6 +796,8 @@ def test_furtherwork_runs_no_base_past_the_size(monkeypatch, m_max, size_max):
 
     def recorded(rows, m):
         bases.append(m)
+        # above base 2 only the partitions whose first part is at least m
+        assert m == 2 or rows[0].min() >= m
         return rows_map(rows, m)
 
     monkeypatch.setattr(ver, "generalized_hook_map_rows", recorded)
@@ -803,6 +813,13 @@ def test_hook_map_images_repeat_past_the_size():
     want = bij.generalized_hook_map_rows(lam, 10)
     for m in (11, 40, 10**10):
         got = bij.generalized_hook_map_rows(lam, m)
+        assert all(map(np.array_equal, got, want))
+    # and a partition's image at a base above its first part is its
+    # image at the base below, which furtherwork counts and does not map
+    for m in range(3, 12):
+        below = lam[0] < m
+        got, want = (bij.generalized_hook_map_rows(lam[:, below], base)
+                     for base in (m, m - 1))
         assert all(map(np.array_equal, got, want))
 
 
@@ -1081,6 +1098,27 @@ def test_prop1_catches_an_arm_swapped_with_its_leg(monkeypatch):
     assert report.coefficients_checked == 3
 
 
+@pytest.mark.parametrize("ident", [i for i in THEOREM_IDS
+                                   if i not in IDENTITY_IDS])
+def test_perturb_on_a_dedicated_check_needs_a_closed_form(ident):
+    # eq24 is the one dedicated check with a closed form to perturb
+    if ident == "eq24":
+        assert not verify_identity(ident, perturb={"q": 1}).passed
+        return
+    with pytest.raises(VerifyError, match=f"^{ident} takes no perturb$"):
+        verify_identity(ident, perturb={"q": 1})
+
+
+def test_perturb_stays_in_the_box_and_in_int64(monkeypatch):
+    for ident in ("thm5.1", "eq24"):
+        with pytest.raises(qs.OutOfBox):
+            verify_identity(ident, perturb={"q": 99})
+    monkeypatch.setattr(ver, "rhs_series", lambda ident, params, box:
+                        TruncatedSeries.constant(box, 2 ** 63 - 1))
+    with pytest.raises(qs.CoefficientOverflow):
+        verify_identity("thm5.1", box={"q": 4, "z": 4}, perturb={"q": 0})
+
+
 def test_functional_equation_fault_injection():
     report = verify_identity("eq24", {"t": 2}, perturb={"q": 1, "s": 2})
     assert not report.passed
@@ -1103,13 +1141,22 @@ def test_recurrence_matches_enumeration_columns():
 def test_recurrence_past_the_box_width_passes_at_any_t():
     # past t = s + 1 the recurrence keeps s + 1 running sums; the
     # histogram it is checked against takes t as it is
-    s = default_box("eq20")["s"]
+    s = ver._entry("eq20").box["s"]
     for t in (s, s + 1, s + 2):
         assert verify_identity("eq20", {"t": t}).passed, t
     start = time.perf_counter()
     report = verify_identity("eq20", {"t": 10**6})
     assert time.perf_counter() - start < 1
     assert report.passed, report.first_mismatch
+
+
+def test_recurrence_past_the_box_is_zero():
+    # the largest part n counts in the weight (q) and the size (s)
+    box = {"q": 5, "s": 7}
+    for n in (6, 7, 10 ** 12):
+        f = f_recurrence(n, 2, box)
+        assert f.variables == ("q", "s") and not f.coeffs.any()
+    assert f_recurrence(5, 2, box).coeffs.any()
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -1194,7 +1241,7 @@ def test_recurrence_takes_one_shift_pass_per_largest_part(monkeypatch, t,
         return divide(coeffs, variables, products, bound)
 
     monkeypatch.setattr(qs, "_divide", counted)
-    monkeypatch.setattr(qs, "_expand", None)
+    monkeypatch.setattr(qs, "divide_pochhammer", None)
     ver._f_series(12, t, box)
     assert calls == [[({"q": m, "s": m * t}, {}, 1)] for m in range(1, 13)]
 
@@ -1224,10 +1271,23 @@ def test_public_api():
     # the dedicated verifiers run through verify_identity
     removed |= {ver._entry(ident).verifier for ident in THEOREM_IDS
                 if ident not in IDENTITY_IDS}
-    assert len(removed) == 25
+    # only the tests called these; conjugate and color_profile are
+    # oracles in tests/reference.py
+    removed |= {"color_profile", "conjugate", "default_box"}
+    assert len(removed) == 28
     assert not removed & set(names)
-    assert not any(hasattr(partbij, name) for name in removed)
-    assert not any(hasattr(partbij.partitions, name) for name in removed)
+    for module in (partbij, partbij.partitions):
+        assert not any(hasattr(module, name) for name in removed)
+    assert not hasattr(ver, "default_box")
+    # and the methods only the tests called; equality and hashing are
+    # object's again
+    cut = {TruncatedSeries: {"from_terms", "coefficient", "terms", "__add__",
+                             "__eq__", "__hash__", "__repr__", "to_json"},
+           ColoredPartition: {"part", "color", "color_counts"},
+           Partition: {"part"},
+           qs: {"_expand"}}
+    for owner, methods in cut.items():
+        assert not methods & set(vars(owner)), owner
 
 
 def test_defaults_match_catalog():
