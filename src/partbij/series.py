@@ -535,6 +535,8 @@ def first_mismatch(f, g):
     Returns (exponents, f_coeff, g_coeff).
     """
     f._check_aligned(g)
+    if np.array_equal(f.coeffs, g.coeffs):
+        return None
     idx, _ = _graded_lex(f.coeffs != g.coeffs)
     if not len(idx):
         return None

@@ -6,9 +6,14 @@ passes; eq20's recurrence applies its Gaussian binomials the same way),
 a second count or a frozen reference. Two kernels do the counting
 without visiting the objects counted: the row-transfer partition
 histogram, for partitions by any of their statistics, colour profile
-included, and int64 rows of coloured classes (weight, colour counts,
-count), built colour by colour from each colour's own knapsack table,
-for coloured partitions. The sides share no identity-specific logic, so
+included, and the series divisions, for coloured partitions. thm6's
+colour classes (s, j) are the quotients
+q^s / ((q; q)_s^j (q; q)_(s-1)^(t-j)), and cor11's two-coloured
+partitions by size and parts are cor10's closed form
+1 / ((zq; q)_oo (zq^(r-1); q^(t-1))_oo); thm7 joins int64 rows of
+classes (weight, colour counts, count) colour by colour from each
+colour's (weight, parts) series 1 / (zq^a; q^d)_oo. The sides share no
+identity-specific logic, so
 agreement across a whole coefficient box is strong evidence, and any
 disagreement is pinned to its graded-lex-first monomial. The bijection
 checks test the maps themselves: thm7, prop1 and furtherwork run their
@@ -21,8 +26,9 @@ build it once. Two walks visit partitions one at a time: table1's rows
 and furtherwork's collision_search(3, 13). Each catalog entry is the one
 home of its parameters' limits (Entry.caps and Entry.lowest): a size cap
 on each check over a domain and on table1's walk, a cap on t for thm6,
-thm7, thm8.1 and thm8.2 and on r for thm8.1, and a lowest t for cor10
-and cor11 and a lowest r for cor11.
+thm7, thm8.1 and thm8.2, on r for thm8.1, on n_max for thm6 and cor11
+and on k_max for cor11, and a lowest t for cor10 and cor11 and a lowest
+r for cor11.
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
@@ -530,7 +536,7 @@ def verify_li_yee(t, n_max):
 
     Partitions with weight n classed by length (s-1)t + j correspond to
     t-colored partitions of n where some color appears s times and j is
-    the largest such color.
+    the largest such color; _li_yee_classes counts the second.
     """
     arr = partition_histogram(("weight", "length"), (n_max, t * n_max), t=t, r=1)
     # classes indexed (n, s, j): length (s-1)t + j has s >= 1 and j in
@@ -538,32 +544,53 @@ def verify_li_yee(t, n_max):
     lhs = np.zeros((n_max + 1, n_max + 1, t + 1), dtype=np.int64)
     lhs[:, 1:, 1:] = arr[:, 1:].reshape(n_max + 1, n_max, t)
     lhs[0, 0, 0] = arr[0, 0]
-    classes = _colored_classes(n_max, [range(1, n_max + 1)] * t)
-    s = classes[:, 1:-1].max(axis=1)
-    # the last color that appears s times; none for the empty partition
-    j = np.where(s > 0, t - np.argmax(classes[:, -2:0:-1] == s[:, None], 1), 0)
-    rhs = np.zeros_like(lhs)
-    np.add.at(rhs, (classes[:, 0], s, j), classes[:, -1])
+    rhs = _li_yee_classes(t, n_max)
     present = (lhs != 0) | (rhs != 0)
     present[0, 0, 0] = True
     return _first_failure(_cells(lhs, rhs, ("n", "s", "j"), present))
 
 
+def _li_yee_classes(t, n_max):
+    """thm6's colored side, an int64 array indexed (n, s, j): the
+    t-colored partitions of n in which color j has exactly s parts, the
+    colors before it at most s and those after it fewer, with the empty
+    one at (0, 0, 0). Class (s, j) is q^s / ((q; q)_s^j (q; q)_(s-1)^(t-j)).
+    With below = 1 / (q; q)_(s-1)^t, column (s, 1) is q^s below / (1 - q^s),
+    column (s, j) is column (s, j - 1) / (1 - q^s), and below then takes
+    (1 - q^s)^t, each one division in place. below is divided only as far
+    as the next column reads it, where its counts are at most that
+    column's, so CoefficientOverflow means a class count left int64."""
+    classes = np.zeros((n_max + 1, n_max + 1, t + 1), dtype=np.int64)
+    classes[0, 0, 0] = 1
+    below = np.zeros(n_max + 1, dtype=np.int64)
+    below[0] = 1
+    for s in range(1, n_max + 1):
+        column = below[:n_max + 1 - s]  # q^s below, from its corner q^s
+        for j in range(1, t + 1):
+            classes[s:, s, j] = column
+            column = classes[s:, s, j]
+            qs._divide(column, ("q",), [({"q": s}, {}, 1)])
+        # the next column reads below only up to q^(n_max - s - 1)
+        qs._divide(below[:n_max - s], ("q",), [({"q": s}, {}, t)])
+    return classes
+
+
 def _colored_classes(bound, weights):
     """Colored partitions of weight <= bound by class: int64 rows (weight,
     c_1, ..., c_t, count) in key order; weights holds per color the range
-    of weights (all >= 1) its parts may take. Built color by color: each
-    color's (weight, parts) table is an unbounded knapsack whose nonzero
-    cells join the classes so far where the weight still fits, so memory
-    follows the number of classes. Every product and sum is at most one
-    class's count, so none wraps while the class counts fit in int64."""
+    a, a + d, ... of weights (all >= 1) its parts may take. Built color by
+    color: each color's (weight, parts) table is the series
+    1 / (z q^a; q^d)_oo, one division, and its nonzero cells join the
+    classes so far where the weight still fits, so memory follows the
+    number of classes. A table raises CoefficientOverflow where a count
+    leaves int64; every product and sum of the join is at most one
+    class's count."""
     rows = np.array([[0, 1]], dtype=np.int64)  # the empty partition
     for allowed in weights:
         table = np.zeros((bound + 1, bound + 1), dtype=np.int64)
         table[0, 0] = 1
-        for weight in allowed:
-            for total in range(weight, bound + 1):
-                table[total, 1:] += table[total - weight, :-1]
+        qs._divide(table, ("q", "z"), [({"q": allowed.start, "z": 1},
+                                        {"q": allowed.step}, INFINITY)])
         w, c = np.nonzero(table)
         i, j = np.nonzero(rows[:, :1] + w <= bound)
         rows = np.column_stack(_key_sums(
@@ -717,16 +744,20 @@ def verify_opposite_schmidt(t, r, k_max, n_max):
 
     Partitions with largest part k whose size minus the sum over rows
     r, t+r, ... equals n correspond to 2-colored partitions of n with
-    k parts where color 2 appears only on sizes r-1, r-1 + (t-1), ....
+    k parts where color 2 appears only on sizes r-1, r-1 + (t-1), ...,
+    counted by _two_colored, the series cor10 expands.
     """
     arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
-    classes = _colored_classes(
-        n_max, [range(1, n_max + 1), range(r - 1, n_max + 1, t - 1)])
-    k = classes[:, 1:-1].sum(axis=1)
-    keep = k <= k_max
-    rhs = np.zeros_like(arr)
-    np.add.at(rhs, (classes[keep, 0], k[keep]), classes[keep, -1])
-    return _first_failure(_cells(arr, rhs, ("n", "first")))
+    pairs = _two_colored(t, r, {"q": n_max, "z": k_max})
+    return _first_failure(_cells(arr, pairs.coeffs, ("n", "first")))
+
+
+def _two_colored(t, r, box):
+    """1 / ((zq; q)_oo (zq^(r-1); q^(t-1))_oo): 2-colored partitions by
+    size (q) and number of parts (z), color 2 only on the sizes r - 1,
+    r - 1 + (t - 1), ...; cor10's closed form and cor11's pair side."""
+    return _quotient(box, [
+        _zq(), ({"q": r - 1, "z": 1}, {"q": t - 1}, INFINITY)])
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +897,10 @@ def _hook_map_readouts(m_max, size_max):
             cols = np.flatnonzero(lam[0] >= m) if m > 2 else np.arange(len(n))
             if not cols.size:
                 break
-            image, is_partition = generalized_hook_map_rows(lam[:, cols], m)
+            # base 2 maps every column, of up to size_max parts; a column
+            # kept at base m has at most size_max - m + 1
+            image, is_partition = generalized_hook_map_rows(
+                lam[:size_max + 3 - m, cols], m)
             sums = image.sum(axis=0)
             off = np.flatnonzero(sums != n[cols])
             if off.size and (wrong is None or m < wrong[0]):
@@ -992,11 +1026,19 @@ _UP_TO_3 = (1, 2, 3)
 #   cap; its time and memory grow with the number of partitions, and at
 #   the size 2 above it took over 10 s (thm7 at t = 2, r = 1, table1 at
 #   94 in 13.5 s and 238 MB). furtherwork's worst case is m_max at the
-#   size: 44 took 9.8 s and 52 MB, 45 12.2 s.
-# - thm6 and thm7 take t up to their caps; the number of colour classes,
-#   and with it time and memory, grows with t, and at t + 1 the run took
-#   over 10 s (thm6 at its full-level n_max = 12, thm7 at r = 1 and its
-#   size cap).
+#   size: 44 took 5.8-7.6 s and 53 MB, 45 7.1-10.1 s.
+# - thm7 takes t up to its cap; the number of colour classes, and with it
+#   time and memory, grows with t, and at t = 9 the run took over 10 s
+#   (at r = 1 and its size cap).
+# - thm6's counts leave int64 past n_max = 467 at t = 1, and sooner at
+#   any larger t, where the run stops at once. Its time is linear in t at
+#   the n_max whose counts still fit: n_max = 5 took 6.8 s at t = 50,000
+#   and 9.6 s at 70,000, and n_max = 4 16 s at 100,000.
+# - cor11's histogram holds (k_max + 1)^2 (n_max + 1) counts, so its caps
+#   bound memory: at both caps the run stops on an int64 overflow after
+#   2.8 s and 773 MB. Its time grows with n_max at the small k_max whose
+#   counts still fit: n_max = 10,000 took 8.9 s (k_max 6), 20,000 27 s
+#   (k_max 4).
 # - thm8.1's sides take time linear in t and in r. At t = 60,000 its
 #   slowest box with q, z <= 10 (q 10, z 3) took 11.5 s, and at r =
 #   100,000 its slowest (z 4; z >= 5 overflows int64 at once) up to
@@ -1051,7 +1093,8 @@ CATALOG = (
     Entry("thm5.2", box=_QZ12, full=_FULL18,
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2, r=2),
           rhs=lambda p, box: _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])),
-    Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"}, {"t": 10},
+    Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"},
+          {"t": 50_000, "n_max": 467},
           full={"n_max": 12}, grid={"t": _UP_TO_3}, verifier="verify_li_yee"),
     Entry("thm7", {"t": 2, "r": 1, "size_max": 18},
           {"t": "t", "r": "r", "n": "size_max"}, {"t": 8, "size_max": 58},
@@ -1088,12 +1131,11 @@ CATALOG = (
           grid={"t": (2, 3), "r": _UP_TO_3},
           lhs=lambda p, box: _histogram(box, ("anti", "first"), t=p["t"],
                                         r=p["r"]),
-          rhs=lambda p, box: _quotient(box, [
-              _zq(), ({"q": p["r"] - 1, "z": 1}, {"q": p["t"] - 1}, INFINITY)])),
+          rhs=lambda p, box: _two_colored(p["t"], p["r"], box)),
     Entry("cor11", {"t": 2, "r": 2, "k_max": 6, "n_max": 10},
           {"t": "t", "r": "r", "k": "k_max", "n": "n_max"},
-          lowest={"t": 2, "r": 2}, full={"k_max": 9, "n_max": 15},
-          grid={"t": (2, 3), "r": (2, 3)},
+          {"k_max": 150, "n_max": 2000}, lowest={"t": 2, "r": 2},
+          full={"k_max": 9, "n_max": 15}, grid={"t": (2, 3), "r": (2, 3)},
           verifier="verify_opposite_schmidt"),
     Entry("eq14", {"n": 4}, {"n": "n"}, box={"q": 10, "z": 10},
           full={"box": {"q": 15, "z": 15}, "grid": {"n": range(7)}},

@@ -435,6 +435,17 @@ def test_verify_thm7_with_r_past_the_size(capsys):
     assert report["coefficients_checked"] == 35
 
 
+@pytest.mark.parametrize("argv", [["thm6", "--t", "10", "--n", "16"],
+                                  ["cor11", "--n", "500", "--k", "5"]])
+def test_coloured_sides_are_series_divisions(capsys, argv):
+    # the coloured sides are Pochhammer quotients, so a box of many
+    # colour classes costs milliseconds
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", *argv, "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, json.loads(out)["status"]) == (0, "pass")
+
+
 def test_verify_eq20_past_the_box_runs_only_what_the_box_sees(capsys):
     # f_n and the histogram slice at first part n are zero in the box
     # past min(q, s), so a huge --n costs what --n 8 costs
@@ -488,7 +499,7 @@ def test_table1_caps_its_size(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("ident, cap, argv", [
-    ("thm6", 10, []), ("thm7", 8, ["--n", "3"])])
+    ("thm6", 50_000, ["--n", "1"]), ("thm7", 8, ["--n", "3"])])
 def test_coloured_checks_cap_their_t(capsys, ident, cap, argv):
     # at the cap the check runs
     assert cli.ver._entry(ident).caps["t"] == cap

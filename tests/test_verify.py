@@ -338,20 +338,38 @@ def test_colored_classes_match_enumeration(t):
 
         assert _keyed(_thm7_classes(t, r, bound)) == \
             _tally(colored, bound, weight), r
-    # thm6: every part weighs itself
+    # thm6: every part weighs itself; class (n, s, j) has some color with
+    # s parts, and j is the last such color
     part = lambda p, i: p
-    assert _keyed(_colored_classes(bound, [range(1, bound + 1)] * t)) == \
-        _tally(colored, bound, part)
-    # cor11: color 2 only on the sizes r-1, r-1 + (t-1), ...
+    classes = Counter()
+    for (n, *counts), count in _tally(colored, bound, part).items():
+        s = max(counts)
+        j = max(i for i, c in enumerate(counts, 1) if c == s) if s else 0
+        classes[n, s, j] += count
+    assert _nonzero(ver._li_yee_classes(t, bound)) == classes
+    # cor11: two colors, color 2 only on the sizes r-1, r-1 + (t-1), ...
     if t == 2:
-        for step, r in ((1, 2), (2, 2), (2, 3), (3, 4)):
+        for t2, r in ((2, 2), (3, 2), (3, 3), (4, 4)):
             def admits(p, i):
-                return i == 1 or (p >= r - 1 and (p - r + 1) % step == 0)
+                return i == 1 or (p >= r - 1 and (p - r + 1) % (t2 - 1) == 0)
 
-            rows = _colored_classes(
-                bound, [range(1, bound + 1), range(r - 1, bound + 1, step)])
-            assert _keyed(rows) == _tally(colored, bound, part, admits), \
-                (step, r)
+            pairs = Counter()
+            for (n, *counts), count in _tally(
+                    colored, bound, part, admits).items():
+                pairs[n, sum(counts)] += count
+            series = ver._two_colored(t2, r, {"q": bound, "z": bound})
+            assert _nonzero(series.coeffs) == pairs, (t2, r)
+
+
+def test_colored_classes_raise_past_int64():
+    # the partitions of 500 with about 30 parts number past 2^63
+    with pytest.raises(qs.CoefficientOverflow):
+        _colored_classes(500, [range(1, 501)])
+
+
+def _nonzero(arr):
+    """The nonzero cells of an array as a dict from index to value."""
+    return {tuple(i): int(arr[tuple(i)]) for i in np.argwhere(arr).tolist()}
 
 
 def _class_key(lam, t, r):
@@ -701,9 +719,12 @@ def _plant_hook_images(monkeypatch, planted):
     def faulty_rows(rows, m):
         image, flags = rows_map(rows, m)
         for (base, lam), parts in planted.items():
+            # furtherwork passes at base m only the rows its columns fill
+            if base != m or len(lam) > len(rows):
+                continue
             hit = (rows[:len(lam)] == np.array(lam, dtype=int)[:, None]).all(
                 axis=0) & (rows[len(lam):] == 0).all(axis=0)
-            if base == m and hit.any():
+            if hit.any():
                 image = np.pad(image, ((0, len(parts)), (0, 0)))
                 image[:, hit] = 0
                 image[:len(parts), hit] = np.array(parts)[:, None]
@@ -849,10 +870,12 @@ def _plant(monkeypatch, fault):
     ("cell", axes, where, delta) adds delta to the first, middle or last
     cell of every histogram over axes, or to the cell indexed where, a
     tuple, of every such histogram that has it; ("class", where, delta)
-    to the count of the first, middle or last row of colored classes in
-    key order; ("image", name, parts) makes that bijection append a part
-    1 to the image of parts, and for bessenrodt_inverse, which prop1 runs
-    as an array program, its array form bessenrodt_inverse_rows."""
+    to the first, middle or last count of a colored side: of thm7's rows
+    of colored classes in key order, or of the cells of thm6's (n, s, j)
+    array or cor11's series in index order; ("image", name, parts) makes
+    that bijection append a part 1 to the image of parts, and for
+    bessenrodt_inverse, which prop1 runs as an array program, its array
+    form bessenrodt_inverse_rows."""
     kind, *spec = fault
     if kind == "cell":
         axes, where, delta = spec
@@ -870,13 +893,19 @@ def _plant(monkeypatch, fault):
         monkeypatch.setattr(ver, "partition_histogram", histogram)
     elif kind == "class":
         where, delta = spec
-        real = ver._colored_classes
 
-        def classes(*args):
-            rows = real(*args)
-            rows[_AT[where](len(rows)), -1] += delta
-            return rows
-        monkeypatch.setattr(ver, "_colored_classes", classes)
+        def planted(real, counts):
+            def side(*args):
+                out = real(*args)
+                cells = counts(out)
+                cells[np.unravel_index(_AT[where](cells.size),
+                                       cells.shape)] += delta
+                return out
+            return side
+        for name, counts in (("_colored_classes", lambda rows: rows[:, -1]),
+                             ("_li_yee_classes", lambda arr: arr),
+                             ("_two_colored", lambda f: f.coeffs)):
+            monkeypatch.setattr(ver, name, planted(getattr(ver, name), counts))
     elif spec[0] == "bessenrodt_inverse":
         parts = spec[1]
         real = ver.bessenrodt_inverse_rows
@@ -905,7 +934,9 @@ _ARGUMENTS = {"thm6": ("t",), "cor11": ("t", "r"), "eq20": ("t",)}
 
 # (check, its arguments, planted fault, coefficients checked, first
 # mismatch or None), recorded from the cell-by-cell and
-# partition-by-partition loops these checks once ran
+# partition-by-partition loops these checks once ran; thm6's and cor11's
+# "class" faults plant into their colored-side arrays, and their reports
+# were recorded from those arrays
 PINNED_FAULTS = [
     ("schmidt", (), ("cell", ("weight",), "first", 1), 16,
      {"monomial": {"n": 0}, "lhs": 2, "rhs": 1}),
@@ -959,14 +990,14 @@ PINNED_FAULTS = [
      {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 2}),
     ("thm6", (2,), ("class", "first", -1), 1,
      {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 0}),
-    ("thm6", (2,), ("class", "middle", 1), 45,
-     {"monomial": {"n": 7, "s": 1, "j": 2}, "lhs": 7, "rhs": 8}),
-    ("thm6", (2,), ("class", "middle", -1), 45,
-     {"monomial": {"n": 7, "s": 1, "j": 2}, "lhs": 7, "rhs": 6}),
-    ("thm6", (2,), ("class", "last", 1), 72,
-     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 2}),
-    ("thm6", (2,), ("class", "last", -1), 72,
-     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 0}),
+    ("thm6", (2,), ("class", "middle", 1), 20,
+     {"monomial": {"n": 4, "s": 4, "j": 1}, "lhs": 1, "rhs": 2}),
+    ("thm6", (2,), ("class", "middle", -1), 20,
+     {"monomial": {"n": 4, "s": 4, "j": 1}, "lhs": 1, "rhs": 0}),
+    ("thm6", (2,), ("class", "last", 1), 73,
+     {"monomial": {"n": 8, "s": 8, "j": 2}, "lhs": 1, "rhs": 2}),
+    ("thm6", (2,), ("class", "last", -1), 73,
+     {"monomial": {"n": 8, "s": 8, "j": 2}, "lhs": 1, "rhs": 0}),
     ("thm6", (3,), ("cell", ("weight", "length"), "first", 1), 1,
      {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 2, "rhs": 1}),
     ("thm6", (3,), ("cell", ("weight", "length"), "first", -1), 1,
@@ -983,14 +1014,14 @@ PINNED_FAULTS = [
      {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 2}),
     ("thm6", (3,), ("class", "first", -1), 1,
      {"monomial": {"n": 0, "s": 0, "j": 0}, "lhs": 1, "rhs": 0}),
-    ("thm6", (3,), ("class", "middle", 1), 76,
-     {"monomial": {"n": 7, "s": 4, "j": 3}, "lhs": 22, "rhs": 23}),
-    ("thm6", (3,), ("class", "middle", -1), 76,
-     {"monomial": {"n": 7, "s": 4, "j": 3}, "lhs": 22, "rhs": 21}),
-    ("thm6", (3,), ("class", "last", 1), 107,
-     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 2}),
-    ("thm6", (3,), ("class", "last", -1), 107,
-     {"monomial": {"n": 8, "s": 8, "j": 1}, "lhs": 1, "rhs": 0}),
+    ("thm6", (3,), ("class", "middle", 1), 30,
+     {"monomial": {"n": 4, "s": 4, "j": 2}, "lhs": 1, "rhs": 2}),
+    ("thm6", (3,), ("class", "middle", -1), 30,
+     {"monomial": {"n": 4, "s": 4, "j": 2}, "lhs": 1, "rhs": 0}),
+    ("thm6", (3,), ("class", "last", 1), 109,
+     {"monomial": {"n": 8, "s": 8, "j": 3}, "lhs": 1, "rhs": 2}),
+    ("thm6", (3,), ("class", "last", -1), 109,
+     {"monomial": {"n": 8, "s": 8, "j": 3}, "lhs": 1, "rhs": 0}),
     ("cor11", (2, 2), ("cell", ("anti", "first"), "first", 1), 1,
      {"monomial": {"n": 0, "first": 0}, "lhs": 2, "rhs": 1}),
     ("cor11", (2, 2), ("cell", ("anti", "first"), "first", -1), 1,
@@ -1007,14 +1038,14 @@ PINNED_FAULTS = [
      {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 2}),
     ("cor11", (2, 2), ("class", "first", -1), 1,
      {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 0}),
-    ("cor11", (2, 2), ("class", "middle", 1), 62,
-     {"monomial": {"n": 8, "first": 5}, "lhs": 38, "rhs": 39}),
-    ("cor11", (2, 2), ("class", "middle", -1), 62,
-     {"monomial": {"n": 8, "first": 5}, "lhs": 38, "rhs": 37}),
+    ("cor11", (2, 2), ("class", "middle", 1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 12, "rhs": 13}),
+    ("cor11", (2, 2), ("class", "middle", -1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 12, "rhs": 11}),
     ("cor11", (2, 2), ("class", "last", 1), 77,
-     None),
+     {"monomial": {"n": 10, "first": 6}, "lhs": 86, "rhs": 87}),
     ("cor11", (2, 2), ("class", "last", -1), 77,
-     None),
+     {"monomial": {"n": 10, "first": 6}, "lhs": 86, "rhs": 85}),
     ("cor11", (3, 3), ("cell", ("anti", "first"), "first", 1), 1,
      {"monomial": {"n": 0, "first": 0}, "lhs": 2, "rhs": 1}),
     ("cor11", (3, 3), ("cell", ("anti", "first"), "first", -1), 1,
@@ -1031,14 +1062,14 @@ PINNED_FAULTS = [
      {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 2}),
     ("cor11", (3, 3), ("class", "first", -1), 1,
      {"monomial": {"n": 0, "first": 0}, "lhs": 1, "rhs": 0}),
-    ("cor11", (3, 3), ("class", "middle", 1), 61,
-     {"monomial": {"n": 8, "first": 4}, "lhs": 14, "rhs": 15}),
-    ("cor11", (3, 3), ("class", "middle", -1), 61,
-     {"monomial": {"n": 8, "first": 4}, "lhs": 14, "rhs": 13}),
+    ("cor11", (3, 3), ("class", "middle", 1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 4, "rhs": 5}),
+    ("cor11", (3, 3), ("class", "middle", -1), 39,
+     {"monomial": {"n": 5, "first": 3}, "lhs": 4, "rhs": 3}),
     ("cor11", (3, 3), ("class", "last", 1), 77,
-     None),
+     {"monomial": {"n": 10, "first": 6}, "lhs": 14, "rhs": 15}),
     ("cor11", (3, 3), ("class", "last", -1), 77,
-     None),
+     {"monomial": {"n": 10, "first": 6}, "lhs": 14, "rhs": 13}),
     ("prop1", (), ("image", "bessenrodt_inverse", ()), 1,
      {"monomial": {"partition": []}, "lhs": [1, 1], "rhs": [0, 0]}),
     ("prop1", (), ("image", "bessenrodt_inverse", (6, 4, 2, 1)), 87,
