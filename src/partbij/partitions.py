@@ -20,7 +20,7 @@ sum then runs along axis 0, over whole contiguous rows. The array maps of
 import math
 from itertools import accumulate
 from operator import ge
-from typing import Iterable, Iterator, List, NamedTuple, Optional
+from typing import Iterable, Iterator, List, NamedTuple
 
 import numpy as np
 
@@ -149,29 +149,23 @@ def enumerate_partitions(
     n: int,
     distinct: bool = False,
     odd_parts: bool = False,
-    max_part: Optional[int] = None,
-    max_length: Optional[int] = None,
 ) -> Iterator[Partition]:
     """Yield every qualifying partition of n in reverse-lexicographic order."""
     if n < 0:
         raise ValueError(f"target size must be nonnegative, got {n}")
-    cap = n if max_part is None else min(max_part, n)
-    slots = n if max_length is None else min(max_length, n)
 
-    def rec(remaining, cap, slots):
+    def rec(remaining, cap):
         if remaining == 0:
             yield ()
-            return
-        if slots == 0 or cap == 0:
             return
         for v in range(min(cap, remaining), 0, -1):
             if odd_parts and v % 2 == 0:
                 continue
             nxt = v - 1 if distinct else v
-            for rest in rec(remaining - v, nxt, slots - 1):
+            for rest in rec(remaining - v, nxt):
                 yield (v,) + rest
 
-    for parts in rec(n, cap, slots):
+    for parts in rec(n, n):
         yield Partition(parts)
 
 
@@ -220,7 +214,6 @@ def partition_numbers(
     n_max: int,
     distinct: bool = False,
     odd_parts: bool = False,
-    max_part: Optional[int] = None,
 ) -> List[int]:
     """Counts of the partitions of 0, 1, ..., n_max with the given part
     restrictions, by one dynamic program over allowed part sizes.
@@ -229,8 +222,7 @@ def partition_numbers(
     """
     if n_max < 0:
         raise ValueError(f"target size must be nonnegative, got {n_max}")
-    cap = n_max if max_part is None else min(max_part, n_max)
-    sizes = [s for s in range(1, cap + 1) if not (odd_parts and s % 2 == 0)]
+    sizes = [s for s in range(1, n_max + 1) if not (odd_parts and s % 2 == 0)]
     ways = [0] * (n_max + 1)
     ways[0] = 1
     for s in sizes:

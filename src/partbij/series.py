@@ -20,17 +20,20 @@ magnitude, which a factor at most multiplies by the number of input
 coefficients a quotient coefficient sums. A caller that owns its array
 divides only the view at or past the input's lowest nonzero corner, with
 the bound it knows: the quotient is zero below that corner too, and the
-view is a smaller box. divide_pochhammer divides a copy. The growth is
-checked once per product: while the bound times the growth of all of a
-product's factors fits int64, the product's adds run unchecked, each an
-in-place add on a view, and the bound is multiplied once. Since the
-bound only grows, that is exactly when every factor's own check would
-pass. When it does not fit, the exact maximum is taken again, and if it
-still does not, the product runs factor by factor: a factor that still
-might overflow runs each add unchecked where its own bound, from the
-exact maximum of its source, fits int64 and checked where it does not.
-Every operation raises CoefficientOverflow only when a coefficient
-would really leave int64.
+view is a smaller box. The growth is checked once per product: while
+the bound times the growth of all of a product's factors fits int64,
+the product's adds run unchecked, each an in-place add on a view, and
+the bound is multiplied once. Since the bound only grows, that is
+exactly when every factor's own check would pass. When it does not fit,
+the exact maximum is taken again, and if it still does not, the product
+runs factor by factor: a factor that still might overflow runs each add
+unchecked where its own bound, from the exact maximum of its source,
+fits int64 and checked where it does not. Every operation raises
+CoefficientOverflow only when a coefficient would really leave int64.
+
+The layer has no substitution of variables: eq24's side F(s, q, s^t q z)
+is a gather from the histogram array in the verify module, which then
+divides that array in place.
 
 The plan of a pass is made once per product and view shape and kept
 across calls (_plan): the product's factors in the box, counted with one
@@ -471,62 +474,6 @@ def _divide(coeffs, variables, products, bound=None):
                 bound = _add_under(dst, src, low, bound)
             grown = False
     return bound
-
-
-def divide_pochhammer(f, base, ratio, n):
-    """f / (base; ratio)_n in f's box, by _divide on a copy of f's
-    coefficients; f is left as it was.
-
-    (base; ratio)_n is the product of (1 - base*ratio^k) for k = 0..n-1;
-    base and ratio are exponent maps. n may be INFINITY when ratio is not
-    the constant monomial; factors whose monomial leaves the box are
-    identically 1 there. NonUnitConstantTerm if a factor is 1 - 1.
-    """
-    coeffs = f.coeffs.copy()
-    _divide(coeffs, f.variables, [(base, ratio, n)])
-    return TruncatedSeries(f.variables, f.box, coeffs)
-
-
-def substitute(f, variable, m, box=None):
-    """Replace a variable by a monomial; terms leaving the box are dropped.
-
-    The result is exact on the target box only when f was exact on a box
-    large enough to cover every preimage; the caller supplies that larger
-    source and, when needed, a different target box. Terms that land on
-    one exponent vector are summed exactly, so CoefficientOverflow is
-    raised only when such a sum leaves int64.
-    """
-    if box is None:
-        box = f.box_dict()
-    out = TruncatedSeries.zero(box)
-    pos = {v: i for i, v in enumerate(out.variables)}
-    for name in f.variables:
-        if name != variable and name not in pos:
-            raise SeriesError(f"variable {name} not in target box")
-    steps = np.array(_monomial_exponents(out.variables, m), dtype=np.int64)
-    nonzero = f.coeffs != 0
-    idx = np.argwhere(nonzero)
-    # each term's exponent vector in the target box, one row per term
-    target = np.zeros((len(idx), len(out.variables)), dtype=np.int64)
-    for axis, name in enumerate(f.variables):
-        if name == variable:
-            target += idx[:, axis, None] * steps
-        else:
-            target[:, pos[name]] += idx[:, axis]
-    keep = (target <= out.box).all(axis=1)
-    # each kept term's position in the flat, C-ordered coefficients
-    strides = np.array(out.coeffs.strides, dtype=np.int64)
-    flat = (target[keep] * (strides // out.coeffs.itemsize)).sum(axis=1)
-    values = f.coeffs[nonzero][keep]
-    coeffs = out.coeffs.reshape(-1)
-    if np.bincount(flat, minlength=1).max() > 1:
-        # terms collide: sum them as Python ints, then check the sums
-        exact = np.zeros(coeffs.size, dtype=object)
-        np.add.at(exact, flat, values.astype(object))
-        coeffs[:] = [_checked(c) for c in exact.tolist()]
-    else:
-        coeffs[flat] = values
-    return out
 
 
 def first_mismatch(f, g):

@@ -32,7 +32,10 @@ r for cor11.
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
-or for eq3 one gather from the (size, length) histogram.
+or for eq3 one gather from the (size, length) histogram. eq24's
+substituted side F(s, q, s^t q z) is a gather too, from the (weight,
+first, size) histogram that its other side is, divided in place by
+(sqz; s)_t.
 
 The dedicated checks schmidt, cor2, table1, thm6 and cor11 report
 through one first-failure scan, _first_failure: each lays out its cells
@@ -62,7 +65,7 @@ from typing import Optional
 import numpy as np
 
 from . import series as qs
-from ._accel import UnboundedBox, partition_histogram  # noqa: F401 (re-exported)
+from ._accel import UnboundedBox, _zeros, partition_histogram  # noqa: F401 (re-exported)
 from .bijections import (
     _conjugate_rows,
     bessenrodt,
@@ -268,14 +271,17 @@ def _histogram(box, axes, t=1, **options):
 def _size_and_excess(params, box):
     """eq3's enumeration side: partitions by size (q) and by twice the
     size less the length (z), gathered from the (size, length) histogram
-    at length 2 size - z."""
+    at length 2 size - z. z past 2q would need a length below 0, so the
+    gather stops there and the rest of the box stays zero."""
     q = box["q"]
     arr = partition_histogram(("size", "length"), (q, q))
-    n, z = np.ogrid[:q + 1, :box["z"] + 1]
+    out = _zeros((q + 1, box["z"] + 1))
+    n, z = np.ogrid[:q + 1, :min(box["z"], 2 * q) + 1]
     ell = 2 * n - z
     # the clip keeps every index valid, and the mask drops what it moved
-    return _series_from_hist(box, np.where(
-        (ell >= 0) & (ell <= n), arr[n, np.clip(ell, 0, q)], 0))
+    out[:, :z.size] = np.where((ell >= 0) & (ell <= n),
+                               arr[n, np.clip(ell, 0, q)], 0)
+    return _series_from_hist(box, out)
 
 
 def _colors(t):
@@ -559,13 +565,19 @@ def _li_yee_classes(t, n_max):
     column (s, j) is column (s, j - 1) / (1 - q^s), and below then takes
     (1 - q^s)^t, each one division in place. below is divided only as far
     as the next column reads it, where its counts are at most that
-    column's, so CoefficientOverflow means a class count left int64."""
+    column's, so CoefficientOverflow means a class count left int64.
+    Once 2s > n_max no multiple of s fits a column or what the next one
+    reads, so every division is the identity: columns (s, 1..t) are all
+    below, copied at once."""
     classes = np.zeros((n_max + 1, n_max + 1, t + 1), dtype=np.int64)
     classes[0, 0, 0] = 1
     below = np.zeros(n_max + 1, dtype=np.int64)
     below[0] = 1
     for s in range(1, n_max + 1):
         column = below[:n_max + 1 - s]  # q^s below, from its corner q^s
+        if 2 * s > n_max:
+            classes[s:, s, 1:] = column[:, None]
+            continue
         for j in range(1, t + 1):
             classes[s:, s, j] = column
             column = classes[s:, s, j]
@@ -855,13 +867,22 @@ def verify_functional_equation(t, box, perturb=None):
 
     F in s, q, z (size, row-t weight, largest part) equals the inverse
     of a t-term product times F with z replaced by s^t q z. The
-    substitution only raises exponents, so the box stays exact.
+    substitution only raises exponents, so the box stays exact: it sends
+    cell (a, c, b) of the (weight, first, size) histogram to
+    (a + c, c, b + t c), so the substituted side is a gather, each cell
+    reading the one at (a - c, c, b - t c) where that lies in the box.
+    Past the s bound every term with z >= 1 leaves the box, so t is taken
+    at most s + 1 and no exponent past the box is formed.
     """
     big_f = _histogram(box, ("weight", "first", "size"), t=t)
-    rhs = qs.divide_pochhammer(
-        qs.substitute(big_f, "z", {"s": t, "q": 1, "z": 1}),
-        {"s": 1, "q": 1, "z": 1}, {"s": 1}, t,
-    )
+    t = min(t, box["s"] + 1)
+    a, c, b = np.ogrid[:box["q"] + 1, :box["z"] + 1, :box["s"] + 1]
+    # the clips keep every index valid, and the mask drops what they moved
+    gathered = np.where((a >= c) & (b >= t * c), big_f.coeffs[
+        np.clip(a - c, 0, None), c, np.clip(b - t * c, 0, None)], 0)
+    qs._divide(gathered, big_f.variables, [({"s": 1, "q": 1, "z": 1},
+                                            {"s": 1}, t)])
+    rhs = _series_from_hist(box, gathered)
     if perturb:
         _perturb(rhs, perturb)
     return _volume(box), _series_mismatch(big_f, rhs)
@@ -1032,8 +1053,9 @@ _UP_TO_3 = (1, 2, 3)
 #   (at r = 1 and its size cap).
 # - thm6's counts leave int64 past n_max = 467 at t = 1, and sooner at
 #   any larger t, where the run stops at once. Its time is linear in t at
-#   the n_max whose counts still fit: n_max = 5 took 6.8 s at t = 50,000
-#   and 9.6 s at 70,000, and n_max = 4 16 s at 100,000.
+#   the n_max whose counts still fit, 5 up to t = 70,000 (6 leaves int64
+#   at 50,000): in three runs each, n_max = 5 took 6.5-9.5 s at t =
+#   60,000 and 9.3-12.2 s at 70,000, and n_max = 4 5.4 s at 60,000.
 # - cor11's histogram holds (k_max + 1)^2 (n_max + 1) counts, so its caps
 #   bound memory: at both caps the run stops on an int64 overflow after
 #   2.8 s and 773 MB. Its time grows with n_max at the small k_max whose
@@ -1094,7 +1116,7 @@ CATALOG = (
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2, r=2),
           rhs=lambda p, box: _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])),
     Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"},
-          {"t": 50_000, "n_max": 467},
+          {"t": 60_000, "n_max": 467},
           full={"n_max": 12}, grid={"t": _UP_TO_3}, verifier="verify_li_yee"),
     Entry("thm7", {"t": 2, "r": 1, "size_max": 18},
           {"t": "t", "r": "r", "n": "size_max"}, {"t": 8, "size_max": 58},

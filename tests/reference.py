@@ -97,6 +97,20 @@ def colored_partitions(n, t, top=None):
                 yield ((part, color),) + rest
 
 
+def box_partitions(n, max_part, max_length, distinct=False):
+    """Every partition of n into at most max_length parts, each at most
+    max_part (and distinct if distinct), in reverse-lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    if max_length == 0:
+        return
+    for part in range(min(max_part, n), 0, -1):
+        for rest in box_partitions(n - part, part - distinct,
+                                   max_length - 1, distinct):
+            yield (part,) + rest
+
+
 def hook_length(p, i, j):
     """The number of cells in the hook of cell (i, j), 1-based, of the
     diagram of the weakly decreasing parts p: the cell itself, the cells

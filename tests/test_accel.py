@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from partbij import _accel
 from partbij._accel import HistogramOverflow, UnboundedBox, partition_histogram
-from partbij.partitions import (
-    enumerate_partitions,
-    partition_numbers,
-    schmidt_weight,
-)
-from reference import color_profile
+from partbij.partitions import Partition, partition_numbers, schmidt_weight
+from reference import box_partitions, color_profile
 
 
 def brute_histogram(axes, bounds, t=1, r=1, max_part=None, max_len=None,
@@ -23,8 +19,8 @@ def brute_histogram(axes, bounds, t=1, r=1, max_part=None, max_len=None,
     if "size" in axes:
         size_cap = min(size_cap, bounds[axes.index("size")])
     for n in range(size_cap + 1):
-        for p in enumerate_partitions(n, distinct=distinct,
-                                      max_part=max_part, max_length=max_len):
+        for p in map(Partition, box_partitions(n, max_part, max_len,
+                                               distinct)):
             if length_mod is not None:
                 mod, residues = length_mod
                 if p.length() % mod not in {x % mod for x in residues}:

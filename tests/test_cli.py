@@ -192,6 +192,9 @@ def test_usage_errors_exit_two(capsys):
     ["verify", "eq24", "--max-q", "3000000", "--max-z", "3000000",
      "--max-s", "3000000"],
     ["verify", "eq3", "--max-q", "5000000000", "--max-z", "0"],
+    # and eq3's output, however far z lies past the 2q its gather reads
+    ["verify", "eq3", "--max-z", str(2**62)],
+    ["verify", "eq3", "--max-z", str(10**19)],
     # thm9's closed form makes its factors only after its array
     ["series", "thm9", "--max-q", "1000000000000"],
     ["series", "thm9", "--max-q", "1000000000000", "--max-s", "1000000000000"],
@@ -211,8 +214,9 @@ JSON = st.recursive(
     max_leaves=12,
 )
 # now and then 10^12: an array sized from it is far past memory, and
-# numpy refuses it at once
-SMALL_INT = st.integers(-2, 6) | st.just(10**12)
+# numpy refuses it at once; and 2^62 and 10^19, a product of which with
+# a small index leaves int64, and 10^19 itself does
+SMALL_INT = st.integers(-2, 6) | st.sampled_from([10**12, 2**62, 10**19])
 
 
 def int_flags(draw, names):
@@ -363,6 +367,15 @@ def test_verify_large_box_exits_zero(capsys):
     assert ": pass" in out and err == ""
 
 
+@pytest.mark.parametrize("t", [2**62, 2**63, 10**19])
+def test_eq24_takes_any_t(capsys, t):
+    # past the s bound every substituted term with z >= 1 leaves the box,
+    # so no exponent is formed from t itself
+    code, out, err = run(capsys, "verify", "eq24", "--t", str(t))
+    assert code == 0 and err == ""
+    assert out.startswith(f"eq24 t={t} q<=6 s<=10 z<=4: pass")
+
+
 def test_verify_json_is_deterministic(capsys):
     args = ("verify", "thm5.1", "--max-q", "6", "--max-z", "6", "--json")
     code, out1, _ = run(capsys, *args)
@@ -499,7 +512,7 @@ def test_table1_caps_its_size(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("ident, cap, argv", [
-    ("thm6", 50_000, ["--n", "1"]), ("thm7", 8, ["--n", "3"])])
+    ("thm6", 60_000, ["--n", "1"]), ("thm7", 8, ["--n", "3"])])
 def test_coloured_checks_cap_their_t(capsys, ident, cap, argv):
     # at the cap the check runs
     assert cli.ver._entry(ident).caps["t"] == cap

@@ -10,6 +10,7 @@ import pytest
 
 from partbij.partitions import enumerate_partitions
 from reference import (
+    box_partitions,
     colored_partitions,
     graded_terms,
     q_binomial,
@@ -84,6 +85,16 @@ def test_q_binomial_known_and_symmetric():
         q_binomial(2, 3)
 
 
+def test_box_partitions_are_the_partitions_in_the_box():
+    for n in range(10):
+        for distinct in (False, True):
+            every = list(enumerate_partitions(n, distinct))
+            for w, h in itertools.product(range(n + 2), repeat=2):
+                assert list(box_partitions(n, w, h, distinct)) == [
+                    p for p in every
+                    if len(p) <= h and all(part <= w for part in p)]
+
+
 def test_q_binomial_counts_box_partitions():
     # q^e's coefficient counts the partitions of e in a k by (n-k) box
     for n in range(7):
@@ -92,8 +103,7 @@ def test_q_binomial_counts_box_partitions():
             assert len(coeffs) == k * (n - k) + 1
             assert sum(coeffs) == math.comb(n, k)
             assert coeffs == [
-                len(list(enumerate_partitions(e, max_part=n - k,
-                                              max_length=k)))
+                len(list(box_partitions(e, n - k, k)))
                 for e in range(k * (n - k) + 1)]
 
 

@@ -249,8 +249,8 @@ def test_unbounded_and_degenerate_params():
     with pytest.raises(UnboundedBox):
         partition_histogram(("anti", "first"), (4, 4), t=1, r=1)
     with pytest.raises(qs.DivergentInfiniteProduct):
-        qs.divide_pochhammer(TruncatedSeries.constant(box, 1),
-                             {"z": 1}, {}, qs.INFINITY)
+        qs._divide(TruncatedSeries.constant(box, 1).coeffs, ("q", "z"),
+                   [({"z": 1}, {}, qs.INFINITY)])
     for check in (lhs_series, rhs_series, verify_identity):
         with pytest.raises(VerifyError, match="^cor10 needs t >= 2$"):
             check("cor10", {"t": 1, "r": 1}, box)
@@ -304,6 +304,61 @@ def test_counting_verifiers_pass_small():
     assert verify_identity("eq24", {"t": 2}).passed
     assert verify_identity("table1", {"n": 7}).passed
     assert verify_identity("furtherwork", {"m_max": 3, "size_max": 12}).passed
+
+
+# boxes where s < t z and q < z for every t drawn, so that the
+# substitution drops terms on both axes; at s 3 and t 7 the gather takes
+# t as s + 1
+@pytest.mark.parametrize("t", [1, 2, 3, 7])
+@pytest.mark.parametrize("box", [{"q": 2, "z": 4, "s": 3},
+                                 {"q": 5, "z": 7, "s": 6},
+                                 {"q": 4, "z": 6, "s": 5}])
+def test_eq24_gathers_the_substituted_histogram(monkeypatch, t, box):
+    # z -> s^t q z sends the histogram's cell (a, c, b) to
+    # (a + c, c, b + t c); the array eq24 divides, before the division,
+    # holds exactly the images that stay in the box
+    divide = qs._divide
+    handed = []
+
+    def kept(coeffs, variables, products, bound=None):
+        handed.append(coeffs.copy())
+        return divide(coeffs, variables, products, bound)
+
+    monkeypatch.setattr(qs, "_divide", kept)
+    assert verify_identity("eq24", {"t": t}, box).passed
+    bounds = box["q"], box["z"], box["s"]
+    source = partition_histogram(("weight", "first", "size"), bounds, t=t)
+    want = {}
+    for a, c, b in np.argwhere(source).tolist():
+        target = a + c, c, b + t * c
+        if all(x <= bound for x, bound in zip(target, bounds)):
+            want[target] = int(source[a, c, b])
+    assert len(want) < np.count_nonzero(source)  # some terms left the box
+    [gathered] = handed
+    assert {tuple(i): int(gathered[tuple(i)])
+            for i in np.argwhere(gathered).tolist()} == want
+
+
+def test_each_side_runs_without_the_others_kernel(monkeypatch):
+    # the enumeration side never divides and the closed form never counts
+    # partitions: at every quick-suite point of every series identity,
+    # each side, built with the other side's kernel made to raise, agrees
+    # with the other
+    def banned(*args, **kwargs):
+        raise AssertionError("the other side's kernel was called")
+
+    points = [task.args for task in ver._suite_tasks("quick")
+              if task.args[0] in IDENTITY_IDS]
+    assert len(points) == 46
+    assert {ident for ident, _, _ in points} == set(IDENTITY_IDS)
+    for ident, params, box in points:
+        with monkeypatch.context() as patch:
+            patch.setattr(qs, "_divide", banned)
+            lhs = lhs_series(ident, params, box)
+        with monkeypatch.context() as patch:
+            patch.setattr(ver, "partition_histogram", banned)
+            rhs = rhs_series(ident, params, box)
+        assert qs.first_mismatch(lhs, rhs) is None, (ident, params)
 
 
 def _tally(colored, bound, weight, admits=lambda p, i: True):
@@ -1272,7 +1327,6 @@ def test_recurrence_takes_one_shift_pass_per_largest_part(monkeypatch, t,
         return divide(coeffs, variables, products, bound)
 
     monkeypatch.setattr(qs, "_divide", counted)
-    monkeypatch.setattr(qs, "divide_pochhammer", None)
     ver._f_series(12, t, box)
     assert calls == [[({"q": m, "s": m * t}, {}, 1)] for m in range(1, 13)]
 
@@ -1305,9 +1359,12 @@ def test_public_api():
     # only the tests called these; conjugate and color_profile are
     # oracles in tests/reference.py
     removed |= {"color_profile", "conjugate", "default_box"}
-    assert len(removed) == 28
+    # eq24's substituted side is a gather, and the tests divide by
+    # series._divide on a copy
+    removed |= {"substitute", "divide_pochhammer"}
+    assert len(removed) == 30
     assert not removed & set(names)
-    for module in (partbij, partbij.partitions):
+    for module in (partbij, partbij.partitions, qs):
         assert not any(hasattr(module, name) for name in removed)
     assert not hasattr(ver, "default_box")
     # and the methods only the tests called; equality and hashing are
