@@ -12,11 +12,19 @@ at every full-level grid point and box, and for eq20 the time of
 f_recurrence at the full level's n_max, t and box, after one untimed
 pass. Under lhs_ms it holds the enumeration sides the same way: per
 series identity, lhs_series at every full-level grid point and box.
-Under ladder_ms it holds thm5.1's enumeration side, the histogram
-kernel's (weight, first) count at t = 2, at the ladder boxes of
-LADDER_QZ, each checked once against its closed form, and under
-rhs_ladder_ms the product sides of RHS_LADDER, near the tops of their
-box ladders, each box checked once against its enumeration side. It
+Under ladder_ms it holds the enumeration sides (lhs_series) at the
+boxes of LHS_LADDER, near the tops of their box ladders, each box checked
+once against its closed form, and under ladder_peak_mb the tracemalloc
+peak of one call of each; under rhs_ladder_ms the product sides of
+RHS_LADDER, each box checked once against its enumeration side. Under
+box_row_ms it holds the enumeration sides of BOX_ROW_LADDER, whose state
+rows have near _accel._BOX_ROW_CELLS cells, once with every state row
+summed whole and once with in-box sums only. Under
+domain_s it holds the checks over a whole partition domain at the sizes
+of DOMAIN_CHECKS, each of which must pass, the median seconds of
+DOMAIN_RUNS calls. ladder_ms, box_row_ms and domain_s are calibrated: each
+call is timed between two runs of a fixed pure-Python loop, and scaled
+by CAL_NOMINAL over their mean, since this machine's speed drifts. It
 also holds the
 scalar maps alone: per map and inverse, the median of the summed time
 of its calls on the map mix (see time_maps), every round trip checked.
@@ -40,11 +48,12 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
 
-from partbij import cli
+from partbij import _accel, cli
 from partbij._accel import partition_histogram
 from partbij.bijections import (
     bessenrodt,
@@ -78,15 +87,27 @@ from partbij.verify import (
     lhs_series,
     rhs_series,
     run_suite,
+    run_verifier,
     verify_identity,
 )
 
 LEVELS = ("quick", "full")
 RUNS = 7
 OUT = "BENCH_suite.json"
-# q = z bounds of thm5.1's boxes in ladder_ms, near the top of its box
-# ladder, where the histogram kernel takes almost all of its time
-LADDER_QZ = (120, 200)
+# (id, params, box) of the enumeration sides in ladder_ms and
+# ladder_peak_mb, near the tops of their box ladders, where the histogram
+# kernel takes almost all of their time; thm5.1 at 238 scans for a wrap in
+# every row
+LHS_LADDER = (
+    ("thm5.1", {}, {"q": 120, "z": 120}),
+    ("thm5.1", {}, {"q": 200, "z": 200}),
+    ("thm5.1", {}, {"q": 238, "z": 238}),
+    ("eq14", {}, {"q": 300, "z": 300}),
+    ("thm9", {}, {"q": 60, "z": 60, "s": 60}),
+    ("thm3.2", {}, {"q": 250, "z": 250}),
+    ("cor10", {}, {"q": 180, "z": 180}),
+    ("thm4.2", {}, {"q": 200, "z": 200}),
+)
 # (id, params, box) of the product sides in rhs_ladder_ms: eq3 at its int64
 # wall, where its product side is almost all of its time, and the other
 # closed forms at or near the tops of their box ladders
@@ -97,6 +118,29 @@ RHS_LADDER = (
     ("thm4.2", {}, {"q": 248, "z": 248}),
     ("thm8.1", {"t": 4, "r": 4}, {"q": 82, "z": 82}),
 )
+# (id, params, box) of the enumeration sides in box_row_ms: state rows of
+# 2,401, 4,096 and 9,409 cells, below, at and above
+# _accel._BOX_ROW_CELLS, one run of non-distinct and one of distinct rows
+BOX_ROW_LADDER = (
+    ("thm5.1", {}, {"q": 48, "z": 48}),
+    ("thm5.1", {}, {"q": 63, "z": 63}),
+    ("thm5.1", {}, {"q": 96, "z": 96}),
+    ("thm4.2", {}, {"q": 48, "z": 48}),
+    ("thm4.2", {}, {"q": 63, "z": 63}),
+    ("thm4.2", {}, {"q": 96, "z": 96}),
+)
+# (id, flags) of the checks over a whole domain in domain_s: thm7's array
+# round trips and class count, furtherwork's hook maps and prop1's inverse
+# map at sizes a few times their full levels'
+DOMAIN_CHECKS = (
+    ("thm7", {"t": 2, "r": 1, "n": 50}),
+    ("furtherwork", {"m": 4, "n": 40}),
+    ("prop1", {"n": 104}),
+)
+DOMAIN_RUNS = 5
+# seconds that calibration() took on the machine of the recorded entries
+# at full speed
+CAL_NOMINAL = 0.02
 
 # the map mix: every partition of size <= MAP_SMALL_MAX and MAP_LARGE_COUNT
 # uniform random partitions of MAP_LARGE_SIZE drawn from MAP_SEED, through
@@ -181,30 +225,97 @@ def series_rows(side=rhs_series):
     return rows
 
 
-def ladder_rows():
-    """(name, call) for thm5.1's enumeration side at each LADDER_QZ box;
-    each box must verify."""
+def _side_rows(ladder, side):
+    """(name, call) for side (lhs_series or rhs_series) at each (id,
+    params, box) of ladder; each box must verify."""
     rows = []
-    for qz in LADDER_QZ:
-        box = {"q": qz, "z": qz}
-        if not verify_identity("thm5.1", box=box).passed:
-            raise SystemExit(f"thm5.1 failed at q = z = {qz}")
-        rows.append((f"thm5.1 q,z={qz}", partial(lhs_series, "thm5.1", {},
-                                                   box)))
-    return rows
-
-
-def rhs_ladder_rows():
-    """(name, call) for the product side of each RHS_LADDER entry; each
-    box must verify."""
-    rows = []
-    for ident, params, box in RHS_LADDER:
+    for ident, params, box in ladder:
         if not verify_identity(ident, params, box).passed:
             raise SystemExit(f"{ident} {params} failed at {box}")
         name = " ".join([ident, *(f"{k}={v}" for k, v in params.items()),
                          ",".join(f"{v}={b}" for v, b in box.items())])
-        rows.append((name, partial(rhs_series, ident, params, box)))
+        rows.append((name, partial(side, ident, params, box)))
     return rows
+
+
+def ladder_rows():
+    """(name, call) for the enumeration side of each LHS_LADDER entry."""
+    return _side_rows(LHS_LADDER, lhs_series)
+
+
+def rhs_ladder_rows():
+    """(name, call) for the product side of each RHS_LADDER entry."""
+    return _side_rows(RHS_LADDER, rhs_series)
+
+
+def _summed(row_cells, call):
+    """call() with _accel._BOX_ROW_CELLS at row_cells."""
+    saved = _accel._BOX_ROW_CELLS
+    _accel._BOX_ROW_CELLS = row_cells
+    try:
+        return call()
+    finally:
+        _accel._BOX_ROW_CELLS = saved
+
+
+def box_row_rows():
+    """(name, call) for the enumeration side of each BOX_ROW_LADDER entry,
+    with every state row summed whole and with in-box sums only."""
+    return [(f"{name} {path}", partial(_summed, row_cells, call))
+            for name, call in _side_rows(BOX_ROW_LADDER, lhs_series)
+            for path, row_cells in (("whole", float("inf")), ("in-box", 1))]
+
+
+def domain_rows():
+    """(name, call) for each check of DOMAIN_CHECKS, which must pass."""
+    rows = []
+    for ident, flags in DOMAIN_CHECKS:
+        call = partial(run_verifier, ident, **flags)
+        if not call().passed:
+            raise SystemExit(f"{ident} {flags} failed")
+        name = " ".join([ident, *(f"{k}={v}" for k, v in flags.items())])
+        rows.append((name, call))
+    return rows
+
+
+def calibration():
+    """Seconds of a fixed pure-Python loop, which no change to partbij
+    speeds up or slows down."""
+    start = time.perf_counter()
+    sum(i * i for i in range(300_000))
+    return time.perf_counter() - start
+
+
+def time_calibrated(runs, rows, scale=1000.0):
+    """Per name, the median over runs of the calibrated time of one call
+    of its row, times scale (ms by default), after one untimed pass:
+    each call's time times CAL_NOMINAL over the mean of the calibrations
+    just before and after it."""
+    samples = {name: [] for name, _ in rows}
+    for run in range(runs + 1):  # run 0 is the untimed pass
+        for name, call in rows:
+            before = calibration()
+            start = time.perf_counter()
+            call()
+            took = time.perf_counter() - start
+            speed = CAL_NOMINAL / ((before + calibration()) / 2)
+            if run:
+                samples[name].append(took * speed * scale)
+    return {name: round(statistics.median(v), 3)
+            for name, v in samples.items()}
+
+
+def peak_mb(rows):
+    """Per name, the tracemalloc peak in MB of one call of its row."""
+    peaks = {}
+    for name, call in rows:
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = round(tracemalloc.get_traced_memory()[1] / 1e6, 1)
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def kernel_rows():
@@ -430,6 +541,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="current")
     args = parser.parse_args()
+    ladder = ladder_rows()
     entry = {
         "machine": {"cores": os.cpu_count(),
                     "python": platform.python_version(),
@@ -439,8 +551,11 @@ def main():
         "levels": measure(),
         "series_ms": time_series(RUNS),
         "lhs_ms": time_series(RUNS, series_rows(lhs_series)),
-        "ladder_ms": time_series(RUNS, ladder_rows()),
+        "ladder_ms": time_calibrated(RUNS, ladder),
+        "ladder_peak_mb": peak_mb(ladder),
         "rhs_ladder_ms": time_series(RUNS, rhs_ladder_rows()),
+        "box_row_ms": time_calibrated(RUNS, box_row_rows()),
+        "domain_s": time_calibrated(DOMAIN_RUNS, domain_rows(), scale=1.0),
         "maps_ms": time_maps(RUNS),
         "cli_ms": time_cli(RUNS),
         "kernels_ms": time_series(RUNS, kernel_rows()),
@@ -461,11 +576,15 @@ def main():
     for key, title in (("series_ms", "full product sides"),
                        ("lhs_ms", "full enumeration sides"),
                        ("ladder_ms", "ladder enumeration sides"),
+                       ("ladder_peak_mb", "ladder enumeration peaks"),
                        ("rhs_ladder_ms", "ladder product sides"),
+                       ("box_row_ms", "whole and in-box row sums"),
+                       ("domain_s", "checks over a domain"),
                        ("kernels_ms", "kernels on fixed inputs")):
         print(f"{title}:")
-        for ident, ms in entry[key].items():
-            print(f"  {ident:<26} {ms:8.3f} ms")
+        unit = key.rsplit("_", 1)[1]
+        for ident, value in entry[key].items():
+            print(f"  {ident:<26} {value:8.3f} {unit}")
     print("scalar maps on the map mix:")
     for name, ms in entry["maps_ms"].items():
         print(f"  {name:<24} {ms:8.3f} ms")

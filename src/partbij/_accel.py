@@ -1,25 +1,44 @@
 """Hot kernel: the partition histogram.
 
 `partition_histogram` counts partitions row by row instead of visiting
-them. Its state after row `pos` is an int64 array indexed by (last part,
-each non-length axis statistic) holding the number of partitions of
-length `pos` that end there. The next row takes a reverse cumulative sum
-over the last-part axis (parts never grow), shifted by one when parts must
-be distinct, and moves each new part value v up the axes that row adds v
-to. A colour-profile class is settled one row late, by the drop from the
-last part to the next one, so in the row it belongs to each step down
-the sum over last parts also moves that class up by one.
+them: row pos appends part pos of every partition, and adds it to the
+statistics of the axes that row feeds (the size; the weight or the anti
+weight, by the row's index; the first part, in row 1). With e[j] the
+number of rows so far that added to axis j, the state is one int64 array
+indexed by a part value v and the non-length statistics k, whose cell
+(v, k) counts the prefixes with last part >= v and statistics k + v e.
+In these last-part coordinates a prefix that the next row extends by
+part v keeps its cell, so a row is one reverse sum down the part axis,
+in place: state[v] += state[v + 1] moved by e, for v from the top down
+to 0. A colour-profile class is settled one row late, by the drop from
+the last part to the next one, so in the row it belongs to each step
+down also moves that class up by one. state[0], at v = 0, counts the
+prefixes of every last part by their statistics: without a length axis
+or filter it keeps the sum over all lengths and is the output, and
+otherwise it is cleared each row and copied out. A distinct run moves
+the rows down one part value, the next part being below the last, into
+a fresh array each row.
 
-Counts never wrap unseen. Running bounds cap the state's counts and the
-output's: the reverse sum adds at most vmax counts of the row before,
-vmax being the row's largest part, and the output adds the row's sums.
-With a length axis each row writes its sums to cells of its own, a copy
-of the state's cells, so the state's bound covers the output and the
-output needs none. Only a row whose bound passes int64 scans the array
-for a wrap, and the bound drops to the array's true max. A wrap needs a
+A cell whose statistics k + v e pass a bound holds prefixes that have
+left the box. The sums only move counts up, so no in-box cell reads it,
+and it is left as it is: a state row of fewer than _BOX_ROW_CELLS cells
+is added whole, which leaves anything in those cells, and a larger row
+adds only its in-box cells. Row v lies wholly outside the box once
+v e_j passes bound j, so the rows end at top = min over j of
+bound_j // e_j; a distinct run also drops the top rows whose in-box
+cells are all zero. The trims and the scans below read in-box cells only.
+
+Counts never wrap unseen. Running bounds cap the in-box counts of the
+state and the output's: the reverse sum adds at most vmax counts of the
+row before, vmax being the row's largest part, and the output adds the
+row's sums. With a length axis each row writes its sums to cells of its
+own, a copy of the state's cells, so the state's bound covers the output
+and the output needs none. Only a row whose bound passes int64 scans the
+array for a wrap, after the cells that left the box are zeroed
+(_scanned), and the bound drops to the array's true max. A wrap needs a
 count past int64, so it happens in a scanned row and leaves a negative
-count there (see _unwrapped): HistogramOverflow is raised where a count
-first leaves int64.
+count there (see _unwrapped): HistogramOverflow is raised where an
+in-box count first leaves int64.
 """
 
 import itertools
@@ -28,6 +47,14 @@ import math
 import numpy as np
 
 _AXES = ("first", "size", "length", "weight", "anti", "profile")
+
+
+# a state row of at least this many cells adds only its in-box cells; in a
+# smaller one, slicing each part value's cells costs more than the adds it
+# saves. The two sums tie from about 2,400 to 6,600 cells a row (see
+# box_row_ms in benchmarks/bench_suite.py); the suite's boxes have at most
+# 2,197, where in-box sums ran its quick level 17% slower
+_BOX_ROW_CELLS = 1 << 12
 
 
 class HistogramOverflow(OverflowError):
@@ -73,6 +100,24 @@ def _unwrapped(counts, bound):
     return int(counts.max())
 
 
+def _box_ends(kbounds, e, v):
+    """Per axis, the end of the in-box cells of state row v: those whose
+    statistics k + v e are within the bounds."""
+    return [b + 1 - v * k for b, k in zip(kbounds, e)]
+
+
+def _scanned(state, top, e, kbounds, bound):
+    """_unwrapped on the in-box cells of state rows 1..top. Cells that
+    have left the box may hold anything, and no in-box cell reads them,
+    so past int64 they are zeroed before the scan."""
+    if bound < 2**63:
+        return bound
+    for v in range(1, top + 1):
+        for j, end in enumerate(_box_ends(kbounds, e, v)):
+            state[(v, *[slice(None)] * j, slice(end, None))] = 0
+    return _unwrapped(state[1:top + 1], bound)
+
+
 def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
                         distinct=False, length_mod=None):
     """Histogram of all partitions within the axis bounds and max_len.
@@ -91,12 +136,13 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
 
     Every statistic is nondecreasing as parts are appended, counting a
     profile class only once the row after its own is known, so a
-    partition whose prefix leaves the box has no extension inside it; the
-    row transfer drops such states, which keeps the count complete for
-    the returned box. The axes give the caps: row 1 holds the largest
-    part, so the bounds of the axes it adds to cap the parts, and without
-    max_len the rows stop once every prefix has left the box, which
-    happens when every t consecutive rows add to some bounded axis.
+    partition whose prefix leaves the box has no extension inside it; no
+    in-box cell of the state reads such a prefix, which keeps the count
+    complete for the returned box. The axes give the caps: row 1 holds
+    the largest part, so the bounds of the axes it adds to cap the parts,
+    and without max_len the rows stop once every prefix has left the
+    box, which happens when every t consecutive rows add to some bounded
+    axis.
     Profile axes cap neither. UnboundedBox if the parts, or the length
     without max_len, have no cap. Raises HistogramOverflow if a count
     exceeds int64, and MemoryError if the output or the state has more
@@ -158,49 +204,56 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
         raise UnboundedBox(f"rows {r + 1} to {r + t}, which repeat with period "
                            f"{t}, add to no bounded axis, so the length is "
                            "unbounded")
-    # avail[v] counts the prefixes the next row may extend with part v;
-    # bound caps those counts, out_bound every cell a later row adds to
-    avail = _zeros((top + 1,) + stat_shape)
-    avail[(slice(1, None),) + (0,) * len(kinds)] = 1
+    # e[j] counts the rows so far that added their part to axis j; before
+    # row 1, every part may extend the empty prefix
+    state = _zeros((top + 1,) + stat_shape)
+    state[(slice(1, None),) + (0,) * len(kinds)] = 1
+    e = [0] * len(kinds)
+    totals = "length" not in axes and admitted is None
+    sliced = math.prod(stat_shape) >= _BOX_ROW_CELLS
+    # bound caps the in-box counts of the state, out_bound every cell a
+    # later row adds to
     bound = out_bound = 1
     rows = itertools.count(1) if max_len is None else range(1, max_len + 1)
     for pos in rows:
         shifted = _shifted_axes(kinds, pos, counted(pos))
+        # only rows 1..vmax held counts, so each sum adds at most vmax
         vmax = min([top] + [kbounds[j] for j in shifted])
-        if shifted:
-            state = np.zeros((top + 1,) + stat_shape, dtype=np.int64)
-            for v in range(1, vmax + 1):
-                src = [v] + [slice(None)] * len(kinds)
-                dst = list(src)
-                for j in shifted:
-                    src[j + 1] = slice(0, kbounds[j] + 1 - v)
-                    dst[j + 1] = slice(v, None)
-                state[tuple(dst)] = avail[tuple(src)]
-        else:
-            # every prefix keeps its statistics: avail is not read again
-            state = avail[:top + 1]
-            state[0] = 0
-        # state[v] becomes the count of states with last part >= v, state[0]
-        # of all of them. Row pos's profile class, if any, gains the drop
-        # from the last part to the next part v (all of the last part for
-        # state[0]), so each step down in v moves that class up by one
-        src = [slice(None)] * len(kinds)
-        dst = list(src)
-        if classes and pos >= r:
-            cls = classes[(pos - r) % t]
-            src[cls], dst[cls] = slice(0, -1), slice(1, None)
-        lower, upper = state[(slice(None), *dst)], state[(slice(None), *src)]
-        for v in range(top - 1, -1, -1):
-            lower[v] += upper[v + 1]
-        # only rows 1..vmax held counts, so each sum added at most vmax
-        bound = _unwrapped(state, bound * vmax)
-        # the moves drop classes past their bound, so state[0] may be empty
-        # while longer prefixes live on
-        while top >= 0 and not np.count_nonzero(state[top]):
-            top -= 1
-        if top < 0:
+        for j in shifted:
+            e[j] += 1
+            top = min(top, kbounds[j] // e[j])
+        if top < 1:
             break
-        if admits(pos):
+        # each step down the sum moves a count by e, and by one more on
+        # row pos's profile class, if any: that class gains the drop from
+        # the last part to the next part v (all of the last part at v = 0)
+        step = list(e)
+        if classes and pos >= r:
+            step[classes[(pos - r) % t]] += 1
+        dst = tuple([slice(k, None) for k in step])
+        src = tuple([slice(max(b + 1 - k, 0)) for b, k in zip(kbounds, step)])
+        lower = state[(slice(None), *dst)]
+        upper = state[(slice(None), *src)]
+        if not totals:
+            state[0] = 0
+        if sliced:
+            for v in range(top - 1, -1, -1):
+                # row v's in-box cells, and the cells they read in row v + 1
+                ends = _box_ends(kbounds, e, v)
+                reads = [slice(max(n - k, 0)) for n, k in zip(ends, step)]
+                state[(v, *map(slice, step, ends))] += state[(v + 1, *reads)]
+        else:
+            for v in range(top - 1, -1, -1):
+                lower[v] += upper[v + 1]
+        bound = _scanned(state, top, e, kbounds, bound * vmax)
+        # the moves drop classes past their bound, so the top rows of a
+        # distinct run may empty while longer prefixes live on
+        while distinct and top and not np.count_nonzero(
+                state[(top, *map(slice, _box_ends(kbounds, e, top)))]):
+            top -= 1
+        if totals:
+            out_bound = _unwrapped(state[0], out_bound + bound)
+        elif admits(pos):
             cell = tuple(pos if axis == "length" else slice(None)
                          for axis in axes)
             out[cell] += state[0]
@@ -208,12 +261,16 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
             # state[0], which the state's bound already covers
             if "length" not in axes:
                 out_bound = _unwrapped(out, out_bound + bound)
+        if not top:
+            break
         if distinct:
-            # a distinct next part v is below the last part, so the count
-            # with last part > v also steps the class up once more
-            avail = np.zeros_like(state[1:])
-            avail[(slice(None), *dst)] = upper[1:]
+            # a distinct next part v is below the last part: the count with
+            # last part > v, moved by e and one more step of the class
+            avail = _zeros((top,) + stat_shape)
+            avail[0] = state[0]
+            avail[(slice(1, None), *dst)] = upper[2:top + 1]
+            state = avail
             top -= 1
-        else:
-            avail = state
+    if totals:
+        out += state[0]
     return out

@@ -184,8 +184,9 @@ def bessenrodt_inverse(delta):
 
 
 def bessenrodt_inverse_rows(rows):
-    """bessenrodt_inverse on every column of a parts-major int64 array of
-    partitions (see partitions), as whole-array operations.
+    """bessenrodt_inverse on every column of a parts-major array of
+    partitions (see partitions), as whole-array operations in its signed
+    integer type.
 
     mork_inverse's recursion runs over the diagonals of all columns at
     once, from the innermost out: with leg_d = -1 past a column's last
@@ -200,16 +201,16 @@ def bessenrodt_inverse_rows(rows):
     a preimage: distinct parts, and arms and legs nonnegative and
     strictly decreasing. Other columns hold no meaningful partition.
     """
-    d = (np.count_nonzero(rows, axis=0) + 1) // 2
+    d = ((rows > 0).sum(axis=0, dtype=rows.dtype) + 1) // 2
     top = int(d.max(initial=0))
     delta = np.pad(rows, ((0, max(0, 2 * top - len(rows))), (0, 0)))
-    arms = np.zeros((top, rows.shape[1]), dtype=np.int64)
-    legs = np.full((top + 1, rows.shape[1]), -1, dtype=np.int64)
+    arms = np.zeros((top, rows.shape[1]), dtype=rows.dtype)
+    legs = np.full((top + 1, rows.shape[1]), -1, dtype=rows.dtype)
     for i in range(top - 1, -1, -1):
         arms[i] = delta[2 * i + 1] - legs[i + 1] - 1
         legs[i] = delta[2 * i] - arms[i] - 1
     legs = legs[:top]
-    diagonal = np.arange(top)[:, None]
+    diagonal = np.arange(top, dtype=rows.dtype)[:, None]
     inside = diagonal < d
     valid = (((rows[:-1] > rows[1:]) | (rows[1:] == 0)).all(axis=0)
              & ((arms >= 0) & (legs >= 0) | ~inside).all(axis=0)
@@ -218,7 +219,7 @@ def bessenrodt_inverse_rows(rows):
     below = _conjugate_rows(
         np.where(inside & valid, legs + diagonal + 1, 0))
     # below holds d in each of a valid column's first d rows
-    mu = np.zeros((max(len(below), top), rows.shape[1]), dtype=np.int64)
+    mu = np.zeros((max(len(below), top), rows.shape[1]), dtype=rows.dtype)
     mu[:len(below)] = below
     mu[:top] += np.where(inside, arms + diagonal + 1 - d, 0)
     # 2p - 1 on the parts, and 0 stays 0
@@ -271,27 +272,28 @@ def color_conjugate_inverse(nu, mu, t, r):
 
 
 def _conjugate_rows(rows):
-    """Conjugates of the columns of a nonnegative parts-major int64 array
-    (see partitions), each column the parts of a partition in any order:
-    row c counts each column's parts above c, up to the largest part.
-    One bincount tallies the part values, and a running sum down from the
-    largest turns the tallies into counts of the parts >= each value."""
+    """Conjugates of the columns of a nonnegative parts-major array (see
+    partitions), each column the parts of a partition in any order: row c
+    counts each column's parts above c, up to the largest part, in the
+    array's type. One bincount tallies the part values, and a running sum
+    down from the largest turns the tallies into counts of the parts >=
+    each value."""
     top = int(rows.max(initial=0))
     n = rows.shape[1]
-    index = rows * n
+    index = rows.astype(np.intp) * n
     index += np.arange(n)
     counts = np.bincount(index.ravel(), minlength=(top + 1) * n)
-    counts = counts.reshape(top + 1, n)
+    counts = counts.reshape(top + 1, n).astype(rows.dtype)
     for above, at in zip(counts[:0:-1], counts[-2:0:-1]):
         at += above
     return counts[1:]
 
 
 def color_conjugate_rows(rows, t, r, heights=None):
-    """color_conjugate on every column of a parts-major int64 array of
+    """color_conjugate on every column of a parts-major array of
     partitions (see partitions) with at least r rows, as whole-array
-    operations. heights, if given, are the columns' heights
-    (_conjugate_rows(rows)), as int64.
+    operations in its signed integer type. heights, if given, are the
+    columns' heights (_conjugate_rows(rows)), in that type.
 
     Column j of a partition with lambda_r > j has a height h >= r, so
     h - r + 1 cells below row r - 1, and these are (mu_j - 1) t + colour_j
@@ -314,7 +316,7 @@ def color_conjugate_rows(rows, t, r, heights=None):
 
 def color_conjugate_inverse_rows(nu, mu, colors, t, r):
     """color_conjugate_inverse on every column of the arrays that
-    color_conjugate_rows returns (nu may have extra rows).
+    color_conjugate_rows returns (nu may have extra rows), in their type.
 
     Returns the rebuilt partitions, parts-major, and a mask of the columns
     whose pair is valid: nu has at most r - 1 parts and the column heights
@@ -325,7 +327,7 @@ def color_conjugate_inverse_rows(nu, mu, colors, t, r):
     heights = np.maximum((mu - 1) * t + colors, 0)
     valid = ((nu[r - 1:] == 0).all(axis=0)
              & (heights[:-1] >= heights[1:]).all(axis=0))
-    front = nu[:r - 1] + np.count_nonzero(mu, axis=0)
+    front = nu[:r - 1] + (mu > 0).sum(axis=0, dtype=nu.dtype)
     return np.vstack([front, _conjugate_rows(heights)]), valid
 
 
@@ -355,8 +357,8 @@ def generalized_hook_map(diagram):
 
 def generalized_hook_map_rows(rows, m):
     """generalized_hook_map(to_modular(lam, m)) on every column of a
-    parts-major int64 array of partitions (see partitions), as
-    whole-array operations.
+    parts-major array of partitions (see partitions), as whole-array
+    operations in its signed integer type.
 
     Part i takes cells_i = ceil(lam_i / m) cells, each holding m but the
     last, which holds the remainder and lies in diagonal hook
@@ -370,14 +372,14 @@ def generalized_hook_map_rows(rows, m):
     """
     width, n = rows.shape
     cells = -(-rows // m)
-    row = np.arange(width)[:, None]
+    row = np.arange(width, dtype=rows.dtype)[:, None]
     # the most diagonal hooks of any column, the largest Durfee size of
     # cells: some column has cells_i > i exactly for the i below it
     hooks = int(np.count_nonzero(cells.max(axis=1, initial=0) > row[:, 0]))
     span = min(m, int(rows.max(initial=0)))  # the remainders lie in 1..span
     # (hook, remainder, column) of each part's last cell
     last = cells - 1
-    index = np.minimum(row, last)
+    index = np.minimum(row, last).astype(np.intp)
     index *= span + 1
     index += rows
     last *= m
@@ -385,7 +387,7 @@ def generalized_hook_map_rows(rows, m):
     index *= n
     index += np.arange(n)
     tally = np.bincount(index[rows > 0], minlength=hooks * (span + 1) * n)
-    at_least = tally.reshape(hooks, span + 1, n)
+    at_least = tally.reshape(hooks, span + 1, n).astype(rows.dtype)
     for j in range(span - 1, -1, -1):
         at_least[:, j] += at_least[:, j + 1]
     # negative past a column's own Durfee size, where it has no hook
@@ -395,7 +397,7 @@ def generalized_hook_map_rows(rows, m):
     parts = parts.reshape(hooks * span, n)
     keep = parts > 0
     slot = np.cumsum(keep, axis=0)  # each kept part's row in the image, + 1
-    image = np.zeros((int(slot.max(initial=0)), n), dtype=np.int64)
+    image = np.zeros((int(slot.max(initial=0)), n), dtype=rows.dtype)
     image[slot[keep] - 1, np.nonzero(keep)[1]] = parts[keep]
     return image, (image[:-1] >= image[1:]).all(axis=0)
 

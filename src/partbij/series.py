@@ -53,6 +53,7 @@ from one list of the cells' numbers. The JSON is what json.dumps prints
 for the same document.
 """
 
+import collections
 import functools
 import json
 import math
@@ -403,8 +404,11 @@ def _plan(shape, variables, product, block_cells):
     # exponents only grow, so only the first factor can be 1 - 1
     if factors and not any(factors[0]):
         raise NonUnitConstantTerm("constant term is 0")
-    steps = tuple((e, *_adds(shape, e, block_cells)) for e in factors)
-    return (steps, math.prod(step[1] for step in steps),
+    # equal factors, as in (1 - q^s)^t, share one step
+    repeats = collections.Counter(factors)
+    plans = {e: _adds(shape, e, block_cells) for e in repeats}
+    steps = tuple((e, *plans[e]) for e in factors)
+    return (steps, math.prod(plans[e][0] ** k for e, k in repeats.items()),
             tuple(pair for step in steps for pair in step[3]))
 
 

@@ -40,8 +40,10 @@ first, size) histogram that its other side is, divided in place by
 The dedicated checks schmidt, cor2, table1, thm6 and cor11 report
 through one first-failure scan, _first_failure: each lays out its cells
 or its walk as (where, got, want) cases in order, and the report counts
-the cases up to the first mismatch. prop1 checks its partitions as arrays
-and counts them up to its first bad one.
+the cases up to the first mismatch. The checks whose cases are the cells
+of two arrays (all but table1) compare the arrays at once,
+_first_cell_failure, and read out only the first differing cell. prop1
+checks its partitions as arrays and counts them up to its first bad one.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
@@ -166,14 +168,20 @@ def _first_failure(cases):
     return checked, None
 
 
-def _cells(got, want, labels, mask=True):
-    """The cells of two arrays of one shape as cases, in index order and
-    keyed by labels, with their values as ints; only the cells where mask
-    holds."""
+def _first_cell_failure(got, want, labels, mask=True):
+    """_first_failure over the cells of two arrays of one shape where mask
+    holds, in index order, each keyed by labels with its values as ints.
+    The arrays are compared at once, and only the first differing cell is
+    read out."""
     mask = np.broadcast_to(mask, got.shape)
-    for index, a, b in zip(np.argwhere(mask).tolist(), got[mask].tolist(),
-                           want[mask].tolist()):
-        yield dict(zip(labels, index)), a, b
+    differ = ((got != want) & mask).ravel()
+    if not differ.any():
+        return int(np.count_nonzero(mask)), None
+    first = int(np.argmax(differ))
+    index = np.unravel_index(first, got.shape)
+    return (int(np.count_nonzero(mask.ravel()[:first + 1])),
+            _mismatch(dict(zip(labels, map(int, index))), int(got[index]),
+                      int(want[index])))
 
 
 def _series_mismatch(lhs, rhs):
@@ -210,7 +218,7 @@ def _domain(size_max):
     columns = np.zeros((size_max, parts.shape[1]), dtype=parts.dtype)
     step = max(1, _CHUNK_CELLS // len(parts))
     for lo in range(0, parts.shape[1], step):
-        chunk = _conjugate_rows(parts[:, lo:lo + step].astype(np.int64))
+        chunk = _conjugate_rows(parts[:, lo:lo + step].astype(_signed(parts)))
         columns[:len(chunk), lo:lo + step] = chunk
     columns.flags.writeable = False
     return parts, sizes, columns
@@ -225,14 +233,23 @@ _CHUNK_CELLS = 1 << 15
 _LOWEST = {"t": 1, "r": 1, "m_max": 2}
 
 
+def _signed(array):
+    """The narrowest signed type that holds every value of array's type:
+    int16 for a domain's uint8 below size 256. The passes over a domain
+    form values of at most a few times its size, which fit it too."""
+    return np.promote_types(array.dtype, np.int8)
+
+
 def _column_chunks(row_cells, *arrays):
-    """The columns of arrays that share their last axis, cast to int64, in
-    ranges of at most _CHUNK_CELLS // row_cells columns (at least one),
-    where row_cells bounds the cells per column of the widest array a
-    pass over a range builds. Yields each range's arrays."""
+    """The columns of arrays that share their last axis, each cast to its
+    _signed type, in ranges of at most _CHUNK_CELLS // row_cells columns
+    (at least one), where row_cells bounds the cells per column of the
+    widest array a pass over a range builds. Yields each range's
+    arrays."""
     step = max(1, _CHUNK_CELLS // row_cells)
     for lo in range(0, arrays[0].shape[-1], step):
-        yield [array[..., lo:lo + step].astype(np.int64) for array in arrays]
+        yield [array[..., lo:lo + step].astype(_signed(array))
+               for array in arrays]
 
 
 def _key_sums(keys, values=None):
@@ -444,8 +461,8 @@ def verify_schmidt(n_max):
     never enumerates.
     """
     hist = partition_histogram(("weight",), (n_max,), t=2, r=1, distinct=True)
-    _, mismatch = _first_failure(
-        _cells(hist, np.array(partition_numbers(n_max)), ("n",)))
+    _, mismatch = _first_cell_failure(
+        hist, np.array(partition_numbers(n_max)), ("n",))
     # the report counts the whole table, even when it fails
     return n_max + 1, mismatch
 
@@ -459,8 +476,8 @@ def verify_schmidt_refinement(n_max):
     )
     n, ell = np.indices(plain.shape)
     # 2n - ell is a valid index even where ell > n, and the mask drops it
-    return _first_failure(_cells(
-        plain, dist[n, 2 * n - ell], ("n", "length"), ell <= n))
+    return _first_cell_failure(
+        plain, dist[n, 2 * n - ell], ("n", "length"), ell <= n)
 
 
 def verify_euler_refinement(n_max):
@@ -481,7 +498,7 @@ def verify_euler_refinement(n_max):
     # the preimages have up to n_max parts
     for lam, n in _column_chunks(n_max + 1, parts, sizes):
         mu, valid = bessenrodt_inverse_rows(lam)
-        m = lam[::2].sum(axis=0)
+        m = lam[::2].sum(axis=0, dtype=lam.dtype)
         got = np.stack([np.count_nonzero(mu, axis=0), mu[:1].sum(axis=0)])
         want = np.stack([2 * m - n, np.where(
             lam[0] > 0, 1 + 2 * lam[0] + 2 * n - 4 * m, 0)])
@@ -553,7 +570,7 @@ def verify_li_yee(t, n_max):
     rhs = _li_yee_classes(t, n_max)
     present = (lhs != 0) | (rhs != 0)
     present[0, 0, 0] = True
-    return _first_failure(_cells(lhs, rhs, ("n", "s", "j"), present))
+    return _first_cell_failure(lhs, rhs, ("n", "s", "j"), present)
 
 
 def _li_yee_classes(t, n_max):
@@ -654,9 +671,11 @@ def _round_trip_rows(lam, heights, t, r):
     nu, mu, colors = color_conjugate_rows(lam, t, r, heights)
     back, valid = color_conjugate_inverse_rows(nu, mu, colors, t, r)
     first, lam_r = lam[0], lam[r - 1]
-    sums = np.stack([lam[r - 1 + i::t].sum(axis=0) for i in range(t + 1)])
+    sums = np.stack([lam[r - 1 + i::t].sum(axis=0, dtype=lam.dtype)
+                     for i in range(t + 1)])
     weight, profile = sums[0], sums[:-1] - sums[1:]
-    counts = np.stack([(colors == i).sum(axis=0) for i in range(1, t + 1)])
+    counts = np.stack([(colors == i).sum(axis=0, dtype=lam.dtype)
+                       for i in range(1, t + 1)])
     length = np.count_nonzero(mu, axis=0)
     ok = (_columns_equal(back, lam)
           & (length == lam_r)
@@ -761,7 +780,7 @@ def verify_opposite_schmidt(t, r, k_max, n_max):
     """
     arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
     pairs = _two_colored(t, r, {"q": n_max, "z": k_max})
-    return _first_failure(_cells(arr, pairs.coeffs, ("n", "first")))
+    return _first_cell_failure(arr, pairs.coeffs, ("n", "first"))
 
 
 def _two_colored(t, r, box):

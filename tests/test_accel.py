@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,3 +285,85 @@ def test_period_test_takes_constant_time_in_t():
     with pytest.raises(HistogramOverflow):
         partition_histogram(("weight", "first"), (10, 10), t=10**12)
     assert time.perf_counter() - start < 5
+
+
+def test_histogram_holds_one_state_array():
+    # the state is one (part, weight, first) array updated in place, so the
+    # working set is that array and the output: 14.2 MB and 0.1 MB here,
+    # where a fresh state per row held two states at once
+    axes, bounds = ("weight", "first"), (120, 120)
+    state_bytes = 121 * 121 * 121 * 8
+    out_bytes = 121 * 121 * 8
+    tracemalloc.start()
+    try:
+        out = partition_histogram(axes, bounds, t=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (121, 121)
+    assert peak <= 1.3 * (state_bytes + out_bytes)
+
+
+def test_scan_reads_only_the_cells_in_the_box():
+    # one axis with bound 5, moved by e = 2 rows: row v holds statistics
+    # k + 2v, so rows 1 and 2 have 4 and 2 cells in the box
+    kbounds, e, top = [5], [2], 2
+    state = np.zeros((3, 6), dtype=np.int64)
+    state[1, :4] = [1, 2, 3, 4]
+    state[2, :2] = [5, 6]
+    # cells past the box may hold anything, wrapped counts included
+    state[1, 4:] = -1
+    state[2, 2:] = [-7, 2**62, -1, -2]
+    assert _accel._scanned(state, top, e, kbounds, 2**63) == 6
+    assert not (state[1:, :] < 0).any()  # zeroed on the way
+    # below int64 nothing is read, and past it an in-box wrap raises
+    state[2, 1] = -3
+    assert _accel._scanned(state, top, e, kbounds, 2**63 - 1) == 2**63 - 1
+    with pytest.raises(HistogramOverflow):
+        _accel._scanned(state, top, e, kbounds, 2**63)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    axes=st.lists(st.sampled_from(["first", "size", "length", "weight",
+                                   "anti"]), min_size=1, max_size=3),
+    data=st.data(),
+    t=st.integers(1, 3),
+    r=st.integers(1, 3),
+    distinct=st.booleans(),
+    length_mod=st.none() | st.tuples(
+        st.integers(1, 4), st.lists(st.integers(-3, 5), max_size=3)),
+    profile=st.booleans(),
+)
+def test_in_box_sums_match_whole_row_sums(axes, data, t, r, distinct,
+                                          length_mod, profile):
+    # the sweeps' boxes are small, so their rows are added whole; with
+    # _BOX_ROW_CELLS at 1 every row adds only its in-box cells
+    if profile:
+        axes = axes[:len(axes) - 1]
+        for _ in range(t):
+            axes.insert(data.draw(st.integers(0, len(axes))), "profile")
+    bounds = tuple(data.draw(st.integers(0, 3 if a == "profile" else 9))
+                   for a in axes)
+    kw = dict(t=t, r=r, distinct=distinct, length_mod=length_mod,
+              max_len=data.draw(st.none() | st.integers(0, 12)))
+    try:
+        whole = partition_histogram(tuple(axes), bounds, **kw)
+    except UnboundedBox:
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_accel, "_BOX_ROW_CELLS", 1)
+        assert np.array_equal(
+            partition_histogram(tuple(axes), bounds, **kw), whole)
+
+
+def test_in_box_sums_keep_the_overflow_boundaries(monkeypatch):
+    monkeypatch.setattr(_accel, "_BOX_ROW_CELLS", 1)
+    assert partition_histogram(("length", "size"), (467, 467)).tolist() \
+        == partitions_by_length(467)
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("length", "size"), (468, 468))
+    out = partition_histogram(("size",), (405,), max_len=405)
+    assert [int(c) for c in out] == partition_numbers(405)
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("size",), (406,), max_len=406)

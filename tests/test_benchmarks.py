@@ -48,10 +48,45 @@ def test_bench_suite_lhs_and_ladder_rows_run():
     assert list(times) == [i for i in THEOREM_IDS if i in IDENTITY_IDS]
     assert all(ms > 0 for ms in times.values())
     # the ladder rows at small boxes, which verify just the same
-    bench.LADDER_QZ = (6, 12)
-    times = bench.time_series(1, bench.ladder_rows())
-    assert list(times) == ["thm5.1 q,z=6", "thm5.1 q,z=12"]
+    bench.LHS_LADDER = (("thm5.1", {}, {"q": 6, "z": 6}),
+                        ("thm9", {}, {"q": 4, "z": 4, "s": 4}),
+                        ("thm4.2", {}, {"q": 8, "z": 8}))
+    names = ["thm5.1 q=6,z=6", "thm9 q=4,z=4,s=4", "thm4.2 q=8,z=8"]
+    rows = bench.ladder_rows()
+    times = bench.time_calibrated(1, rows)
+    assert list(times) == names
     assert all(ms > 0 for ms in times.values())
+    peaks = bench.peak_mb(rows)
+    assert list(peaks) == names
+    assert all(mb >= 0 for mb in peaks.values())
+
+
+def test_bench_suite_box_row_rows_run():
+    bench = _load("bench_suite")
+    # the rows at small boxes, which verify just the same; each row is
+    # timed under both sums, and the threshold is restored after
+    bench.BOX_ROW_LADDER = (("thm5.1", {}, {"q": 6, "z": 6}),
+                            ("thm4.2", {}, {"q": 8, "z": 8}))
+    threshold = bench._accel._BOX_ROW_CELLS
+    times = bench.time_calibrated(1, bench.box_row_rows())
+    assert list(times) == ["thm5.1 q=6,z=6 whole", "thm5.1 q=6,z=6 in-box",
+                           "thm4.2 q=8,z=8 whole", "thm4.2 q=8,z=8 in-box"]
+    assert all(ms > 0 for ms in times.values())
+    assert bench._accel._BOX_ROW_CELLS == threshold
+
+
+def test_bench_suite_domain_rows_run():
+    bench = _load("bench_suite")
+    assert [ident for ident, _ in bench.DOMAIN_CHECKS] == [
+        "thm7", "furtherwork", "prop1"]
+    # the checks at small sizes, which pass just the same
+    bench.DOMAIN_CHECKS = (("thm7", {"t": 2, "r": 1, "n": 8}),
+                           ("furtherwork", {"m": 4, "n": 8}),
+                           ("prop1", {"n": 10}))
+    times = bench.time_calibrated(1, bench.domain_rows(), scale=1.0)
+    assert list(times) == ["thm7 t=2 r=1 n=8", "furtherwork m=4 n=8",
+                           "prop1 n=10"]
+    assert all(s > 0 for s in times.values())
 
 
 def test_bench_suite_rhs_ladder_rows_run():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -334,3 +335,48 @@ def test_color_conjugate_rejects_nonpositive_t_r(t, r):
     for nu_ in (nu, Partition([1])):
         with pytest.raises(ValueError, match="^t and r must be positive$"):
             color_conjugate_inverse(nu_, mu, t, r)
+
+
+def _seeded_columns(count, size_max, seed):
+    """count seeded random partitions of size <= size_max, parts-major
+    (see partitions) in int64, with two zero rows below the longest."""
+    rng = random.Random(seed)
+    lams = []
+    for _ in range(count):
+        left, parts = rng.randint(0, size_max), []
+        while left:
+            parts.append(rng.randint(1, left))
+            left -= parts[-1]
+        lams.append(sorted(parts, reverse=True))
+    rows = np.zeros((max(map(len, lams)) + 2, count), dtype=np.int64)
+    for i, lam in enumerate(lams):
+        rows[:len(lam), i] = lam
+    return rows
+
+
+def _array_map_outputs(rows):
+    """Every array map's outputs on the parts-major rows, in order."""
+    outs = [_conjugate_rows(rows), *bessenrodt_inverse_rows(rows)]
+    for t, r in ((1, 1), (2, 1), (3, 2), (4, 3)):
+        nu, mu, colors = color_conjugate_rows(rows, t, r)
+        outs += [nu, mu, colors,
+                 *color_conjugate_rows(rows, t, r, _conjugate_rows(rows)),
+                 *color_conjugate_inverse_rows(nu, mu, colors, t, r)]
+    for m in (2, 3, 5, 25):
+        outs += generalized_hook_map_rows(rows, m)
+    return outs
+
+
+@pytest.mark.parametrize("rows", [
+    _seeded_columns(300, 40, seed=1),
+    partition_domain(18)[0],  # thm7's quick domain
+    partition_domain(24)[0],  # thm7's and furtherwork's full domain
+    partition_domain(30, distinct=True)[0],  # prop1's full domain
+], ids=["seeded", "quick", "full", "distinct"])
+def test_array_maps_compute_in_their_input_type(rows):
+    wide = _array_map_outputs(rows.astype(np.int64))
+    narrow = _array_map_outputs(rows.astype(np.int16))
+    assert len(wide) == len(narrow)
+    for a, b in zip(wide, narrow):
+        assert np.array_equal(a, b)
+        assert b.dtype in (np.bool_, np.int16)

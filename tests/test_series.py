@@ -581,6 +581,23 @@ def test_thm81_plans_each_distinct_product_once(monkeypatch):
     assert g.coeffs[1, 1] == 4  # the t colours of one 1
 
 
+def test_equal_factors_share_one_step(monkeypatch):
+    # (z; 1)_1000, thm8.1's (z; 1)_(r - 1) at r = 1001, has 1000 equal
+    # factors 1 - z: one step is planned and reused, and the growth is
+    # the same integer, 5^1000 on z <= 4
+    adds = _counting(monkeypatch, "_adds")
+    steps, grow, pairs = series._plan.__wrapped__(  # past the plan cache
+        (3, 5), ("q", "z"), ((("z", 1),), (), 1000), series._BLOCK_CELLS)
+    assert len(adds) == 1
+    assert len(steps) == 1000 and len({id(step[3]) for step in steps}) == 1
+    assert grow == 5 ** 1000
+    assert len(pairs) == 1000 * len(steps[0][3])
+    # the quotient is C(999 + k, k) z^k, as 1000 divisions give
+    got = one_pass(TruncatedSeries.constant({"q": 2, "z": 4}, 1),
+                   [({"z": 1}, {}, 1000)])
+    assert got[0].tolist() == [math.comb(999 + k, k) for k in range(5)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(expansion_cases(), st.data())
 def test_corner_quotient_equals_the_full_box_quotient(case, data):

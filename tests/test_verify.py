@@ -756,6 +756,72 @@ def test_chunk_cells_set_after_a_clean_call_is_honoured(monkeypatch):
     assert sum(widths) == 88
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+def test_first_cell_failure_is_the_walk_over_the_cells(shape, data):
+    # the arrays compared at once report as the walk over their cells in
+    # index order, keyed by labels, with or without a mask
+    cells = st.lists(st.integers(-1, 1), min_size=int(np.prod(shape)),
+                     max_size=int(np.prod(shape)))
+    got, want = (np.array(data.draw(cells)).reshape(shape) for _ in "ab")
+    mask = np.array(data.draw(cells)).reshape(shape) >= 0
+    labels = ("n", "s", "j")[:len(shape)]
+    for where in (mask, True):
+        walk = ver._first_failure(
+            (dict(zip(labels, index)), int(got[index]), int(want[index]))
+            for index in itertools.product(*map(range, shape))
+            if np.broadcast_to(where, got.shape)[index])
+        assert ver._first_cell_failure(got, want, labels, where) == walk
+
+
+def _domain_pass_outputs(monkeypatch, kind, level):
+    """With every column range cast to kind, the outputs at the level's
+    sizes of thm7's round trips (t, r in 1..3), of furtherwork's readouts
+    at m_max 4 and of prop1's pass, and what the two array maps that
+    furtherwork and prop1 call returned, with their input types."""
+    monkeypatch.setattr(ver, "_signed", lambda array: kind)
+    maps = []
+    for name in ("bessenrodt_inverse_rows", "generalized_hook_map_rows"):
+        def recorded(rows, *args, real=getattr(bij, name)):
+            out = real(rows, *args)
+            maps.append((rows.dtype, out))
+            return out
+        monkeypatch.setattr(ver, name, recorded)
+    thm7, furtherwork, prop1 = {"quick": (18, 20, 25),
+                                "full": (24, 24, 30)}[level]
+    parts, _, heights = ver._domain(thm7)
+    lam = np.pad(parts, ((0, 2), (0, 0))).astype(kind)
+    trips = [ver._round_trip_rows(lam, heights.astype(kind), t, r)
+             for t in (1, 2, 3) for r in (1, 2, 3)]
+    return (trips, ver._hook_map_readouts(4, furtherwork),
+            ver.verify_euler_refinement(prop1), maps)
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_domain_passes_give_the_same_in_int16_as_in_int64(monkeypatch,
+                                                          level):
+    wide = _domain_pass_outputs(monkeypatch, np.int64, level)
+    narrow = _domain_pass_outputs(monkeypatch, np.int16, level)
+    for (keys, failure), (want_keys, want_failure) in zip(narrow[0], wide[0]):
+        assert failure is want_failure is None
+        assert keys.dtype == np.int16 and np.array_equal(keys, want_keys)
+    assert narrow[1:3] == wide[1:3]
+    assert narrow[1][1] is None and narrow[2][1] is None
+    assert len(narrow[3]) == len(wide[3]) > 0
+    for (kind, out), (_, want) in zip(narrow[3], wide[3]):
+        assert kind == np.int16
+        for a, b in zip(out, want):
+            assert a.dtype in (np.bool_, np.int16)
+            assert np.array_equal(a, b)
+
+
+def test_domain_chunks_are_int16_below_size_256():
+    parts, sizes = ver._parts(30, False)
+    for chunk in ver._column_chunks(32, parts, sizes):
+        assert [a.dtype for a in chunk] == [np.int16, np.int16]
+    assert ver._signed(np.zeros(1, dtype=np.uint16)) == np.int32
+
+
 def _plant_hook_images(monkeypatch, planted):
     """Make the scalar hook map and its array form, as furtherwork calls
     them, give the image parts planted[(m, partition)] to that partition
