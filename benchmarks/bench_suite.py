@@ -97,16 +97,18 @@ OUT = "BENCH_suite.json"
 # (id, params, box) of the enumeration sides in ladder_ms and
 # ladder_peak_mb, near the tops of their box ladders, where the histogram
 # kernel takes almost all of their time; thm5.1 at 238 scans for a wrap in
-# every row
+# every row, and thm4.2 at 262 is a distinct run at its int64 wall
 LHS_LADDER = (
     ("thm5.1", {}, {"q": 120, "z": 120}),
     ("thm5.1", {}, {"q": 200, "z": 200}),
     ("thm5.1", {}, {"q": 238, "z": 238}),
     ("eq14", {}, {"q": 300, "z": 300}),
     ("thm9", {}, {"q": 60, "z": 60, "s": 60}),
+    ("thm3.1", {}, {"q": 208, "z": 416}),
     ("thm3.2", {}, {"q": 250, "z": 250}),
     ("cor10", {}, {"q": 180, "z": 180}),
     ("thm4.2", {}, {"q": 200, "z": 200}),
+    ("thm4.2", {}, {"q": 262, "z": 262}),
 )
 # (id, params, box) of the product sides in rhs_ladder_ms: eq3 at its int64
 # wall, where its product side is almost all of its time, and the other

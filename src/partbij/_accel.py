@@ -13,20 +13,20 @@ in place: state[v] += state[v + 1] moved by e, for v from the top down
 to 0. A colour-profile class is settled one row late, by the drop from
 the last part to the next one, so in the row it belongs to each step
 down also moves that class up by one. state[0], at v = 0, counts the
-prefixes of every last part by their statistics: without a length axis
-or filter it keeps the sum over all lengths and is the output, and
-otherwise it is cleared each row and copied out. A distinct run moves
-the rows down one part value, the next part being below the last, into
-a fresh array each row.
+prefixes of every last part by their statistics: without a length axis,
+filter or distinct parts it keeps the sum over all lengths and is the
+output, and otherwise it is cleared each row and read out. In a distinct
+run the next part is below the last, so each row ends with a relabel:
+the state starts one row later, and its statistics are shifted by step.
 
 A cell whose statistics k + v e pass a bound holds prefixes that have
 left the box. The sums only move counts up, so no in-box cell reads it,
 and it is left as it is: a state row of fewer than _BOX_ROW_CELLS cells
 is added whole, which leaves anything in those cells, and a larger row
-adds only its in-box cells. Row v lies wholly outside the box once
-v e_j passes bound j, so the rows end at top = min over j of
-bound_j // e_j; a distinct run also drops the top rows whose in-box
-cells are all zero. The trims and the scans below read in-box cells only.
+adds only its in-box cells, those with k + v e <= box, the bounds less
+the shifts. Row v lies wholly outside the box once v e_j passes box_j,
+so the rows end at top = min over j of box_j // e_j, and a run ends
+once a box_j is negative. The scans below read in-box cells only.
 
 Counts never wrap unseen. Running bounds cap the in-box counts of the
 state and the output's: the reverse sum adds at most vmax counts of the
@@ -100,20 +100,20 @@ def _unwrapped(counts, bound):
     return int(counts.max())
 
 
-def _box_ends(kbounds, e, v):
+def _box_ends(box, e, v):
     """Per axis, the end of the in-box cells of state row v: those whose
-    statistics k + v e are within the bounds."""
-    return [b + 1 - v * k for b, k in zip(kbounds, e)]
+    statistics k + v e are within box."""
+    return [b + 1 - v * k for b, k in zip(box, e)]
 
 
-def _scanned(state, top, e, kbounds, bound):
+def _scanned(state, top, e, box, bound):
     """_unwrapped on the in-box cells of state rows 1..top. Cells that
     have left the box may hold anything, and no in-box cell reads them,
     so past int64 they are zeroed before the scan."""
     if bound < 2**63:
         return bound
     for v in range(1, top + 1):
-        for j, end in enumerate(_box_ends(kbounds, e, v)):
+        for j, end in enumerate(_box_ends(box, e, v)):
             state[(v, *[slice(None)] * j, slice(end, None))] = 0
     return _unwrapped(state[1:top + 1], bound)
 
@@ -205,11 +205,13 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
                            f"{t}, add to no bounded axis, so the length is "
                            "unbounded")
     # e[j] counts the rows so far that added their part to axis j; before
-    # row 1, every part may extend the empty prefix
+    # row 1, every part may extend the empty prefix. box is kbounds less
+    # the statistics that a distinct run's relabels shifted
     state = _zeros((top + 1,) + stat_shape)
     state[(slice(1, None),) + (0,) * len(kinds)] = 1
     e = [0] * len(kinds)
-    totals = "length" not in axes and admitted is None
+    box = list(kbounds)
+    totals = "length" not in axes and admitted is None and not distinct
     sliced = math.prod(stat_shape) >= _BOX_ROW_CELLS
     # bound caps the in-box counts of the state, out_bound every cell a
     # later row adds to
@@ -218,10 +220,10 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
     for pos in rows:
         shifted = _shifted_axes(kinds, pos, counted(pos))
         # only rows 1..vmax held counts, so each sum adds at most vmax
-        vmax = min([top] + [kbounds[j] for j in shifted])
+        vmax = min([top] + [box[j] for j in shifted])
         for j in shifted:
             e[j] += 1
-            top = min(top, kbounds[j] // e[j])
+            top = min(top, box[j] // e[j])
         if top < 1:
             break
         # each step down the sum moves a count by e, and by one more on
@@ -239,24 +241,20 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
         if sliced:
             for v in range(top - 1, -1, -1):
                 # row v's in-box cells, and the cells they read in row v + 1
-                ends = _box_ends(kbounds, e, v)
+                ends = _box_ends(box, e, v)
                 reads = [slice(max(n - k, 0)) for n, k in zip(ends, step)]
                 state[(v, *map(slice, step, ends))] += state[(v + 1, *reads)]
         else:
             for v in range(top - 1, -1, -1):
                 lower[v] += upper[v + 1]
-        bound = _scanned(state, top, e, kbounds, bound * vmax)
-        # the moves drop classes past their bound, so the top rows of a
-        # distinct run may empty while longer prefixes live on
-        while distinct and top and not np.count_nonzero(
-                state[(top, *map(slice, _box_ends(kbounds, e, top)))]):
-            top -= 1
+        bound = _scanned(state, top, e, box, bound * vmax)
         if totals:
             out_bound = _unwrapped(state[0], out_bound + bound)
         elif admits(pos):
-            cell = tuple(pos if axis == "length" else slice(None)
+            lows = (b - n for b, n in zip(kbounds, box))
+            cell = tuple(pos if axis == "length" else slice(next(lows), None)
                          for axis in axes)
-            out[cell] += state[0]
+            out[cell] += state[(0, *[slice(n + 1) for n in box])]
             # with a length axis each row fills fresh zero cells with
             # state[0], which the state's bound already covers
             if "length" not in axes:
@@ -264,13 +262,12 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
         if not top:
             break
         if distinct:
-            # a distinct next part v is below the last part: the count with
-            # last part > v, moved by e and one more step of the class
-            avail = _zeros((top,) + stat_shape)
-            avail[0] = state[0]
-            avail[(slice(1, None), *dst)] = upper[2:top + 1]
-            state = avail
-            top -= 1
+            # a distinct next part v is below the last: row v + 1, its
+            # statistics shifted by step, becomes row v, with no copy
+            state, top = state[1:], top - 1
+            box = [n - k for n, k in zip(box, step)]
+            if min(box) < 0:  # a profile class passed its bound
+                break
     if totals:
         out += state[0]
     return out

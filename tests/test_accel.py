@@ -150,6 +150,16 @@ def test_histogram_counts_up_to_int64_then_raises():
     assert [int(c) for c in out] == partition_numbers(405)
     with pytest.raises(HistogramOverflow):
         partition_histogram(("size",), (406,), max_len=406)
+    _assert_schmidt_boundary()
+
+
+def _assert_schmidt_boundary():
+    # schmidt's distinct run: distinct partitions by odd-index sum n are
+    # counted by p(n), which fits int64 up to n = 405
+    out = partition_histogram(("weight",), (405,), t=2, r=1, distinct=True)
+    assert [int(c) for c in out] == partition_numbers(405)
+    with pytest.raises(HistogramOverflow):
+        partition_histogram(("weight",), (406,), t=2, r=1, distinct=True)
 
 
 def partitions_by_length(n):
@@ -287,7 +297,12 @@ def test_period_test_takes_constant_time_in_t():
     assert time.perf_counter() - start < 5
 
 
-def test_histogram_holds_one_state_array():
+@pytest.mark.parametrize("kw", [
+    dict(t=2),
+    # thm4.2's distinct run, whose rows are relabelled, not copied
+    dict(t=4, distinct=True, length_mod=(4, (1, 2))),
+], ids=["plain", "distinct"])
+def test_histogram_holds_one_state_array(kw):
     # the state is one (part, weight, first) array updated in place, so the
     # working set is that array and the output: 14.2 MB and 0.1 MB here,
     # where a fresh state per row held two states at once
@@ -296,7 +311,7 @@ def test_histogram_holds_one_state_array():
     out_bytes = 121 * 121 * 8
     tracemalloc.start()
     try:
-        out = partition_histogram(axes, bounds, t=2)
+        out = partition_histogram(axes, bounds, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,3 +382,4 @@ def test_in_box_sums_keep_the_overflow_boundaries(monkeypatch):
     assert [int(c) for c in out] == partition_numbers(405)
     with pytest.raises(HistogramOverflow):
         partition_histogram(("size",), (406,), max_len=406)
+    _assert_schmidt_boundary()
