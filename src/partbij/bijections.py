@@ -390,9 +390,11 @@ def generalized_hook_map_rows(rows, m):
     at_least = tally.reshape(hooks, span + 1, n).astype(rows.dtype)
     for j in range(span - 1, -1, -1):
         at_least[:, j] += at_least[:, j + 1]
+    # cells'_k for the hooks alone: how many parts take more than k cells
+    heights = np.array([np.sum(cells > k, axis=0, dtype=rows.dtype)
+                        for k in range(hooks)], rows.dtype).reshape(hooks, n)
     # negative past a column's own Durfee size, where it has no hook
-    length = (cells[:hooks] + _conjugate_rows(cells)[:hooks]
-              - 2 * row[:hooks] - 1).clip(min=0)
+    length = (cells[:hooks] + heights - 2 * row[:hooks] - 1).clip(min=0)
     parts = ((length - at_least[:, 0])[:, None] + at_least[:, 1:])
     parts = parts.reshape(hooks * span, n)
     keep = parts > 0

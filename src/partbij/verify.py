@@ -32,32 +32,32 @@ r for cor11.
 
 Every counting side of a series identity is a (params, box) function,
 like its closed form: one histogram call whose own array is the series,
-or for eq3 one gather from the (size, length) histogram. eq24's
-substituted side F(s, q, s^t q z) is a gather too, from the (weight,
-first, size) histogram that its other side is, divided in place by
-(sqz; s)_t.
+or for eq3 one gather from the (size, length) histogram. So are the
+array sides of schmidt, cor2, thm6, cor11, eq20 and eq24, which return
+int64 arrays; eq24's substituted side F(s, q, s^t q z) is a gather from
+the (weight, first, size) histogram that its other side is, divided in
+place by (sqz; s)_t.
 
-The dedicated checks schmidt, cor2, table1, thm6 and cor11 report
-through one first-failure scan, _first_failure: each lays out its cells
-or its walk as (where, got, want) cases in order, and the report counts
-the cases up to the first mismatch. The checks whose cases are the cells
-of two arrays (all but table1) compare the arrays at once,
-_first_cell_failure, and read out only the first differing cell. prop1
-checks its partitions as arrays and counts them up to its first bad one.
+Every check with two sides compares them at once, _first_cell_failure:
+the leading axes' cells in index order, the rest in graded-lex order
+within each, and only the first differing cell read out. A series
+identity, eq24 and schmidt count their whole box or table, eq20 its
+(q, s) slices up to the failing one, and cor2, thm6 and cor11 their
+cells up to the failing one. table1 scans its rows as (where, got, want)
+cases, _first_failure; prop1 counts its partitions to its first bad one.
 
 The catalog is data: CATALOG holds one Entry per identity id, in the
 paper's order, with its defaults, CLI flags, suite grid and either a
-dedicated verifier or the two sides of a series identity. THEOREM_IDS
-lists every id, and the series-vs-series subset is IDENTITY_IDS. Every
-id runs through verify_identity: _setup lays its parameters over the
-entry's defaults and checks them and the box, the two sides or the
-dedicated verifier run, and verify_identity builds the report. A
-dedicated verifier takes its parameters as they stand and returns only
-the cases it checked and its first mismatch.
+dedicated verifier or two sides. THEOREM_IDS lists every id, and the
+series-vs-series subset is IDENTITY_IDS. Every id runs through
+verify_identity: _setup lays its parameters over the entry's defaults
+and checks them and the box, the sides or the dedicated verifier (of
+prop1, thm7, table1 and furtherwork) run, and verify_identity builds the
+report. A dedicated verifier takes its parameters as they stand and
+returns only the cases it checked and its first mismatch.
 """
 
 import functools
-import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -145,13 +145,6 @@ class SuiteReport:
         }
 
 
-def _volume(box):
-    v = 1
-    for b in box.values():
-        v *= int(b) + 1
-    return v
-
-
 def _mismatch(monomial, lhs, rhs):
     return {"monomial": monomial, "lhs": lhs, "rhs": rhs}
 
@@ -168,33 +161,29 @@ def _first_failure(cases):
     return checked, None
 
 
-def _first_cell_failure(got, want, labels, mask=True):
-    """_first_failure over the cells of two arrays of one shape where mask
-    holds, in index order, each keyed by labels with its values as ints.
-    The arrays are compared at once, and only the first differing cell is
-    read out."""
-    mask = np.broadcast_to(mask, got.shape)
-    differ = ((got != want) & mask).ravel()
+def _first_cell_failure(got, want, walk, graded, mask=None, exponents=()):
+    """Compare two arrays of one shape, axes labelled walk + graded, where
+    mask (if given) holds: the walk's cells in index order and, within
+    each, the graded cells in graded-lex order, counted with it. Returns
+    how many cells were checked up to the first whose got is not its want
+    (all if none) and the mismatch there, or None, named by the graded
+    labels and then the walk's but for a zero index on an axis in
+    exponents, as a monomial leaves out a variable of exponent 0. Only the
+    first differing cell is read out."""
+    differ = got != want
+    if mask is not None:
+        differ &= mask
     if not differ.any():
-        return int(np.count_nonzero(mask)), None
-    first = int(np.argmax(differ))
-    index = np.unravel_index(first, got.shape)
-    return (int(np.count_nonzero(mask.ravel()[:first + 1])),
-            _mismatch(dict(zip(labels, map(int, index))), int(got[index]),
-                      int(want[index])))
-
-
-def _series_mismatch(lhs, rhs):
-    found = qs.first_mismatch(lhs, rhs)
-    if found is None:
-        return None
-    exps, a, b = found
-    return _mismatch(dict(exps), int(a), int(b))
-
-
-def _series_from_hist(box, arr):
-    """The int64 array arr, not copied, as a series over box."""
-    return TruncatedSeries(*qs._canon_box(box), arr)
+        return int(got.size if mask is None else np.count_nonzero(mask)), None
+    units = differ.reshape(*got.shape[:len(walk)], -1).any(axis=-1)
+    unit = int(np.argmax(units))
+    at = np.unravel_index(unit, units.shape)
+    inner = tuple(qs._graded_lex(differ[at])[0][0])
+    counted = np.ones(got.shape, bool) if mask is None else mask
+    cell = {name: int(i) for name, i in zip(graded + walk, inner + at)
+            if i or name not in exponents}
+    return (int(np.count_nonzero(counted.reshape(units.size, -1)[:unit + 1])),
+            _mismatch(cell, int(got[at + inner]), int(want[at + inner])))
 
 
 @functools.lru_cache(maxsize=1)
@@ -280,9 +269,9 @@ def _histogram(box, axes, t=1, **options):
     order q, z, s, and "profile" stands for the t colour classes z1..zt;
     t and the other options go to the kernel."""
     axes = [a for axis in axes for a in [axis] * (t if axis == "profile" else 1)]
-    _, bounds = qs._canon_box(box)
-    return _series_from_hist(
-        box, partition_histogram(axes, bounds, t=t, **options))
+    variables, bounds = qs._canon_box(box)
+    return TruncatedSeries(variables, bounds,
+                           partition_histogram(axes, bounds, t=t, **options))
 
 
 def _size_and_excess(params, box):
@@ -298,7 +287,7 @@ def _size_and_excess(params, box):
     # the clip keeps every index valid, and the mask drops what it moved
     out[:, :z.size] = np.where((ell >= 0) & (ell <= n),
                                arr[n, np.clip(ell, 0, q)], 0)
-    return _series_from_hist(box, out)
+    return TruncatedSeries(*qs._canon_box(box), out)
 
 
 def _colors(t):
@@ -355,11 +344,13 @@ def _head_sum(box, constant, term):
     return acc
 
 
-def _perturb(f, exponents):
-    """Add 1, in place, to f's coefficient at exponents: OutOfBox past
-    the box, CoefficientOverflow past int64."""
-    cell = f._index(exponents)
-    f.coeffs[cell] = qs._checked(int(f.coeffs[cell]) + 1)
+def _perturb(arr, labels, cell):
+    """Add 1, in place, to the cell of arr that cell names, as exponents
+    name a series' coefficient, its axes labelled labels: OutOfBox outside
+    arr, CoefficientOverflow past int64."""
+    bounds = [n - 1 for n in arr.shape]
+    index = TruncatedSeries(labels, bounds, arr)._index(cell)
+    arr[index] = qs._checked(int(arr[index]) + 1)
 
 
 def _setup(ident, params=None, box=None):
@@ -395,7 +386,7 @@ def _setup(ident, params=None, box=None):
 
 
 def _series_setup(ident, params, box):
-    if _entry(ident).lhs is None:
+    if not _entry(ident).series:
         raise VerifyError(f"{ident} is not a series identity; "
                           "use verify_identity")
     return _setup(ident, params, box)
@@ -418,31 +409,39 @@ def rhs_series(ident, params, box):
 def verify_identity(ident, params=None, box=None, perturb=None):
     """Run one catalog check, by id, and report it: params (by parameter
     name) laid over the entry's defaults, in box, or the default box if
-    None. A series identity compares its enumeration side with its closed
-    form; any other entry runs its dedicated verifier, which returns how
-    many cases it checked and its first mismatch, or None.
+    None. An entry with two sides builds them, as series over the box or
+    as arrays, and compares them in one _first_cell_failure; any other
+    entry runs its dedicated verifier, which returns how many cases it
+    checked and its first mismatch, or None.
 
-    perturb, an exponent dict, adds 1 to that coefficient of the closed
-    form (of a series identity, or eq24's) before comparison; it exists
-    to prove the machinery can fail. VerifyError for perturb on any other
-    dedicated check, whose verifier takes no perturb.
+    perturb, a dict that names a cell by the keys of the check's mismatch
+    report, adds 1 to that cell of the right side before comparison; it
+    exists to prove the machinery can fail. VerifyError for perturb on a
+    dedicated verifier.
     """
     entry, params, box = _setup(ident, params, box)
     start = time.perf_counter()
     if entry.lhs is None:
-        verifier = globals()[entry.verifier]
-        extra = {} if entry.box is None else {"box": box}
         if perturb is not None:
-            if "perturb" not in inspect.signature(verifier).parameters:
-                raise VerifyError(f"{ident} takes no perturb")
-            extra["perturb"] = perturb
-        checked, mismatch = verifier(**params, **extra)
+            raise VerifyError(f"{ident} takes no perturb")
+        checked, mismatch = globals()[entry.verifier](**params)
     else:
-        lhs = lhs_series(ident, params, box)
-        rhs = rhs_series(ident, params, box)
+        if entry.series:
+            lhs = lhs_series(ident, params, box)
+            rhs = rhs_series(ident, params, box)
+            walk, graded, lhs, rhs = (), lhs.variables, lhs.coeffs, rhs.coeffs
+        else:
+            walk, graded = entry.walk, entry.graded
+            lhs = entry.lhs(params, box)
+            rhs = (entry.rhs(params, box, lhs) if entry.reads_lhs
+                   else entry.rhs(params, box))
         if perturb:
-            _perturb(rhs, perturb)
-        checked, mismatch = _volume(box), _series_mismatch(lhs, rhs)
+            _perturb(rhs, walk + graded, perturb)
+        mask = entry.mask(lhs, rhs) if entry.mask else None
+        checked, mismatch = _first_cell_failure(lhs, rhs, walk, graded, mask,
+                                                box or ())
+        if mismatch is None and entry.cells:
+            checked = entry.cells(params, box)
     elapsed = (time.perf_counter() - start) * 1000.0
     status = "pass" if mismatch is None else "fail"
     return VerificationReport(ident, params, dict(box or {}), status, checked,
@@ -450,34 +449,19 @@ def verify_identity(ident, params=None, box=None, perturb=None):
 
 
 # ---------------------------------------------------------------------------
-# counting checks
+# counting checks: array sides and dedicated verifiers
 # ---------------------------------------------------------------------------
 
-def verify_schmidt(n_max):
-    """Distinct partitions with odd-index sum n are counted by the plain
-    partition numbers.
-
-    One side is the histogram kernel, the other a dynamic program that
-    never enumerates.
-    """
-    hist = partition_histogram(("weight",), (n_max,), t=2, r=1, distinct=True)
-    _, mismatch = _first_cell_failure(
-        hist, np.array(partition_numbers(n_max)), ("n",))
-    # the report counts the whole table, even when it fails
-    return n_max + 1, mismatch
-
-
-def verify_schmidt_refinement(n_max):
-    """Partitions of n with given length match distinct partitions with
-    odd-index sum n and complementary size 2n - length."""
-    plain = partition_histogram(("size", "length"), (n_max, n_max))
+def _complementary_sizes(params, box):
+    """cor2's distinct side, cell (n, length): distinct partitions with
+    odd-index sum n and size 2n - length, gathered from the (weight, size)
+    histogram. 2n - length is a valid index even where length > n, and
+    cor2's mask drops those cells."""
+    n_max = params["n_max"]
     dist = partition_histogram(
-        ("weight", "size"), (n_max, 2 * n_max), t=2, r=1, distinct=True
-    )
-    n, ell = np.indices(plain.shape)
-    # 2n - ell is a valid index even where ell > n, and the mask drops it
-    return _first_cell_failure(
-        plain, dist[n, 2 * n - ell], ("n", "length"), ell <= n)
+        ("weight", "size"), (n_max, 2 * n_max), t=2, r=1, distinct=True)
+    n, ell = np.ogrid[:n_max + 1, :n_max + 1]
+    return dist[n, 2 * n - ell]
 
 
 def verify_euler_refinement(n_max):
@@ -553,24 +537,24 @@ def verify_table(n):
     return _first_failure(itertools.chain(round_trips, frozen))
 
 
-def verify_li_yee(t, n_max):
-    """Length classes of the row-t weight match greatest-multiplicity
-    classes of colored partitions.
-
-    Partitions with weight n classed by length (s-1)t + j correspond to
-    t-colored partitions of n where some color appears s times and j is
-    the largest such color; _li_yee_classes counts the second.
-    """
+def _length_classes(params, box):
+    """thm6's partition side, an int64 array indexed (n, s, j) as
+    _li_yee_classes: partitions with row-t weight n and length
+    (s-1)t + j, for s >= 1 and j in 1..t, and the empty one at
+    (0, 0, 0)."""
+    t, n_max = params["t"], params["n_max"]
     arr = partition_histogram(("weight", "length"), (n_max, t * n_max), t=t, r=1)
-    # classes indexed (n, s, j): length (s-1)t + j has s >= 1 and j in
-    # 1..t, and the empty partition is the class (0, 0, 0)
-    lhs = np.zeros((n_max + 1, n_max + 1, t + 1), dtype=np.int64)
-    lhs[:, 1:, 1:] = arr[:, 1:].reshape(n_max + 1, n_max, t)
-    lhs[0, 0, 0] = arr[0, 0]
-    rhs = _li_yee_classes(t, n_max)
+    classes = np.zeros((n_max + 1, n_max + 1, t + 1), dtype=np.int64)
+    classes[:, 1:, 1:] = arr[:, 1:].reshape(n_max + 1, n_max, t)
+    classes[0, 0, 0] = arr[0, 0]
+    return classes
+
+
+def _present(lhs, rhs):
+    """thm6's mask: the classes either side counts, and the empty one."""
     present = (lhs != 0) | (rhs != 0)
     present[0, 0, 0] = True
-    return _first_cell_failure(lhs, rhs, ("n", "s", "j"), present)
+    return present
 
 
 def _li_yee_classes(t, n_max):
@@ -769,20 +753,6 @@ def verify_color_conjugate(t, r, size_max):
     return visited + classes, mismatch
 
 
-def verify_opposite_schmidt(t, r, k_max, n_max):
-    """Partitions classed by largest part and complement weight match
-    two-colored partitions with restricted second-color sizes.
-
-    Partitions with largest part k whose size minus the sum over rows
-    r, t+r, ... equals n correspond to 2-colored partitions of n with
-    k parts where color 2 appears only on sizes r-1, r-1 + (t-1), ...,
-    counted by _two_colored, the series cor10 expands.
-    """
-    arr = partition_histogram(("anti", "first"), (n_max, k_max), t=t, r=r)
-    pairs = _two_colored(t, r, {"q": n_max, "z": k_max})
-    return _first_cell_failure(arr, pairs.coeffs, ("n", "first"))
-
-
 def _two_colored(t, r, box):
     """1 / ((zq; q)_oo (zq^(r-1); q^(t-1))_oo): 2-colored partitions by
     size (q) and number of parts (z), color 2 only on the sizes r - 1,
@@ -861,50 +831,37 @@ def _f_series(n_max, t, box):
     return f
 
 
-def verify_recurrence(t, n_max, box):
-    """The largest-part recurrence reproduces direct enumeration for
-    every largest part up to n_max: one run of the recurrence against
-    the slices of one (weight, first, size) histogram. Both run only to
-    the largest part top = min(n_max, q, s): past it f_n and the slice
-    are zero in the box, and they count as checked zero cells."""
+def _by_largest_part(params, box):
+    """eq20's enumeration side, cell (n, q, s): the slices of one (weight,
+    first, size) histogram, first part n, up to min(n_max, q, s), past
+    which the slice and f_n are zero in the box."""
     q, s = box["q"], box["s"]
-    top = min(n_max, q, s)
-    arr = partition_histogram(("weight", "first", "size"), (q, top, s),
-                              t=t, r=1)
-    volume = _volume(box)
-    for n, rhs in enumerate(_f_series(top, t, box)):
-        found = _series_mismatch(_series_from_hist(box, arr[:, n, :]), rhs)
-        if found:
-            found["monomial"]["n"] = n
-            return (n + 1) * volume, found
-    return (n_max + 1) * volume, None
+    return partition_histogram(
+        ("weight", "first", "size"), (q, min(params["n_max"], q, s), s),
+        t=params["t"], r=1).transpose(1, 0, 2)
 
 
-def verify_functional_equation(t, box, perturb=None):
-    """The three-variable generating series is fixed by one application
-    of its scaling relation.
+def _substituted(params, box, big_f):
+    """eq24's closed-form side from F's (weight, first, size) histogram
+    big_f, cell (q, z, s).
 
-    F in s, q, z (size, row-t weight, largest part) equals the inverse
-    of a t-term product times F with z replaced by s^t q z. The
-    substitution only raises exponents, so the box stays exact: it sends
-    cell (a, c, b) of the (weight, first, size) histogram to
-    (a + c, c, b + t c), so the substituted side is a gather, each cell
-    reading the one at (a - c, c, b - t c) where that lies in the box.
-    Past the s bound every term with z >= 1 leaves the box, so t is taken
-    at most s + 1 and no exponent past the box is formed.
+    F in s, q, z (size, row-t weight, largest part) equals the inverse of
+    a t-term product times F with z replaced by s^t q z. The substitution
+    only raises exponents, so the box stays exact: it sends cell (a, c, b)
+    of the histogram to (a + c, c, b + t c), so the substituted side is a
+    gather, each cell reading the one at (a - c, c, b - t c) where that
+    lies in the box. Past the s bound every term with z >= 1 leaves the
+    box, so t is taken at most s + 1 and no exponent past the box is
+    formed.
     """
-    big_f = _histogram(box, ("weight", "first", "size"), t=t)
-    t = min(t, box["s"] + 1)
+    t = min(params["t"], box["s"] + 1)
     a, c, b = np.ogrid[:box["q"] + 1, :box["z"] + 1, :box["s"] + 1]
     # the clips keep every index valid, and the mask drops what they moved
-    gathered = np.where((a >= c) & (b >= t * c), big_f.coeffs[
+    gathered = np.where((a >= c) & (b >= t * c), big_f[
         np.clip(a - c, 0, None), c, np.clip(b - t * c, 0, None)], 0)
-    qs._divide(gathered, big_f.variables, [({"s": 1, "q": 1, "z": 1},
+    qs._divide(gathered, ("q", "z", "s"), [({"s": 1, "q": 1, "z": 1},
                                             {"s": 1}, t)])
-    rhs = _series_from_hist(box, gathered)
-    if perturb:
-        _perturb(rhs, perturb)
-    return _volume(box), _series_mismatch(big_f, rhs)
+    return gathered
 
 
 # ---------------------------------------------------------------------------
@@ -1033,10 +990,14 @@ class Entry:
     where it is not _LOWEST's. A colored entry's box variable z stands for
     z1..zt.
 
-    A series identity has an enumeration side lhs and a closed-form side
-    rhs, each called with (params, box). Any other entry names its
-    dedicated verifier, a module global looked up at call time and called
-    with the parameters (and the box) as keywords; it returns how many
+    An entry with two sides has sides lhs and rhs, each called with
+    (params, box): series over the box for a series identity, else int64
+    arrays of one shape, axes labelled walk + graded (see
+    _first_cell_failure), where mask(lhs, rhs) picks the cells compared,
+    cells(params, box) counts a pass where not every cell is built, and
+    rhs takes lhs's array as a third argument if reads_lhs. Any other
+    entry names its dedicated verifier, a module global looked up at call
+    time and called with the parameters as keywords; it returns how many
     cases it checked and its first mismatch, or None.
     """
 
@@ -1052,6 +1013,16 @@ class Entry:
     verifier: Optional[str] = None
     lhs: object = None
     rhs: object = None
+    walk: tuple = ()
+    graded: tuple = ()
+    mask: object = None
+    cells: object = None
+    reads_lhs: bool = False
+
+    @property
+    def series(self):
+        """Whether the entry is a series identity, one of IDENTITY_IDS."""
+        return self.lhs is not None and not self.walk + self.graded
 
 
 _T = {"t": "t"}
@@ -1092,12 +1063,19 @@ _UP_TO_3 = (1, 2, 3)
 # length, and cor11's complement weight needs t >= 2 and its restricted
 # colour sizes r >= 2.
 CATALOG = (
+    # one graded axis: the report counts the whole table, even when it fails
     Entry("schmidt", {"n_max": 15}, {"n": "n_max"}, full={"n_max": 22},
-          verifier="verify_schmidt"),
+          graded=("n",),
+          lhs=lambda p, box: partition_histogram(
+              ("weight",), (p["n_max"],), t=2, r=1, distinct=True),
+          rhs=lambda p, box: np.array(partition_numbers(p["n_max"]))),
     Entry("prop1", {"n_max": 25}, {"n": "n_max"}, {"n_max": 104},
           full={"n_max": 30}, verifier="verify_euler_refinement"),
     Entry("cor2", {"n_max": 15}, {"n": "n_max"}, full={"n_max": 22},
-          verifier="verify_schmidt_refinement"),
+          walk=("n", "length"), lhs=lambda p, box: partition_histogram(
+              ("size", "length"), (p["n_max"], p["n_max"])),
+          rhs=_complementary_sizes,
+          mask=lambda lhs, rhs: np.tri(*lhs.shape, dtype=bool)),
     Entry("thm3.1", box={"q": 12, "z": 24}, full={"box": {"q": 18, "z": 36}},
           lhs=lambda p, box: _histogram(box, ("weight", "size"), t=2,
                                         distinct=True),
@@ -1136,7 +1114,9 @@ CATALOG = (
           rhs=lambda p, box: _quotient(box, [({"z": 1}, {}, 1), _zq(), _zq()])),
     Entry("thm6", {"t": 2, "n_max": 8}, {"t": "t", "n": "n_max"},
           {"t": 60_000, "n_max": 467},
-          full={"n_max": 12}, grid={"t": _UP_TO_3}, verifier="verify_li_yee"),
+          full={"n_max": 12}, grid={"t": _UP_TO_3}, walk=("n", "s", "j"),
+          lhs=_length_classes, mask=_present,
+          rhs=lambda p, box: _li_yee_classes(p["t"], p["n_max"])),
     Entry("thm7", {"t": 2, "r": 1, "size_max": 18},
           {"t": "t", "r": "r", "n": "size_max"}, {"t": 8, "size_max": 58},
           full={"size_max": 24}, grid={"t": _UP_TO_3, "r": _UP_TO_3},
@@ -1177,19 +1157,31 @@ CATALOG = (
           {"t": "t", "r": "r", "k": "k_max", "n": "n_max"},
           {"k_max": 150, "n_max": 2000}, lowest={"t": 2, "r": 2},
           full={"k_max": 9, "n_max": 15}, grid={"t": (2, 3), "r": (2, 3)},
-          verifier="verify_opposite_schmidt"),
+          walk=("n", "first"), lhs=lambda p, box: partition_histogram(
+              ("anti", "first"), (p["n_max"], p["k_max"]), t=p["t"], r=p["r"]),
+          rhs=lambda p, box: _two_colored(
+              p["t"], p["r"], {"q": p["n_max"], "z": p["k_max"]}).coeffs),
     Entry("eq14", {"n": 4}, {"n": "n"}, box={"q": 10, "z": 10},
           full={"box": {"q": 15, "z": 15}, "grid": {"n": range(7)}},
           grid={"n": range(5)},
           lhs=lambda p, box: _histogram(box, ("weight", "first"), t=2,
                                         max_len=2 * p["n"]),
           rhs=lambda p, box: _quotient(box, [_zq(p["n"])] * 2)),
+    # the slices past the largest part are zero in the box, not built, and
+    # counted
     Entry("eq20", {"t": 2, "n_max": 6}, {"t": "t", "n": "n_max"},
           box={"q": 8, "s": 12}, full={"n_max": 9, "box": {"q": 12, "s": 18}},
-          verifier="verify_recurrence"),
+          walk=("n",), graded=("q", "s"), lhs=_by_largest_part,
+          rhs=lambda p, box: np.stack([f.coeffs for f in _f_series(
+              min(p["n_max"], box["q"], box["s"]), p["t"], box)]),
+          cells=lambda p, box: (
+              (p["n_max"] + 1) * (box["q"] + 1) * (box["s"] + 1))),
     Entry("eq24", {"t": 2}, _T, box={"q": 6, "s": 10, "z": 4},
-          full={"box": {"q": 9, "s": 15, "z": 6}},
-          verifier="verify_functional_equation"),
+          full={"box": {"q": 9, "s": 15, "z": 6}}, graded=("q", "z", "s"),
+          lhs=lambda p, box: partition_histogram(
+              ("weight", "first", "size"), (box["q"], box["z"], box["s"]),
+              t=p["t"]),
+          rhs=_substituted, reads_lhs=True),
     Entry("table1", {"n": 7}, {"n": "n"}, {"n": 92}, verifier="verify_table"),
     Entry("furtherwork", {"m_max": 4, "size_max": 20},
           {"m": "m_max", "n": "size_max"}, {"size_max": 44},
@@ -1198,7 +1190,7 @@ CATALOG = (
 
 _BY_ID = {entry.id: entry for entry in CATALOG}
 THEOREM_IDS = tuple(_BY_ID)
-IDENTITY_IDS = tuple(entry.id for entry in CATALOG if entry.lhs is not None)
+IDENTITY_IDS = tuple(entry.id for entry in CATALOG if entry.series)
 
 
 def _entry(ident):

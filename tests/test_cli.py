@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import time
@@ -550,7 +551,7 @@ LIMITS = [
 def test_each_entry_limits_its_parameters(capsys, monkeypatch, entry, name,
                                           limit, past, error):
     flag, = [f for f, p in entry.flags.items() if p == name]
-    commands = ["verify"] + (["series"] if entry.lhs is not None else [])
+    commands = ["verify"] + (["series"] if entry.series else [])
     for command in commands:
         assert run(capsys, command, entry.id, f"--{flag}", str(past)) == (
             2, "", f"error: {entry.id} {error}\n")
@@ -562,9 +563,11 @@ def test_each_entry_limits_its_parameters(capsys, monkeypatch, entry, name,
     def started(*args, **kwargs):
         raise Started
 
-    for attr in ("lhs_series", "rhs_series", entry.verifier):
-        if attr is not None:
-            monkeypatch.setattr(cli.ver, attr, started)
+    if entry.verifier is not None:
+        monkeypatch.setattr(cli.ver, entry.verifier, started)
+    else:
+        monkeypatch.setitem(cli.ver._BY_ID, entry.id, dataclasses.replace(
+            entry, lhs=started, rhs=started))
     for command in commands:
         with pytest.raises(Started):
             main([command, entry.id, f"--{flag}", str(limit)])

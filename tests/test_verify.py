@@ -359,6 +359,26 @@ def test_each_side_runs_without_the_others_kernel(monkeypatch):
             patch.setattr(ver, "partition_histogram", banned)
             rhs = rhs_series(ident, params, box)
         assert qs.first_mismatch(lhs, rhs) is None, (ident, params)
+    # and so at the array sides' quick points, but for two: both of cor2's
+    # sides are histograms, and eq24's right side gathers from its left
+    # side's array
+    exempt = {"cor2", "eq24"}
+    points = [task.args for task in ver._suite_tasks("quick")
+              if task.args[0] not in IDENTITY_IDS
+              and ver._entry(task.args[0]).lhs is not None]
+    assert {ident for ident, _, _ in points} - exempt == {
+        "schmidt", "thm6", "cor11", "eq20"}
+    for ident, params, box in points:
+        if ident in exempt:
+            continue
+        entry = ver._entry(ident)
+        with monkeypatch.context() as patch:
+            patch.setattr(qs, "_divide", banned)
+            lhs = entry.lhs(params, box)
+        with monkeypatch.context() as patch:
+            patch.setattr(ver, "partition_histogram", banned)
+            rhs = entry.rhs(params, box)
+        assert np.array_equal(lhs, rhs), (ident, params)
 
 
 def _tally(colored, bound, weight, admits=lambda p, i: True):
@@ -766,12 +786,37 @@ def test_first_cell_failure_is_the_walk_over_the_cells(shape, data):
     got, want = (np.array(data.draw(cells)).reshape(shape) for _ in "ab")
     mask = np.array(data.draw(cells)).reshape(shape) >= 0
     labels = ("n", "s", "j")[:len(shape)]
-    for where in (mask, True):
+    for where in (mask, None):
         walk = ver._first_failure(
             (dict(zip(labels, index)), int(got[index]), int(want[index]))
             for index in itertools.product(*map(range, shape))
-            if np.broadcast_to(where, got.shape)[index])
-        assert ver._first_cell_failure(got, want, labels, where) == walk
+            if where is None or where[index])
+        assert ver._first_cell_failure(got, want, labels, (), where) == walk
+    # with graded axes: the walk over the leading axes' cells, each
+    # counted with all its graded cells, and within the first that fails
+    # its graded-lex first mismatch, named graded labels first, a zero
+    # index left out on an axis in exponents
+    lead = data.draw(st.integers(0, len(shape)))
+    exponents = data.draw(st.sampled_from([(), labels]))
+    outer, graded = labels[:lead], labels[lead:]
+    monomials = sorted(itertools.product(*map(range, shape[lead:])),
+                       key=lambda e: (sum(e), e))
+    for where in (mask, None):
+        checked, want_mismatch = 0, None
+        for at in itertools.product(*map(range, shape[:lead])):
+            checked += sum(where is None or bool(where[at + e])
+                           for e in monomials)
+            bad = [e for e in monomials if got[at + e] != want[at + e]
+                   and (where is None or where[at + e])]
+            if bad:
+                e = bad[0]
+                want_mismatch = {
+                    "monomial": {name: i for name, i in zip(
+                        graded + outer, e + at) if i or name not in exponents},
+                    "lhs": int(got[at + e]), "rhs": int(want[at + e])}
+                break
+        assert ver._first_cell_failure(got, want, outer, graded, where,
+                                       exponents) == (checked, want_mismatch)
 
 
 def _domain_pass_outputs(monkeypatch, kind, level):
@@ -1250,12 +1295,29 @@ def test_prop1_catches_an_arm_swapped_with_its_leg(monkeypatch):
     assert report.coefficients_checked == 3
 
 
+# a cell of each array-side check's right side, named as its mismatch
+# report names it, and the report at the defaults with that cell plus 1
+PERTURBED = {
+    "schmidt": ({"n": 3}, 16, 3),
+    "cor2": ({"n": 4, "length": 2}, 13, 2),
+    "thm6": ({"n": 4, "s": 2, "j": 1}, 16, 4),
+    "cor11": ({"n": 2, "first": 1}, 16, 2),
+    "eq20": ({"q": 3, "s": 5, "n": 3}, 468, 1),
+    "eq24": ({"q": 1, "s": 2}, 385, 0),
+}
+
+
 @pytest.mark.parametrize("ident", [i for i in THEOREM_IDS
                                    if i not in IDENTITY_IDS])
 def test_perturb_on_a_dedicated_check_needs_a_closed_form(ident):
-    # eq24 is the one dedicated check with a closed form to perturb
-    if ident == "eq24":
-        assert not verify_identity(ident, perturb={"q": 1}).passed
+    # every check with two sides takes perturb; the dedicated verifiers
+    # do not
+    if ident in PERTURBED:
+        cell, checked, lhs = PERTURBED[ident]
+        report = verify_identity(ident, perturb=cell)
+        assert (report.status, report.coefficients_checked,
+                report.first_mismatch) == (
+            "fail", checked, {"monomial": cell, "lhs": lhs, "rhs": lhs + 1})
         return
     with pytest.raises(VerifyError, match=f"^{ident} takes no perturb$"):
         verify_identity(ident, perturb={"q": 1})
@@ -1265,6 +1327,10 @@ def test_perturb_stays_in_the_box_and_in_int64(monkeypatch):
     for ident in ("thm5.1", "eq24"):
         with pytest.raises(qs.OutOfBox):
             verify_identity(ident, perturb={"q": 99})
+    # an array side's cells: past an axis, and on an axis it has not
+    for cell in ({"n": 16}, {"n": -1}, {"q": 1}):
+        with pytest.raises(qs.OutOfBox):
+            verify_identity("schmidt", perturb=cell)
     monkeypatch.setattr(ver, "rhs_series", lambda ident, params, box:
                         TruncatedSeries.constant(box, 2 ** 63 - 1))
     with pytest.raises(qs.CoefficientOverflow):
@@ -1419,9 +1485,15 @@ def test_public_api():
                "q_binomial", "durfee_size", "hook_length", "to_frobenius",
                "from_frobenius", "FrobeniusCoords", "CellOutOfDiagram",
                "InvalidFrobenius"}
-    # the dedicated verifiers run through verify_identity
-    removed |= {ver._entry(ident).verifier for ident in THEOREM_IDS
-                if ident not in IDENTITY_IDS}
+    # the dedicated verifiers run through verify_identity, and six of
+    # them are gone: their checks are array sides
+    dedicated = {entry.verifier for entry in ver.CATALOG if entry.verifier}
+    gone = {"verify_schmidt", "verify_schmidt_refinement", "verify_li_yee",
+            "verify_opposite_schmidt", "verify_recurrence",
+            "verify_functional_equation"}
+    assert not any(hasattr(ver, name) for name in gone)
+    assert not hasattr(ver, "inspect")
+    removed |= dedicated | gone
     # only the tests called these; conjugate and color_profile are
     # oracles in tests/reference.py
     removed |= {"color_profile", "conjugate", "default_box"}
