@@ -7,7 +7,6 @@ truncated series arithmetic over integer coefficient boxes, a catalog of
 verifiable identities, and a command-line front end.
 """
 
-from ._accel import HistogramOverflow
 from .bijections import (
     CollisionGroup,
     ColorConjugatePair,
@@ -42,14 +41,12 @@ from .partitions import (
 )
 from .series import (
     INFINITY,
-    BoxMismatch,
     CoefficientOverflow,
     DivergentInfiniteProduct,
     NonUnitConstantTerm,
     OutOfBox,
     SeriesError,
     TruncatedSeries,
-    first_mismatch,
 )
 from .verify import (
     IDENTITY_IDS,
@@ -70,14 +67,12 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxMismatch",
     "CoefficientOverflow",
     "CollisionGroup",
     "ColorConjugatePair",
     "ColoredPartition",
     "ColoredPartitionError",
     "DivergentInfiniteProduct",
-    "HistogramOverflow",
     "HookMapImage",
     "IDENTITY_IDS",
     "INFINITY",
@@ -106,7 +101,6 @@ __all__ = [
     "color_conjugate_inverse",
     "enumerate_partitions",
     "f_recurrence",
-    "first_mismatch",
     "from_modular",
     "generalized_hook_map",
     "lhs_series",

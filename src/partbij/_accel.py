@@ -28,6 +28,15 @@ the shifts. Row v lies wholly outside the box once v e_j passes box_j,
 so the rows end at top = min over j of box_j // e_j, and a run ends
 once a box_j is negative. The scans below read in-box cells only.
 
+The module also holds the one int64 rule of both kernels, this one and
+the series divisions. Every count they add is nonnegative, so an int64
+sum of two counts that passes 2^63 - 1 wraps to a negative cell. Adds
+run in place under a running bound on the counts, and an array is
+scanned only where that bound passes int64 (_unwrapped): a negative cell
+raises CoefficientOverflow, the one exception for a count or coefficient
+past int64, and otherwise the bound drops to the array's true max.
+_checked is the same rule for a single Python int.
+
 Counts never wrap unseen. Running bounds cap the in-box counts of the
 state and the output's: the reverse sum adds at most vmax counts of the
 row before, vmax being the row's largest part, and the output adds the
@@ -35,14 +44,14 @@ row's sums. With a length axis each row writes its sums to cells of its
 own, a copy of the state's cells, so the state's bound covers the output
 and the output needs none. Only a row whose bound passes int64 scans the
 array for a wrap, after the cells that left the box are zeroed
-(_scanned), and the bound drops to the array's true max. A wrap needs a
-count past int64, so it happens in a scanned row and leaves a negative
-count there (see _unwrapped): HistogramOverflow is raised where an
-in-box count first leaves int64.
+(_scanned). A wrap needs a count past int64, so it happens in a scanned
+row and leaves a negative count there: CoefficientOverflow is raised
+where an in-box count first leaves int64.
 """
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -57,8 +66,11 @@ _AXES = ("first", "size", "length", "weight", "anti", "profile")
 _BOX_ROW_CELLS = 1 << 12
 
 
-class HistogramOverflow(OverflowError):
-    """A partition count does not fit in int64."""
+_INT64_MAX = 2**63 - 1
+
+
+class CoefficientOverflow(OverflowError):
+    """A count or coefficient would leave the int64 range."""
 
 
 class UnboundedBox(ValueError):
@@ -83,20 +95,34 @@ def _shifted_axes(kinds, pos, counted):
             or (kind == "anti" and not counted)]
 
 
+def _checked(value):
+    """An integer as a Python int, raising if it leaves int64."""
+    value = operator.index(value)
+    if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        raise CoefficientOverflow("coefficient exceeds the int64 range")
+    return value
+
+
+def _no_wrap(counts):
+    """Raise if an int64 sum of nonnegative counts has wrapped: one that
+    passes 2^63 - 1 leaves a negative cell."""
+    if (counts < 0).any():
+        raise CoefficientOverflow("coefficient exceeds the int64 range")
+
+
 def _unwrapped(counts, bound):
     """Return bound, a cap on the true counts, while it fits int64; past
     it, raise if an int64 sum of counts has wrapped, else return their max.
 
-    Counts are nonnegative, so a sum of two that leaves the int64 range
-    wraps to a negative value. The reverse sum never rewrites a finished
-    cell, so the first of its partial sums to leave the range is still
-    negative when the row ends; the output is checked in each row that
-    may wrap it.
+    A wrapped cell is scanned before anything adds to it again: the
+    reverse sum never rewrites a finished cell, so the first of its
+    partial sums to leave the range is still negative when the row ends,
+    the output is checked in each row that may wrap it, and a division
+    checks each add that may wrap its destination (series._add_under).
     """
-    if bound < 2**63:
+    if bound <= _INT64_MAX:
         return bound
-    if np.any(counts < 0):
-        raise HistogramOverflow("partition count exceeds the int64 range")
+    _no_wrap(counts)
     return int(counts.max())
 
 
@@ -110,7 +136,7 @@ def _scanned(state, top, e, box, bound):
     """_unwrapped on the in-box cells of state rows 1..top. Cells that
     have left the box may hold anything, and no in-box cell reads them,
     so past int64 they are zeroed before the scan."""
-    if bound < 2**63:
+    if bound <= _INT64_MAX:
         return bound
     for v in range(1, top + 1):
         for j, end in enumerate(_box_ends(box, e, v)):
@@ -144,7 +170,7 @@ def partition_histogram(axes, bounds, *, t=1, r=1, max_len=None,
     box, which happens when every t consecutive rows add to some bounded
     axis.
     Profile axes cap neither. UnboundedBox if the parts, or the length
-    without max_len, have no cap. Raises HistogramOverflow if a count
+    without max_len, have no cap. Raises CoefficientOverflow if a count
     exceeds int64, and MemoryError if the output or the state has more
     bytes than numpy can size an array in.
     """

@@ -14,7 +14,7 @@ import sys
 
 from . import bijections as bij
 from . import verify as ver
-from ._accel import HistogramOverflow, UnboundedBox
+from ._accel import CoefficientOverflow, UnboundedBox
 from .bijections import (
     color_conjugate,
     color_conjugate_inverse,
@@ -306,7 +306,7 @@ def _build_parser():
     t.set_defaults(func=_cmd_table)
 
     _add_check_parser(sub, "series",
-                      [entry for entry in CATALOG if entry.lhs is not None],
+                      [entry for entry in CATALOG if entry.series],
                       _cmd_series, "print an identity's closed form")
 
     u = sub.add_parser("suite", help="run every catalog check")
@@ -345,7 +345,8 @@ def main(argv=None):
     except SystemExit:  # --help; every other parse error is a UsageError
         return 0
     except (UsageError, PartitionError, ColoredPartitionError, SeriesError,
-            VerifyError, HistogramOverflow, UnboundedBox, MemoryError) as exc:
+            VerifyError, CoefficientOverflow, UnboundedBox,
+            MemoryError) as exc:
         # a MemoryError may carry no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -17,7 +17,10 @@ recurrence c[x] += c[x - e] walked a disjoint block at a time. A whole
 closed form, a list of Pochhammer products, runs in one pass, factor by
 factor in order, in place on one array under one running bound on its
 magnitude, which a factor at most multiplies by the number of input
-coefficients a quotient coefficient sums. A caller that owns its array
+coefficients a quotient coefficient sums. A division takes nonnegative
+counts, as every caller's are, so it follows the histogram's int64 rule
+(see the _accel module): a sum that passes int64 leaves a negative cell,
+and CoefficientOverflow is the one exception. A caller that owns its array
 divides only the view at or past the input's lowest nonzero corner, with
 the bound it knows: the quotient is zero below that corner too, and the
 view is a smaller box. The growth is checked once per product: while
@@ -26,9 +29,9 @@ the product's adds run unchecked, each an in-place add on a view, and
 the bound is multiplied once. Since the bound only grows, that is
 exactly when every factor's own check would pass. When it does not fit,
 the exact maximum is taken again, and if it still does not, the product
-runs factor by factor: a factor that still might overflow runs each add
-unchecked where its own bound, from the exact maximum of its source,
-fits int64 and checked where it does not. Every operation raises
+runs factor by factor: a factor that still might overflow bounds each
+add by the exact maximum of its source, and an add whose bound passes
+int64 scans what it wrote for a negative cell. Every operation raises
 CoefficientOverflow only when a coefficient would really leave int64.
 
 The layer has no substitution of variables: eq24's side F(s, q, s^t q z)
@@ -58,11 +61,12 @@ import functools
 import json
 import math
 import re
-from operator import add, index, sub
+from operator import add, sub
 
 import numpy as np
 
-from ._accel import _zeros
+from ._accel import CoefficientOverflow  # noqa: F401 (re-exported)
+from ._accel import _INT64_MAX, _checked, _unwrapped, _zeros
 
 INFINITY = math.inf
 
@@ -71,10 +75,6 @@ _ZNUM = re.compile(r"^z([1-9][0-9]*)$")
 
 class SeriesError(ValueError):
     """Base class for series failures."""
-
-
-class BoxMismatch(SeriesError):
-    """Operands live on different variables or boxes."""
 
 
 class NonUnitConstantTerm(SeriesError):
@@ -87,10 +87,6 @@ class DivergentInfiniteProduct(SeriesError):
 
 class OutOfBox(SeriesError):
     """Requested exponent vector lies outside the box."""
-
-
-class CoefficientOverflow(SeriesError):
-    """A coefficient would leave the int64 range."""
 
 
 def _var_key(name):
@@ -125,30 +121,6 @@ def _canon_box(box):
     return variables, tuple(bounds)
 
 
-_INT64_MAX = 2**63 - 1
-
-
-def _overflow():
-    return CoefficientOverflow("coefficient exceeds the int64 range")
-
-
-def _checked(value):
-    """An integer coefficient as a Python int, raising if it leaves int64."""
-    value = index(value)
-    if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
-        raise _overflow()
-    return value
-
-
-def _sum(a, b):
-    """a + b, raising if a coefficient wrapped: an int64 sum wraps exactly
-    when it lands on the wrong side of a for the sign of b."""
-    out = a + b
-    if np.not_equal(out < a, b < 0).any():
-        raise _overflow()
-    return out
-
-
 # A division walks disjoint blocks only in views of at least this many
 # cells, and there once at most cells // _BLOCK_CELLS multiples of its
 # exponent are left. Each block is one more numpy call: at the suites'
@@ -159,22 +131,13 @@ def _sum(a, b):
 _BLOCK_CELLS = 8192
 
 
-def _max_abs(coeffs):
-    return max(int(coeffs.max()), -int(coeffs.min()))
-
-
 def _add_under(dst, src, low, bound):
-    """dst += src, where low bounds the magnitude of dst and bound that
-    of the whole array; returns the bound after the add. The add runs
-    unchecked when low plus the exact maximum of src fits int64, and
-    checked, by _sum, when it does not."""
-    top = low + _max_abs(src)
-    if top > _INT64_MAX:
-        dst[...] = _sum(dst, src)
-        top = _max_abs(dst)
-    else:
-        dst += src
-    return max(bound, top)
+    """dst += src, where low bounds dst and bound the whole array; returns
+    the bound after the add. When low plus the exact maximum of src
+    passes int64, dst is scanned for a wrap (_unwrapped)."""
+    top = low + int(src.max())
+    dst += src
+    return max(bound, _unwrapped(dst, top))
 
 
 def _adds(shape, e, block_cells):
@@ -281,11 +244,6 @@ class TruncatedSeries:
     def copy(self):
         return TruncatedSeries(self.variables, self.box, self.coeffs.copy())
 
-    def _check_aligned(self, other):
-        if self.variables != other.variables or self.box != other.box:
-            raise BoxMismatch(
-                f"{self.variables}/{self.box} vs {other.variables}/{other.box}")
-
     def text(self):
         """Plain rendering, e.g. '1 + q*z + 2*q^2*z^2', written straight
         from the coefficients like json_text(): a term's template, such
@@ -314,7 +272,7 @@ class TruncatedSeries:
             templates.append((" - " if kind & 1 else " + ")
                              + "*".join(factors))
         templates = np.array(templates, dtype=object)
-        # magnitudes as uint64: abs(-2**63) wraps in int64
+        # magnitudes as uint64: the abs of int64's least value wraps
         table = np.column_stack([np.abs(values).view(np.uint64),
                                  idx.astype(np.uint64)])
         text = "".join(templates[pattern].tolist()) % tuple(
@@ -413,15 +371,16 @@ def _plan(shape, variables, product, block_cells):
 
 
 def _divide(coeffs, variables, products, bound=None):
-    """Divide coeffs in place by each factor (1 - x^e) of every (base,
-    ratio, n) Pochhammer product in products, factor by factor in order,
-    and return a bound on the magnitude of the result. NonUnitConstantTerm
-    if a factor is 1 - 1.
+    """Divide coeffs, nonnegative counts, in place by each factor (1 - x^e)
+    of every (base, ratio, n) Pochhammer product in products, factor by
+    factor in order, and return a bound on the result. NonUnitConstantTerm
+    if a factor is 1 - 1, CoefficientOverflow if a coefficient of the
+    result leaves int64.
 
     coeffs is an array or a view of one, its axes variables and its
     shape the box; a caller whose input is zero below some corner
     passes only the view at or past it. bound, if given, bounds the
-    input's magnitude; if not, the exact maximum is taken when needed.
+    input; if not, the exact maximum is taken when needed.
 
     Each quotient coefficient, and each partial sum on the way to it,
     sums at most grow input coefficients, one more than the multiples of
@@ -451,7 +410,7 @@ def _divide(coeffs, variables, products, bound=None):
         if not steps:  # the view may be empty: take no maximum
             continue
         if bound is None or grown and bound * grow > _INT64_MAX:
-            bound, grown = _max_abs(coeffs), False
+            bound, grown = int(coeffs.max()), False
         # (grow, split, count) of each run of adds: the whole product if
         # it fits, as every factor's own check then passes, else each factor
         if bound * grow <= _INT64_MAX:
@@ -462,7 +421,7 @@ def _divide(coeffs, variables, products, bound=None):
         for grow, split, count in runs:
             start, stop = stop, stop + count
             if grown and bound * grow > _INT64_MAX:
-                bound, grown = _max_abs(coeffs), False
+                bound, grown = int(coeffs.max()), False
             if bound * grow <= _INT64_MAX:
                 for dst, src in pairs[start:stop]:
                     dst += src
@@ -478,19 +437,3 @@ def _divide(coeffs, variables, products, bound=None):
                 bound = _add_under(dst, src, low, bound)
             grown = False
     return bound
-
-
-def first_mismatch(f, g):
-    """First differing monomial in graded-lex order, or None if equal in box.
-
-    Returns (exponents, f_coeff, g_coeff).
-    """
-    f._check_aligned(g)
-    if np.array_equal(f.coeffs, g.coeffs):
-        return None
-    idx, _ = _graded_lex(f.coeffs != g.coeffs)
-    if not len(idx):
-        return None
-    first = tuple(idx[0].tolist())
-    exps = {v: e for v, e in zip(f.variables, first) if e}
-    return exps, int(f.coeffs[first]), int(g.coeffs[first])

@@ -67,7 +67,8 @@ from typing import Optional
 import numpy as np
 
 from . import series as qs
-from ._accel import UnboundedBox, _zeros, partition_histogram  # noqa: F401 (re-exported)
+from ._accel import UnboundedBox  # noqa: F401 (re-exported)
+from ._accel import _no_wrap, _zeros, partition_histogram
 from .bijections import (
     _conjugate_rows,
     bessenrodt,
@@ -791,8 +792,8 @@ def _f_series(n_max, t, box):
 
     so that f_m = q^m s^m B_(t-1)(m) / (1 - q^m s^(mt)). The q-Pascal
     rule [n+u, u] = [n+u-1, u-1] + s^u [n+u-1, u] steps every sum from
-    m to m + 1 with checked slice adds, and no Gaussian binomial is
-    formed:
+    m to m + 1 with in-place slice adds of counts, each slice scanned once
+    for a wrap (a negative cell), and no Gaussian binomial is formed:
 
         C_u = B_u(m) + s^(m(t-1)) f_m,
         B_0(m+1) = C_0,  B_u(m+1) = B_(u-1)(m+1) + s^u C_u.
@@ -816,12 +817,15 @@ def _f_series(n_max, t, box):
         window = sums[:, :max(q + 1 - m, 0), :max(s + 1 - m, 0)]
         rows, width = window.shape[1:]
         e = min((m - 1) * (t - 1), width)
-        window[:, :, e:] = qs._sum(window[:, :, e:],
-                                   f[m - 1].coeffs[:rows, :width - e])
+        written = window[:, :, e:]
+        written += f[m - 1].coeffs[:rows, :width - e]
+        _no_wrap(written)
         for u in range(1, k):
             e = min(u, width)
             low, high = window[u - 1], window[u]
-            high[:, e:] = qs._sum(low[:, e:], high[:, :width - e])
+            written = np.add(low[:, e:], high[:, :width - e],
+                             out=high[:, e:])
+            _no_wrap(written)
             high[:, :e] = low[:, :e]
         g = TruncatedSeries.zero(box)
         g.coeffs[m:, m:] = window[k - 1]

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partbij import _accel
-from partbij._accel import HistogramOverflow, UnboundedBox, partition_histogram
+from partbij._accel import (CoefficientOverflow, UnboundedBox,
+                            partition_histogram)
 from partbij.partitions import Partition, partition_numbers, schmidt_weight
 from reference import box_partitions, color_profile
 
@@ -148,7 +149,7 @@ def test_histogram_matches_enumeration_sweep(axes, data, t, r, distinct,
 def test_histogram_counts_up_to_int64_then_raises():
     out = partition_histogram(("size",), (405,), max_len=405)
     assert [int(c) for c in out] == partition_numbers(405)
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("size",), (406,), max_len=406)
     _assert_schmidt_boundary()
 
@@ -158,7 +159,7 @@ def _assert_schmidt_boundary():
     # counted by p(n), which fits int64 up to n = 405
     out = partition_histogram(("weight",), (405,), t=2, r=1, distinct=True)
     assert [int(c) for c in out] == partition_numbers(405)
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("weight",), (406,), t=2, r=1, distinct=True)
 
 
@@ -182,12 +183,12 @@ def test_histogram_raises_when_a_state_count_leaves_int64():
     assert [sum(col) for col in zip(*want)] == partition_numbers(467)
     out = partition_histogram(("length", "size"), (467, 467))
     assert out.tolist() == want
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("length", "size"), (468, 468))
     # lengths divisible by 66 skip the rows where the counts of 480 first
     # leave int64, and 12,513,202,306,558,162,513 partitions of 480 into 66
     # parts do not fit: the state wraps in a row the output never sees
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("size",), (480,), length_mod=(66, [0]))
 
 
@@ -212,11 +213,11 @@ def test_histogram_with_a_length_axis_scans_only_the_state(monkeypatch):
                                 else [list(col) for col in zip(*want)])
         assert len(scans) == 95
         assert all(len(shape) == 2 for shape in scans)  # (part, size)
-        with pytest.raises(HistogramOverflow):
+        with pytest.raises(CoefficientOverflow):
             partition_histogram(axes, (468, 468))
     # without a length axis the output is still scanned where it may wrap
     scans.clear()
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("size",), (406,), max_len=406)
     assert (407,) in scans
 
@@ -292,7 +293,7 @@ def test_period_test_takes_constant_time_in_t():
     # at t = 10^12 only row 1 is weighed, and the rows after it add to no
     # axis, so the prefixes that stay in the box pile up past int64
     start = time.perf_counter()
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("weight", "first"), (10, 10), t=10**12)
     assert time.perf_counter() - start < 5
 
@@ -334,7 +335,7 @@ def test_scan_reads_only_the_cells_in_the_box():
     # below int64 nothing is read, and past it an in-box wrap raises
     state[2, 1] = -3
     assert _accel._scanned(state, top, e, kbounds, 2**63 - 1) == 2**63 - 1
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         _accel._scanned(state, top, e, kbounds, 2**63)
 
 
@@ -376,10 +377,10 @@ def test_in_box_sums_keep_the_overflow_boundaries(monkeypatch):
     monkeypatch.setattr(_accel, "_BOX_ROW_CELLS", 1)
     assert partition_histogram(("length", "size"), (467, 467)).tolist() \
         == partitions_by_length(467)
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("length", "size"), (468, 468))
     out = partition_histogram(("size",), (405,), max_len=405)
     assert [int(c) for c in out] == partition_numbers(405)
-    with pytest.raises(HistogramOverflow):
+    with pytest.raises(CoefficientOverflow):
         partition_histogram(("size",), (406,), max_len=406)
     _assert_schmidt_boundary()

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 import time
 from pathlib import Path
 
@@ -140,6 +141,22 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_series_offers_only_the_series_identities(capsys):
+    # an array-side check has no closed form to print, so series takes
+    # neither its id nor its flags: the id is argparse's usage error
+    code, out, err = run(capsys, "series", "schmidt")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: partbij series: argument id: invalid "
+                          "choice: 'schmidt'")
+    code, out, _ = run(capsys, "series", "--help")
+    assert code == 0
+    choices = re.search(r"^  \{(.*)\}$", out, re.MULTILINE).group(1)
+    assert choices.split(",") == list(IDENTITY_IDS)
+    flags = {flag for entry in CATALOG if entry.series for flag in entry.flags}
+    assert set(re.findall(r"^  --(\w+) ", out, re.MULTILINE)) == flags
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ import partbij.bijections as bij
 import partbij.cli as cli
 import partbij.series as qs
 import partbij.verify as ver
+from partbij import _accel
 from partbij._accel import partition_histogram
 from partbij.colored import ColoredPartition
 from partbij.partitions import (
@@ -159,6 +160,18 @@ def test_closed_forms_overflow_at_their_int64_walls(ident, wall, digest):
         == digest
     with pytest.raises(qs.CoefficientOverflow):
         rhs_series(ident, {}, {"q": wall, "z": wall})
+
+
+def test_both_kernels_raise_the_one_overflow():
+    # thm4.1 at 264 leaves int64 on both sides: the histogram's counts in
+    # its wrap scan and the closed form's in a division's checked add,
+    # which run the one wrap check and raise the one class
+    for side in (lhs_series, rhs_series):
+        with pytest.raises(partbij.CoefficientOverflow) as raised:
+            side("thm4.1", {}, {"q": 264, "z": 264})
+        assert raised.type is qs.CoefficientOverflow \
+            is _accel.CoefficientOverflow
+        assert raised.traceback[-1].name == "_no_wrap"
 
 
 def test_no_block_walk_at_suite_or_closed_form_workload_boxes(monkeypatch):
@@ -358,7 +371,7 @@ def test_each_side_runs_without_the_others_kernel(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(ver, "partition_histogram", banned)
             rhs = rhs_series(ident, params, box)
-        assert qs.first_mismatch(lhs, rhs) is None, (ident, params)
+        assert np.array_equal(lhs.coeffs, rhs.coeffs), (ident, params)
     # and so at the array sides' quick points, but for two: both of cor2's
     # sides are histograms, and eq24's right side gathers from its left
     # side's array
@@ -1445,6 +1458,16 @@ def test_recurrence_running_sums_match_the_binomial_reference(n_max, t, q, s):
         == want
 
 
+def test_recurrence_sums_raise_where_their_counts_leave_int64():
+    # at t 2 every f_n fits on q, s <= 507; at 508 a running sum's count
+    # leaves int64 first, and the in-place add's wrap check raises
+    ver._f_series(507, 2, {"q": 507, "s": 507})
+    with pytest.raises(qs.CoefficientOverflow) as raised:
+        ver._f_series(508, 2, {"q": 508, "s": 508})
+    assert [entry.name for entry in raised.traceback[-2:]] == \
+        ["_f_series", "_no_wrap"]
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 5])
 @pytest.mark.parametrize("box", [{"q": 16, "s": 30}, {"q": 5, "s": 8}])
 def test_recurrence_takes_one_shift_pass_per_largest_part(monkeypatch, t,
@@ -1500,18 +1523,23 @@ def test_public_api():
     # eq24's substituted side is a gather, and the tests divide by
     # series._divide on a copy
     removed |= {"substitute", "divide_pochhammer"}
-    assert len(removed) == 30
+    # no check compares two series, and both kernels raise the one
+    # CoefficientOverflow
+    removed |= {"first_mismatch", "BoxMismatch", "_check_aligned",
+                "HistogramOverflow"}
+    assert len(removed) == 34
     assert not removed & set(names)
-    for module in (partbij, partbij.partitions, qs):
+    for module in (partbij, partbij.partitions, qs, _accel):
         assert not any(hasattr(module, name) for name in removed)
     assert not hasattr(ver, "default_box")
     # and the methods only the tests called; equality and hashing are
     # object's again
     cut = {TruncatedSeries: {"from_terms", "coefficient", "terms", "__add__",
-                             "__eq__", "__hash__", "__repr__", "to_json"},
+                             "__eq__", "__hash__", "__repr__", "to_json",
+                             "_check_aligned"},
            ColoredPartition: {"part", "color", "color_counts"},
            Partition: {"part"},
-           qs: {"_expand"}}
+           qs: {"_expand", "_sum", "_max_abs", "_overflow"}}
     for owner, methods in cut.items():
         assert not methods & set(vars(owner)), owner
 
